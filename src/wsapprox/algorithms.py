@@ -44,7 +44,7 @@ from .core import (
 )
 from .solvers import SolveAnswer, Solution, SolverHandle
 
-_MAX_REJECTION = (
+MAXIMIZATION_REJECTION = (
     "maximization instance rejected: supported solutions admit no bounded "
     "weighted-sum approximation guarantee in more than one objective"
 )
@@ -198,7 +198,7 @@ class GridRun:
 
 def _reject_max(solver: SolverHandle) -> None:
     if solver.direction is not Direction.MIN:
-        raise MaximizationUnsupported(_MAX_REJECTION)
+        raise MaximizationUnsupported(MAXIMIZATION_REJECTION)
 
 
 def approximate_grid(

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from .algorithms import (
+    MAXIMIZATION_REJECTION,
     BiobjectiveRun,
     GridRun,
     approximate_biobjective,
@@ -191,10 +192,7 @@ def _bisect_report(run: BiobjectiveRun) -> dict[str, Any]:
 def cmd_approximate(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     if inst.direction is Direction.MAX:
-        raise MaximizationUnsupported(
-            "maximization instance rejected: supported solutions admit no bounded "
-            "weighted-sum approximation guarantee in more than one objective"
-        )
+        raise MaximizationUnsupported(MAXIMIZATION_REJECTION)
     if args.solver == "adversarial" and not isinstance(inst, ExplicitInstance):
         raise ContractViolation("the adversarial solver needs an explicit instance")
     bounds = compute_bounds(inst)
@@ -253,7 +251,7 @@ def _load_json(path: str, what: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
         raise InstanceFormatError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -43,7 +43,10 @@ def parse_rational(text: str) -> Fraction:
     value = text.strip()
     if "/" in value and value.split("/")[1].lstrip("0") == "":
         raise ContractViolation(f"zero denominator: {text!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError as exc:  # more digits than int() converts
+        raise ContractViolation(f"rational literal too long: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:

@@ -308,7 +308,7 @@ def load_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
         raise InstanceFormatError(f"cannot read instance {path}: {exc}") from exc
     return instance_from_json(data)
 

@@ -11,17 +11,32 @@ Tie-breaking is deterministic everywhere: explicit backends prefer the
 lexicographically smallest objective vector and then the smallest id, graph
 backends follow input arc order.  Runs are therefore reproducible and the
 exact backends always return solutions with nondominated images.
+
+Each backend exists twice.  The ``solve_*`` functions compute in
+``Fraction`` and are the reference implementation.  The handles built by
+``exact_solver`` and ``adversarial_solver`` run integer kernels: when the
+handle is built, each objective column is multiplied by the LCM of its
+denominators, and each call multiplies the weights by the LCM of the
+denominators left after dividing out those column scales.  The column
+scales cancel against the weights, and the weight scale multiplies every
+weighted sum by one positive constant.  So every comparison of the
+resulting Python ints, including each tie and the adversarial bound, has
+the same outcome as the comparison of the Fraction sums, and the kernels
+return exactly the reference's answers.  Only the reported scalar is turned
+back into a ``Fraction``, once per answer.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
     Bounds,
@@ -131,14 +146,16 @@ class GraphInstance:
                 raise DisconnectedGraph("spanning-tree instance is not connected")
 
     def _target_reachable(self) -> bool:
+        successors: list[list[int]] = [[] for _ in range(self.node_count)]
+        for arc in self.arcs:
+            successors[arc.tail].append(arc.head)
         seen = {self.source}
         frontier = [self.source]
         while frontier:
-            node = frontier.pop()
-            for arc in self.arcs:
-                if arc.tail == node and arc.head not in seen:
-                    seen.add(arc.head)
-                    frontier.append(arc.head)
+            for head in successors[frontier.pop()]:
+                if head not in seen:
+                    seen.add(head)
+                    frontier.append(head)
         return self.target in seen
 
     def _connected(self) -> bool:
@@ -160,9 +177,6 @@ class SolveAnswer:
     image: ObjectiveVector
     scalar: Fraction
     arcs: Optional[tuple[int, ...]] = None
-
-    def as_solution(self) -> Solution:
-        return Solution(self.solution_id, self.image)
 
 
 class _UnionFind:
@@ -346,9 +360,17 @@ def enumerate_graph_solutions(
         for idx, arc in enumerate(inst.arcs):
             out[arc.tail].append((idx, arc))
 
+        # Depth-first search with an explicit stack of arc iterators, one per
+        # non-target node of the current path, so that path length is not
+        # bounded by the interpreter's recursion limit.
         steps = 0
+        on_path = {inst.source}
+        taken: list[int] = []
+        frames: list[Iterator[tuple[int, Arc]]] = []
 
-        def walk(node: int, on_path: set[int], taken: list[int]) -> None:
+        def enter(node: int) -> bool:
+            """Visit ``node``: record the path if it is the target, else
+            open its frame.  True iff a frame was opened."""
             nonlocal steps
             steps += 1
             if steps > work_limit:
@@ -359,17 +381,24 @@ def enumerate_graph_solutions(
                 solutions.append(Solution(path_id(arc_tuple), image))
                 if len(solutions) > limit:
                     raise EnumerationLimit("more paths than the enumeration limit")
-                return
-            for idx, arc in out[node]:
+                return False
+            frames.append(iter(out[node]))
+            return True
+
+        enter(inst.source)
+        while frames:
+            for idx, arc in frames[-1]:
                 if arc.head in on_path:
                     continue
-                on_path.add(arc.head)
                 taken.append(idx)
-                walk(arc.head, on_path, taken)
+                if enter(arc.head):
+                    on_path.add(arc.head)
+                    break
                 taken.pop()
-                on_path.remove(arc.head)
-
-        walk(inst.source, {inst.source}, [])
+            else:
+                frames.pop()
+                if taken:
+                    on_path.remove(inst.arcs[taken.pop()].head)
     else:
         m = inst.node_count - 1
         combos = itertools.combinations(range(len(inst.arcs)), m)
@@ -387,18 +416,177 @@ def enumerate_graph_solutions(
     return ExplicitInstance(inst.direction, inst.p, tuple(solutions))
 
 
+class _IntegerForm:
+    """Vectors with the denominators of each objective cleared once.
+
+    Column j holds the ints F_ij = f_ij * L_j, where L_j is the LCM of the
+    denominators of objective j.  For weights w, let D be the LCM of the
+    denominators of w_j / L_j and W_j = (w_j / L_j) * D.  Then the int
+    V_i = sum_j W_j * F_ij equals D * (w . f_i) exactly, and D > 0 is
+    shared by every i, so comparing the V_i compares the weighted sums.
+    The form is never mutated after construction.
+    """
+
+    def __init__(self, p: int, vectors: Sequence[ObjectiveVector]) -> None:
+        self.scales = tuple(
+            math.lcm(*(v[j].denominator for v in vectors)) for j in range(p)
+        )
+        self.columns = tuple(
+            tuple(v[j].numerator * (scale // v[j].denominator) for v in vectors)
+            for j, scale in enumerate(self.scales)
+        )
+
+    def values(self, weights: WeightVector) -> tuple[list[int], int]:
+        """The ints D * (w . f_i) in input order, and the denominator D."""
+        scaled = [w / scale for w, scale in zip(weights, self.scales)]
+        denom = math.lcm(*(s.denominator for s in scaled))
+        values = [0] * len(self.columns[0])
+        for s, column in zip(scaled, self.columns):
+            factor = s.numerator * (denom // s.denominator)
+            values = list(map(operator.add, values, map(factor.__mul__, column)))
+        return values, denom
+
+    def image(self, indices: tuple[int, ...]) -> ObjectiveVector:
+        """Exact sum of the vectors at ``indices``."""
+        return ObjectiveVector(
+            tuple(
+                Fraction(sum(column[i] for i in indices), scale)
+                for column, scale in zip(self.columns, self.scales)
+            )
+        )
+
+
+Kernel = Callable[[WeightVector], SolveAnswer]
+
+
+def _sorted_form(inst: ExplicitInstance) -> tuple[tuple[Solution, ...], _IntegerForm]:
+    """Solutions ordered by (image, id), so that the first index holding the
+    chosen value is the tie-break winner, with their integer form."""
+    order = tuple(sorted(inst.solutions, key=lambda s: (s.image.values, s.id)))
+    return order, _IntegerForm(inst.p, [s.image for s in order])
+
+
+def _explicit_exact_kernel(inst: ExplicitInstance) -> Kernel:
+    """``solve_explicit_exact`` on the integer form."""
+    order, form = _sorted_form(inst)
+    pick = min if inst.direction is Direction.MIN else max
+
+    def solve(weights: WeightVector) -> SolveAnswer:
+        _check_weights(inst.p, weights)
+        values, denom = form.values(weights)
+        best = pick(values)
+        chosen = order[values.index(best)]
+        return SolveAnswer(chosen.id, chosen.image, Fraction(best, denom))
+
+    return solve
+
+
+def _explicit_adversarial_kernel(inst: ExplicitInstance, sigma: Fraction) -> Kernel:
+    """``solve_explicit_adversarial`` on the integer form."""
+    order, form = _sorted_form(inst)
+
+    def solve(weights: WeightVector) -> SolveAnswer:
+        if inst.direction is not Direction.MIN:
+            raise ContractViolation("adversarial backend is minimization-only")
+        _check_weights(inst.p, weights)
+        values, denom = form.values(weights)
+        # With sigma = a/b, v is admissible iff b*v <= a*opt; as v is an
+        # int, that is v <= floor(a*opt / b).
+        cap = sigma.numerator * min(values) // sigma.denominator
+        worst = max(v for v in values if v <= cap)
+        chosen = order[values.index(worst)]
+        return SolveAnswer(chosen.id, chosen.image, Fraction(worst, denom))
+
+    return solve
+
+
+def _shortest_path_kernel(inst: GraphInstance) -> Kernel:
+    """``solve_shortest_path`` on the integer arc costs."""
+    form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
+    out: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count)]
+    for idx, arc in enumerate(inst.arcs):
+        out[arc.tail].append((idx, arc.head))
+
+    def solve(weights: WeightVector) -> SolveAnswer:
+        if inst.direction is not Direction.MIN:
+            raise ContractViolation("shortest-path backend is minimization-only")
+        _check_weights(inst.p, weights)
+        costs, denom = form.values(weights)
+        dist: dict[int, int] = {inst.source: 0}
+        pred: dict[int, int] = {}
+        done: set[int] = set()
+        counter = itertools.count()
+        heap: list[tuple[int, int, int]] = [(0, next(counter), inst.source)]
+        while heap:
+            d, _, node = heapq.heappop(heap)
+            if node in done:
+                continue
+            done.add(node)
+            if node == inst.target:
+                break
+            for idx, head in out[node]:
+                nd = d + costs[idx]
+                if head not in dist or nd < dist[head]:
+                    dist[head] = nd
+                    pred[head] = idx
+                    heapq.heappush(heap, (nd, next(counter), head))
+        if inst.target not in done:
+            raise UnreachableTarget("target not reachable from source")
+        indices: list[int] = []
+        node = inst.target
+        while node != inst.source:
+            idx = pred[node]
+            indices.append(idx)
+            node = inst.arcs[idx].tail
+        indices.reverse()
+        arc_tuple = tuple(indices)
+        scalar = Fraction(dist[inst.target], denom)
+        return SolveAnswer(path_id(arc_tuple), form.image(arc_tuple), scalar, arc_tuple)
+
+    return solve
+
+
+def _spanning_tree_kernel(inst: GraphInstance) -> Kernel:
+    """``solve_spanning_tree`` on the integer edge costs."""
+    form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
+
+    def solve(weights: WeightVector) -> SolveAnswer:
+        if inst.direction is not Direction.MIN:
+            raise ContractViolation("spanning-tree backend is minimization-only")
+        _check_weights(inst.p, weights)
+        costs, denom = form.values(weights)
+        uf = _UnionFind(inst.node_count)
+        chosen: list[int] = []
+        for idx in sorted(range(len(costs)), key=costs.__getitem__):
+            arc = inst.arcs[idx]
+            if uf.union(arc.tail, arc.head):
+                chosen.append(idx)
+                if len(chosen) == inst.node_count - 1:
+                    break
+        if len(chosen) != inst.node_count - 1:
+            raise DisconnectedGraph("spanning-tree instance is not connected")
+        arc_tuple = tuple(sorted(chosen))
+        scalar = Fraction(sum(costs[i] for i in arc_tuple), denom)
+        return SolveAnswer(tree_id(arc_tuple), form.image(arc_tuple), scalar, arc_tuple)
+
+    return solve
+
+
 @dataclass
 class SolverHandle:
     """One weighted-sum backend bound to an instance, with a call counter.
 
     ``sigma`` is the contract bound the backend promises, not a measured
-    quality.  Every ``solve`` increments the counter by exactly one; the
-    counter is lock-protected so concurrent grid evaluation stays exact.
+    quality.  ``kernel`` answers one weighted-sum problem; it is built once
+    by ``exact_solver`` or ``adversarial_solver`` and shares no mutable
+    state between calls.  Every ``solve`` increments the counter by exactly
+    one; the counter is lock-protected so concurrent grid evaluation stays
+    exact.
     """
 
     instance: Instance
     sigma: Fraction
-    backend: str
+    kernel: Kernel = field(repr=False)
     _calls: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -417,23 +605,18 @@ class SolverHandle:
     def solve(self, weights: WeightVector) -> SolveAnswer:
         with self._lock:
             self._calls += 1
-        if self.backend == "explicit-exact":
-            return solve_explicit_exact(self.instance, weights)
-        if self.backend == "explicit-adversarial":
-            return solve_explicit_adversarial(self.instance, weights, self.sigma)
-        if self.backend == "shortest-path":
-            return solve_shortest_path(self.instance, weights)
-        if self.backend == "spanning-tree":
-            return solve_spanning_tree(self.instance, weights)
-        raise ContractViolation(f"unknown backend {self.backend!r}")
+        return self.kernel(weights)
 
 
 def exact_solver(inst: Instance) -> SolverHandle:
     """Exact (sigma = 1) solver handle with the backend picked per instance."""
     if isinstance(inst, ExplicitInstance):
-        return SolverHandle(inst, Fraction(1), "explicit-exact")
-    backend = "shortest-path" if inst.kind is GraphKind.SHORTEST_PATH else "spanning-tree"
-    return SolverHandle(inst, Fraction(1), backend)
+        kernel = _explicit_exact_kernel(inst)
+    elif inst.kind is GraphKind.SHORTEST_PATH:
+        kernel = _shortest_path_kernel(inst)
+    else:
+        kernel = _spanning_tree_kernel(inst)
+    return SolverHandle(inst, Fraction(1), kernel)
 
 
 def adversarial_solver(inst: ExplicitInstance, sigma: RationalLike) -> SolverHandle:
@@ -443,4 +626,4 @@ def adversarial_solver(inst: ExplicitInstance, sigma: RationalLike) -> SolverHan
     sigma = as_rational(sigma)
     if sigma < 1:
         raise ContractViolation("sigma must be >= 1")
-    return SolverHandle(inst, sigma, "explicit-adversarial")
+    return SolverHandle(inst, sigma, _explicit_adversarial_kernel(inst, sigma))

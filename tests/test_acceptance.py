@@ -38,7 +38,7 @@ from wsapprox import (
 from wsapprox.algorithms import expected_grid_calls, exponent_cap
 from wsapprox.cli import main as cli_main
 from wsapprox.instances import canonical_dumps, instance_to_json
-from wsapprox.solvers import GraphKind
+from wsapprox.solvers import GraphKind, SolverHandle, solve_explicit_adversarial
 
 F = Fraction
 
@@ -121,16 +121,20 @@ def test_criterion_4_sigma_efficiency(grid_sweep):
     print(f"\ncriterion 4 PASS: sigma-efficiency of {checked} distinct answers, zero violations")
 
 
-def test_criterion_5_biobjective_bisection():
-    """Bisection output is a {(1,2+eps),(2+eps,1)}-approximation, never uses
-    more calls than the ladder, and respects the tree-size bound."""
-    total = 200
-    for index in range(total):
-        epsilon = EPSILONS[index % 3]
+def _bisection_sweep():
+    for index in range(200):
         rng = random.Random(5000 + index)
         n = rng.randint(1, 30)
         high = rng.choice([F(4), F(10), F(30)])
-        inst = gen_random_explicit(2, n, 1, high, seed=5000 + index)
+        yield EPSILONS[index % 3], gen_random_explicit(2, n, 1, high, seed=5000 + index)
+
+
+def test_criterion_5_biobjective_bisection():
+    """Bisection output is a {(1,2+eps),(2+eps,1)}-approximation, never uses
+    more calls than the ladder, and respects the tree-size bound."""
+    total = 0
+    for epsilon, inst in _bisection_sweep():
+        total += 1
         run = approximate_biobjective(exact_solver(inst), compute_bounds(inst), epsilon)
         family = GuaranteeFamily.disjunctive_biobjective(epsilon)
         assert verify_approximation(run.result_ids(), inst, family).ok
@@ -312,3 +316,32 @@ def test_criterion_10_ptas_wrapper():
             assert verify_approximation(run.result_ids(), inst, family).ok
             total += 1
     print(f"\ncriterion 10 PASS: {total} adversarial PTAS runs covered at sum bound p+eps")
+
+
+def reference_solver(inst, sigma=None):
+    """Handle whose solves go to the Fraction reference backend: exact when
+    ``sigma`` is None, otherwise adversarial at ``sigma``."""
+    if sigma is None:
+        return SolverHandle(inst, F(1), lambda w: solve_explicit_exact(inst, w))
+    return SolverHandle(inst, sigma, lambda w: solve_explicit_adversarial(inst, w, sigma))
+
+
+def test_integer_kernel_matches_fraction_reference(grid_sweep):
+    """The grid and bisection sweeps issue the same calls and get the same
+    answers when every solve goes to the Fraction reference backend."""
+    for p, epsilon, sigma, inst, run in grid_sweep:
+        ref = approximate_grid(reference_solver(inst, sigma), compute_bounds(inst), epsilon)
+        assert ref.answers == run.answers
+        assert ref.ws_calls == run.ws_calls
+    bisections = 0
+    for epsilon, inst in _bisection_sweep():
+        bounds = compute_bounds(inst)
+        run = approximate_biobjective(exact_solver(inst), bounds, epsilon)
+        ref = approximate_biobjective(reference_solver(inst), bounds, epsilon)
+        assert ref.probes == run.probes
+        assert ref.ws_calls == run.ws_calls
+        bisections += 1
+    print(
+        f"\nkernel PASS: {len(grid_sweep)} grid and {bisections} bisection runs give "
+        "the Fraction reference's answers and call counts"
+    )

@@ -428,6 +428,39 @@ class TestOracleCommand:
         assert code == 5
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({**THREE_POINTS, "solutions": [{"id": "a", "f": ["1" * 5000, "1"]}]}),
+            json.dumps(THREE_POINTS).replace('"p": 2', '"p": ' + "2" * 5000),
+            "\udcff{}",
+        ],
+        ids=["rational-literal-over-digit-limit", "json-integer-over-digit-limit", "not-utf-8"],
+    )
+    def test_unconvertible_input_exits_3(self, tmp_path, text, capsys):
+        inst = tmp_path / "bad.json"
+        inst.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main(["oracle", "--instance", str(inst), "--what", "pareto"]) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_pareto_on_long_chain(self, tmp_path):
+        n = 1500
+        chain = {
+            "kind": "shortest-path",
+            "direction": "min",
+            "p": 2,
+            "nodes": n,
+            "source": 0,
+            "target": n - 1,
+            "arcs": [{"from": i, "to": i + 1, "cost": ["1", "2"]} for i in range(n - 1)],
+        }
+        inst = tmp_path / "chain.json"
+        inst.write_text(json.dumps(chain))
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", "--instance", str(inst), "--what", "pareto", "--out", str(out)]) == 0
+        assert read_json(out)["ids"] == ["path:" + ",".join(str(i) for i in range(n - 1))]
+
+
 class TestGenerateCommand:
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

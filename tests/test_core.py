@@ -34,7 +34,14 @@ class TestRationalParsing:
         assert parse_rational("5/2") == Fraction(5, 2)
         assert parse_rational("-3/6") == Fraction(-1, 2)
 
-    @pytest.mark.parametrize("bad", ["5/0", "5/-2", "1.5", "", "a", "1e3", "2/"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "5/0", "5/-2", "1.5", "", "a", "1e3", "2/",
+            pytest.param("9" * 5000, id="numerator-beyond-int-digit-limit"),
+            pytest.param("1/" + "7" * 5000, id="denominator-beyond-int-digit-limit"),
+        ],
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ContractViolation):
             parse_rational(bad)

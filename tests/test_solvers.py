@@ -22,6 +22,7 @@ from wsapprox import (
     dominates,
     enumerate_graph_solutions,
     exact_solver,
+    gen_random_graph,
     solve_explicit_adversarial,
     solve_explicit_exact,
     solve_shortest_path,
@@ -236,8 +237,6 @@ class TestComputeBounds:
 
 
 def random_graph_cases():
-    from wsapprox import gen_random_graph
-
     cases = []
     for seed in range(6):
         cases.append(gen_random_graph(5, 8, 2, 1, 5, seed, GraphKind.SHORTEST_PATH))
@@ -294,3 +293,134 @@ class TestSolverHandle:
     def test_empty_instance_rejected(self):
         with pytest.raises(ContractViolation):
             ExplicitInstance(MIN, 2, ())
+
+
+# Values either from {1, 2, 3}, so that images repeat and weighted sums tie,
+# or with unrelated denominators, so that clearing them takes a real LCM.
+TIE_PRONE = st.integers(1, 3).map(Fraction)
+MIXED = st.builds(
+    lambda den, k: 1 + Fraction(k % (7 * den + 1), den), st.integers(1, 30), st.integers(0, 10**4)
+)
+
+
+@st.composite
+def tie_prone_instances(draw, p, direction):
+    values = draw(st.sampled_from([TIE_PRONE, MIXED]))
+    images = draw(st.lists(st.tuples(*[values] * p), min_size=1, max_size=10))
+    # Ids out of input order, so that the id tie-break is exercised.
+    keys = draw(st.permutations(range(len(images))))
+    return ExplicitInstance(
+        direction,
+        p,
+        tuple(Solution(f"s{k}", ObjectiveVector(img)) for k, img in zip(keys, images)),
+    )
+
+
+def mixed_weights(p):
+    return st.lists(st.one_of(TIE_PRONE, MIXED), min_size=p, max_size=p).map(
+        lambda ws: WeightVector(tuple(ws))
+    )
+
+
+SIGMAS = st.one_of(st.just(Fraction(1)), rationals(1, 3))
+
+
+class TestHandlesMatchFractionReference:
+    """Every handle solves on a cleared-denominator integer form; its answers
+    must equal the Fraction reference backends' field for field."""
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    @pytest.mark.parametrize("p", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_explicit_exact(self, direction, p, data):
+        inst = data.draw(tie_prone_instances(p, direction))
+        handle = exact_solver(inst)
+        for weights in data.draw(st.lists(mixed_weights(p), min_size=1, max_size=4)):
+            assert handle.solve(weights) == solve_explicit_exact(inst, weights)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_explicit_adversarial(self, p, data):
+        inst = data.draw(tie_prone_instances(p, MIN))
+        sigma = data.draw(SIGMAS)
+        handle = adversarial_solver(inst, sigma)
+        for weights in data.draw(st.lists(mixed_weights(p), min_size=1, max_size=4)):
+            assert handle.solve(weights) == solve_explicit_adversarial(inst, weights, sigma)
+
+    @pytest.mark.parametrize("kind", [GraphKind.SHORTEST_PATH, GraphKind.SPANNING_TREE])
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_graphs(self, kind, data):
+        nodes = data.draw(st.integers(2, 8))
+        arcs = data.draw(st.integers(nodes - 1, 3 * nodes))
+        p = data.draw(st.integers(2, 3))
+        inst = gen_random_graph(
+            nodes,
+            arcs,
+            p,
+            1,
+            data.draw(st.sampled_from([1, 3, 10])),
+            data.draw(st.integers(0, 10**6)),
+            kind,
+            denominator=data.draw(st.sampled_from([1, 6, 1000])),
+        )
+        handle = exact_solver(inst)
+        reference = solve_shortest_path if kind is GraphKind.SHORTEST_PATH else solve_spanning_tree
+        for weights in data.draw(st.lists(mixed_weights(p), min_size=1, max_size=4)):
+            assert handle.solve(weights) == reference(inst, weights)
+
+    def test_max_and_dimension_rejected_like_reference(self, three_points, diamond_graph):
+        flipped = ExplicitInstance(MAX, 2, three_points.solutions)
+        with pytest.raises(ContractViolation):
+            adversarial_solver(flipped, 2).solve(wv(1, 1))
+        for handle in (exact_solver(three_points), exact_solver(diamond_graph)):
+            with pytest.raises(ContractViolation):
+                handle.solve(wv(1, 1, 1))
+
+
+def recursive_path_ids(inst):
+    """Simple s-t paths in depth-first order, by plain recursion."""
+    ids = []
+
+    def walk(node, on_path, taken):
+        if node == inst.target:
+            ids.append("path:" + ",".join(map(str, taken)))
+            return
+        for idx, arc in enumerate(inst.arcs):
+            if arc.tail == node and arc.head not in on_path:
+                walk(arc.head, on_path | {arc.head}, taken + [idx])
+
+    walk(inst.source, {inst.source}, [])
+    return ids
+
+
+class TestPathEnumeration:
+    @given(st.integers(2, 7), st.integers(0, 10**6), st.data())
+    @settings(max_examples=100)
+    def test_order_matches_recursive_depth_first_search(self, nodes, seed, data):
+        arcs = data.draw(st.integers(nodes - 1, 3 * nodes))
+        inst = gen_random_graph(nodes, arcs, 2, 1, 3, seed, GraphKind.SHORTEST_PATH)
+        assert list(enumerate_graph_solutions(inst).ids()) == recursive_path_ids(inst)
+
+    def test_long_chain_is_not_bounded_by_recursion(self):
+        n = 1500
+        chain = GraphInstance(
+            MIN,
+            2,
+            n,
+            tuple(Arc(i, i + 1, ov(1, 2)) for i in range(n - 1)),
+            GraphKind.SHORTEST_PATH,
+            source=0,
+            target=n - 1,
+        )
+        (only,) = enumerate_graph_solutions(chain).solutions
+        assert only.id == "path:" + ",".join(str(i) for i in range(n - 1))
+        assert only.image.values == (Fraction(n - 1), Fraction(2 * (n - 1)))
+
+    def test_work_limit(self, diamond_graph):
+        # Visits: source, target via arc 0, target via arc 1, node 1, target.
+        assert len(enumerate_graph_solutions(diamond_graph, work_limit=5).solutions) == 3
+        with pytest.raises(EnumerationLimit):
+            enumerate_graph_solutions(diamond_graph, work_limit=4)
