@@ -59,7 +59,6 @@ from .algorithms import (
     approximate_biobjective,
     approximate_grid,
     approximate_with_ptas,
-    grid_weights,
     ptas_family,
 )
 from .oracles import (

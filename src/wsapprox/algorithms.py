@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -130,12 +129,6 @@ def plan_grid(
     return GridPlan(epsilon, sigma, p, eps_prime, u, tuple(powers), bounds, tuple(entries))
 
 
-def grid_weights(
-    bounds: Bounds, epsilon: RationalLike, sigma: RationalLike, p: int
-) -> list[WeightVector]:
-    return [entry.weight for entry in plan_grid(bounds, epsilon, sigma, p).entries]
-
-
 @dataclass(frozen=True)
 class CellAssignment:
     """Hyperrectangle of the objective-space subdivision and its covering id."""
@@ -170,10 +163,6 @@ class GridRun:
     def u(self) -> tuple[int, ...]:
         return self.plan.u
 
-    @property
-    def weights_issued(self) -> list[WeightVector]:
-        return [entry.weight for entry in self.plan.entries]
-
     def result_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.result)
 
@@ -205,23 +194,17 @@ def approximate_grid(
     solver: SolverHandle,
     bounds: Bounds,
     epsilon: RationalLike,
-    threads: int = 1,
 ) -> GridRun:
     """Run the weight grid through the solver; P is deduplicated by id.
 
-    Solver calls are independent, so ``threads > 1`` evaluates the grid
-    concurrently; answers are merged in issue order and the result set is
-    sorted by id, so output does not depend on the schedule.
+    The solver is called once per plan entry, one call after another in
+    plan order; ``answers[i]`` is the answer to ``plan.entries[i]`` and the
+    result set is sorted by id.
     """
     _reject_max(solver)
     plan = plan_grid(bounds, epsilon, solver.sigma, solver.p)
     before = solver.calls
-    weights = [entry.weight for entry in plan.entries]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            answers = list(pool.map(solver.solve, weights))
-    else:
-        answers = [solver.solve(w) for w in weights]
+    answers = [solver.solve(entry.weight) for entry in plan.entries]
     ws_calls = solver.calls - before
     picked: dict[str, SolveAnswer] = {}
     for answer in answers:
@@ -263,7 +246,6 @@ def approximate_biobjective(
     solver: SolverHandle,
     bounds: Bounds,
     epsilon: RationalLike,
-    queue_order: str = "fifo",
 ) -> BiobjectiveRun:
     """Binary search over the gamma ladder (exact solver, p = 2 only).
 
@@ -285,8 +267,6 @@ def approximate_biobjective(
         raise ContractViolation("the bisection requires an exact (sigma = 1) solver")
     if solver.p != 2 or bounds.p != 2:
         raise ContractViolation("the bisection is biobjective only")
-    if queue_order not in ("fifo", "lifo"):
-        raise ContractViolation("queue_order must be 'fifo' or 'lifo'")
     eps_prime = epsilon / 2
     step = 1 + eps_prime
     u1 = exponent_cap(bounds.lower[0], bounds.upper[0], step)
@@ -329,7 +309,7 @@ def approximate_biobjective(
     two_child_nodes = 0
     tree_height = 0
     while queue:
-        left, right, depth = queue.popleft() if queue_order == "fifo" else queue.pop()
+        left, right, depth = queue.popleft()
         tree_nodes += 1
         tree_height = max(tree_height, depth)
         t = (left + right) // 2
@@ -382,7 +362,6 @@ def approximate_with_ptas(
     bounds: Bounds,
     epsilon: RationalLike,
     tau: RationalLike,
-    threads: int = 1,
 ) -> GridRun:
     """Drive the grid with a (1 + tau)-approximate solver and eps - tau*p.
 
@@ -397,5 +376,4 @@ def approximate_with_ptas(
     solver = solver_family(tau)
     if solver.sigma != 1 + tau:
         raise ContractViolation("solver family must return a (1 + tau)-approximate solver")
-    _reject_max(solver)
-    return approximate_grid(solver, bounds, epsilon - tau * p, threads=threads)
+    return approximate_grid(solver, bounds, epsilon - tau * p)

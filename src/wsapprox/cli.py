@@ -7,8 +7,10 @@ computes ground-truth sets, ``generate`` writes instance files, and
 
 Exit codes are a stable contract: 0 success (and "verified"), 1 guarantee
 violated, 2 invalid flags or preconditions, 3 unreadable or malformed
-input files, 4 maximization instance passed to an algorithm, 5 graph
-enumeration guard exceeded.  All rationals cross this boundary as strings.
+input files (instances, solution lists and reports), 4 maximization
+instance passed to an algorithm, 5 graph enumeration guard exceeded, 6
+internal error (any other exception; one ``error:`` line, no traceback).
+All rationals cross this boundary as strings.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_MAXIMIZATION = 4
 EXIT_ENUMERATION = 5
+EXIT_INTERNAL = 6
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -214,7 +217,7 @@ def cmd_approximate(args: argparse.Namespace) -> int:
             if args.sigma != 1:
                 raise ContractViolation("--sigma above 1 needs --solver adversarial")
             solver = exact_solver(inst)
-        run = approximate_grid(solver, bounds, args.epsilon, threads=args.threads)
+        run = approximate_grid(solver, bounds, args.epsilon)
         report["sigma"] = format_rational(solver.sigma)
         report.update(_grid_report(run, args.cells))
     elif args.algorithm == "bisect":
@@ -237,7 +240,6 @@ def cmd_approximate(args: argparse.Namespace) -> int:
             bounds,
             args.epsilon,
             args.tau,
-            threads=args.threads,
         )
         report["sigma"] = format_rational(run.sigma)
         report["tau"] = format_rational(args.tau)
@@ -255,6 +257,15 @@ def _load_json(path: str, what: str) -> Any:
         raise InstanceFormatError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _report_solution_ids(solutions: Any) -> list[str]:
+    """Ids of a report's ``solutions``: a list of objects with string ids."""
+    if not isinstance(solutions, list) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("id"), str) for entry in solutions
+    ):
+        raise InstanceFormatError("report 'solutions' must be a list of objects with string ids")
+    return [entry["id"] for entry in solutions]
+
+
 def _solution_ids(args: argparse.Namespace) -> list[str]:
     if args.solutions:
         data = _load_json(args.solutions, "solutions file")
@@ -266,9 +277,7 @@ def _solution_ids(args: argparse.Namespace) -> list[str]:
             raise InstanceFormatError("solutions file must be a list of ids or {'ids': [...]}")
     else:
         data = _load_json(args.from_report, "report file")
-        if not isinstance(data, dict) or not isinstance(data.get("solutions"), list):
-            raise InstanceFormatError("report file lacks a 'solutions' list")
-        ids = [entry.get("id") for entry in data["solutions"]]
+        ids = _report_solution_ids(data.get("solutions") if isinstance(data, dict) else None)
     if not all(isinstance(i, str) for i in ids):
         raise InstanceFormatError("solution ids must be strings")
     return ids
@@ -359,14 +368,33 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cell_rows(cells: Any) -> list[list[Any]]:
+    """CSV rows of a report's ``cells``, all checked before any is written."""
+    if not isinstance(cells, list) or not all(
+        isinstance(c, dict)
+        and {"weight_index", "level", "id"} <= c.keys()
+        and all(isinstance(c.get(k), list) and len(c[k]) == 2 for k in ("lower", "upper"))
+        for c in cells
+    ):
+        raise InstanceFormatError(
+            "report 'cells' must hold weight_index, level, id and two-element lower/upper"
+        )
+    return [
+        [c["weight_index"], c["level"], c["id"]]
+        + [c["lower"][0], c["upper"][0], c["lower"][1], c["upper"][1]]
+        for c in cells
+    ]
+
+
 def cmd_export_plot(args: argparse.Namespace) -> int:
     data = _load_json(args.from_report, "report file")
     if not isinstance(data, dict) or "instance" not in data:
         raise InstanceFormatError("report file lacks an embedded instance")
     if data.get("p") != 2:
         raise ContractViolation("plot export is biobjective only")
+    output_ids = set(_report_solution_ids(data.get("solutions", [])))
+    cell_rows = _cell_rows(data.get("cells", []))
     inst = _as_explicit(instance_from_json(data["instance"]), args.limit)
-    output_ids = {entry["id"] for entry in data.get("solutions", [])}
     pareto = pareto_front(inst)
     supported_ids = frozenset(support_certificates(inst))
     os.makedirs(args.out_dir, exist_ok=True)
@@ -391,18 +419,7 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
         writer.writerow(
             ["weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi"]
         )
-        for cell in data.get("cells", []):
-            writer.writerow(
-                [
-                    cell["weight_index"],
-                    cell["level"],
-                    cell["id"],
-                    cell["lower"][0],
-                    cell["upper"][0],
-                    cell["lower"][1],
-                    cell["upper"][1],
-                ]
-            )
+        writer.writerows(cell_rows)
     return EXIT_OK
 
 
@@ -421,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--sigma", type=_rational_flag, default=Fraction(1))
     approx.add_argument("--tau", type=_rational_flag, default=None)
     approx.add_argument("--solver", choices=["exact", "adversarial"], default="exact")
-    approx.add_argument("--threads", type=int, default=1)
     approx.add_argument("--cells", action="store_true", help="emit the grid-cell map")
     approx.add_argument("--out", default=None)
     approx.set_defaults(func=cmd_approximate)
@@ -504,6 +520,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # exit 1 is reserved for "guarantee violated"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,7 +32,6 @@ import heapq
 import itertools
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -580,15 +579,14 @@ class SolverHandle:
     quality.  ``kernel`` answers one weighted-sum problem; it is built once
     by ``exact_solver`` or ``adversarial_solver`` and shares no mutable
     state between calls.  Every ``solve`` increments the counter by exactly
-    one; the counter is lock-protected so concurrent grid evaluation stays
-    exact.
+    one.  A handle is used by one thread at a time: the algorithms make
+    their calls one after another, and the counter is not locked.
     """
 
     instance: Instance
     sigma: Fraction
     kernel: Kernel = field(repr=False)
     _calls: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def calls(self) -> int:
@@ -603,8 +601,7 @@ class SolverHandle:
         return self.instance.direction
 
     def solve(self, weights: WeightVector) -> SolveAnswer:
-        with self._lock:
-            self._calls += 1
+        self._calls += 1
         return self.kernel(weights)
 
 

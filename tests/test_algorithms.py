@@ -15,6 +15,7 @@ from wsapprox import (
     MaximizationUnsupported,
     ObjectiveVector,
     Solution,
+    SolverHandle,
     WeightVector,
     adversarial_solver,
     approximate_biobjective,
@@ -24,8 +25,8 @@ from wsapprox import (
     exact_solver,
     gen_random_explicit,
     gen_tightness_min,
-    grid_weights,
     ptas_family,
+    solve_explicit_exact,
     verify_approximation,
 )
 from wsapprox.algorithms import exponent_cap, expected_grid_calls, plan_grid
@@ -68,7 +69,7 @@ class TestExponentCap:
 class TestGridWeights:
     def test_worked_example_bases_and_order(self, three_points):
         bounds = compute_bounds(three_points)
-        weights = grid_weights(bounds, 2, 1, 2)
+        weights = [entry.weight for entry in plan_grid(bounds, 2, 1, 2).entries]
         bases = [tuple(1 / w for w in wv) for wv in weights]
         assert bases == [
             (F(1), F(1)),
@@ -82,7 +83,7 @@ class TestGridWeights:
 
     def test_degenerate_bounds_single_weight(self):
         bounds = Bounds.of((2, 3), (2, 3))
-        weights = grid_weights(bounds, 1, 1, 2)
+        weights = [entry.weight for entry in plan_grid(bounds, 1, 1, 2).entries]
         assert len(weights) == 1
         assert weights[0].weights == (F(1, 2), F(1, 3))
 
@@ -145,16 +146,8 @@ class TestApproximateGrid:
         )
         run = approximate_grid(solver, compute_bounds(inst), F(3, 4))
         assert run.ws_calls == expected_grid_calls(run.u)
-        assert run.ws_calls == len(run.weights_issued)
+        assert run.ws_calls == len(run.plan.entries)
         assert solver.calls == run.ws_calls
-
-    def test_threads_do_not_change_the_run(self, three_points):
-        bounds = compute_bounds(three_points)
-        seq = approximate_grid(exact_solver(three_points), bounds, F(1, 2))
-        par = approximate_grid(exact_solver(three_points), bounds, F(1, 2), threads=4)
-        assert [a.solution_id for a in seq.answers] == [a.solution_id for a in par.answers]
-        assert seq.result == par.result
-        assert par.ws_calls == seq.ws_calls
 
     def test_result_sorted_by_id(self):
         inst = gen_random_explicit(2, 9, 1, 9, seed=3)
@@ -178,8 +171,16 @@ class TestApproximateGrid:
 
     def test_weights_issued_match_grid_weights(self, three_points):
         bounds = compute_bounds(three_points)
-        run = approximate_grid(exact_solver(three_points), bounds, 2)
-        assert run.weights_issued == grid_weights(bounds, 2, 1, 2)
+        received = []
+
+        def recording_kernel(w):
+            received.append(w)
+            return solve_explicit_exact(three_points, w)
+
+        run = approximate_grid(SolverHandle(three_points, F(1), recording_kernel), bounds, 2)
+        planned = [entry.weight for entry in plan_grid(bounds, 2, 1, 2).entries]
+        assert received == planned
+        assert [entry.weight for entry in run.plan.entries] == planned
 
 
 class TestWeightShiftEquivalence:
@@ -303,15 +304,6 @@ class TestBiobjectiveBisection:
         with pytest.raises(MaximizationUnsupported):
             approximate_biobjective(exact_solver(flipped), bounds, 1)
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_queue_order_does_not_change_the_output(self, seed):
-        inst = gen_random_explicit(2, 14, 1, 40, seed=200 + seed)
-        bounds = compute_bounds(inst)
-        fifo = approximate_biobjective(exact_solver(inst), bounds, F(1, 4), "fifo")
-        lifo = approximate_biobjective(exact_solver(inst), bounds, F(1, 4), "lifo")
-        assert fifo.result_ids() == lifo.result_ids()
-        assert fifo.ws_calls == lifo.ws_calls
-
     @pytest.mark.parametrize("seed", range(15))
     def test_never_more_calls_than_the_grid(self, seed):
         inst = gen_random_explicit(2, 12, 1, 25, seed=300 + seed)
@@ -365,3 +357,60 @@ class TestPtasWrapper:
         assert verify_approximation(
             run.result_ids(), inst, ptas_family(2, 1, F(1, 4))
         ).ok
+
+
+def scale_objectives(inst, scales):
+    return ExplicitInstance(
+        inst.direction,
+        inst.p,
+        tuple(
+            Solution(s.id, ObjectiveVector(tuple(v * c for v, c in zip(s.image.values, scales))))
+            for s in inst.solutions
+        ),
+    )
+
+
+class TestObjectiveScaling:
+    """Scaling objective j by c_j > 0 scales its bounds, and with them the
+    grid's cell bases, by c_j, so every weighted sum is scaled by one
+    positive constant and no algorithm can tell the instances apart."""
+
+    @given(
+        st.sampled_from([2, 3]).flatmap(
+            lambda p: st.tuples(
+                explicit_instances(p=p, max_n=8, high=6),
+                st.lists(
+                    st.fractions(F(1, 9), 9, max_denominator=9),
+                    min_size=p,
+                    max_size=p,
+                ),
+            )
+        ),
+        st.sampled_from([F(1, 2), F(1), F(2)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_instance_gets_the_same_answers(self, inst_and_scales, epsilon):
+        inst, scales = inst_and_scales
+        scaled = scale_objectives(inst, scales)
+        for solver in (exact_solver, lambda i: adversarial_solver(i, F(3, 2))):
+            original = approximate_grid(solver(inst), compute_bounds(inst), epsilon)
+            rescaled = approximate_grid(solver(scaled), compute_bounds(scaled), epsilon)
+            assert [a.solution_id for a in rescaled.answers] == [
+                a.solution_id for a in original.answers
+            ]
+            assert rescaled.ws_calls == original.ws_calls
+        if inst.p == 2:
+            original = approximate_biobjective(exact_solver(inst), compute_bounds(inst), epsilon)
+            rescaled = approximate_biobjective(
+                exact_solver(scaled), compute_bounds(scaled), epsilon
+            )
+            assert [(pr.index, pr.answer.solution_id) for pr in rescaled.probes] == [
+                (pr.index, pr.answer.solution_id) for pr in original.probes
+            ]
+            assert rescaled.result_ids() == original.result_ids()
+            assert rescaled.ws_calls == original.ws_calls
+            assert (rescaled.tree_nodes, rescaled.two_child_nodes, rescaled.tree_height) == (
+                original.tree_nodes,
+                original.two_child_nodes,
+                original.tree_height,
+            )

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from wsapprox import cli
 from wsapprox.cli import main
 from wsapprox.instances import canonical_dumps
 
@@ -17,6 +18,15 @@ THREE_POINTS = {
         {"id": "b", "f": ["2", "2"]},
         {"id": "c", "f": ["8", "1"]},
     ],
+}
+
+# A valid biobjective grid report with one cell, for export-plot and verify.
+CELL = {"weight_index": 0, "level": 0, "id": "a", "lower": ["1", "1"], "upper": ["2", "2"]}
+REPORT = {
+    "p": 2,
+    "instance": THREE_POINTS,
+    "solutions": [{"id": "a", "f": ["1", "8"]}],
+    "cells": [CELL],
 }
 
 
@@ -170,25 +180,22 @@ class TestApproximateCommand:
             == 3
         )
 
-    def test_threads_flag(self, three_points_file, tmp_path):
-        out = tmp_path / "report.json"
-        code = main(
-            [
-                "approximate",
-                "--algorithm",
-                "grid",
-                "--instance",
-                three_points_file,
-                "--epsilon",
-                "2",
-                "--threads",
-                "3",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert read_json(out)["ws_calls"] == 7
+    def test_threads_flag_is_rejected(self, three_points_file):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "approximate",
+                    "--algorithm",
+                    "grid",
+                    "--instance",
+                    three_points_file,
+                    "--epsilon",
+                    "2",
+                    "--threads",
+                    "3",
+                ]
+            )
+        assert exc.value.code == 2
 
     def test_grid_on_graph_instance(self, tmp_path):
         graph = tmp_path / "graph.json"
@@ -429,19 +436,67 @@ class TestOracleCommand:
 
 
     @pytest.mark.parametrize(
-        "text",
+        "command,text",
         [
-            json.dumps({**THREE_POINTS, "solutions": [{"id": "a", "f": ["1" * 5000, "1"]}]}),
-            json.dumps(THREE_POINTS).replace('"p": 2', '"p": ' + "2" * 5000),
-            "\udcff{}",
+            (
+                "oracle",
+                json.dumps({**THREE_POINTS, "solutions": [{"id": "a", "f": ["1" * 5000, "1"]}]}),
+            ),
+            ("oracle", json.dumps(THREE_POINTS).replace('"p": 2', '"p": ' + "2" * 5000)),
+            ("oracle", "\udcff{}"),
+            ("export-plot", json.dumps({**REPORT, "solutions": ["s1"]})),
+            ("export-plot", json.dumps({**REPORT, "solutions": [{"f": ["1", "8"]}]})),
+            (
+                "export-plot",
+                json.dumps({**REPORT, "cells": [{k: v for k, v in CELL.items() if k != "weight_index"}]}),
+            ),
+            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "lower": ["1"]}]})),
+            ("verify", json.dumps({**REPORT, "solutions": ["s1"]})),
         ],
-        ids=["rational-literal-over-digit-limit", "json-integer-over-digit-limit", "not-utf-8"],
+        ids=[
+            "rational-literal-over-digit-limit",
+            "json-integer-over-digit-limit",
+            "not-utf-8",
+            "plot-solution-not-an-object",
+            "plot-solution-without-id",
+            "plot-cell-without-weight-index",
+            "plot-cell-with-one-element-lower",
+            "verify-report-solution-not-an-object",
+        ],
     )
-    def test_unconvertible_input_exits_3(self, tmp_path, text, capsys):
-        inst = tmp_path / "bad.json"
-        inst.write_bytes(text.encode("utf-8", "surrogateescape"))
-        assert main(["oracle", "--instance", str(inst), "--what", "pareto"]) == 3
+    def test_unconvertible_input_exits_3(
+        self, tmp_path, three_points_file, command, text, capsys
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+        argv = {
+            "oracle": ["oracle", "--instance", str(bad), "--what", "pareto"],
+            "export-plot": ["export-plot", "--from-report", str(bad), "--out-dir", str(tmp_path)],
+            "verify": [
+                "verify",
+                "--instance",
+                three_points_file,
+                "--from-report",
+                str(bad),
+                "--family",
+                "multifactor",
+                "--epsilon",
+                "1",
+            ],
+        }[command]
+        assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_6_without_traceback(
+        self, three_points_file, monkeypatch, capsys
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "pareto_front", broken)
+        assert main(["oracle", "--instance", three_points_file, "--what", "pareto"]) == 6
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: internal error: RuntimeError: boom"]
 
     def test_pareto_on_long_chain(self, tmp_path):
         n = 1500

@@ -1,6 +1,9 @@
+import copy
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from wsapprox import (
     ContractViolation,
@@ -199,3 +202,63 @@ class TestJsonSchema:
         }
         with pytest.raises(InstanceFormatError):
             instance_from_json(data)
+
+
+VALID_DOCUMENTS = [
+    instance_to_json(gen_tightness_min(2, 4)),
+    instance_to_json(gen_random_explicit(3, 3, 1, 5, seed=1, denominator=7)),
+    instance_to_json(gen_random_graph(4, 5, 2, 1, 4, seed=3, kind=GraphKind.SHORTEST_PATH)),
+    instance_to_json(gen_random_graph(4, 5, 2, 1, 4, seed=3, kind=GraphKind.SPANNING_TREE)),
+]
+
+# Values a JSON document can hold, biased toward near misses of the schema.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.sampled_from(
+        ["1/0", "0", "-1", "0.5", "1e3", "nan", "2/3", " 7 ", "1/-2", "1" * 5000, "explicit"]
+    ),
+    st.lists(st.sampled_from(["1", "2", 1, None]), max_size=3),
+    st.dictionaries(st.sampled_from(["id", "f", "from", "x"]), st.integers(0, 3), max_size=2),
+)
+
+
+def json_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from json_paths(value, prefix + (index,))
+
+
+class TestJsonFuzz:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_documents_raise_only_format_errors(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(VALID_DOCUMENTS)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(json_paths(doc))))
+            action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+            if not path:
+                doc = data.draw(JUNK)
+                continue
+            parent = doc
+            for step in path[:-1]:
+                parent = parent[step]
+            if action == "replace":
+                parent[path[-1]] = data.draw(JUNK)
+            elif action == "delete":
+                del parent[path[-1]]
+            elif isinstance(parent, dict):
+                parent[data.draw(st.sampled_from(["note", "source", "id", "f"]))] = data.draw(JUNK)
+            else:
+                parent.append(data.draw(JUNK))
+        try:
+            instance_from_json(doc)
+        except InstanceFormatError:
+            pass

@@ -1,0 +1,38 @@
+"""Smoke tests: each experiment script runs against the package and writes its outputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_reproduce_constructions(tmp_path):
+    result = run_script("reproduce_constructions.py", "--out-dir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    for name in (
+        "tightness.json",
+        "max_counterexample.json",
+        "tightness_grid_report.json",
+        "points.csv",
+        "cells.csv",
+    ):
+        assert (tmp_path / name).is_file(), name
+
+
+def test_run_guarantee_sweep(tmp_path):
+    out = tmp_path / "sweep.json"
+    result = run_script("run_guarantee_sweep.py", "--runs", "3", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert out.is_file()
