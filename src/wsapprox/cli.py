@@ -6,10 +6,12 @@ computes ground-truth sets, ``generate`` writes instance files, and
 ``export-plot`` turns a report into CSV plot data (biobjective only).
 
 Exit codes are a stable contract: 0 success (and "verified"), 1 guarantee
-violated, 2 invalid flags or preconditions, 3 unreadable or malformed
-input files (instances, solution lists and reports), 4 maximization
-instance passed to an algorithm, 5 graph enumeration guard exceeded, 6
-internal error (any other exception; one ``error:`` line, no traceback).
+violated, 2 invalid flags or preconditions (an ``--out`` in a missing
+directory, or naming a directory, is refused before any work), 3
+unreadable or malformed input files (instances, solution lists and
+reports), 4 maximization instance passed to an algorithm, 5 graph
+enumeration guard exceeded, 6 internal error (any other exception; one
+``error:`` line, no traceback).
 All rationals cross this boundary as strings.
 """
 
@@ -87,6 +89,18 @@ def _rational_flag(text: str) -> Fraction:
 
 def _rationals(values) -> list[str]:
     return [format_rational(v) for v in values]
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Refuse, before any work, an ``--out`` that names a directory or lies
+    in a missing one."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise ContractViolation(f"--out {out} is a directory")
+    directory = os.path.dirname(out)
+    if directory and not os.path.isdir(directory):
+        raise ContractViolation(f"--out directory does not exist: {directory}")
 
 
 def _write_output(payload: Any, out: Optional[str]) -> None:
@@ -368,16 +382,31 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _is_rational_text(value: Any) -> bool:
+    try:
+        parse_rational(value)
+    except ContractViolation:
+        return False
+    return True
+
+
 def _cell_rows(cells: Any) -> list[list[Any]]:
     """CSV rows of a report's ``cells``, all checked before any is written."""
     if not isinstance(cells, list) or not all(
         isinstance(c, dict)
-        and {"weight_index", "level", "id"} <= c.keys()
-        and all(isinstance(c.get(k), list) and len(c[k]) == 2 for k in ("lower", "upper"))
+        and all(type(c.get(k)) is int for k in ("weight_index", "level"))  # bool excluded
+        and isinstance(c.get("id"), str)
+        and all(
+            isinstance(c.get(k), list)
+            and len(c[k]) == 2
+            and all(_is_rational_text(v) for v in c[k])
+            for k in ("lower", "upper")
+        )
         for c in cells
     ):
         raise InstanceFormatError(
-            "report 'cells' must hold weight_index, level, id and two-element lower/upper"
+            "report 'cells' must hold integer weight_index and level, a string id "
+            "and two rational strings each in lower and upper"
         )
     return [
         [c["weight_index"], c["level"], c["id"]]
@@ -507,6 +536,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         return args.func(args)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,19 @@
 """Ground-truth machinery: Pareto front, supported solutions, verifiers.
 
-Everything here is brute force on purpose.  The Pareto front is a pairwise
-scan, supportedness is decided by exact rational linear feasibility over the
-normalized weight region w_j >= 1 (slope-interval intersection for p = 2, a
-small two-phase simplex otherwise), and approximation guarantees are checked
-target by target against the full feasible set.  These oracles are the
-independent side of every guarantee test, so none of them share code with
-the approximation algorithms.
+Everything here is brute force on purpose.  The Pareto front is a
+sort-filter scan: solutions sorted by image (ascending for minimization,
+descending for maximization) put every dominator of an image before it, so
+each image is compared only with the front found so far.  Supportedness is
+decided by exact rational linear feasibility over the normalized weight
+region w_j >= 1 (slope-interval intersection for p = 2, a small two-phase
+simplex otherwise), run only where it can matter: a strictly dominated
+image is never optimal for a weight w > 0, and a dominated competitor's
+constraint follows from the constraint of the front point that dominates
+it, so only distinct front images are certified, each against the other
+distinct front images.  Approximation guarantees are checked target by
+target against the full feasible set.  These oracles are the independent
+side of every guarantee test, so none of them share code with the
+approximation algorithms.
 """
 
 from __future__ import annotations
@@ -30,14 +37,22 @@ from .solvers import ExplicitInstance
 
 
 def pareto_front(inst: ExplicitInstance) -> frozenset[str]:
-    """Ids of all solutions with nondominated images (duplicates retained)."""
-    front = []
-    for s in inst.solutions:
-        if not any(
-            dominates(other.image, s.image, inst.direction)
-            for other in inst.solutions
-            if other.id != s.id
-        ):
+    """Ids of all solutions with nondominated images (duplicates retained).
+
+    A dominator is lexicographically better, so it sorts first and every
+    image meets its dominators, or theirs, among the front found so far.
+    """
+    ordered = sorted(
+        inst.solutions,
+        key=lambda s: s.image.values,
+        reverse=inst.direction is Direction.MAX,
+    )
+    front_images: list[ObjectiveVector] = []
+    front: list[str] = []
+    for s in ordered:
+        if not any(dominates(f, s.image, inst.direction) for f in front_images):
+            if not front_images or front_images[-1].values != s.image.values:
+                front_images.append(s.image)
             front.append(s.id)
     return frozenset(front)
 
@@ -243,19 +258,30 @@ def _support_certificate_biobjective(
 
 
 def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate]:
-    """Certificate per supported solution id; unsupported ids are absent."""
-    by_image: dict[tuple, Optional[SupportCertificate]] = {}
+    """Certificate per supported solution id; unsupported ids are absent.
+
+    Dominated ids get no certificate without any solve.  Each distinct
+    front image is certified once, against the other distinct front images
+    only, and its certificate is shared by every id with that image.  A
+    witness weight therefore comes from the LP (or, for p = 2, the slope
+    intervals) against front images; it still makes its id weighted-sum
+    optimal over the whole instance, and a strict witness still makes the
+    image the unique optimum among distinct images, because every dominated
+    image scores worse than its dominator under any weight w > 0.
+    """
+    front = pareto_front(inst)
+    images: dict[tuple, ObjectiveVector] = {}
+    for s in inst.solutions:
+        if s.id in front:
+            images.setdefault(s.image.values, s.image)
+    certify = _support_certificate_biobjective if inst.p == 2 else _support_certificate_lp
+    by_image = {
+        key: certify(image, [o for k, o in images.items() if k != key], inst.direction)
+        for key, image in images.items()
+    }
     result: dict[str, SupportCertificate] = {}
     for s in inst.solutions:
-        key = s.image.values
-        if key not in by_image:
-            competitors = [o.image for o in inst.solutions if o.image.values != key]
-            if inst.p == 2:
-                cert = _support_certificate_biobjective(s.image, competitors, inst.direction)
-            else:
-                cert = _support_certificate_lp(s.image, competitors, inst.direction)
-            by_image[key] = cert
-        cert = by_image[key]
+        cert = by_image.get(s.image.values)
         if cert is not None:
             result[s.id] = cert
     return result

@@ -33,3 +33,34 @@ def explicit_instances(draw, p=2, min_n=1, max_n=10, direction=Direction.MIN, lo
     images = draw(st.lists(objective_vectors(p, low, high), min_size=n, max_size=n))
     solutions = tuple(Solution(f"s{i + 1}", img) for i, img in enumerate(images))
     return ExplicitInstance(direction, p, solutions)
+
+
+@st.composite
+def clustered_instances(draw, p=2, direction=Direction.MIN, max_n=9):
+    """Instances whose images repeat and crowd together.
+
+    Every image is one of a few base images plus a nudge of 0, 1/12, 1/3 or
+    5/6 per objective, so exact repeats are common and many images dominate
+    another one by a gap below 1.
+    """
+    pool = draw(st.lists(objective_vectors(p, 1, 6), min_size=1, max_size=4))
+    nudge = st.lists(
+        st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 12), Fraction(1, 3), Fraction(5, 6)]),
+        min_size=p,
+        max_size=p,
+    )
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), nudge), min_size=1, max_size=max_n))
+    solutions = tuple(
+        Solution(f"s{i + 1}", ObjectiveVector(tuple(v + d for v, d in zip(base, shift))))
+        for i, (base, shift) in enumerate(picks)
+    )
+    return ExplicitInstance(direction, p, solutions)
+
+
+# p = 2 and 3, both directions; half the instances are clustered.
+any_instances = st.tuples(st.sampled_from([2, 3]), st.sampled_from(list(Direction))).flatmap(
+    lambda pd: st.one_of(
+        explicit_instances(p=pd[0], max_n=8, direction=pd[1]),
+        clustered_instances(p=pd[0], direction=pd[1]),
+    )
+)

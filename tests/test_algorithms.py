@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from wsapprox import (
     Bounds,
@@ -25,13 +25,15 @@ from wsapprox import (
     exact_solver,
     gen_random_explicit,
     gen_tightness_min,
+    pareto_front,
     ptas_family,
     solve_explicit_exact,
+    support_certificates,
     verify_approximation,
 )
 from wsapprox.algorithms import exponent_cap, expected_grid_calls, plan_grid
 
-from conftest import explicit_instances
+from conftest import any_instances, explicit_instances
 
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
@@ -414,3 +416,59 @@ class TestObjectiveScaling:
                 original.two_child_nodes,
                 original.tree_height,
             )
+
+
+def permute_objectives(inst, order):
+    return ExplicitInstance(
+        inst.direction,
+        inst.p,
+        tuple(
+            Solution(s.id, ObjectiveVector(tuple(s.image.values[j] for j in order)))
+            for s in inst.solutions
+        ),
+    )
+
+
+class TestObjectivePermutation:
+    """Permuting the objectives permutes the bounds, the caps u_j and every
+    grid exponent vector.  The plan's exponent set (some exponent is 0) is
+    closed under permutation, so the grid issues the same weighted sums in
+    another order; dominance and supportedness ignore the order of the
+    objectives altogether."""
+
+    @given(
+        any_instances.flatmap(
+            lambda inst: st.tuples(st.just(inst), st.permutations(range(inst.p)))
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_oracles_ignore_the_order(self, inst_and_order):
+        inst, order = inst_and_order
+        permuted = permute_objectives(inst, order)
+        assert pareto_front(permuted) == pareto_front(inst)
+        certs, permuted_certs = support_certificates(inst), support_certificates(permuted)
+        assert set(permuted_certs) == set(certs)
+        assert {i for i, c in permuted_certs.items() if c.weak} == {
+            i for i, c in certs.items() if c.weak
+        }
+
+    @given(
+        st.sampled_from([2, 3]).flatmap(
+            lambda p: st.tuples(
+                explicit_instances(p=p, max_n=6, high=6), st.permutations(range(p))
+            )
+        ),
+        st.sampled_from([F(1, 2), F(1), F(2)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grid_answer_set_ignores_the_order(self, inst_and_order, epsilon):
+        inst, order = inst_and_order
+        bounds = compute_bounds(inst)
+        for entry in plan_grid(bounds, epsilon, 1, inst.p).entries:
+            best = solve_explicit_exact(inst, entry.weight).scalar
+            assume(sum(entry.weight.scalarize(s.image) == best for s in inst.solutions) == 1)
+        permuted = permute_objectives(inst, order)
+        original = approximate_grid(exact_solver(inst), bounds, epsilon)
+        reordered = approximate_grid(exact_solver(permuted), compute_bounds(permuted), epsilon)
+        assert reordered.result_ids() == original.result_ids()
+        assert reordered.ws_calls == original.ws_calls

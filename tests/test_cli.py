@@ -451,6 +451,13 @@ class TestOracleCommand:
                 json.dumps({**REPORT, "cells": [{k: v for k, v in CELL.items() if k != "weight_index"}]}),
             ),
             ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "lower": ["1"]}]})),
+            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "weight_index": None}]})),
+            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "weight_index": True}]})),
+            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "level": "0"}]})),
+            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "id": 7}]})),
+            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "lower": [{"x": 1}, "1"]}]})),
+            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "upper": ["2", 2]}]})),
+            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "upper": ["2", "1/0"]}]})),
             ("verify", json.dumps({**REPORT, "solutions": ["s1"]})),
         ],
         ids=[
@@ -461,6 +468,13 @@ class TestOracleCommand:
             "plot-solution-without-id",
             "plot-cell-without-weight-index",
             "plot-cell-with-one-element-lower",
+            "plot-cell-null-weight-index",
+            "plot-cell-bool-weight-index",
+            "plot-cell-string-level",
+            "plot-cell-integer-id",
+            "plot-cell-object-in-lower",
+            "plot-cell-number-in-upper",
+            "plot-cell-zero-denominator",
             "verify-report-solution-not-an-object",
         ],
     )
@@ -486,6 +500,7 @@ class TestOracleCommand:
         }[command]
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "points.csv").exists()
 
     def test_unexpected_exception_exits_6_without_traceback(
         self, three_points_file, monkeypatch, capsys
@@ -545,6 +560,37 @@ class TestGenerateCommand:
         original = path.read_text()
         reparsed = canonical_dumps(instance_to_json(instance_from_json(json.loads(original))))
         assert reparsed == original
+
+
+class TestOutFlag:
+    @pytest.mark.parametrize("command", ["approximate", "verify", "oracle", "generate"])
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "is-a-dir"])
+    def test_unwritable_out_exits_2_before_any_work(
+        self, tmp_path, three_points_file, monkeypatch, capsys, command, target
+    ):
+        solutions = tmp_path / "ids.json"
+        solutions.write_text('["a", "b", "c"]')
+        argv = {
+            "approximate": [
+                "approximate", "--algorithm", "grid", "--instance", three_points_file,
+                "--epsilon", "1",
+            ],
+            "verify": [
+                "verify", "--instance", three_points_file, "--solutions", str(solutions),
+                "--family", "multifactor", "--epsilon", "1",
+            ],
+            "oracle": ["oracle", "--instance", three_points_file, "--what", "supported"],
+            "generate": ["generate", "tightness-min", "--p", "2", "--M", "4"],
+        }[command] + ["--out", str(tmp_path / target)]
+        calls = []
+        monkeypatch.setattr(cli, "load_instance", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "gen_tightness_min", lambda *a: calls.append(a))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out")
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestExportPlot:

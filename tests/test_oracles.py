@@ -13,6 +13,7 @@ from wsapprox import (
     Solution,
     approximate_grid,
     compute_bounds,
+    dominates,
     exact_solver,
     gen_max_counterexample,
     gen_random_explicit,
@@ -24,13 +25,14 @@ from wsapprox import (
     verify_approximation,
     verify_max_impossibility,
 )
+from wsapprox import oracles
 from wsapprox.oracles import (
     _simplex_max,
     _support_certificate_biobjective,
     _support_certificate_lp,
 )
 
-from conftest import explicit_instances
+from conftest import any_instances, explicit_instances
 
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
@@ -42,6 +44,31 @@ def explicit(direction, *pairs):
     return ExplicitInstance(
         direction, p, tuple(Solution(sid, ObjectiveVector(tuple(img))) for sid, img in pairs)
     )
+
+
+def pairwise_front(inst):
+    """Reference Pareto front: every solution against every other one."""
+    return frozenset(
+        s.id
+        for s in inst.solutions
+        if not any(dominates(o.image, s.image, inst.direction) for o in inst.solutions)
+    )
+
+
+def unpruned_certificates(inst):
+    """Reference certificates: every distinct image, dominated ones included,
+    certified against every other image."""
+    certify = _support_certificate_biobjective if inst.p == 2 else _support_certificate_lp
+    by_image = {}
+    for s in inst.solutions:
+        if s.image.values not in by_image:
+            competitors = [o.image for o in inst.solutions if o.image.values != s.image.values]
+            by_image[s.image.values] = certify(s.image, competitors, inst.direction)
+    return {
+        s.id: by_image[s.image.values]
+        for s in inst.solutions
+        if by_image[s.image.values] is not None
+    }
 
 
 @pytest.fixture
@@ -95,6 +122,11 @@ class TestParetoFront:
     def test_max_direction(self):
         inst = explicit(MAX, ("a", (1, 1)), ("b", (2, 2)))
         assert pareto_front(inst) == {"b"}
+
+    @given(any_instances)
+    @settings(max_examples=150, deadline=None)
+    def test_sort_scan_matches_pairwise_scan(self, inst):
+        assert pareto_front(inst) == pairwise_front(inst)
 
 
 class TestSupportedSet:
@@ -163,12 +195,50 @@ class TestSupportedSet:
         inst = ExplicitInstance(direction, inst.p, inst.solutions)
         assert supported_set(inst) <= pareto_front(inst)
 
-    @given(explicit_instances(p=2, max_n=8))
-    @settings(max_examples=60, deadline=None)
+    @given(any_instances)
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_certificates_match_unpruned_reference(self, inst):
+        certs = support_certificates(inst)
+        reference = unpruned_certificates(inst)
+        assert set(certs) == set(reference)
+        assert {i for i, c in certs.items() if c.weak} == {
+            i for i, c in reference.items() if c.weak
+        }
+        if inst.p == 2:
+            # The slope interval is the same set of weights either way.
+            assert certs == reference
+
+    @given(any_instances)
+    @settings(max_examples=100, deadline=None)
+    def test_only_front_images_are_solved_against_front_images(self, inst):
+        calls = []
+
+        def record(image, competitors, direction):
+            calls.append((image.values, [c.values for c in competitors]))
+            return None
+
+        name = "_support_certificate_biobjective" if inst.p == 2 else "_support_certificate_lp"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, name, record)
+            support_certificates(inst)
+        front = {inst.image_of(i).values for i in pairwise_front(inst)}
+        assert sorted(image for image, _ in calls) == sorted(front)
+        for image, competitors in calls:
+            assert sorted(competitors) == sorted(front - {image})
+
+    @given(any_instances)
+    @settings(max_examples=150, deadline=None)
     def test_witness_weight_reproduces_optimum(self, inst):
         for sid, cert in support_certificates(inst).items():
-            answer = solve_explicit_exact(inst, cert.weight)
-            assert answer.scalar == cert.weight.scalarize(inst.image_of(sid))
+            image = inst.image_of(sid)
+            value = cert.weight.scalarize(image)
+            assert all(w >= 1 for w in cert.weight)
+            assert solve_explicit_exact(inst, cert.weight).scalar == value
+            if not cert.weak:
+                for s in inst.solutions:
+                    if s.image.values != image.values:
+                        other = cert.weight.scalarize(s.image)
+                        assert value < other if inst.direction is MIN else value > other
 
     def test_strict_witness_is_unique_optimum(self):
         inst = gen_tightness_min(2, 4)
