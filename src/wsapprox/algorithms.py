@@ -24,6 +24,7 @@ the grid on a maximization problem would produce a set with no guarantee.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,9 @@ MAXIMIZATION_REJECTION = (
     "maximization instance rejected: supported solutions admit no bounded "
     "weighted-sum approximation guarantee in more than one objective"
 )
+
+# Largest grid plan_grid builds; a larger one is refused before any entry is.
+MAX_GRID_CALLS = 10**6
 
 
 def exponent_cap(low: Fraction, high: Fraction, step: Fraction) -> int:
@@ -83,24 +87,16 @@ class GridPlan:
 
 
 def expected_grid_calls(u: tuple[int, ...]) -> int:
-    """Grid size: sum over k of prod_{l<k} u_l * prod_{l>k} (u_l + 1)."""
-    total = 0
-    for k in range(len(u)):
-        term = 1
-        for l, ul in enumerate(u):
-            if l < k:
-                term *= ul
-            elif l > k:
-                term *= ul + 1
-        total += term
-    return total
+    """Grid size: exponent tuples in prod [0, u_j] with at least one zero."""
+    return math.prod(ul + 1 for ul in u) - math.prod(u)
 
 
 def plan_grid(
     bounds: Bounds, epsilon: RationalLike, sigma: RationalLike, p: int
 ) -> GridPlan:
     """Enumerate the weight grid; deterministic order (k ascending, then
-    mixed-radix over the remaining exponents)."""
+    mixed-radix over the remaining exponents).  A grid of more than
+    MAX_GRID_CALLS weights raises ContractViolation before any is built."""
     epsilon = as_rational(epsilon)
     sigma = as_rational(sigma)
     if epsilon <= 0:
@@ -112,6 +108,11 @@ def plan_grid(
     eps_prime = epsilon / (sigma * p)
     step = 1 + eps_prime
     u = tuple(exponent_cap(bounds.lower[j], bounds.upper[j], step) for j in range(p))
+    calls = expected_grid_calls(u)
+    if calls > MAX_GRID_CALLS:
+        raise ContractViolation(
+            f"grid of {calls} weights exceeds the limit of {MAX_GRID_CALLS}"
+        )
     powers = [Fraction(1)]
     for _ in range(max(u) + 1):
         powers.append(powers[-1] * step)
@@ -125,7 +126,7 @@ def plan_grid(
             base = tuple(bounds.lower[j] * powers[combo[j]] for j in range(p))
             weight = WeightVector(tuple(1 / b for b in base))
             entries.append(GridWeight(tuple(combo), base, weight))
-    assert len(entries) == expected_grid_calls(u)
+    assert len(entries) == calls
     return GridPlan(epsilon, sigma, p, eps_prime, u, tuple(powers), bounds, tuple(entries))
 
 

@@ -7,9 +7,10 @@ computes ground-truth sets, ``generate`` writes instance files, and
 
 Exit codes are a stable contract: 0 success (and "verified"), 1 guarantee
 violated, 2 invalid flags or preconditions (an ``--out`` in a missing
-directory, or naming a directory, is refused before any work), 3
-unreadable or malformed input files (instances, solution lists and
-reports), 4 maximization instance passed to an algorithm, 5 graph
+directory, or naming a directory, is refused before any work; a grid of
+more than ``algorithms.MAX_GRID_CALLS`` weights before any weight is
+built), 3 unreadable or malformed input files (instances, solution lists
+and reports), 4 maximization instance passed to an algorithm, 5 graph
 enumeration guard exceeded, 6 internal error (any other exception; one
 ``error:`` line, no traceback).
 All rationals cross this boundary as strings.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -452,7 +454,9 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="wsapprox",
         description="Approximate multiobjective minimization problems via weighted sums "

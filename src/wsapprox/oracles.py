@@ -4,16 +4,15 @@ Everything here is brute force on purpose.  The Pareto front is a
 sort-filter scan: solutions sorted by image (ascending for minimization,
 descending for maximization) put every dominator of an image before it, so
 each image is compared only with the front found so far.  Supportedness is
-decided by exact rational linear feasibility over the normalized weight
-region w_j >= 1 (slope-interval intersection for p = 2, a small two-phase
-simplex otherwise), run only where it can matter: a strictly dominated
-image is never optimal for a weight w > 0, and a dominated competitor's
-constraint follows from the constraint of the front point that dominates
-it, so only distinct front images are certified, each against the other
-distinct front images.  Approximation guarantees are checked target by
-target against the full feasible set.  These oracles are the independent
-side of every guarantee test, so none of them share code with the
-approximation algorithms.
+decided exactly over rationals (slope-interval intersection for p = 2, a
+small origin-feasible LP solved by a one-phase simplex otherwise), and
+only where it can matter: a strictly dominated image is never optimal for
+a weight w > 0, and a dominated competitor's constraint follows from the
+constraint of the front point that dominates it, so only distinct front
+images are certified, each against the other distinct front images.
+Approximation guarantees are checked target by target against the full
+feasible set.  These oracles are the independent side of every guarantee
+test, so none of them share code with the approximation algorithms.
 """
 
 from __future__ import annotations
@@ -64,107 +63,53 @@ def pareto_front(inst: ExplicitInstance) -> frozenset[str]:
 
 def _simplex_max(
     A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> tuple[bool, Optional[list[Fraction]], Optional[Fraction]]:
-    """Maximize c*x subject to A x <= b, x >= 0, exactly.
+) -> tuple[list[Fraction], Fraction]:
+    """Maximize c*x subject to A x <= b, x >= 0, exactly, for b >= 0.
 
-    Two-phase dense tableau with Bland's rule (termination guaranteed).
-    Returns (feasible, x, value); the objective must be bounded on the
-    feasible region, otherwise a ContractViolation is raised.
+    With b >= 0 the origin is a vertex, so the slack basis starts a single
+    phase: dense tableau, Bland's rule (termination guaranteed under
+    degeneracy), and each pivot updates only the nonzero entries of the
+    pivot row.  Returns (x, value); a negative b or an objective unbounded
+    on the feasible region raises ContractViolation.
     """
+    if any(v < 0 for v in b):
+        raise ContractViolation("simplex needs b >= 0 (a feasible origin)")
     m, n = len(A), len(c)
-    art_rows = [i for i in range(m) if b[i] < 0]
-    cols = n + m + len(art_rows)
-    art_of_row = {i: n + m + pos for pos, i in enumerate(art_rows)}
-    rows: list[list[Fraction]] = []
-    basis: list[int] = []
-    for i in range(m):
-        sign = Fraction(-1) if b[i] < 0 else Fraction(1)
-        row = [Fraction(0)] * (cols + 1)
-        for j in range(n):
-            row[j] = sign * A[i][j]
-        row[n + i] = sign
-        row[cols] = sign * b[i]
-        if i in art_of_row:
-            row[art_of_row[i]] = Fraction(1)
-            basis.append(art_of_row[i])
-        else:
-            basis.append(n + i)
-        rows.append(row)
-    dropped: set[int] = set()
-    allowed = set(range(n + m))  # artificials may leave but never re-enter
-
-    def pivot(r: int, col: int, zrow: list[Fraction]) -> None:
-        piv = rows[r][col]
-        rows[r] = [v / piv for v in rows[r]]
+    cols = n + m
+    zero, one = Fraction(0), Fraction(1)
+    rows = [list(A[i]) + [one if k == i else zero for k in range(m)] + [b[i]] for i in range(m)]
+    basis = list(range(n, cols))
+    zrow = list(c) + [zero] * (m + 1)  # reduced costs; the slack basis has c_B = 0
+    while True:
+        enter = next((j for j in range(cols) if zrow[j] > 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best: Optional[Fraction] = None
         for i in range(m):
-            if i != r and i not in dropped and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * p for v, p in zip(rows[i], rows[r])]
-        if zrow[col] != 0:
-            f = zrow[col]
-            for j in range(cols + 1):
-                zrow[j] -= f * rows[r][j]
-        basis[r] = col
-
-    def optimize(zrow: list[Fraction]) -> None:
-        while True:
-            enter = -1
-            for j in sorted(allowed):
-                if zrow[j] > 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return
-            leave = -1
-            best: Optional[Fraction] = None
-            for i in range(m):
-                if i in dropped or rows[i][enter] <= 0:
-                    continue
-                ratio = rows[i][cols] / rows[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-            if leave < 0:
-                raise ContractViolation("unbounded linear program")
-            pivot(leave, enter, zrow)
-
-    if art_rows:
-        # Phase 1: maximize minus the artificial sum; the reduced-cost row
-        # starts as the sum of the artificial rows.
-        zrow = [Fraction(0)] * (cols + 1)
-        for i in art_rows:
-            for j in range(cols + 1):
-                zrow[j] += rows[i][j]
-        optimize(zrow)
-        if zrow[cols] != 0:
-            return False, None, None
-        for r in range(m):
-            if r in dropped or basis[r] < n + m:
+            if rows[i][enter] <= 0:
                 continue
-            col = next((j for j in sorted(allowed) if rows[r][j] != 0), None)
-            if col is None:
-                dropped.add(r)
-            else:
-                pivot(r, col, zrow)
-
-    # Phase 2: reduced costs of the real objective under the current basis.
-    zrow = [Fraction(0)] * (cols + 1)
-    for j in range(n):
-        zrow[j] = c[j]
-    for i in range(m):
-        if i in dropped:
-            continue
-        cb = c[basis[i]] if basis[i] < n else Fraction(0)
-        if cb != 0:
-            for j in range(cols + 1):
-                zrow[j] -= cb * rows[i][j]
-    optimize(zrow)
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if i not in dropped and basis[i] < n:
-            x[basis[i]] = rows[i][cols]
-    value = sum((c[j] * x[j] for j in range(n)), Fraction(0))
-    return True, x, value
+            ratio = rows[i][cols] / rows[i][enter]
+            if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                best = ratio
+                leave = i
+        if leave < 0:
+            raise ContractViolation("unbounded linear program")
+        piv = rows[leave][enter]
+        nonzero = [(j, v / piv) for j, v in enumerate(rows[leave]) if v]
+        for j, v in nonzero:
+            rows[leave][j] = v
+        for row in rows + [zrow]:
+            f = row[enter]
+            if f and row is not rows[leave]:
+                for j, v in nonzero:
+                    row[j] -= f * v
+        basis[leave] = enter
+    x = [zero] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = rows[i][cols]
+    return x, sum((c[j] * x[j] for j in range(n)), zero)
 
 
 @dataclass(frozen=True)
@@ -184,26 +129,40 @@ class SupportCertificate:
 def _support_certificate_lp(
     image: ObjectiveVector, competitors: list[ObjectiveVector], direction: Direction
 ) -> Optional[SupportCertificate]:
+    """One origin-feasible LP; competitors must be distinct from ``image``.
+
+    Every weight w > 0 is s*1 + x with s = min_j w_j > 0 and x >= 0, and
+    t >= 0 is the margin by which ``image`` beats each competitor o:
+
+        maximize s + t  subject to
+        d_o.x + (sum_j d_o,j) s + t <= 0   for each competitor o,
+        s <= 1,  t - s <= 0,  x, s, t >= 0,
+
+    with d_o = image - o (MIN) or o - image (MAX).  Every right-hand side
+    is >= 0, so the origin is feasible.  The competitor rows and t <= s are
+    a cone, so the optimum is 0 when no w > 0 works (unsupported), exactly
+    1 when s reaches 1 only with t = 0 (optimal only with ties: weak), and
+    above 1 otherwise (strictly supported).  The witness w/s = 1 + x/s has
+    every component >= 1.
+    """
     p = len(image)
+    zero, one = Fraction(0), Fraction(1)
     A: list[list[Fraction]] = []
-    b: list[Fraction] = []
     for other in competitors:
         if direction is Direction.MIN:
             d = [image[j] - other[j] for j in range(p)]
         else:
             d = [other[j] - image[j] for j in range(p)]
-        strict = other.values != image.values
-        A.append(d + [Fraction(1 if strict else 0)])
-        b.append(-sum(d, Fraction(0)))
-    A.append([Fraction(0)] * p + [Fraction(1)])
-    b.append(Fraction(1))
-    c = [Fraction(0)] * p + [Fraction(1)]
-    feasible, x, value = _simplex_max(A, b, c)
-    if not feasible:
+        A.append(d + [sum(d, zero), one])
+    A.append([zero] * p + [one, zero])
+    A.append([zero] * p + [-one, one])
+    b = [zero] * len(competitors) + [one, zero]
+    x, value = _simplex_max(A, b, [zero] * p + [one, one])
+    if value == 0:
         return None
-    assert x is not None and value is not None
-    weight = WeightVector(tuple(1 + x[j] for j in range(p)))
-    return SupportCertificate(weight, weak=value == 0)
+    s = x[p]
+    weight = WeightVector(tuple(1 + x[j] / s for j in range(p)))
+    return SupportCertificate(weight, weak=value == 1)
 
 
 def _support_certificate_biobjective(
@@ -211,18 +170,16 @@ def _support_certificate_biobjective(
 ) -> Optional[SupportCertificate]:
     """Slope-interval intersection for p = 2.
 
-    Weights scale to (gamma, 1); each distinct-image competitor contributes
-    a lower or an upper bound on gamma (or an unconditional verdict when the
-    first objectives tie).  The image is supported iff the closed interval
-    meets gamma > 0, and strictly supported iff the open interval does, in
-    which case an interior gamma makes it the unique optimum among distinct
-    images.
+    Competitors must be distinct from ``image``.  Weights scale to
+    (gamma, 1); each competitor contributes a lower or an upper bound on
+    gamma (or an unconditional verdict when the first objectives tie).  The
+    image is supported iff the closed interval meets gamma > 0, and strictly
+    supported iff the open interval does, in which case an interior gamma
+    makes it the unique optimum among distinct images.
     """
     lower: Optional[Fraction] = None
     upper: Optional[Fraction] = None
     for other in competitors:
-        if other.values == image.values:
-            continue
         if direction is Direction.MIN:
             d1, d2 = image[0] - other[0], image[1] - other[1]
         else:

@@ -31,6 +31,7 @@ from wsapprox import (
     support_certificates,
     verify_approximation,
 )
+from wsapprox import algorithms
 from wsapprox.algorithms import exponent_cap, expected_grid_calls, plan_grid
 
 from conftest import any_instances, explicit_instances
@@ -114,6 +115,19 @@ class TestGridWeights:
         with pytest.raises(ContractViolation):
             plan_grid(bounds, 1, 1, 3)
 
+    def test_oversized_grid_refused(self):
+        # p = 4 on [1, 1000] at eps = 1/100: u_j = 2766, about 8.5e10 weights.
+        bounds = Bounds.of((1, 1, 1, 1), (1000, 1000, 1000, 1000))
+        with pytest.raises(ContractViolation, match="exceeds the limit"):
+            plan_grid(bounds, F(1, 100), 1, 4)
+
+    def test_grid_limit_is_inclusive(self, three_points, monkeypatch):
+        bounds = compute_bounds(three_points)  # the worked example: 7 weights
+        monkeypatch.setattr(algorithms, "MAX_GRID_CALLS", 7)
+        assert len(plan_grid(bounds, 2, 1, 2).entries) == 7
+        monkeypatch.setattr(algorithms, "MAX_GRID_CALLS", 6)
+        with pytest.raises(ContractViolation):
+            plan_grid(bounds, 2, 1, 2)
 
 class TestApproximateGrid:
     def test_worked_example(self, three_points):

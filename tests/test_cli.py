@@ -147,6 +147,27 @@ class TestApproximateCommand:
         )
         assert code == 2
 
+    def test_oversized_grid_exits_2_before_writing(self, tmp_path, capsys):
+        # p = 4 spanning [1, 1000] at eps = 1/100 would plan about 8.5e10 weights.
+        wide = {
+            "kind": "explicit",
+            "direction": "min",
+            "p": 4,
+            "solutions": [
+                {"id": f"s{j}", "f": ["1000" if k == j else "1" for k in range(4)]}
+                for j in range(4)
+            ],
+        }
+        inst = tmp_path / "wide.json"
+        inst.write_text(json.dumps(wide))
+        out = tmp_path / "report.json"
+        argv = ["approximate", "--algorithm", "grid", "--instance", str(inst)]
+        code = main(argv + ["--epsilon", "1/100", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: grid of ")
+        assert not out.exists()
+
     def test_max_instance_exits_4(self, tmp_path):
         max_file = tmp_path / "max.json"
         assert main(["generate", "max-counterexample", "--p", "2", "--M", "100", "--out", str(max_file)]) == 0
@@ -652,6 +673,11 @@ class TestExportPlot:
         assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 0
         cells = (out_dir / "cells.csv").read_text().strip().splitlines()
         assert cells == ["weight_index,level,solution_id,f1_lo,f1_hi,f2_lo,f2_hi"]
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestModuleEntryPoint:

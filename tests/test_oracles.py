@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from wsapprox import (
     ContractViolation,
@@ -32,11 +32,19 @@ from wsapprox.oracles import (
     _support_certificate_lp,
 )
 
-from conftest import any_instances, explicit_instances
+from conftest import any_instances, clustered_instances, explicit_instances, rationals
 
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
 F = Fraction
+
+# p = 2, both directions; half the instances are clustered.
+biobjective_instances = st.sampled_from([MIN, MAX]).flatmap(
+    lambda d: st.one_of(
+        explicit_instances(p=2, max_n=8, direction=d),
+        clustered_instances(p=2, direction=d),
+    )
+)
 
 
 def explicit(direction, *pairs):
@@ -79,25 +87,13 @@ def three_points():
 class TestSimplex:
     def test_simple_maximum(self):
         # max x1 + x2 s.t. x1 <= 3, x2 <= 2
-        feasible, x, value = _simplex_max(
-            [[F(1), F(0)], [F(0), F(1)]], [F(3), F(2)], [F(1), F(1)]
-        )
-        assert feasible and value == 5 and x == [F(3), F(2)]
+        x, value = _simplex_max([[F(1), F(0)], [F(0), F(1)]], [F(3), F(2)], [F(1), F(1)])
+        assert value == 5 and x == [F(3), F(2)]
 
-    def test_infeasible(self):
-        # x1 <= -1 with x1 >= 0
-        feasible, _, _ = _simplex_max([[F(1)]], [F(-1)], [F(1)])
-        assert not feasible
-
-    def test_negative_rhs_feasible(self):
-        # -x1 <= -2 (x1 >= 2), x1 <= 5, max x1 -> 5
-        feasible, x, value = _simplex_max([[F(-1)], [F(1)]], [F(-2), F(5)], [F(1)])
-        assert feasible and value == 5
-
-    def test_equality_like_system(self):
-        # x1 >= 2 and x1 <= 2 pins x1; max x1 = 2
-        feasible, x, value = _simplex_max([[F(-1)], [F(1)]], [F(-2), F(2)], [F(1)])
-        assert feasible and value == 2
+    def test_negative_rhs_rejected(self):
+        # -x1 <= -2 leaves the origin infeasible: there is no phase 1 to repair it
+        with pytest.raises(ContractViolation):
+            _simplex_max([[F(-1)], [F(1)]], [F(-2), F(5)], [F(1)])
 
     def test_unbounded_detected(self):
         with pytest.raises(ContractViolation):
@@ -188,6 +184,36 @@ class TestSupportedSet:
             analytic = _support_certificate_biobjective(s.image, competitors, MAX)
             lp = _support_certificate_lp(s.image, competitors, MAX)
             assert (analytic is None) == (lp is None)
+
+    @given(biobjective_instances, rationals(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example(explicit(MIN, ("a", (1, 3)), ("b", (3, 1))), F(1), True)
+    @example(explicit(MAX, ("a", (1, 3)), ("b", (3, 1))), F(1), True)
+    def test_lp_on_lifted_instance_matches_slope_intervals(self, inst, constant, midpoint):
+        # A constant third objective adds the same amount to every weighted
+        # sum, so the p = 3 LP must reach the p = 2 slope-interval verdicts.
+        if midpoint:
+            # The midpoint of two distinct lexicographic extremes is never
+            # strictly supported and often weakly: weak certificates get common.
+            best = min if inst.direction is MIN else max
+            first = best(s.image.values for s in inst.solutions)
+            second = best(s.image.values[::-1] for s in inst.solutions)[::-1]
+            mid = ObjectiveVector(tuple((a + b) / 2 for a, b in zip(first, second)))
+            inst = ExplicitInstance(inst.direction, 2, inst.solutions + (Solution("mid", mid),))
+        lifted = ExplicitInstance(
+            inst.direction,
+            3,
+            tuple(
+                Solution(s.id, ObjectiveVector(s.image.values + (constant,)))
+                for s in inst.solutions
+            ),
+        )
+        certs = support_certificates(inst)
+        lifted_certs = support_certificates(lifted)
+        assert set(lifted_certs) == set(certs)
+        assert {i for i, c in lifted_certs.items() if c.weak} == {
+            i for i, c in certs.items() if c.weak
+        }
 
     @given(explicit_instances(p=2, max_n=8), st.sampled_from([MIN, MAX]))
     @settings(max_examples=60, deadline=None)
