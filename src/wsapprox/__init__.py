@@ -21,7 +21,6 @@ from .core import (
     dominates,
     factor_vector,
     format_rational,
-    multi_factor_witness,
     parse_rational,
 )
 from .solvers import (
@@ -39,10 +38,6 @@ from .solvers import (
     compute_bounds,
     enumerate_graph_solutions,
     exact_solver,
-    solve_explicit_adversarial,
-    solve_explicit_exact,
-    solve_shortest_path,
-    solve_spanning_tree,
 )
 from .instances import (
     InstanceFormatError,
@@ -59,7 +54,6 @@ from .algorithms import (
     approximate_biobjective,
     approximate_grid,
     approximate_with_ptas,
-    ptas_family,
 )
 from .oracles import (
     SupportCertificate,

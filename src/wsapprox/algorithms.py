@@ -35,7 +35,6 @@ from .core import (
     ContractViolation,
     Direction,
     FactorVector,
-    GuaranteeFamily,
     MaximizationUnsupported,
     RationalLike,
     WeightVector,
@@ -53,14 +52,29 @@ MAXIMIZATION_REJECTION = (
 MAX_GRID_CALLS = 10**6
 
 
+def _log(x: Fraction) -> float:
+    """Natural logarithm of a rational x >= 1, from its exact ints."""
+    if x < 2:  # near 1, log(num) - log(den) would cancel its leading digits
+        return math.log1p(float(x - 1))
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
 def exponent_cap(low: Fraction, high: Fraction, step: Fraction) -> int:
-    """Largest integer u >= 0 with low * step**u <= high, by exact products."""
+    """Largest integer u >= 0 with low * step**u <= high.
+
+    u is estimated from logarithms and then settled by exact comparisons of
+    step**u with high/low, so it takes O(log u) products, not u of them.
+    """
     if not 0 < low <= high or step <= 1:
         raise ContractViolation("need 0 < low <= high and step > 1")
-    u = 0
-    value = low
-    while value * step <= high:
-        value *= step
+    ratio = high / low
+    try:
+        u = int(_log(ratio) / _log(step))
+    except (ZeroDivisionError, OverflowError):  # step - 1 below float range
+        u = 0
+    while u > 0 and step**u > ratio:
+        u -= 1
+    while step ** (u + 1) <= ratio:
         u += 1
     return u
 
@@ -349,13 +363,6 @@ def approximate_biobjective(
         two_child_nodes,
         tree_height,
     )
-
-
-def ptas_family(p: int, epsilon: RationalLike, tau: RationalLike) -> GuaranteeFamily:
-    """Guarantee family of the PTAS wrapper: excess sum p + eps, escape 1 + tau."""
-    epsilon = as_rational(epsilon)
-    tau = as_rational(tau)
-    return GuaranteeFamily.multi_factor_raw(1 + tau, p + epsilon, p)
 
 
 def approximate_with_ptas(

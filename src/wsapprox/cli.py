@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -41,6 +40,7 @@ from .core import (
     GuaranteeFamily,
     MaximizationUnsupported,
     format_rational,
+    format_rationals,
     parse_rational,
 )
 from .instances import (
@@ -54,6 +54,7 @@ from .instances import (
     instance_from_json,
     instance_to_json,
     load_instance,
+    read_json,
 )
 from .oracles import (
     VerificationReport,
@@ -89,10 +90,6 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _rationals(values) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
 def _check_out(out: Optional[str]) -> None:
     """Refuse, before any work, an ``--out`` that names a directory or lies
     in a missing one."""
@@ -117,7 +114,7 @@ def _write_output(payload: Any, out: Optional[str]) -> None:
 def _answer_json(answer: SolveAnswer) -> dict[str, Any]:
     data: dict[str, Any] = {
         "id": answer.solution_id,
-        "f": _rationals(answer.image),
+        "f": format_rationals(answer.image),
         "value": format_rational(answer.scalar),
     }
     if answer.arcs is not None:
@@ -141,14 +138,14 @@ def report_to_json(report: VerificationReport) -> dict[str, Any]:
         "family": family_to_json(report.family),
         "ok": report.ok,
         "witnesses": [
-            {"target": w.target_id, "by": w.covered_by, "beta": _rationals(w.beta)}
+            {"target": w.target_id, "by": w.covered_by, "beta": format_rationals(w.beta)}
             for w in report.witnesses
         ],
         "violations": [
             {
                 "target": v.target_id,
                 "best_by": v.best_candidate,
-                "best_beta": _rationals(v.best_beta) if v.best_beta is not None else None,
+                "best_beta": format_rationals(v.best_beta) if v.best_beta is not None else None,
             }
             for v in report.violations
         ],
@@ -160,12 +157,12 @@ def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
         "eps_prime": format_rational(run.eps_prime),
         "u": list(run.u),
         "ws_calls": run.ws_calls,
-        "solutions": [{"id": s.id, "f": _rationals(s.image)} for s in run.result],
+        "solutions": [{"id": s.id, "f": format_rationals(s.image)} for s in run.result],
         "weights": [
             {
-                "weight": _rationals(entry.weight),
+                "weight": format_rationals(entry.weight),
                 "exponents": list(entry.exponents),
-                "base": _rationals(entry.base),
+                "base": format_rationals(entry.base),
                 "answer": _answer_json(answer),
             }
             for entry, answer in zip(run.plan.entries, run.answers)
@@ -177,8 +174,8 @@ def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
                 "weight_index": cell.weight_index,
                 "level": cell.level,
                 "id": cell.solution_id,
-                "lower": _rationals(cell.lower),
-                "upper": _rationals(cell.upper),
+                "lower": format_rationals(cell.lower),
+                "upper": format_rationals(cell.upper),
             }
             for cell in run.cell_map()
         ]
@@ -191,7 +188,7 @@ def _bisect_report(run: BiobjectiveRun) -> dict[str, Any]:
         "u": [run.u1, run.u2],
         "gamma_count": run.gamma_count,
         "ws_calls": run.ws_calls,
-        "solutions": [{"id": s.id, "f": _rationals(s.image)} for s in run.result],
+        "solutions": [{"id": s.id, "f": format_rationals(s.image)} for s in run.result],
         "probes": [
             {
                 "t": probe.index,
@@ -224,7 +221,10 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         "epsilon": format_rational(args.epsilon),
         "solver": args.solver,
         "instance": instance_to_json(inst),
-        "bounds": {"lower": _rationals(bounds.lower), "upper": _rationals(bounds.upper)},
+        "bounds": {
+            "lower": format_rationals(bounds.lower),
+            "upper": format_rationals(bounds.upper),
+        },
     }
     if args.algorithm == "grid":
         if args.solver == "adversarial":
@@ -265,14 +265,6 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_json(path: str, what: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
-        raise InstanceFormatError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def _report_solution_ids(solutions: Any) -> list[str]:
     """Ids of a report's ``solutions``: a list of objects with string ids."""
     if not isinstance(solutions, list) or not all(
@@ -284,7 +276,7 @@ def _report_solution_ids(solutions: Any) -> list[str]:
 
 def _solution_ids(args: argparse.Namespace) -> list[str]:
     if args.solutions:
-        data = _load_json(args.solutions, "solutions file")
+        data = read_json(args.solutions, "solutions file")
         if isinstance(data, dict) and isinstance(data.get("ids"), list):
             ids = data["ids"]
         elif isinstance(data, list):
@@ -292,7 +284,7 @@ def _solution_ids(args: argparse.Namespace) -> list[str]:
         else:
             raise InstanceFormatError("solutions file must be a list of ids or {'ids': [...]}")
     else:
-        data = _load_json(args.from_report, "report file")
+        data = read_json(args.from_report, "report file")
         ids = _report_solution_ids(data.get("solutions") if isinstance(data, dict) else None)
     if not all(isinstance(i, str) for i in ids):
         raise InstanceFormatError("solution ids must be strings")
@@ -350,7 +342,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             payload["ids"] = sorted(certs)
             payload["weak"] = sorted(i for i, c in certs.items() if c.weak)
             payload["witnesses"] = {
-                i: _rationals(c.weight) for i, c in sorted(certs.items())
+                i: format_rationals(c.weight) for i, c in sorted(certs.items())
             }
     _write_output(payload, args.out)
     return EXIT_OK
@@ -418,7 +410,7 @@ def _cell_rows(cells: Any) -> list[list[Any]]:
 
 
 def cmd_export_plot(args: argparse.Namespace) -> int:
-    data = _load_json(args.from_report, "report file")
+    data = read_json(args.from_report, "report file")
     if not isinstance(data, dict) or "instance" not in data:
         raise InstanceFormatError("report file lacks an embedded instance")
     if data.get("p") != 2:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -54,6 +54,11 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_rationals(values: Iterable[Fraction]) -> list[str]:
+    """``format_rational`` of each value, in order."""
+    return [format_rational(v) for v in values]
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -134,11 +139,6 @@ class Bounds:
     def p(self) -> int:
         return len(self.lower)
 
-    def contains(self, image: ObjectiveVector) -> bool:
-        if len(image) != self.p:
-            raise ContractViolation("dimension mismatch")
-        return all(lo <= v <= hi for lo, v, hi in zip(self.lower, image, self.upper))
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -196,11 +196,6 @@ class FactorVector:
 
     def __getitem__(self, j: int) -> Fraction:
         return self.factors[j]
-
-    def le(self, other: "FactorVector") -> bool:
-        if len(self) != len(other):
-            raise ContractViolation("dimension mismatch")
-        return all(a <= b for a, b in zip(self.factors, other.factors))
 
     def excess_sum(self) -> Fraction:
         """Sum of the components that are strictly larger than 1."""
@@ -284,19 +279,6 @@ class GuaranteeFamily:
             raise ContractViolation("epsilon must be positive")
         return cls(FamilyKind.DISJUNCTIVE_BIOBJECTIVE, 2, Fraction(1), 2 + epsilon)
 
-    def contains(self, alpha: FactorVector) -> bool:
-        """Exact membership of a factor vector in the family's set."""
-        if len(alpha) != self.p:
-            raise ContractViolation("dimension mismatch")
-        if self.kind is FamilyKind.MULTI_FACTOR:
-            return any(a <= self.sigma for a in alpha) and alpha.excess_sum() == self.bound
-        if self.kind is FamilyKind.UNIFORM:
-            return all(a == self.bound for a in alpha)
-        return tuple(alpha) in (
-            (Fraction(1), self.bound),
-            (self.bound, Fraction(1)),
-        )
-
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector, direction: Direction) -> bool:
     """True iff ``a`` dominates ``b``: distinct and at least as good everywhere."""
@@ -344,12 +326,18 @@ def approximates(
 def covers(beta: FactorVector, family: GuaranteeFamily) -> bool:
     """Decide whether some alpha in the family dominates ``beta`` componentwise.
 
-    Closed forms (each equivalent to the existence of a witness alpha, see
-    ``multi_factor_witness`` and the accompanying tests):
+    Closed forms, each equivalent to the existence of a witness alpha in the
+    family with beta <= alpha (the tests construct one for every covered
+    beta):
 
     * MULTI_FACTOR: some beta_i <= sigma and excess sum <= bound.
     * UNIFORM: every component <= bound.
     * DISJUNCTIVE_BIOBJECTIVE: one component equals 1, the other <= bound.
+
+    The one exception is a MULTI_FACTOR bound <= 1: its set is empty, since
+    a counted component of a member exceeds 1 on its own, yet the closed
+    form still accepts beta = (1, ..., 1).  That is the useful reading for
+    deficit-bound tightness checks.
     """
     if len(beta) != family.p:
         raise ContractViolation("dimension mismatch")
@@ -360,47 +348,3 @@ def covers(beta: FactorVector, family: GuaranteeFamily) -> bool:
     b1, b2 = beta
     return (b1 == 1 and b2 <= family.bound) or (b2 == 1 and b1 <= family.bound)
 
-
-def multi_factor_witness(
-    beta: FactorVector, family: GuaranteeFamily
-) -> Optional[FactorVector]:
-    """Exhibit alpha in the family with beta <= alpha, or None if impossible.
-
-    For MULTI_FACTOR the closed form in ``covers`` is justified by this
-    construction: inflate a single coordinate that already exceeds 1 (or
-    raise a fresh one) until the excess sum meets the bound exactly, chosen
-    so that a coordinate <= sigma survives untouched.  The one regime with
-    no witness is an excess-sum bound <= 1, where the family's set is empty
-    because any counted component of a member exceeds 1 on its own; the
-    closed form still accepts exact matches (all factors equal to 1) there,
-    which is the useful reading for deficit-bound tightness checks.
-    """
-    if not covers(beta, family):
-        return None
-    if family.kind is FamilyKind.UNIFORM:
-        return FactorVector(tuple(family.bound for _ in range(family.p)))
-    if family.kind is FamilyKind.DISJUNCTIVE_BIOBJECTIVE:
-        b1, b2 = beta
-        if b1 == 1 and b2 <= family.bound:
-            return FactorVector.of(1, family.bound)
-        return FactorVector.of(family.bound, 1)
-    factors = list(beta.factors)
-    deficit = family.bound - beta.excess_sum()
-    big = [j for j, f in enumerate(factors) if f > 1]
-    escapes = [j for j, f in enumerate(factors) if f <= family.sigma]
-    if big and deficit == 0:
-        return FactorVector(tuple(factors))
-    if big:
-        # Inflating j keeps the family's escape clause as long as some
-        # coordinate <= sigma other than j remains; such a j always exists
-        # because coordinates equal to 1 are escapes themselves.
-        j = next(j for j in big if any(e != j for e in escapes))
-        factors[j] += deficit
-    else:
-        if family.bound <= 1:
-            return None
-        factors[0] = family.bound
-    witness = FactorVector(tuple(factors))
-    if not (beta.le(witness) and family.contains(witness)):  # pragma: no cover
-        raise AssertionError("witness construction failed")
-    return witness

@@ -21,7 +21,7 @@ from .core import (
     ObjectiveVector,
     RationalLike,
     as_rational,
-    format_rational,
+    format_rationals,
     parse_rational,
 )
 from .solvers import (
@@ -174,10 +174,6 @@ def canonical_dumps(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _rational_list(values) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
 def instance_to_json(inst: Instance) -> dict[str, Any]:
     if isinstance(inst, ExplicitInstance):
         return {
@@ -186,7 +182,7 @@ def instance_to_json(inst: Instance) -> dict[str, Any]:
             "direction": inst.direction.value,
             "p": inst.p,
             "solutions": [
-                {"id": s.id, "f": _rational_list(s.image)} for s in inst.solutions
+                {"id": s.id, "f": format_rationals(s.image)} for s in inst.solutions
             ],
         }
     payload: dict[str, Any] = {
@@ -196,7 +192,7 @@ def instance_to_json(inst: Instance) -> dict[str, Any]:
         "p": inst.p,
         "nodes": inst.node_count,
         "arcs": [
-            {"from": a.tail, "to": a.head, "cost": _rational_list(a.cost)}
+            {"from": a.tail, "to": a.head, "cost": format_rationals(a.cost)}
             for a in inst.arcs
         ],
     }
@@ -304,13 +300,18 @@ def instance_from_json(data: Any) -> Instance:
         raise InstanceFormatError(str(exc)) from exc
 
 
-def load_instance(path: str) -> Instance:
+def read_json(path: str, what: str) -> Any:
+    """The JSON value in file ``path``; any failure to read or decode it
+    raises InstanceFormatError naming ``what`` was being read."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
-        raise InstanceFormatError(f"cannot read instance {path}: {exc}") from exc
-    return instance_from_json(data)
+        raise InstanceFormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_instance(path: str) -> Instance:
+    return instance_from_json(read_json(path, "instance"))
 
 
 def dump_instance(inst: Instance, path: str) -> None:

@@ -12,18 +12,21 @@ lexicographically smallest objective vector and then the smallest id, graph
 backends follow input arc order.  Runs are therefore reproducible and the
 exact backends always return solutions with nondominated images.
 
-Each backend exists twice.  The ``solve_*`` functions compute in
-``Fraction`` and are the reference implementation.  The handles built by
-``exact_solver`` and ``adversarial_solver`` run integer kernels: when the
-handle is built, each objective column is multiplied by the LCM of its
-denominators, and each call multiplies the weights by the LCM of the
-denominators left after dividing out those column scales.  The column
-scales cancel against the weights, and the weight scale multiplies every
-weighted sum by one positive constant.  So every comparison of the
-resulting Python ints, including each tie and the adversarial bound, has
-the same outcome as the comparison of the Fraction sums, and the kernels
-return exactly the reference's answers.  Only the reported scalar is turned
-back into a ``Fraction``, once per answer.
+Each backend exists once, as an integer kernel that ``exact_solver`` or
+``adversarial_solver`` builds into a handle.  When the handle is built,
+each objective column is multiplied by the LCM of its denominators, and
+each call multiplies the weights by the LCM of the denominators left after
+dividing out those column scales.  The column scales cancel against the
+weights, and the weight scale multiplies every weighted sum by one positive
+constant.  So every comparison of the resulting Python ints, including each
+tie and the adversarial bound, has the same outcome as the comparison of
+the ``Fraction`` sums.  Only the reported scalar is turned back into a
+``Fraction``, once per answer.  The test suite keeps direct ``Fraction``
+versions of the four backends and checks every handle against them.
+
+The adversarial, shortest-path and spanning-tree backends are
+minimization-only; their handles refuse a maximization instance when they
+are built.
 """
 
 from __future__ import annotations
@@ -201,41 +204,6 @@ def _check_weights(p: int, weights: WeightVector) -> None:
         raise ContractViolation("weight vector dimension differs from p")
 
 
-def solve_explicit_exact(inst: ExplicitInstance, weights: WeightVector) -> SolveAnswer:
-    """Optimal weighted-sum solution; ties go to the lexicographically
-    smallest objective vector, then the smallest id."""
-    _check_weights(inst.p, weights)
-    sign = 1 if inst.direction is Direction.MIN else -1
-
-    def key(s: Solution):
-        return (sign * weights.scalarize(s.image), s.image.values, s.id)
-
-    best = min(inst.solutions, key=key)
-    return SolveAnswer(best.id, best.image, weights.scalarize(best.image))
-
-
-def solve_explicit_adversarial(
-    inst: ExplicitInstance, weights: WeightVector, sigma: RationalLike
-) -> SolveAnswer:
-    """Worst solution whose weighted value still satisfies the sigma contract.
-
-    Among all x with value <= sigma * opt the one with the largest value is
-    returned (ties as in the exact backend), so a downstream guarantee that
-    survives this backend survives any admissible sigma-approximation.
-    """
-    sigma = as_rational(sigma)
-    if sigma < 1:
-        raise ContractViolation("sigma must be >= 1")
-    if inst.direction is not Direction.MIN:
-        raise ContractViolation("adversarial backend is minimization-only")
-    _check_weights(inst.p, weights)
-    values = [(weights.scalarize(s.image), s) for s in inst.solutions]
-    opt = min(v for v, _ in values)
-    admissible = [(v, s) for v, s in values if v <= sigma * opt]
-    worst, best_sol = min(admissible, key=lambda vs: (-vs[0], vs[1].image.values, vs[1].id))
-    return SolveAnswer(best_sol.id, best_sol.image, worst)
-
-
 def _vector_sum(p: int, vectors: list[ObjectiveVector]) -> ObjectiveVector:
     total = [Fraction(0)] * p
     for vec in vectors:
@@ -250,76 +218,6 @@ def path_id(arc_indices: tuple[int, ...]) -> str:
 
 def tree_id(arc_indices: tuple[int, ...]) -> str:
     return "tree:" + ",".join(str(i) for i in sorted(arc_indices))
-
-
-def solve_shortest_path(inst: GraphInstance, weights: WeightVector) -> SolveAnswer:
-    """Dijkstra on the scalarized arc costs (all strictly positive).
-
-    Predecessors are updated only on strictly smaller scalar values, with
-    arcs relaxed in input order, so the returned path is deterministic.
-    """
-    if inst.kind is not GraphKind.SHORTEST_PATH:
-        raise ContractViolation("instance is not a shortest-path instance")
-    if inst.direction is not Direction.MIN:
-        raise ContractViolation("shortest-path backend is minimization-only")
-    _check_weights(inst.p, weights)
-    out: list[list[tuple[int, Arc]]] = [[] for _ in range(inst.node_count)]
-    for idx, arc in enumerate(inst.arcs):
-        out[arc.tail].append((idx, arc))
-
-    dist: dict[int, Fraction] = {inst.source: Fraction(0)}
-    pred: dict[int, int] = {}
-    done: set[int] = set()
-    counter = itertools.count()
-    heap: list[tuple[Fraction, int, int]] = [(Fraction(0), next(counter), inst.source)]
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        if node == inst.target:
-            break
-        for idx, arc in out[node]:
-            nd = d + weights.scalarize(arc.cost)
-            if arc.head not in dist or nd < dist[arc.head]:
-                dist[arc.head] = nd
-                pred[arc.head] = idx
-                heapq.heappush(heap, (nd, next(counter), arc.head))
-    if inst.target not in done:
-        raise UnreachableTarget("target not reachable from source")
-    indices: list[int] = []
-    node = inst.target
-    while node != inst.source:
-        idx = pred[node]
-        indices.append(idx)
-        node = inst.arcs[idx].tail
-    indices.reverse()
-    arc_tuple = tuple(indices)
-    image = _vector_sum(inst.p, [inst.arcs[i].cost for i in arc_tuple])
-    return SolveAnswer(path_id(arc_tuple), image, dist[inst.target], arc_tuple)
-
-
-def solve_spanning_tree(inst: GraphInstance, weights: WeightVector) -> SolveAnswer:
-    """Kruskal on the scalarized edge costs; ties keep input edge order."""
-    if inst.kind is not GraphKind.SPANNING_TREE:
-        raise ContractViolation("instance is not a spanning-tree instance")
-    if inst.direction is not Direction.MIN:
-        raise ContractViolation("spanning-tree backend is minimization-only")
-    _check_weights(inst.p, weights)
-    order = sorted(range(len(inst.arcs)), key=lambda i: weights.scalarize(inst.arcs[i].cost))
-    uf = _UnionFind(inst.node_count)
-    chosen: list[int] = []
-    for idx in order:
-        arc = inst.arcs[idx]
-        if uf.union(arc.tail, arc.head):
-            chosen.append(idx)
-            if len(chosen) == inst.node_count - 1:
-                break
-    if len(chosen) != inst.node_count - 1:
-        raise DisconnectedGraph("spanning-tree instance is not connected")
-    arc_tuple = tuple(sorted(chosen))
-    image = _vector_sum(inst.p, [inst.arcs[i].cost for i in arc_tuple])
-    return SolveAnswer(tree_id(arc_tuple), image, weights.scalarize(image), arc_tuple)
 
 
 def compute_bounds(inst: Instance) -> Bounds:
@@ -466,7 +364,8 @@ def _sorted_form(inst: ExplicitInstance) -> tuple[tuple[Solution, ...], _Integer
 
 
 def _explicit_exact_kernel(inst: ExplicitInstance) -> Kernel:
-    """``solve_explicit_exact`` on the integer form."""
+    """Optimal weighted-sum solution; ties go to the lexicographically
+    smallest objective vector, then the smallest id."""
     order, form = _sorted_form(inst)
     pick = min if inst.direction is Direction.MIN else max
 
@@ -481,12 +380,15 @@ def _explicit_exact_kernel(inst: ExplicitInstance) -> Kernel:
 
 
 def _explicit_adversarial_kernel(inst: ExplicitInstance, sigma: Fraction) -> Kernel:
-    """``solve_explicit_adversarial`` on the integer form."""
+    """Worst solution whose weighted value still satisfies the sigma contract.
+
+    Among all x with value <= sigma * opt the one with the largest value is
+    returned (ties as in the exact backend), so a downstream guarantee that
+    survives this backend survives any admissible sigma-approximation.
+    """
     order, form = _sorted_form(inst)
 
     def solve(weights: WeightVector) -> SolveAnswer:
-        if inst.direction is not Direction.MIN:
-            raise ContractViolation("adversarial backend is minimization-only")
         _check_weights(inst.p, weights)
         values, denom = form.values(weights)
         # With sigma = a/b, v is admissible iff b*v <= a*opt; as v is an
@@ -500,15 +402,17 @@ def _explicit_adversarial_kernel(inst: ExplicitInstance, sigma: Fraction) -> Ker
 
 
 def _shortest_path_kernel(inst: GraphInstance) -> Kernel:
-    """``solve_shortest_path`` on the integer arc costs."""
+    """Dijkstra on the scalarized arc costs (all strictly positive).
+
+    Predecessors are updated only on strictly smaller scalar values, with
+    arcs relaxed in input order, so the returned path is deterministic.
+    """
     form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
     out: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count)]
     for idx, arc in enumerate(inst.arcs):
         out[arc.tail].append((idx, arc.head))
 
     def solve(weights: WeightVector) -> SolveAnswer:
-        if inst.direction is not Direction.MIN:
-            raise ContractViolation("shortest-path backend is minimization-only")
         _check_weights(inst.p, weights)
         costs, denom = form.values(weights)
         dist: dict[int, int] = {inst.source: 0}
@@ -546,12 +450,10 @@ def _shortest_path_kernel(inst: GraphInstance) -> Kernel:
 
 
 def _spanning_tree_kernel(inst: GraphInstance) -> Kernel:
-    """``solve_spanning_tree`` on the integer edge costs."""
+    """Kruskal on the scalarized edge costs; ties keep input edge order."""
     form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
 
     def solve(weights: WeightVector) -> SolveAnswer:
-        if inst.direction is not Direction.MIN:
-            raise ContractViolation("spanning-tree backend is minimization-only")
         _check_weights(inst.p, weights)
         costs, denom = form.values(weights)
         uf = _UnionFind(inst.node_count)
@@ -606,9 +508,15 @@ class SolverHandle:
 
 
 def exact_solver(inst: Instance) -> SolverHandle:
-    """Exact (sigma = 1) solver handle with the backend picked per instance."""
+    """Exact (sigma = 1) solver handle with the backend picked per instance.
+
+    Explicit instances of either direction are solved; a maximization graph
+    instance is refused here, once, since both graph backends minimize.
+    """
     if isinstance(inst, ExplicitInstance):
         kernel = _explicit_exact_kernel(inst)
+    elif inst.direction is not Direction.MIN:
+        raise ContractViolation(f"{inst.kind.value} backend is minimization-only")
     elif inst.kind is GraphKind.SHORTEST_PATH:
         kernel = _shortest_path_kernel(inst)
     else:
@@ -617,9 +525,11 @@ def exact_solver(inst: Instance) -> SolverHandle:
 
 
 def adversarial_solver(inst: ExplicitInstance, sigma: RationalLike) -> SolverHandle:
-    """Adversarial sigma-approximate handle (explicit instances only)."""
+    """Adversarial sigma-approximate handle (explicit minimization instances)."""
     if not isinstance(inst, ExplicitInstance):
         raise ContractViolation("adversarial backend requires an explicit instance")
+    if inst.direction is not Direction.MIN:
+        raise ContractViolation("adversarial backend is minimization-only")
     sigma = as_rational(sigma)
     if sigma < 1:
         raise ContractViolation("sigma must be >= 1")

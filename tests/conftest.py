@@ -1,10 +1,13 @@
 """Shared hypothesis strategies: small exact rationals and explicit instances."""
 
+import itertools
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
 from wsapprox import Direction, ExplicitInstance, ObjectiveVector, Solution, WeightVector
+
+from reference import pairwise_front
 
 LATTICE = 12  # small denominator keeps downstream exact arithmetic cheap
 
@@ -64,3 +67,21 @@ any_instances = st.tuples(st.sampled_from([2, 3]), st.sampled_from(list(Directio
         clustered_instances(p=pd[0], direction=pd[1]),
     )
 )
+
+
+@st.composite
+def with_front_midpoint(draw, instances):
+    """Instances from ``instances``; about half of them get one more solution,
+    id "mid", at the midpoint of two distinct front images.
+
+    A weight that makes the midpoint optimal makes both ends optimal too, so
+    a supported midpoint is always weakly supported.  Weak certificates,
+    rare in the plain strategies, become common.
+    """
+    inst = draw(instances)
+    front = sorted({inst.image_of(i).values for i in pairwise_front(inst)})
+    if len(front) < 2 or not draw(st.booleans()):
+        return inst
+    a, b = draw(st.sampled_from(list(itertools.combinations(front, 2))))
+    mid = ObjectiveVector(tuple((x + y) / 2 for x, y in zip(a, b)))
+    return ExplicitInstance(inst.direction, inst.p, inst.solutions + (Solution("mid", mid),))

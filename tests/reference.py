@@ -1,0 +1,257 @@
+"""Slow, direct reference implementations that the tests compare against.
+
+Nothing in the package calls these.  Each one does its job the obvious way,
+in ``Fraction`` and without the package's shortcuts: the solvers scalarize
+every image instead of comparing cleared-denominator ints, the front and
+certificate references compare every solution with every other one, and
+``exponent_cap_by_walk`` multiplies by the step one power at a time.  The
+references skip argument checks; the package's entry points make those.
+"""
+
+import heapq
+import itertools
+from fractions import Fraction
+
+from wsapprox import (
+    Bounds,
+    Direction,
+    ExplicitInstance,
+    FactorVector,
+    FamilyKind,
+    GraphInstance,
+    GuaranteeFamily,
+    SolveAnswer,
+    SolverHandle,
+    WeightVector,
+    as_rational,
+    covers,
+    dominates,
+)
+from wsapprox.oracles import _support_certificate_biobjective, _support_certificate_lp
+from wsapprox.solvers import (
+    DisconnectedGraph,
+    UnreachableTarget,
+    _UnionFind,
+    _vector_sum,
+    path_id,
+    tree_id,
+)
+
+# ---------------------------------------------------------------------------
+# Weighted-sum solvers
+# ---------------------------------------------------------------------------
+
+
+def solve_explicit_exact(inst: ExplicitInstance, weights: WeightVector) -> SolveAnswer:
+    """Optimal weighted-sum solution; ties go to the lexicographically
+    smallest objective vector, then the smallest id."""
+    sign = 1 if inst.direction is Direction.MIN else -1
+
+    def key(s):
+        return (sign * weights.scalarize(s.image), s.image.values, s.id)
+
+    best = min(inst.solutions, key=key)
+    return SolveAnswer(best.id, best.image, weights.scalarize(best.image))
+
+
+def solve_explicit_adversarial(
+    inst: ExplicitInstance, weights: WeightVector, sigma
+) -> SolveAnswer:
+    """Worst solution whose weighted value is still <= sigma * opt (MIN);
+    ties as in ``solve_explicit_exact``."""
+    sigma = as_rational(sigma)
+    values = [(weights.scalarize(s.image), s) for s in inst.solutions]
+    opt = min(v for v, _ in values)
+    admissible = [(v, s) for v, s in values if v <= sigma * opt]
+    worst, best_sol = min(admissible, key=lambda vs: (-vs[0], vs[1].image.values, vs[1].id))
+    return SolveAnswer(best_sol.id, best_sol.image, worst)
+
+
+def solve_shortest_path(inst: GraphInstance, weights: WeightVector) -> SolveAnswer:
+    """Dijkstra on the scalarized arc costs (MIN).
+
+    Predecessors are updated only on strictly smaller scalar values, with
+    arcs relaxed in input order, so the returned path is deterministic.
+    """
+    out = [[] for _ in range(inst.node_count)]
+    for idx, arc in enumerate(inst.arcs):
+        out[arc.tail].append((idx, arc))
+
+    dist = {inst.source: Fraction(0)}
+    pred = {}
+    done = set()
+    counter = itertools.count()
+    heap = [(Fraction(0), next(counter), inst.source)]
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        if node == inst.target:
+            break
+        for idx, arc in out[node]:
+            nd = d + weights.scalarize(arc.cost)
+            if arc.head not in dist or nd < dist[arc.head]:
+                dist[arc.head] = nd
+                pred[arc.head] = idx
+                heapq.heappush(heap, (nd, next(counter), arc.head))
+    if inst.target not in done:
+        raise UnreachableTarget("target not reachable from source")
+    indices = []
+    node = inst.target
+    while node != inst.source:
+        idx = pred[node]
+        indices.append(idx)
+        node = inst.arcs[idx].tail
+    indices.reverse()
+    arc_tuple = tuple(indices)
+    image = _vector_sum(inst.p, [inst.arcs[i].cost for i in arc_tuple])
+    return SolveAnswer(path_id(arc_tuple), image, dist[inst.target], arc_tuple)
+
+
+def solve_spanning_tree(inst: GraphInstance, weights: WeightVector) -> SolveAnswer:
+    """Kruskal on the scalarized edge costs (MIN); ties keep input edge order."""
+    order = sorted(range(len(inst.arcs)), key=lambda i: weights.scalarize(inst.arcs[i].cost))
+    uf = _UnionFind(inst.node_count)
+    chosen = []
+    for idx in order:
+        arc = inst.arcs[idx]
+        if uf.union(arc.tail, arc.head):
+            chosen.append(idx)
+            if len(chosen) == inst.node_count - 1:
+                break
+    if len(chosen) != inst.node_count - 1:
+        raise DisconnectedGraph("spanning-tree instance is not connected")
+    arc_tuple = tuple(sorted(chosen))
+    image = _vector_sum(inst.p, [inst.arcs[i].cost for i in arc_tuple])
+    return SolveAnswer(tree_id(arc_tuple), image, weights.scalarize(image), arc_tuple)
+
+
+def reference_solver(inst: ExplicitInstance, sigma=None) -> SolverHandle:
+    """Handle whose solves go to the Fraction reference backend: exact when
+    ``sigma`` is None, otherwise adversarial at ``sigma``."""
+    if sigma is None:
+        return SolverHandle(inst, Fraction(1), lambda w: solve_explicit_exact(inst, w))
+    return SolverHandle(inst, sigma, lambda w: solve_explicit_adversarial(inst, w, sigma))
+
+
+# ---------------------------------------------------------------------------
+# Factor algebra
+# ---------------------------------------------------------------------------
+
+
+def bounds_contain(bounds: Bounds, image) -> bool:
+    """lower <= image <= upper componentwise."""
+    return all(lo <= v <= hi for lo, v, hi in zip(bounds.lower, image, bounds.upper))
+
+
+def factor_le(a: FactorVector, b: FactorVector) -> bool:
+    """a <= b componentwise."""
+    return all(x <= y for x, y in zip(a.factors, b.factors))
+
+
+def family_contains(family: GuaranteeFamily, alpha: FactorVector) -> bool:
+    """Exact membership of a factor vector in the family's set."""
+    if family.kind is FamilyKind.MULTI_FACTOR:
+        return any(a <= family.sigma for a in alpha) and alpha.excess_sum() == family.bound
+    if family.kind is FamilyKind.UNIFORM:
+        return all(a == family.bound for a in alpha)
+    return tuple(alpha) in (
+        (Fraction(1), family.bound),
+        (family.bound, Fraction(1)),
+    )
+
+
+def multi_factor_witness(beta: FactorVector, family: GuaranteeFamily):
+    """Exhibit alpha in the family with beta <= alpha, or None if impossible.
+
+    For MULTI_FACTOR the closed form in ``covers`` is justified by this
+    construction: inflate a single coordinate that already exceeds 1 (or
+    raise a fresh one) until the excess sum meets the bound exactly, chosen
+    so that a coordinate <= sigma survives untouched.  The one regime with
+    no witness is an excess-sum bound <= 1, where the family's set is empty
+    because any counted component of a member exceeds 1 on its own; the
+    closed form still accepts exact matches (all factors equal to 1) there,
+    which is the useful reading for deficit-bound tightness checks.
+    """
+    if not covers(beta, family):
+        return None
+    if family.kind is FamilyKind.UNIFORM:
+        return FactorVector(tuple(family.bound for _ in range(family.p)))
+    if family.kind is FamilyKind.DISJUNCTIVE_BIOBJECTIVE:
+        b1, b2 = beta
+        if b1 == 1 and b2 <= family.bound:
+            return FactorVector.of(1, family.bound)
+        return FactorVector.of(family.bound, 1)
+    factors = list(beta.factors)
+    deficit = family.bound - beta.excess_sum()
+    big = [j for j, f in enumerate(factors) if f > 1]
+    escapes = [j for j, f in enumerate(factors) if f <= family.sigma]
+    if big and deficit == 0:
+        return FactorVector(tuple(factors))
+    if big:
+        # Inflating j keeps the family's escape clause as long as some
+        # coordinate <= sigma other than j remains; such a j always exists
+        # because coordinates equal to 1 are escapes themselves.
+        j = next(j for j in big if any(e != j for e in escapes))
+        factors[j] += deficit
+    else:
+        if family.bound <= 1:
+            return None
+        factors[0] = family.bound
+    witness = FactorVector(tuple(factors))
+    if not (factor_le(beta, witness) and family_contains(family, witness)):
+        raise AssertionError("witness construction failed")
+    return witness
+
+
+def ptas_family(p: int, epsilon, tau) -> GuaranteeFamily:
+    """Guarantee family of the PTAS wrapper: excess sum p + eps, escape 1 + tau."""
+    epsilon = as_rational(epsilon)
+    tau = as_rational(tau)
+    return GuaranteeFamily.multi_factor_raw(1 + tau, p + epsilon, p)
+
+
+# ---------------------------------------------------------------------------
+# Grid planning
+# ---------------------------------------------------------------------------
+
+
+def exponent_cap_by_walk(low: Fraction, high: Fraction, step: Fraction) -> int:
+    """Largest integer u >= 0 with low * step**u <= high, one product per step."""
+    u = 0
+    value = low
+    while value * step <= high:
+        value *= step
+        u += 1
+    return u
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+# ---------------------------------------------------------------------------
+
+
+def pairwise_front(inst: ExplicitInstance) -> frozenset:
+    """Reference Pareto front: every solution against every other one."""
+    return frozenset(
+        s.id
+        for s in inst.solutions
+        if not any(dominates(o.image, s.image, inst.direction) for o in inst.solutions)
+    )
+
+
+def unpruned_certificates(inst: ExplicitInstance) -> dict:
+    """Reference certificates: every distinct image, dominated ones included,
+    certified against every other image."""
+    certify = _support_certificate_biobjective if inst.p == 2 else _support_certificate_lp
+    by_image = {}
+    for s in inst.solutions:
+        if s.image.values not in by_image:
+            competitors = [o.image for o in inst.solutions if o.image.values != s.image.values]
+            by_image[s.image.values] = certify(s.image, competitors, inst.direction)
+    return {
+        s.id: by_image[s.image.values]
+        for s in inst.solutions
+        if by_image[s.image.values] is not None
+    }

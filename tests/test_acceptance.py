@@ -28,8 +28,6 @@ from wsapprox import (
     gen_random_graph,
     gen_tightness_min,
     pareto_front,
-    ptas_family,
-    solve_explicit_exact,
     support_certificates,
     supported_set,
     verify_approximation,
@@ -38,7 +36,9 @@ from wsapprox import (
 from wsapprox.algorithms import expected_grid_calls, exponent_cap
 from wsapprox.cli import main as cli_main
 from wsapprox.instances import canonical_dumps, instance_to_json
-from wsapprox.solvers import GraphKind, SolverHandle, solve_explicit_adversarial
+from wsapprox.solvers import GraphKind
+
+from reference import ptas_family, reference_solver, solve_explicit_exact
 
 F = Fraction
 
@@ -316,14 +316,6 @@ def test_criterion_10_ptas_wrapper():
             assert verify_approximation(run.result_ids(), inst, family).ok
             total += 1
     print(f"\ncriterion 10 PASS: {total} adversarial PTAS runs covered at sum bound p+eps")
-
-
-def reference_solver(inst, sigma=None):
-    """Handle whose solves go to the Fraction reference backend: exact when
-    ``sigma`` is None, otherwise adversarial at ``sigma``."""
-    if sigma is None:
-        return SolverHandle(inst, F(1), lambda w: solve_explicit_exact(inst, w))
-    return SolverHandle(inst, sigma, lambda w: solve_explicit_adversarial(inst, w, sigma))
 
 
 def test_integer_kernel_matches_fraction_reference(grid_sweep):

@@ -26,15 +26,14 @@ from wsapprox import (
     gen_random_explicit,
     gen_tightness_min,
     pareto_front,
-    ptas_family,
-    solve_explicit_exact,
     support_certificates,
     verify_approximation,
 )
 from wsapprox import algorithms
 from wsapprox.algorithms import exponent_cap, expected_grid_calls, plan_grid
 
-from conftest import any_instances, explicit_instances
+from conftest import any_instances, explicit_instances, with_front_midpoint
+from reference import exponent_cap_by_walk, ptas_family, solve_explicit_exact
 
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
@@ -67,6 +66,30 @@ class TestExponentCap:
         u = exponent_cap(low, high, step)
         assert low * step**u <= high
         assert low * step ** (u + 1) > high
+
+    @given(
+        st.integers(1, 50),
+        st.integers(1, 60),
+        st.integers(1, 40),
+        st.integers(0, 150),
+        st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_linear_walk(self, lo, step_num, step_den, k, nudge):
+        # high lies on a power of the step or a hair to either side of it,
+        # where a float estimate of u is most likely to be off by one.
+        low = F(lo, 7)
+        step = 1 + F(step_num, step_den)
+        high = low * step**k + F(nudge, 10**9)
+        assume(high >= low)
+        assert exponent_cap(low, high, step) == exponent_cap_by_walk(low, high, step)
+
+    @pytest.mark.parametrize("den", [3000, 6000])
+    def test_long_ladder_settles_exactly(self, den):
+        # u = 20726 and 41449: the walk takes seconds here, the estimate two powers.
+        step = 1 + F(1, den)
+        u = exponent_cap(F(1), F(1000), step)
+        assert step**u <= 1000 < step ** (u + 1)
 
 
 class TestGridWeights:
@@ -451,7 +474,7 @@ class TestObjectivePermutation:
     objectives altogether."""
 
     @given(
-        any_instances.flatmap(
+        with_front_midpoint(any_instances).flatmap(
             lambda inst: st.tuples(st.just(inst), st.permutations(range(inst.p)))
         )
     )
@@ -461,6 +484,8 @@ class TestObjectivePermutation:
         permuted = permute_objectives(inst, order)
         assert pareto_front(permuted) == pareto_front(inst)
         certs, permuted_certs = support_certificates(inst), support_certificates(permuted)
+        if "mid" in certs:  # ties with both ends under any weight it is optimal for
+            assert certs["mid"].weak
         assert set(permuted_certs) == set(certs)
         assert {i for i, c in permuted_certs.items() if c.weak} == {
             i for i, c in certs.items() if c.weak

@@ -13,13 +13,11 @@ from wsapprox import (
     Solution,
     approximate_grid,
     compute_bounds,
-    dominates,
     exact_solver,
     gen_max_counterexample,
     gen_random_explicit,
     gen_tightness_min,
     pareto_front,
-    solve_explicit_exact,
     support_certificates,
     supported_set,
     verify_approximation,
@@ -32,7 +30,14 @@ from wsapprox.oracles import (
     _support_certificate_lp,
 )
 
-from conftest import any_instances, clustered_instances, explicit_instances, rationals
+from conftest import (
+    any_instances,
+    clustered_instances,
+    explicit_instances,
+    rationals,
+    with_front_midpoint,
+)
+from reference import pairwise_front, solve_explicit_exact, unpruned_certificates
 
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
@@ -52,31 +57,6 @@ def explicit(direction, *pairs):
     return ExplicitInstance(
         direction, p, tuple(Solution(sid, ObjectiveVector(tuple(img))) for sid, img in pairs)
     )
-
-
-def pairwise_front(inst):
-    """Reference Pareto front: every solution against every other one."""
-    return frozenset(
-        s.id
-        for s in inst.solutions
-        if not any(dominates(o.image, s.image, inst.direction) for o in inst.solutions)
-    )
-
-
-def unpruned_certificates(inst):
-    """Reference certificates: every distinct image, dominated ones included,
-    certified against every other image."""
-    certify = _support_certificate_biobjective if inst.p == 2 else _support_certificate_lp
-    by_image = {}
-    for s in inst.solutions:
-        if s.image.values not in by_image:
-            competitors = [o.image for o in inst.solutions if o.image.values != s.image.values]
-            by_image[s.image.values] = certify(s.image, competitors, inst.direction)
-    return {
-        s.id: by_image[s.image.values]
-        for s in inst.solutions
-        if by_image[s.image.values] is not None
-    }
 
 
 @pytest.fixture
@@ -221,10 +201,12 @@ class TestSupportedSet:
         inst = ExplicitInstance(direction, inst.p, inst.solutions)
         assert supported_set(inst) <= pareto_front(inst)
 
-    @given(any_instances)
+    @given(with_front_midpoint(any_instances))
     @settings(max_examples=150, deadline=None)
     def test_pruned_certificates_match_unpruned_reference(self, inst):
         certs = support_certificates(inst)
+        if "mid" in certs:  # ties with both ends under any weight it is optimal for
+            assert certs["mid"].weak
         reference = unpruned_certificates(inst)
         assert set(certs) == set(reference)
         assert {i for i, c in certs.items() if c.weak} == {

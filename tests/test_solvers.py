@@ -23,13 +23,16 @@ from wsapprox import (
     enumerate_graph_solutions,
     exact_solver,
     gen_random_graph,
+)
+
+from conftest import explicit_instances, rationals, weight_vectors
+from reference import (
+    bounds_contain,
     solve_explicit_adversarial,
     solve_explicit_exact,
     solve_shortest_path,
     solve_spanning_tree,
 )
-
-from conftest import explicit_instances, rationals, weight_vectors
 
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
@@ -68,58 +71,58 @@ def diamond_graph():
 
 class TestExplicitExact:
     def test_unit_weights(self, three_points):
-        answer = solve_explicit_exact(three_points, wv(1, 1))
+        answer = exact_solver(three_points).solve(wv(1, 1))
         assert answer.solution_id == "b"
         assert answer.scalar == 4
 
     def test_skewed_weights(self, three_points):
-        answer = solve_explicit_exact(three_points, wv(1, "1/8"))
+        answer = exact_solver(three_points).solve(wv(1, "1/8"))
         assert answer.solution_id == "a"
         assert answer.scalar == 2
 
     def test_singleton(self):
         inst = explicit(MIN, ("only", (3, 4)))
-        assert solve_explicit_exact(inst, wv(5, 7)).solution_id == "only"
+        assert exact_solver(inst).solve(wv(5, 7)).solution_id == "only"
 
     def test_max_direction(self, three_points):
         flipped = ExplicitInstance(MAX, 2, three_points.solutions)
-        answer = solve_explicit_exact(flipped, wv(1, 1))
+        answer = exact_solver(flipped).solve(wv(1, 1))
         # values 9, 4, 9: tie broken by lexicographically smallest image
         assert answer.solution_id == "a"
 
     def test_tie_break_by_id(self):
         inst = explicit(MIN, ("z", (1, 1)), ("a", (1, 1)))
-        assert solve_explicit_exact(inst, wv(1, 1)).solution_id == "a"
+        assert exact_solver(inst).solve(wv(1, 1)).solution_id == "a"
 
     def test_dimension_mismatch(self, three_points):
         with pytest.raises(ContractViolation):
-            solve_explicit_exact(three_points, wv(1, 1, 1))
+            exact_solver(three_points).solve(wv(1, 1, 1))
 
 
 class TestExplicitAdversarial:
     def test_sigma_one_reduces_to_exact(self, three_points):
-        assert solve_explicit_adversarial(three_points, wv(1, 1), 1).solution_id == "b"
+        assert adversarial_solver(three_points, 1).solve(wv(1, 1)).solution_id == "b"
 
     def test_worst_admissible_with_tie(self, three_points):
-        answer = solve_explicit_adversarial(three_points, wv(1, 1), "9/4")
+        answer = adversarial_solver(three_points, "9/4").solve(wv(1, 1))
         assert answer.solution_id == "a"
         assert answer.scalar == 9
 
     def test_tight_sigma_keeps_optimum(self, three_points):
-        assert solve_explicit_adversarial(three_points, wv(1, 1), 2).solution_id == "b"
+        assert adversarial_solver(three_points, 2).solve(wv(1, 1)).solution_id == "b"
 
     def test_rejects_max_and_small_sigma(self, three_points):
         with pytest.raises(ContractViolation):
-            solve_explicit_adversarial(
-                ExplicitInstance(MAX, 2, three_points.solutions), wv(1, 1), 2
+            adversarial_solver(ExplicitInstance(MAX, 2, three_points.solutions), 2).solve(
+                wv(1, 1)
             )
         with pytest.raises(ContractViolation):
-            solve_explicit_adversarial(three_points, wv(1, 1), "1/2")
+            adversarial_solver(three_points, "1/2").solve(wv(1, 1))
 
     @given(explicit_instances(p=2, max_n=8), weight_vectors(), rationals(1, 3))
     @settings(max_examples=150)
     def test_sigma_contract_by_enumeration(self, inst, weights, sigma):
-        answer = solve_explicit_adversarial(inst, weights, sigma)
+        answer = adversarial_solver(inst, sigma).solve(weights)
         opt = min(weights.scalarize(s.image) for s in inst.solutions)
         assert answer.scalar <= sigma * opt
 
@@ -127,14 +130,14 @@ class TestExplicitAdversarial:
     @settings(max_examples=100)
     def test_sigma_efficiency_by_enumeration(self, inst, weights, sigma):
         # The answer sigma-approximates every solution in some objective.
-        answer = solve_explicit_adversarial(inst, weights, sigma)
+        answer = adversarial_solver(inst, sigma).solve(weights)
         for s in inst.solutions:
             assert any(answer.image[i] <= sigma * s.image[i] for i in range(3))
 
     @given(explicit_instances(p=2, max_n=8), weight_vectors())
     @settings(max_examples=150)
     def test_exact_answers_are_nondominated(self, inst, weights):
-        answer = solve_explicit_exact(inst, weights)
+        answer = exact_solver(inst).solve(weights)
         assert not any(
             dominates(s.image, answer.image, MIN) for s in inst.solutions
         )
@@ -142,13 +145,13 @@ class TestExplicitAdversarial:
 
 class TestShortestPath:
     def test_balanced_weights_take_detour(self, diamond_graph):
-        answer = solve_shortest_path(diamond_graph, wv(1, 1))
+        answer = exact_solver(diamond_graph).solve(wv(1, 1))
         assert answer.arcs == (2, 3)
         assert answer.image.values == (Fraction(2), Fraction(2))
         assert answer.scalar == 4
 
     def test_skewed_weights_take_direct_arc(self, diamond_graph):
-        answer = solve_shortest_path(diamond_graph, wv(1, "1/8"))
+        answer = exact_solver(diamond_graph).solve(wv(1, "1/8"))
         assert answer.arcs == (0,)
         assert answer.scalar == 2
 
@@ -156,7 +159,7 @@ class TestShortestPath:
         inst = GraphInstance(
             MIN, 2, 2, (Arc(0, 1, ov(3, 4)),), GraphKind.SHORTEST_PATH, 0, 1
         )
-        assert solve_shortest_path(inst, wv(1, 1)).arcs == (0,)
+        assert exact_solver(inst).solve(wv(1, 1)).arcs == (0,)
 
     def test_unreachable_rejected_at_construction(self):
         with pytest.raises(UnreachableTarget):
@@ -180,7 +183,7 @@ class TestSpanningTree:
             (Arc(0, 1, ov(1, 3)), Arc(1, 2, ov(3, 1)), Arc(0, 2, ov(2, 2))),
             GraphKind.SPANNING_TREE,
         )
-        answer = solve_spanning_tree(inst, wv(1, 1))
+        answer = exact_solver(inst).solve(wv(1, 1))
         assert answer.arcs == (0, 1)
         assert answer.image.values == (Fraction(4), Fraction(4))
 
@@ -192,7 +195,7 @@ class TestSpanningTree:
             (Arc(0, 1, ov(1, 2)), Arc(1, 2, ov(2, 1)), Arc(2, 3, ov(1, 1))),
             GraphKind.SPANNING_TREE,
         )
-        assert solve_spanning_tree(inst, wv(3, 5)).arcs == (0, 1, 2)
+        assert exact_solver(inst).solve(wv(3, 5)).arcs == (0, 1, 2)
 
     def test_forced_cheap_edge(self):
         inst = GraphInstance(
@@ -202,7 +205,7 @@ class TestSpanningTree:
             (Arc(0, 1, ov(1, 1)), Arc(1, 2, ov(5, 5)), Arc(0, 2, ov(5, 5))),
             GraphKind.SPANNING_TREE,
         )
-        answer = solve_spanning_tree(inst, wv(1, 2))
+        answer = exact_solver(inst).solve(wv(1, 2))
         assert 0 in answer.arcs and len(answer.arcs) == 2
 
     def test_disconnected_rejected_at_construction(self):
@@ -233,7 +236,7 @@ class TestComputeBounds:
     def test_sandwiches_every_image(self, inst):
         bounds = compute_bounds(inst)
         for s in inst.solutions:
-            assert bounds.contains(s.image)
+            assert bounds_contain(bounds, s.image)
 
 
 def random_graph_cases():
@@ -256,7 +259,7 @@ class TestGraphAgainstEnumeration:
             # bounds sandwich every enumerated image
             bounds = compute_bounds(inst)
             for s in explicit_form.solutions:
-                assert bounds.contains(s.image)
+                assert bounds_contain(bounds, s.image)
 
     @pytest.mark.parametrize("inst", random_graph_cases())
     def test_exact_graph_answers_are_nondominated(self, inst):
@@ -285,6 +288,14 @@ class TestSolverHandle:
     def test_adversarial_requires_explicit(self, diamond_graph):
         with pytest.raises(ContractViolation):
             adversarial_solver(diamond_graph, 2)
+
+    def test_minimization_only_backends_refuse_max_when_built(self, three_points, diamond_graph):
+        with pytest.raises(ContractViolation, match="minimization-only"):
+            adversarial_solver(ExplicitInstance(MAX, 2, three_points.solutions), 2)
+        for kind in GraphKind:
+            graph = GraphInstance(MAX, 2, 3, diamond_graph.arcs, kind, 0, 2)
+            with pytest.raises(ContractViolation, match=f"{kind.value} backend is minimization"):
+                exact_solver(graph)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ContractViolation):
