@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,15 @@ def _log(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def _cap_estimate(ratio: Fraction, step: Fraction) -> float:
+    """log(ratio) / log(step), the float estimate of an exponent cap; inf
+    when ratio > 1 but step - 1 is below float range."""
+    if ratio == 1:
+        return 0.0
+    log_step = _log(step)
+    return _log(ratio) / log_step if log_step else math.inf
+
+
 def exponent_cap(low: Fraction, high: Fraction, step: Fraction) -> int:
     """Largest integer u >= 0 with low * step**u <= high.
 
@@ -68,15 +78,38 @@ def exponent_cap(low: Fraction, high: Fraction, step: Fraction) -> int:
     if not 0 < low <= high or step <= 1:
         raise ContractViolation("need 0 < low <= high and step > 1")
     ratio = high / low
-    try:
-        u = int(_log(ratio) / _log(step))
-    except (ZeroDivisionError, OverflowError):  # step - 1 below float range
-        u = 0
+    estimate = _cap_estimate(ratio, step)
+    u = int(estimate) if estimate < math.inf else 0
     while u > 0 and step**u > ratio:
         u -= 1
     while step ** (u + 1) <= ratio:
         u += 1
     return u
+
+
+def _check_report_digits(bounds: Bounds, step: Fraction) -> None:
+    """Refuse a run whose report would print an int of more digits than
+    ``sys.get_int_max_str_digits()`` allows (0 means no limit).
+
+    Decided from logarithms alone, before any power of the step is built.
+    The longest printed rationals are the weights, cell corners and
+    bisection gammas, l * step**k with k <= u + 1, and the answer values,
+    which add such terms over the instance's values; so their ints have
+    about (u + 1) * log10(step) digits plus those of the bounds.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    u = max(_cap_estimate(hi / lo, step) for lo, hi in zip(bounds.lower, bounds.upper))
+    digits = (u + 1) * math.log10(step.numerator) + sum(
+        math.log10(v.numerator) + math.log10(v.denominator)
+        for v in bounds.lower + bounds.upper
+    )
+    if digits > limit:
+        raise ContractViolation(
+            f"report values would have about {digits:.0f} digits, over the limit of "
+            f"{limit} digits for integer string conversion; use a larger epsilon"
+        )
 
 
 @dataclass(frozen=True)
@@ -110,7 +143,9 @@ def plan_grid(
 ) -> GridPlan:
     """Enumerate the weight grid; deterministic order (k ascending, then
     mixed-radix over the remaining exponents).  A grid of more than
-    MAX_GRID_CALLS weights raises ContractViolation before any is built."""
+    MAX_GRID_CALLS weights, or one whose report values would pass the
+    interpreter's digit limit, raises ContractViolation before any weight
+    is built."""
     epsilon = as_rational(epsilon)
     sigma = as_rational(sigma)
     if epsilon <= 0:
@@ -121,6 +156,7 @@ def plan_grid(
         raise ContractViolation("bounds dimension differs from p")
     eps_prime = epsilon / (sigma * p)
     step = 1 + eps_prime
+    _check_report_digits(bounds, step)
     u = tuple(exponent_cap(bounds.lower[j], bounds.upper[j], step) for j in range(p))
     calls = expected_grid_calls(u)
     if calls > MAX_GRID_CALLS:
@@ -284,6 +320,7 @@ def approximate_biobjective(
         raise ContractViolation("the bisection is biobjective only")
     eps_prime = epsilon / 2
     step = 1 + eps_prime
+    _check_report_digits(bounds, step)
     u1 = exponent_cap(bounds.lower[0], bounds.upper[0], step)
     u2 = exponent_cap(bounds.lower[1], bounds.upper[1], step)
     count = u1 + u2 + 1

@@ -9,10 +9,12 @@ Exit codes are a stable contract: 0 success (and "verified"), 1 guarantee
 violated, 2 invalid flags or preconditions (an ``--out`` in a missing
 directory, or naming a directory, is refused before any work; a grid of
 more than ``algorithms.MAX_GRID_CALLS`` weights before any weight is
-built), 3 unreadable or malformed input files (instances, solution lists
-and reports), 4 maximization instance passed to an algorithm, 5 graph
-enumeration guard exceeded, 6 internal error (any other exception; one
-``error:`` line, no traceback).
+built; an ``approximate`` run whose report would print an int of more
+digits than ``sys.get_int_max_str_digits()`` before any power of the grid
+step is built or any solve is made), 3 unreadable or malformed input
+files (instances, solution lists and reports), 4 maximization instance
+passed to an algorithm, 5 graph enumeration guard exceeded, 6 internal
+error (any other exception; one ``error:`` line, no traceback).
 All rationals cross this boundary as strings.
 """
 
@@ -39,6 +41,7 @@ from .core import (
     Direction,
     GuaranteeFamily,
     MaximizationUnsupported,
+    check_rational_literal,
     format_rational,
     format_rationals,
     parse_rational,
@@ -378,7 +381,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _is_rational_text(value: Any) -> bool:
     try:
-        parse_rational(value)
+        check_rational_literal(value)
     except ContractViolation:
         return False
     return True

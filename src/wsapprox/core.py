@@ -12,6 +12,7 @@ everything here is safe to share freely between threads.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,17 +37,34 @@ class MaximizationUnsupported(ContractViolation):
     """
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"7"`` or ``"num/den"``; the denominator must be positive."""
+def check_rational_literal(text: str) -> str:
+    """The stripped ``text`` if it is a literal that ``Fraction`` parses.
+
+    The literal is ``"7"`` or ``"num/den"`` with a positive denominator,
+    and each digit run (sign excluded, leading zeros counted) is within
+    ``sys.get_int_max_str_digits()``, as ``int()`` requires.  Anything else
+    raises ContractViolation; no int is built.
+    """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ContractViolation(f"not a rational literal: {text!r}")
     value = text.strip()
-    if "/" in value and value.split("/")[1].lstrip("0") == "":
+    numerator, _, denominator = value.lstrip("+-").partition("/")
+    if denominator and denominator.lstrip("0") == "":
         raise ContractViolation(f"zero denominator: {text!r}")
-    try:
-        return Fraction(value)
-    except ValueError as exc:  # more digits than int() converts
-        raise ContractViolation(f"rational literal too long: {exc}") from exc
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    for run in (numerator, denominator):
+        if limit and len(run) > limit:
+            raise ContractViolation(
+                f"rational literal too long: Exceeds the limit ({limit} digits) for "
+                f"integer string conversion: value has {len(run)} digits; use "
+                "sys.set_int_max_str_digits() to increase the limit"
+            )
+    return value
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``"7"`` or ``"num/den"``; the denominator must be positive."""
+    return Fraction(check_rational_literal(text))
 
 
 def format_rational(value: Fraction) -> str:

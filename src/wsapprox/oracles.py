@@ -4,12 +4,12 @@ Everything here is brute force on purpose.  The Pareto front is a
 sort-filter scan: solutions sorted by image (ascending for minimization,
 descending for maximization) put every dominator of an image before it, so
 each image is compared only with the front found so far.  Supportedness is
-decided exactly over rationals (slope-interval intersection for p = 2, a
-small origin-feasible LP solved by a one-phase simplex otherwise), and
-only where it can matter: a strictly dominated image is never optimal for
-a weight w > 0, and a dominated competitor's constraint follows from the
-constraint of the front point that dominates it, so only distinct front
-images are certified, each against the other distinct front images.
+decided exactly over rationals, for every p, by a small origin-feasible LP
+solved by a one-phase simplex, and only where it can matter: a strictly
+dominated image is never optimal for a weight w > 0, and a dominated
+competitor's constraint follows from the constraint of the front point
+that dominates it, so only distinct front images are certified, each
+against the other distinct front images.
 Approximation guarantees are checked target by target against the full
 feasible set.  These oracles are the independent side of every guarantee
 test, so none of them share code with the approximation algorithms.
@@ -165,75 +165,27 @@ def _support_certificate_lp(
     return SupportCertificate(weight, weak=value == 1)
 
 
-def _support_certificate_biobjective(
-    image: ObjectiveVector, competitors: list[ObjectiveVector], direction: Direction
-) -> Optional[SupportCertificate]:
-    """Slope-interval intersection for p = 2.
-
-    Competitors must be distinct from ``image``.  Weights scale to
-    (gamma, 1); each competitor contributes a lower or an upper bound on
-    gamma (or an unconditional verdict when the first objectives tie).  The
-    image is supported iff the closed interval meets gamma > 0, and strictly
-    supported iff the open interval does, in which case an interior gamma
-    makes it the unique optimum among distinct images.
-    """
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
-    for other in competitors:
-        if direction is Direction.MIN:
-            d1, d2 = image[0] - other[0], image[1] - other[1]
-        else:
-            d1, d2 = other[0] - image[0], other[1] - image[1]
-        if d1 == 0:
-            # Distinct images tie in the first objective: the second decides
-            # for every gamma at once.
-            if d2 > 0:
-                return None
-            continue
-        bound = -d2 / d1
-        if d1 > 0:
-            upper = bound if upper is None else min(upper, bound)
-        else:
-            lower = bound if lower is None else max(lower, bound)
-    floor = lower if lower is not None and lower > 0 else Fraction(0)
-    if upper is None:
-        gamma = floor + 1
-        weak = False
-    elif upper <= 0 or (lower is not None and lower > upper):
-        return None
-    elif floor < upper:
-        gamma = (floor + upper) / 2  # interior point: unique optimum
-        weak = False
-    else:
-        gamma = upper  # single feasible gamma, optimal only with a tie
-        weak = True
-    if gamma >= 1:
-        weight = WeightVector.of(gamma, 1)
-    else:
-        weight = WeightVector.of(1, 1 / gamma)
-    return SupportCertificate(weight, weak=weak)
-
-
 def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate]:
     """Certificate per supported solution id; unsupported ids are absent.
 
     Dominated ids get no certificate without any solve.  Each distinct
     front image is certified once, against the other distinct front images
     only, and its certificate is shared by every id with that image.  A
-    witness weight therefore comes from the LP (or, for p = 2, the slope
-    intervals) against front images; it still makes its id weighted-sum
-    optimal over the whole instance, and a strict witness still makes the
-    image the unique optimum among distinct images, because every dominated
-    image scores worse than its dominator under any weight w > 0.
+    witness weight therefore comes from the LP against front images; it
+    still makes its id weighted-sum optimal over the whole instance, and a
+    strict witness still makes the image the unique optimum among distinct
+    images, because every dominated image scores worse than its dominator
+    under any weight w > 0.
     """
     front = pareto_front(inst)
     images: dict[tuple, ObjectiveVector] = {}
     for s in inst.solutions:
         if s.id in front:
             images.setdefault(s.image.values, s.image)
-    certify = _support_certificate_biobjective if inst.p == 2 else _support_certificate_lp
     by_image = {
-        key: certify(image, [o for k, o in images.items() if k != key], inst.direction)
+        key: _support_certificate_lp(
+            image, [o for k, o in images.items() if k != key], inst.direction
+        )
         for key, image in images.items()
     }
     result: dict[str, SupportCertificate] = {}

@@ -199,11 +199,6 @@ class _UnionFind:
         return True
 
 
-def _check_weights(p: int, weights: WeightVector) -> None:
-    if len(weights) != p:
-        raise ContractViolation("weight vector dimension differs from p")
-
-
 def _vector_sum(p: int, vectors: list[ObjectiveVector]) -> ObjectiveVector:
     total = [Fraction(0)] * p
     for vec in vectors:
@@ -370,7 +365,6 @@ def _explicit_exact_kernel(inst: ExplicitInstance) -> Kernel:
     pick = min if inst.direction is Direction.MIN else max
 
     def solve(weights: WeightVector) -> SolveAnswer:
-        _check_weights(inst.p, weights)
         values, denom = form.values(weights)
         best = pick(values)
         chosen = order[values.index(best)]
@@ -389,7 +383,6 @@ def _explicit_adversarial_kernel(inst: ExplicitInstance, sigma: Fraction) -> Ker
     order, form = _sorted_form(inst)
 
     def solve(weights: WeightVector) -> SolveAnswer:
-        _check_weights(inst.p, weights)
         values, denom = form.values(weights)
         # With sigma = a/b, v is admissible iff b*v <= a*opt; as v is an
         # int, that is v <= floor(a*opt / b).
@@ -413,7 +406,6 @@ def _shortest_path_kernel(inst: GraphInstance) -> Kernel:
         out[arc.tail].append((idx, arc.head))
 
     def solve(weights: WeightVector) -> SolveAnswer:
-        _check_weights(inst.p, weights)
         costs, denom = form.values(weights)
         dist: dict[int, int] = {inst.source: 0}
         pred: dict[int, int] = {}
@@ -454,7 +446,6 @@ def _spanning_tree_kernel(inst: GraphInstance) -> Kernel:
     form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
 
     def solve(weights: WeightVector) -> SolveAnswer:
-        _check_weights(inst.p, weights)
         costs, denom = form.values(weights)
         uf = _UnionFind(inst.node_count)
         chosen: list[int] = []
@@ -481,8 +472,10 @@ class SolverHandle:
     quality.  ``kernel`` answers one weighted-sum problem; it is built once
     by ``exact_solver`` or ``adversarial_solver`` and shares no mutable
     state between calls.  Every ``solve`` increments the counter by exactly
-    one.  A handle is used by one thread at a time: the algorithms make
-    their calls one after another, and the counter is not locked.
+    one, then checks the weight dimension for every kernel, so a kernel
+    only ever sees p weights.  A handle is used by one thread at a time:
+    the algorithms make their calls one after another, and the counter is
+    not locked.
     """
 
     instance: Instance
@@ -504,6 +497,8 @@ class SolverHandle:
 
     def solve(self, weights: WeightVector) -> SolveAnswer:
         self._calls += 1
+        if len(weights) != self.instance.p:
+            raise ContractViolation("weight vector dimension differs from p")
         return self.kernel(weights)
 
 

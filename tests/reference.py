@@ -4,8 +4,10 @@ Nothing in the package calls these.  Each one does its job the obvious way,
 in ``Fraction`` and without the package's shortcuts: the solvers scalarize
 every image instead of comparing cleared-denominator ints, the front and
 certificate references compare every solution with every other one, and
-``exponent_cap_by_walk`` multiplies by the step one power at a time.  The
-references skip argument checks; the package's entry points make those.
+``exponent_cap_by_walk`` multiplies by the step one power at a time, and
+``support_certificate_biobjective`` decides p = 2 supportedness by slope
+intervals instead of the package's LP.  The references skip argument
+checks; the package's entry points make those.
 """
 
 import heapq
@@ -22,12 +24,13 @@ from wsapprox import (
     GuaranteeFamily,
     SolveAnswer,
     SolverHandle,
+    SupportCertificate,
     WeightVector,
     as_rational,
     covers,
     dominates,
 )
-from wsapprox.oracles import _support_certificate_biobjective, _support_certificate_lp
+from wsapprox.oracles import _support_certificate_lp
 from wsapprox.solvers import (
     DisconnectedGraph,
     UnreachableTarget,
@@ -241,10 +244,56 @@ def pairwise_front(inst: ExplicitInstance) -> frozenset:
     )
 
 
-def unpruned_certificates(inst: ExplicitInstance) -> dict:
+def support_certificate_biobjective(image, competitors, direction):
+    """Slope-interval intersection for p = 2.
+
+    Competitors must be distinct from ``image``.  Weights scale to
+    (gamma, 1); each competitor contributes a lower or an upper bound on
+    gamma (or an unconditional verdict when the first objectives tie).  The
+    image is supported iff the closed interval meets gamma > 0, and strictly
+    supported iff the open interval does, in which case an interior gamma
+    makes it the unique optimum among distinct images.
+    """
+    lower = None
+    upper = None
+    for other in competitors:
+        if direction is Direction.MIN:
+            d1, d2 = image[0] - other[0], image[1] - other[1]
+        else:
+            d1, d2 = other[0] - image[0], other[1] - image[1]
+        if d1 == 0:
+            # Distinct images tie in the first objective: the second decides
+            # for every gamma at once.
+            if d2 > 0:
+                return None
+            continue
+        bound = -d2 / d1
+        if d1 > 0:
+            upper = bound if upper is None else min(upper, bound)
+        else:
+            lower = bound if lower is None else max(lower, bound)
+    floor = lower if lower is not None and lower > 0 else Fraction(0)
+    if upper is None:
+        gamma = floor + 1
+        weak = False
+    elif upper <= 0 or (lower is not None and lower > upper):
+        return None
+    elif floor < upper:
+        gamma = (floor + upper) / 2  # interior point: unique optimum
+        weak = False
+    else:
+        gamma = upper  # single feasible gamma, optimal only with a tie
+        weak = True
+    if gamma >= 1:
+        weight = WeightVector.of(gamma, 1)
+    else:
+        weight = WeightVector.of(1, 1 / gamma)
+    return SupportCertificate(weight, weak=weak)
+
+
+def unpruned_certificates(inst: ExplicitInstance, certify=_support_certificate_lp) -> dict:
     """Reference certificates: every distinct image, dominated ones included,
-    certified against every other image."""
-    certify = _support_certificate_biobjective if inst.p == 2 else _support_certificate_lp
+    certified by ``certify`` against every other image."""
     by_image = {}
     for s in inst.solutions:
         if s.image.values not in by_image:

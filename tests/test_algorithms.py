@@ -139,10 +139,26 @@ class TestGridWeights:
             plan_grid(bounds, 1, 1, 3)
 
     def test_oversized_grid_refused(self):
-        # p = 4 on [1, 1000] at eps = 1/100: u_j = 2766, about 8.5e10 weights.
+        # p = 4 on [1, 1000] at eps = 1/3: u_j = 86, about 2.6e6 weights.
         bounds = Bounds.of((1, 1, 1, 1), (1000, 1000, 1000, 1000))
         with pytest.raises(ContractViolation, match="exceeds the limit"):
-            plan_grid(bounds, F(1, 100), 1, 4)
+            plan_grid(bounds, F(1, 3), 1, 4)
+
+    def test_digit_blow_up_refused_before_any_power(self, three_points, monkeypatch):
+        # On [1, 1000] at eps = 1/300, u = 4148 and step**u has 11,527 digits.
+        def no_cap(*args):
+            raise AssertionError("exponent_cap reached")
+
+        monkeypatch.setattr(algorithms, "exponent_cap", no_cap)
+        bounds = Bounds.of((1, 1), (1000, 1000))
+        with pytest.raises(ContractViolation, match="digits"):
+            plan_grid(bounds, F(1, 300), 1, 2)
+        with pytest.raises(ContractViolation, match="digits"):
+            approximate_biobjective(exact_solver(three_points), bounds, F(1, 300))
+        # A limit of 0 means none: nothing is refused.
+        monkeypatch.setattr(algorithms.sys, "get_int_max_str_digits", lambda: 0)
+        with pytest.raises(AssertionError, match="exponent_cap reached"):
+            plan_grid(bounds, F(1, 300), 1, 2)
 
     def test_grid_limit_is_inclusive(self, three_points, monkeypatch):
         bounds = compute_bounds(three_points)  # the worked example: 7 weights

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -19,6 +20,8 @@ THREE_POINTS = {
         {"id": "c", "f": ["8", "1"]},
     ],
 }
+
+LIMIT = sys.get_int_max_str_digits()  # digits int() converts; 0 means no limit
 
 # A valid biobjective grid report with one cell, for export-plot and verify.
 CELL = {"weight_index": 0, "level": 0, "id": "a", "lower": ["1", "1"], "upper": ["2", "2"]}
@@ -148,7 +151,7 @@ class TestApproximateCommand:
         assert code == 2
 
     def test_oversized_grid_exits_2_before_writing(self, tmp_path, capsys):
-        # p = 4 spanning [1, 1000] at eps = 1/100 would plan about 8.5e10 weights.
+        # p = 4 spanning [1, 1000] at eps = 1/3 would plan about 2.6e6 weights.
         wide = {
             "kind": "explicit",
             "direction": "min",
@@ -162,10 +165,44 @@ class TestApproximateCommand:
         inst.write_text(json.dumps(wide))
         out = tmp_path / "report.json"
         argv = ["approximate", "--algorithm", "grid", "--instance", str(inst)]
-        code = main(argv + ["--epsilon", "1/100", "--out", str(out)])
+        code = main(argv + ["--epsilon", "1/3", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: grid of ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "algorithm,eps,extra",
+        [
+            ("grid", "1/300", []),
+            ("bisect", "1/300", []),
+            ("ptas", "1/300", ["--tau", "1/1000", "--solver", "adversarial"]),
+            ("grid", "1/10000000", []),
+            ("bisect", "1/10000000", []),
+            ("ptas", "1/10000000", ["--tau", "1/100000000", "--solver", "adversarial"]),
+        ],
+    )
+    def test_digit_blow_up_exits_2_before_writing(
+        self, tmp_path, capsys, algorithm, eps, extra
+    ):
+        # At eps = 1/300 a report value would have about 6850 digits, past the
+        # interpreter's 4300; at 1/10^7, u is about 1.4e8 and step**u alone
+        # would take hundreds of megabytes.
+        inst = tmp_path / "inst.json"
+        main(
+            ["generate", "random-explicit", "--p", "2", "--n", "10", "--low", "1",
+             "--high", "1000", "--seed", "3", "--out", str(inst)]
+        )
+        out = tmp_path / "report.json"
+        start = time.perf_counter()
+        code = main(
+            ["approximate", "--algorithm", algorithm, "--instance", str(inst),
+             "--epsilon", eps, *extra, "--out", str(out)]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: report values would have")
         assert not out.exists()
 
     def test_max_instance_exits_4(self, tmp_path):
@@ -479,6 +516,10 @@ class TestOracleCommand:
             ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "lower": [{"x": 1}, "1"]}]})),
             ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "upper": ["2", 2]}]})),
             ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "upper": ["2", "1/0"]}]})),
+            (
+                "export-plot",
+                json.dumps({**REPORT, "cells": [{**CELL, "lower": ["1", "1/" + "1" * (LIMIT + 1)]}]}),
+            ),
             ("verify", json.dumps({**REPORT, "solutions": ["s1"]})),
         ],
         ids=[
@@ -496,6 +537,7 @@ class TestOracleCommand:
             "plot-cell-object-in-lower",
             "plot-cell-number-in-upper",
             "plot-cell-zero-denominator",
+            "plot-cell-bound-over-digit-limit",
             "verify-report-solution-not-an-object",
         ],
     )
@@ -663,6 +705,15 @@ class TestExportPlot:
             ]
         )
         assert main(["export-plot", "--from-report", str(report), "--out-dir", str(tmp_path / "x")]) == 2
+
+    def test_cell_bound_at_the_digit_limit_is_exported(self, tmp_path):
+        bound = "-" + "0" + "9" * (LIMIT - 1)  # sign excluded, leading zero counted
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({**REPORT, "cells": [{**CELL, "lower": ["1", bound]}]}))
+        out_dir = tmp_path / "plots"
+        assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 0
+        row = (out_dir / "cells.csv").read_text().strip().splitlines()[1]
+        assert row.split(",")[5] == bound
 
     def test_empty_solution_set_writes_header_only(self, tmp_path):
         report = tmp_path / "report.json"

@@ -24,11 +24,7 @@ from wsapprox import (
     verify_max_impossibility,
 )
 from wsapprox import oracles
-from wsapprox.oracles import (
-    _simplex_max,
-    _support_certificate_biobjective,
-    _support_certificate_lp,
-)
+from wsapprox.oracles import _simplex_max, _support_certificate_lp
 
 from conftest import (
     any_instances,
@@ -37,7 +33,12 @@ from conftest import (
     rationals,
     with_front_midpoint,
 )
-from reference import pairwise_front, solve_explicit_exact, unpruned_certificates
+from reference import (
+    pairwise_front,
+    solve_explicit_exact,
+    support_certificate_biobjective,
+    unpruned_certificates,
+)
 
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
@@ -145,25 +146,25 @@ class TestSupportedSet:
         for cert in support_certificates(gen_tightness_min(3, 6)).values():
             assert all(w >= 1 for w in cert.weight)
 
-    @given(explicit_instances(p=2, max_n=7, low=1, high=5))
-    @settings(max_examples=60, deadline=None)
-    def test_biobjective_interval_agrees_with_lp(self, inst):
+    @staticmethod
+    def _assert_lp_matches_slope_intervals(inst):
         for s in inst.solutions:
             competitors = [o.image for o in inst.solutions if o.image.values != s.image.values]
-            analytic = _support_certificate_biobjective(s.image, competitors, MIN)
-            lp = _support_certificate_lp(s.image, competitors, MIN)
+            analytic = support_certificate_biobjective(s.image, competitors, inst.direction)
+            lp = _support_certificate_lp(s.image, competitors, inst.direction)
             assert (analytic is None) == (lp is None)
             if analytic is not None:
                 assert analytic.weak == lp.weak
 
-    @given(explicit_instances(p=2, max_n=7, direction=MAX, low=1, high=5))
+    @given(with_front_midpoint(explicit_instances(p=2, max_n=7, low=1, high=5)))
+    @settings(max_examples=60, deadline=None)
+    def test_biobjective_interval_agrees_with_lp(self, inst):
+        self._assert_lp_matches_slope_intervals(inst)
+
+    @given(with_front_midpoint(explicit_instances(p=2, max_n=7, direction=MAX, low=1, high=5)))
     @settings(max_examples=40, deadline=None)
     def test_agreement_on_maximization(self, inst):
-        for s in inst.solutions:
-            competitors = [o.image for o in inst.solutions if o.image.values != s.image.values]
-            analytic = _support_certificate_biobjective(s.image, competitors, MAX)
-            lp = _support_certificate_lp(s.image, competitors, MAX)
-            assert (analytic is None) == (lp is None)
+        self._assert_lp_matches_slope_intervals(inst)
 
     @given(biobjective_instances, rationals(), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -171,7 +172,8 @@ class TestSupportedSet:
     @example(explicit(MAX, ("a", (1, 3)), ("b", (3, 1))), F(1), True)
     def test_lp_on_lifted_instance_matches_slope_intervals(self, inst, constant, midpoint):
         # A constant third objective adds the same amount to every weighted
-        # sum, so the p = 3 LP must reach the p = 2 slope-interval verdicts.
+        # sum, so the LP on the lifted p = 3 instance must reach the p = 2
+        # slope-interval verdicts.
         if midpoint:
             # The midpoint of two distinct lexicographic extremes is never
             # strictly supported and often weakly: weak certificates get common.
@@ -188,7 +190,7 @@ class TestSupportedSet:
                 for s in inst.solutions
             ),
         )
-        certs = support_certificates(inst)
+        certs = unpruned_certificates(inst, support_certificate_biobjective)
         lifted_certs = support_certificates(lifted)
         assert set(lifted_certs) == set(certs)
         assert {i for i, c in lifted_certs.items() if c.weak} == {
@@ -212,9 +214,6 @@ class TestSupportedSet:
         assert {i for i, c in certs.items() if c.weak} == {
             i for i, c in reference.items() if c.weak
         }
-        if inst.p == 2:
-            # The slope interval is the same set of weights either way.
-            assert certs == reference
 
     @given(any_instances)
     @settings(max_examples=100, deadline=None)
@@ -225,9 +224,8 @@ class TestSupportedSet:
             calls.append((image.values, [c.values for c in competitors]))
             return None
 
-        name = "_support_certificate_biobjective" if inst.p == 2 else "_support_certificate_lp"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracles, name, record)
+            patch.setattr(oracles, "_support_certificate_lp", record)
             support_certificates(inst)
         front = {inst.image_of(i).values for i in pairwise_front(inst)}
         assert sorted(image for image, _ in calls) == sorted(front)

@@ -8,7 +8,7 @@ belongs next to the tests that compare against it.
 import pytest
 
 import wsapprox
-from wsapprox import algorithms, core, solvers
+from wsapprox import algorithms, core, oracles, solvers
 
 MOVED = [
     (solvers, "solve_explicit_exact"),
@@ -20,6 +20,7 @@ MOVED = [
     (core.FactorVector, "le"),
     (core.Bounds, "contains"),
     (algorithms, "ptas_family"),
+    (oracles, "_support_certificate_biobjective"),
 ]
 
 
