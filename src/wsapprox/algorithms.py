@@ -52,6 +52,9 @@ MAXIMIZATION_REJECTION = (
 # Largest grid plan_grid builds; a larger one is refused before any entry is.
 MAX_GRID_CALLS = 10**6
 
+# Largest cell map, in estimated printed digits, that check_cell_map admits.
+MAX_CELL_DIGITS = 10**8
+
 
 def _log(x: Fraction) -> float:
     """Natural logarithm of a rational x >= 1, from its exact ints."""
@@ -87,24 +90,31 @@ def exponent_cap(low: Fraction, high: Fraction, step: Fraction) -> int:
     return u
 
 
-def _check_report_digits(bounds: Bounds, step: Fraction) -> None:
-    """Refuse a run whose report would print an int of more digits than
-    ``sys.get_int_max_str_digits()`` allows (0 means no limit).
+def _value_digits(bounds: Bounds, step: Fraction) -> float:
+    """Estimated digits of the longest int a report prints, from logarithms.
 
-    Decided from logarithms alone, before any power of the step is built.
     The longest printed rationals are the weights, cell corners and
     bisection gammas, l * step**k with k <= u + 1, and the answer values,
     which add such terms over the instance's values; so their ints have
     about (u + 1) * log10(step) digits plus those of the bounds.
     """
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        return
     u = max(_cap_estimate(hi / lo, step) for lo, hi in zip(bounds.lower, bounds.upper))
-    digits = (u + 1) * math.log10(step.numerator) + sum(
+    return (u + 1) * math.log10(step.numerator) + sum(
         math.log10(v.numerator) + math.log10(v.denominator)
         for v in bounds.lower + bounds.upper
     )
+
+
+def _check_report_digits(bounds: Bounds, step: Fraction) -> None:
+    """Refuse a run whose report would print an int of more digits than
+    ``sys.get_int_max_str_digits()`` allows (0 means no limit).
+
+    Decided from logarithms alone, before any power of the step is built.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    digits = _value_digits(bounds, step)
     if digits > limit:
         raise ContractViolation(
             f"report values would have about {digits:.0f} digits, over the limit of "
@@ -138,14 +148,11 @@ def expected_grid_calls(u: tuple[int, ...]) -> int:
     return math.prod(ul + 1 for ul in u) - math.prod(u)
 
 
-def plan_grid(
+def _grid_step(
     bounds: Bounds, epsilon: RationalLike, sigma: RationalLike, p: int
-) -> GridPlan:
-    """Enumerate the weight grid; deterministic order (k ascending, then
-    mixed-radix over the remaining exponents).  A grid of more than
-    MAX_GRID_CALLS weights, or one whose report values would pass the
-    interpreter's digit limit, raises ContractViolation before any weight
-    is built."""
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Checked (epsilon, sigma, step) of a grid, step = 1 + epsilon/(sigma*p);
+    a report past the interpreter's digit limit is refused here."""
     epsilon = as_rational(epsilon)
     sigma = as_rational(sigma)
     if epsilon <= 0:
@@ -154,9 +161,42 @@ def plan_grid(
         raise ContractViolation("sigma must be >= 1")
     if bounds.p != p:
         raise ContractViolation("bounds dimension differs from p")
-    eps_prime = epsilon / (sigma * p)
-    step = 1 + eps_prime
+    step = 1 + epsilon / (sigma * p)
     _check_report_digits(bounds, step)
+    return epsilon, sigma, step
+
+
+def check_cell_map(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> None:
+    """Refuse, before any solve, a grid whose cell map would print more than
+    MAX_CELL_DIGITS digits (ContractViolation).
+
+    Every exponent point of prod [0, u_j] lies on exactly one weight's
+    diagonal, so the map has prod (u_j + 1) cells, each printing 2p values.
+    The count uses the caps' float estimates and each value the digit
+    estimate of ``_value_digits``, so no power of the step is built.
+    """
+    _, _, step = _grid_step(bounds, epsilon, sigma, bounds.p)
+    cells = math.prod(
+        _cap_estimate(hi / lo, step) + 1 for lo, hi in zip(bounds.lower, bounds.upper)
+    )
+    digits = cells * 2 * bounds.p * _value_digits(bounds, step)
+    if digits > MAX_CELL_DIGITS:
+        raise ContractViolation(
+            f"cell map of about {cells:.3g} cells would print about {digits:.3g} digits, "
+            f"over the limit of {MAX_CELL_DIGITS}; use a larger epsilon"
+        )
+
+
+def plan_grid(
+    bounds: Bounds, epsilon: RationalLike, sigma: RationalLike, p: int
+) -> GridPlan:
+    """Enumerate the weight grid; deterministic order (k ascending, then
+    mixed-radix over the remaining exponents).  A grid of more than
+    MAX_GRID_CALLS weights, or one whose report values would pass the
+    interpreter's digit limit, raises ContractViolation before any weight
+    is built."""
+    epsilon, sigma, step = _grid_step(bounds, epsilon, sigma, p)
+    eps_prime = step - 1
     u = tuple(exponent_cap(bounds.lower[j], bounds.upper[j], step) for j in range(p))
     calls = expected_grid_calls(u)
     if calls > MAX_GRID_CALLS:

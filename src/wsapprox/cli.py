@@ -11,10 +11,12 @@ directory, or naming a directory, is refused before any work; a grid of
 more than ``algorithms.MAX_GRID_CALLS`` weights before any weight is
 built; an ``approximate`` run whose report would print an int of more
 digits than ``sys.get_int_max_str_digits()`` before any power of the grid
-step is built or any solve is made), 3 unreadable or malformed input
-files (instances, solution lists and reports), 4 maximization instance
-passed to an algorithm, 5 graph enumeration guard exceeded, 6 internal
-error (any other exception; one ``error:`` line, no traceback).
+step is built or any solve is made; a ``--cells`` map of more than
+``algorithms.MAX_CELL_DIGITS`` estimated digits before any solve), 3
+unreadable or malformed input files (instances, solution lists and
+reports), 4 maximization instance passed to an algorithm, 5 graph
+enumeration guard exceeded, 6 internal error (any other exception; one
+``error:`` line, no traceback).
 All rationals cross this boundary as strings.
 """
 
@@ -35,6 +37,7 @@ from .algorithms import (
     approximate_biobjective,
     approximate_grid,
     approximate_with_ptas,
+    check_cell_map,
 )
 from .core import (
     ContractViolation,
@@ -236,6 +239,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
             if args.sigma != 1:
                 raise ContractViolation("--sigma above 1 needs --solver adversarial")
             solver = exact_solver(inst)
+        if args.cells:
+            check_cell_map(bounds, args.epsilon, solver.sigma)
         run = approximate_grid(solver, bounds, args.epsilon)
         report["sigma"] = format_rational(solver.sigma)
         report.update(_grid_report(run, args.cells))

@@ -11,12 +11,17 @@ competitor's constraint follows from the constraint of the front point
 that dominates it, so only distinct front images are certified, each
 against the other distinct front images.
 Approximation guarantees are checked target by target against the full
-feasible set.  These oracles are the independent side of every guarantee
+feasible set, in Python ints: each objective is cleared of denominators
+once per call (a MAX instance from its reciprocal images, whose MIN factors
+are the MAX factors), so ranking and coverage are exact int comparisons,
+and one Fraction factor vector is built per target, for the candidate that
+the report names.  These oracles are the independent side of every guarantee
 test, so none of them share code with the approximation algorithms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -25,10 +30,10 @@ from .core import (
     ContractViolation,
     Direction,
     FactorVector,
+    FamilyKind,
     GuaranteeFamily,
     ObjectiveVector,
     WeightVector,
-    covers,
     dominates,
     factor_vector,
 )
@@ -228,8 +233,81 @@ class VerificationReport:
     violations: tuple[Violation, ...]
 
 
-def _beta_rank(beta: FactorVector, candidate_id: str):
-    return (beta.excess_sum(), beta.factors, candidate_id)
+def _cleared_images(inst: ExplicitInstance) -> dict[str, tuple[int, ...]]:
+    """Int image per id in which a candidate C approximates a target T with
+    factor max(1, C_j / T_j) in objective j, in either direction.
+
+    A MIN image is multiplied, objective by objective, by the lcm of that
+    objective's denominators.  A MAX factor T_j / C_j is the MIN factor of
+    the reciprocals 1/C_j over 1/T_j, so a MAX image is cleared the same way
+    from its reciprocals, numerators and denominators swapped.
+    """
+    maximize = inst.direction is Direction.MAX
+    pairs = {
+        s.id: [(v.denominator, v.numerator) if maximize else (v.numerator, v.denominator)
+               for v in s.image]
+        for s in inst.solutions
+    }
+    scale = [math.lcm(*(pair[j][1] for pair in pairs.values())) for j in range(inst.p)]
+    return {
+        sid: tuple(n * (scale[j] // d) for j, (n, d) in enumerate(pair))
+        for sid, pair in pairs.items()
+    }
+
+
+def _covers_cleared(
+    clipped: tuple[int, ...],
+    target: tuple[int, ...],
+    excess: int,
+    product: int,
+    family: GuaranteeFamily,
+) -> bool:
+    """``core.covers`` of beta_j = clipped_j / target_j, whose excess sum is
+    excess / product, decided by cross-multiplying ints with sigma and the
+    bound."""
+    n, d = family.bound.numerator, family.bound.denominator
+    if family.kind is FamilyKind.MULTI_FACTOR:
+        a, b = family.sigma.numerator, family.sigma.denominator
+        return d * excess <= n * product and any(
+            b * c <= a * t for c, t in zip(clipped, target)
+        )
+    if family.kind is FamilyKind.UNIFORM:
+        return all(d * c <= n * t for c, t in zip(clipped, target))
+    (c1, c2), (t1, t2) = clipped, target
+    return (c1 == t1 and d * c2 <= n * t2) or (c2 == t2 and d * c1 <= n * t1)
+
+
+def _best_candidate(
+    target: tuple[int, ...], candidates: dict[tuple[int, ...], str], family: GuaranteeFamily
+) -> tuple[Optional[str], bool]:
+    """Best-ranked covering candidate id, else best-ranked id, and whether it
+    covers; (None, False) without candidates.
+
+    With P the product of the target's components, beta_j = max(C_j, T_j) / T_j
+    has the excess sum E / P, E = sum of C_j * (P / T_j) over C_j > T_j, so
+    the rank (excess sum, beta, id) orders as the int triple
+    (E, max(C, T), id).
+    """
+    product = math.prod(target)
+    shares = [product // t for t in target]
+    best: Optional[tuple] = None
+    best_cover: Optional[tuple] = None
+    for image, cid in candidates.items():
+        clipped = tuple(map(max, image, target))
+        excess = 0
+        for c, t, q in zip(image, target, shares):
+            if c > t:
+                excess += c * q
+        rank = (excess, clipped, cid)
+        if best is None or rank < best:
+            best = rank
+        if (best_cover is None or rank < best_cover) and _covers_cleared(
+            clipped, target, excess, product, family
+        ):
+            best_cover = rank
+    if best_cover is not None:
+        return best_cover[2], True
+    return (best[2] if best is not None else None), False
 
 
 def verify_approximation(
@@ -241,6 +319,14 @@ def verify_approximation(
     factor vector, id); the witness is the best-ranked covering candidate,
     and violations report the best-ranked factor vector overall so failures
     stay diagnosable.
+
+    Ranking and coverage run on int images (``_cleared_images``): each
+    objective is cleared of denominators once per call, and a MAX instance
+    is cleared from its reciprocal images, so both directions share this one
+    path.  Only the smallest id of each distinct candidate image is scored,
+    since it wins every tie with the others, and each distinct target image
+    is scored once.  The one Fraction ``factor_vector`` per target is built
+    for the reported candidate alone.
     """
     ids = sorted(set(solution_ids))
     known = set(inst.ids())
@@ -249,25 +335,27 @@ def verify_approximation(
         raise ContractViolation(f"solution ids not in instance: {unknown}")
     if family.p != inst.p:
         raise ContractViolation("family dimension differs from instance")
-    candidates = [(i, inst.image_of(i)) for i in ids]
+    images = _cleared_images(inst)
+    candidates: dict[tuple[int, ...], str] = {}
+    for cid in ids:
+        candidates.setdefault(images[cid], cid)
+    originals = {cid: inst.image_of(cid) for cid in candidates.values()}
+    verdicts: dict[tuple[int, ...], tuple[Optional[str], bool]] = {}
     witnesses: list[Witness] = []
     violations: list[Violation] = []
     for target in inst.solutions:
-        best_cover = None
-        best_any = None
-        for cid, cimage in candidates:
-            beta = factor_vector(cimage, target.image, inst.direction)
-            rank = _beta_rank(beta, cid)
-            if best_any is None or rank < best_any[0]:
-                best_any = (rank, cid, beta)
-            if covers(beta, family) and (best_cover is None or rank < best_cover[0]):
-                best_cover = (rank, cid, beta)
-        if best_cover is not None:
-            witnesses.append(Witness(target.id, best_cover[1], best_cover[2]))
-        elif best_any is not None:
-            violations.append(Violation(target.id, best_any[1], best_any[2]))
-        else:
+        image = images[target.id]
+        if image not in verdicts:
+            verdicts[image] = _best_candidate(image, candidates, family)
+        cid, covered = verdicts[image]
+        if cid is None:
             violations.append(Violation(target.id, None, None))
+            continue
+        beta = factor_vector(originals[cid], target.image, inst.direction)
+        if covered:
+            witnesses.append(Witness(target.id, cid, beta))
+        else:
+            violations.append(Violation(target.id, cid, beta))
     return VerificationReport(
         family, ok=not violations, witnesses=tuple(witnesses), violations=tuple(violations)
     )

@@ -6,7 +6,9 @@ every image instead of comparing cleared-denominator ints, the front and
 certificate references compare every solution with every other one, and
 ``exponent_cap_by_walk`` multiplies by the step one power at a time, and
 ``support_certificate_biobjective`` decides p = 2 supportedness by slope
-intervals instead of the package's LP.  The references skip argument
+intervals instead of the package's LP, and ``verify_by_fractions`` builds a
+Fraction factor vector for every target-candidate pair instead of ranking
+cleared-denominator ints.  The references skip argument
 checks; the package's entry points make those.
 """
 
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 from wsapprox import (
     Bounds,
+    ContractViolation,
     Direction,
     ExplicitInstance,
     FactorVector,
@@ -25,12 +28,14 @@ from wsapprox import (
     SolveAnswer,
     SolverHandle,
     SupportCertificate,
+    VerificationReport,
     WeightVector,
     as_rational,
     covers,
     dominates,
+    factor_vector,
 )
-from wsapprox.oracles import _support_certificate_lp
+from wsapprox.oracles import Violation, Witness, _support_certificate_lp
 from wsapprox.solvers import (
     DisconnectedGraph,
     UnreachableTarget,
@@ -304,3 +309,46 @@ def unpruned_certificates(inst: ExplicitInstance, certify=_support_certificate_l
         for s in inst.solutions
         if by_image[s.image.values] is not None
     }
+
+
+def _beta_rank(beta: FactorVector, candidate_id: str):
+    return (beta.excess_sum(), beta.factors, candidate_id)
+
+
+def verify_by_fractions(solution_ids, inst: ExplicitInstance, family: GuaranteeFamily):
+    """Check that the given solutions cover every feasible point of ``inst``.
+
+    Per target, candidates are ranked by (excess factor sum, lexicographic
+    factor vector, id); the witness is the best-ranked covering candidate,
+    and violations report the best-ranked factor vector overall so failures
+    stay diagnosable.
+    """
+    ids = sorted(set(solution_ids))
+    known = set(inst.ids())
+    unknown = [i for i in ids if i not in known]
+    if unknown:
+        raise ContractViolation(f"solution ids not in instance: {unknown}")
+    if family.p != inst.p:
+        raise ContractViolation("family dimension differs from instance")
+    candidates = [(i, inst.image_of(i)) for i in ids]
+    witnesses: list[Witness] = []
+    violations: list[Violation] = []
+    for target in inst.solutions:
+        best_cover = None
+        best_any = None
+        for cid, cimage in candidates:
+            beta = factor_vector(cimage, target.image, inst.direction)
+            rank = _beta_rank(beta, cid)
+            if best_any is None or rank < best_any[0]:
+                best_any = (rank, cid, beta)
+            if covers(beta, family) and (best_cover is None or rank < best_cover[0]):
+                best_cover = (rank, cid, beta)
+        if best_cover is not None:
+            witnesses.append(Witness(target.id, best_cover[1], best_cover[2]))
+        elif best_any is not None:
+            violations.append(Violation(target.id, best_any[1], best_any[2]))
+        else:
+            violations.append(Violation(target.id, None, None))
+    return VerificationReport(
+        family, ok=not violations, witnesses=tuple(witnesses), violations=tuple(violations)
+    )

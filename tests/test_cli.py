@@ -205,6 +205,28 @@ class TestApproximateCommand:
         assert len(err) == 1 and err[0].startswith("error: report values would have")
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["1/50", "1/100"])
+    def test_cell_map_blow_up_exits_2_before_writing(self, tmp_path, capsys, eps):
+        # The cell map alone would print about 2.8e8 digits at 1/50 (a 214 MB
+        # report) and 2.5e9 at 1/100, whose run took minutes; every value is
+        # under the interpreter's digit limit, so only the cell guard refuses.
+        inst = tmp_path / "inst.json"
+        main(
+            ["generate", "random-explicit", "--p", "2", "--n", "10", "--low", "1",
+             "--high", "1000", "--seed", "3", "--out", str(inst)]
+        )
+        out = tmp_path / "report.json"
+        start = time.perf_counter()
+        code = main(
+            ["approximate", "--algorithm", "grid", "--instance", str(inst),
+             "--epsilon", eps, "--cells", "--out", str(out)]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cell map of about ")
+        assert not out.exists()
+
     def test_max_instance_exits_4(self, tmp_path):
         max_file = tmp_path / "max.json"
         assert main(["generate", "max-counterexample", "--p", "2", "--M", "100", "--out", str(max_file)]) == 0

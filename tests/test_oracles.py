@@ -38,6 +38,7 @@ from reference import (
     solve_explicit_exact,
     support_certificate_biobjective,
     unpruned_certificates,
+    verify_by_fractions,
 )
 
 MIN, MAX = Direction.MIN, Direction.MAX
@@ -51,6 +52,33 @@ biobjective_instances = st.sampled_from([MIN, MAX]).flatmap(
         clustered_instances(p=2, direction=d),
     )
 )
+
+
+SIGMAS = st.sampled_from([F(1), F(3, 2)])
+EPSILONS = st.sampled_from([F(1, 10), F(1), F(4)])
+
+
+def families(p):
+    """Every family kind at sigma 1 and 3/2, with passing bounds sigma*p + eps
+    and raw deficit bounds that leave targets uncovered."""
+    deficits = st.sampled_from([F(1), F(3, 2), p - F(1, 2), F(p)])
+    kinds = [
+        st.builds(GuaranteeFamily.multi_factor, SIGMAS, EPSILONS, st.just(p)),
+        st.builds(GuaranteeFamily.multi_factor_raw, SIGMAS, deficits, st.just(p)),
+        st.builds(GuaranteeFamily.uniform, SIGMAS, EPSILONS, st.just(p)),
+        st.builds(GuaranteeFamily.uniform_raw, deficits, st.just(p)),
+    ]
+    if p == 2:
+        kinds.append(st.builds(GuaranteeFamily.disjunctive_biobjective, EPSILONS))
+    return st.sampled_from(kinds).flatmap(lambda kind: kind)
+
+
+@st.composite
+def verification_cases(draw, min_ids=1):
+    """(instance, solution ids, family) with at least ``min_ids`` ids."""
+    inst = draw(with_front_midpoint(any_instances))
+    ids = draw(st.lists(st.sampled_from(inst.ids()), min_size=min_ids, unique=True))
+    return inst, ids, draw(families(inst.p))
 
 
 def explicit(direction, *pairs):
@@ -310,6 +338,42 @@ class TestVerifyApproximation:
         )
         if multi.ok:
             assert uniform.ok
+
+    @given(verification_cases())
+    @settings(max_examples=300, deadline=None)
+    @example(  # duplicate MAX images: the smaller id reports them
+        (
+            explicit(MAX, ("a", (F(1, 3), 7)), ("b", (F(1, 3), 7)), ("c", (5, F(2, 5)))),
+            ["b", "a", "c"],
+            GuaranteeFamily.multi_factor_raw(F(3, 2), F(3, 2), 2),
+        )
+    )
+    @example(  # excess sum 4 within the bound 6, but no factor <= sigma
+        (
+            explicit(MIN, ("a", (2, 2)), ("b", (1, 1))),
+            ["a"],
+            GuaranteeFamily.multi_factor(1, 4, 2),
+        )
+    )
+    def test_integer_ranking_matches_fraction_reference(self, case):
+        inst, ids, family = case
+        assert verify_approximation(ids, inst, family) == verify_by_fractions(ids, inst, family)
+
+    @given(verification_cases(min_ids=0))
+    @settings(max_examples=60, deadline=None)
+    def test_one_factor_vector_per_target_with_a_candidate(self, case):
+        inst, ids, family = case
+        targets = []
+        real = oracles.factor_vector
+
+        def record(candidate, target, direction):
+            targets.append(target)
+            return real(candidate, target, direction)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "factor_vector", record)
+            verify_approximation(ids, inst, family)
+        assert targets == ([s.image for s in inst.solutions] if ids else [])
 
     @pytest.mark.parametrize("p,eps", [(2, F(1, 2)), (2, F(1)), (3, F(1, 2)), (3, F(1))])
     def test_uniform_deficit_fails_for_large_m(self, p, eps):
