@@ -17,7 +17,6 @@ from .core import (
     WeightVector,
     approximates,
     as_rational,
-    covers,
     dominates,
     factor_vector,
     format_rational,

@@ -11,10 +11,10 @@ and the factors above 1 sum to at most sigma*p + eps.
 
 The biobjective variant assumes an exact solver and scales weights to
 (gamma, 1).  Instead of probing all u1+u2+1 grid weights it binary-searches
-the gamma ladder, pruning subranges whose endpoints already (1, 2+eps)- or
-(2+eps, 1)-approximate the midpoint.  The search tree is instrumented (node
-count, nodes with two children, height) so the tree-size bound can be
-asserted empirically.
+the gamma ladder, whose step is the grid's at sigma = 1 and p = 2, pruning
+subranges whose endpoints already (1, 2+eps)- or (2+eps, 1)-approximate the
+midpoint.  The search tree is instrumented (node count, nodes with two
+children, height) so the tree-size bound can be asserted empirically.
 
 Maximization instances are rejected outright: supported solutions cannot
 guarantee any bounded factor in more than one objective at once, so running
@@ -29,7 +29,6 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import (
     Bounds,
@@ -152,7 +151,10 @@ def _grid_step(
     bounds: Bounds, epsilon: RationalLike, sigma: RationalLike, p: int
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Checked (epsilon, sigma, step) of a grid, step = 1 + epsilon/(sigma*p);
-    a report past the interpreter's digit limit is refused here."""
+    a report past the interpreter's digit limit is refused here.
+
+    The grid calls it at its solver's sigma; the bisection walks the same
+    ladder at sigma = 1 and p = 2, step 1 + epsilon/2."""
     epsilon = as_rational(epsilon)
     sigma = as_rational(sigma)
     if epsilon <= 0:
@@ -351,16 +353,12 @@ def approximate_biobjective(
     already approximates the other.
     """
     _reject_max(solver)
-    epsilon = as_rational(epsilon)
-    if epsilon <= 0:
-        raise ContractViolation("epsilon must be positive")
     if solver.sigma != 1:
         raise ContractViolation("the bisection requires an exact (sigma = 1) solver")
     if solver.p != 2 or bounds.p != 2:
         raise ContractViolation("the bisection is biobjective only")
-    eps_prime = epsilon / 2
-    step = 1 + eps_prime
-    _check_report_digits(bounds, step)
+    epsilon, _, step = _grid_step(bounds, epsilon, 1, 2)
+    eps_prime = step - 1
     u1 = exponent_cap(bounds.lower[0], bounds.upper[0], step)
     u2 = exponent_cap(bounds.lower[1], bounds.upper[1], step)
     count = u1 + u2 + 1
@@ -443,22 +441,16 @@ def approximate_biobjective(
 
 
 def approximate_with_ptas(
-    solver_family: Callable[[Fraction], SolverHandle],
-    bounds: Bounds,
-    epsilon: RationalLike,
-    tau: RationalLike,
+    solver: SolverHandle, bounds: Bounds, epsilon: RationalLike
 ) -> GridRun:
-    """Drive the grid with a (1 + tau)-approximate solver and eps - tau*p.
+    """Drive the grid with the solver, whose sigma is 1 + tau, at eps - tau*p.
 
     The inner run's multi-factor family then has excess-sum bound
     (1 + tau)*p + (eps - tau*p) = p + eps, with some coordinate <= 1 + tau.
     """
     epsilon = as_rational(epsilon)
-    tau = as_rational(tau)
+    tau = solver.sigma - 1
     p = bounds.p
     if not 0 < tau < epsilon / p:
         raise ContractViolation("tau must satisfy 0 < tau < epsilon / p")
-    solver = solver_family(tau)
-    if solver.sigma != 1 + tau:
-        raise ContractViolation("solver family must return a (1 + tau)-approximate solver")
     return approximate_grid(solver, bounds, epsilon - tau * p)

@@ -12,7 +12,9 @@ more than ``algorithms.MAX_GRID_CALLS`` weights before any weight is
 built; an ``approximate`` run whose report would print an int of more
 digits than ``sys.get_int_max_str_digits()`` before any power of the grid
 step is built or any solve is made; a ``--cells`` map of more than
-``algorithms.MAX_CELL_DIGITS`` estimated digits before any solve), 3
+``algorithms.MAX_CELL_DIGITS`` estimated digits before any solve; a flag
+that the chosen algorithm would ignore, such as ``--tau`` outside ptas or
+``--sigma`` under ptas, before any solve), 3
 unreadable or malformed input files (instances, solution lists and
 reports), 4 maximization instance passed to an algorithm, 5 graph
 enumeration guard exceeded, 6 internal error (any other exception; one
@@ -217,6 +219,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         raise MaximizationUnsupported(MAXIMIZATION_REJECTION)
     if args.solver == "adversarial" and not isinstance(inst, ExplicitInstance):
         raise ContractViolation("the adversarial solver needs an explicit instance")
+    if args.tau is not None and args.algorithm != "ptas":
+        raise ContractViolation("--tau is a ptas flag")
     bounds = compute_bounds(inst)
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -257,14 +261,11 @@ def cmd_approximate(args: argparse.Namespace) -> int:
             raise ContractViolation("--tau is required for the ptas algorithm")
         if args.solver != "adversarial":
             raise ContractViolation("ptas runs against the adversarial solver")
+        if args.sigma != 1:
+            raise ContractViolation("ptas sets sigma to 1 + tau; drop --sigma")
         if args.cells:
             raise ContractViolation("--cells is a grid report feature")
-        run = approximate_with_ptas(
-            lambda tau: adversarial_solver(inst, 1 + tau),
-            bounds,
-            args.epsilon,
-            args.tau,
-        )
+        run = approximate_with_ptas(adversarial_solver(inst, 1 + args.tau), bounds, args.epsilon)
         report["sigma"] = format_rational(run.sigma)
         report["tau"] = format_rational(args.tau)
         report["inner_epsilon"] = format_rational(run.epsilon)

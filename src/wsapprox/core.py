@@ -339,30 +339,3 @@ def approximates(
     if direction is Direction.MIN:
         return all(c <= a * t for c, a, t in zip(candidate, alpha, target))
     return all(a * c >= t for c, a, t in zip(candidate, alpha, target))
-
-
-def covers(beta: FactorVector, family: GuaranteeFamily) -> bool:
-    """Decide whether some alpha in the family dominates ``beta`` componentwise.
-
-    Closed forms, each equivalent to the existence of a witness alpha in the
-    family with beta <= alpha (the tests construct one for every covered
-    beta):
-
-    * MULTI_FACTOR: some beta_i <= sigma and excess sum <= bound.
-    * UNIFORM: every component <= bound.
-    * DISJUNCTIVE_BIOBJECTIVE: one component equals 1, the other <= bound.
-
-    The one exception is a MULTI_FACTOR bound <= 1: its set is empty, since
-    a counted component of a member exceeds 1 on its own, yet the closed
-    form still accepts beta = (1, ..., 1).  That is the useful reading for
-    deficit-bound tightness checks.
-    """
-    if len(beta) != family.p:
-        raise ContractViolation("dimension mismatch")
-    if family.kind is FamilyKind.MULTI_FACTOR:
-        return any(b <= family.sigma for b in beta) and beta.excess_sum() <= family.bound
-    if family.kind is FamilyKind.UNIFORM:
-        return all(b <= family.bound for b in beta)
-    b1, b2 = beta
-    return (b1 == 1 and b2 <= family.bound) or (b2 == 1 and b1 <= family.bound)
-

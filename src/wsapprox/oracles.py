@@ -262,9 +262,18 @@ def _covers_cleared(
     product: int,
     family: GuaranteeFamily,
 ) -> bool:
-    """``core.covers`` of beta_j = clipped_j / target_j, whose excess sum is
-    excess / product, decided by cross-multiplying ints with sigma and the
-    bound."""
+    """Whether some alpha in the family dominates beta_j = clipped_j /
+    target_j, whose excess sum is excess / product, decided by
+    cross-multiplying ints with sigma and the bound.
+
+    The closed forms: MULTI_FACTOR, some beta_i <= sigma and excess sum <=
+    bound; UNIFORM, every component <= bound; DISJUNCTIVE_BIOBJECTIVE, one
+    component equals 1 and the other is <= bound.  The one exception is a
+    MULTI_FACTOR bound <= 1: its set is empty, since a counted component of
+    a member exceeds 1 on its own, yet the closed form still accepts
+    beta = (1, ..., 1).  That is the useful reading for deficit-bound
+    tightness checks.
+    """
     n, d = family.bound.numerator, family.bound.denominator
     if family.kind is FamilyKind.MULTI_FACTOR:
         a, b = family.sigma.numerator, family.sigma.denominator
@@ -365,10 +374,12 @@ def verify_max_impossibility(inst: ExplicitInstance) -> bool:
     """Check the maximization counterexample property on a generated instance.
 
     The instance must consist of p axis points (peak M, off-value 1/p) and
-    one constant center point at M/p.  Returns True iff every axis point
-    misses the center by more than factor M-1 in all coordinates other than
-    its own peak, i.e. no supported solution achieves a factor below M in
-    p-1 of the objectives simultaneously.
+    one constant center point at M/p; any other shape raises
+    ContractViolation.  Returns True iff ``support_certificates`` certifies
+    every axis point and not the center, and every axis point misses the
+    center by a factor above M-1 in all coordinates other than its own peak,
+    i.e. no supported solution achieves a factor below M in p-1 of the
+    objectives simultaneously.
     """
     if inst.direction is not Direction.MAX:
         raise ContractViolation("expected a maximization instance")
@@ -382,22 +393,22 @@ def verify_max_impossibility(inst: ExplicitInstance) -> bool:
     axis = [s for s in inst.solutions if s.id != center.id]
     off = Fraction(1, p)
     big_m = p * center.image[0]
-    peaks = set()
+    peaks: dict[str, int] = {}
     for s in axis:
         peak_coords = [j for j in range(p) if s.image[j] == big_m]
         if len(peak_coords) != 1 or any(
             s.image[j] != off for j in range(p) if j != peak_coords[0]
         ):
             raise ContractViolation("axis point does not match the construction")
-        peaks.add(peak_coords[0])
-    if peaks != set(range(p)) or big_m <= 1:
+        peaks[s.id] = peak_coords[0]
+    if set(peaks.values()) != set(range(p)) or big_m <= 1:
         raise ContractViolation("axis peaks do not cover all coordinates")
-    threshold = big_m - 1
-    for s in axis:
-        peak = next(j for j in range(p) if s.image[j] == big_m)
-        for j in range(p):
-            if j == peak:
-                continue
-            if threshold * s.image[j] >= center.image[j]:
-                return False
-    return True
+    certified = support_certificates(inst)
+    if center.id in certified or any(s.id not in certified for s in axis):
+        return False
+    return all(
+        factor_vector(s.image, center.image, Direction.MAX)[j] > big_m - 1
+        for s in axis
+        for j in range(p)
+        if j != peaks[s.id]
+    )

@@ -1,19 +1,19 @@
 """Weighted-sum solver backends and the call-counting solver handle.
 
-Four backends realize the sigma-approximate weighted-sum contract: exact and
-adversarial argmin over an explicit list of solutions, Dijkstra over the
-scalarized arc costs of a digraph, and Kruskal over the scalarized edge
-costs of an undirected graph.  The adversarial backend returns the worst
-solution still admissible under the sigma contract, which makes guarantee
-tests maximally stressing.
+Three kernels realize the sigma-approximate weighted-sum contract: one over
+an explicit list of solutions, which returns the worst solution still
+admissible under sigma (the optimum at sigma = 1, so exactness is not a
+second path), Dijkstra over the scalarized arc costs of a digraph, and
+Kruskal over the scalarized edge costs of an undirected graph.  The
+adversarial choice at sigma > 1 makes guarantee tests maximally stressing.
 
-Tie-breaking is deterministic everywhere: explicit backends prefer the
+Tie-breaking is deterministic everywhere: the explicit kernel prefers the
 lexicographically smallest objective vector and then the smallest id, graph
-backends follow input arc order.  Runs are therefore reproducible and the
-exact backends always return solutions with nondominated images.
+kernels follow input arc order.  Runs are therefore reproducible and the
+exact handles always return solutions with nondominated images.
 
-Each backend exists once, as an integer kernel that ``exact_solver`` or
-``adversarial_solver`` builds into a handle.  When the handle is built,
+Each kernel exists once, on integers, and ``exact_solver`` or
+``adversarial_solver`` builds it into a handle.  When the handle is built,
 each objective column is multiplied by the LCM of its denominators, and
 each call multiplies the weights by the LCM of the denominators left after
 dividing out those column scales.  The column scales cancel against the
@@ -22,11 +22,11 @@ constant.  So every comparison of the resulting Python ints, including each
 tie and the adversarial bound, has the same outcome as the comparison of
 the ``Fraction`` sums.  Only the reported scalar is turned back into a
 ``Fraction``, once per answer.  The test suite keeps direct ``Fraction``
-versions of the four backends and checks every handle against them.
+versions of the exact and adversarial explicit solves and of both graph
+kernels, and checks every handle against them.
 
-The adversarial, shortest-path and spanning-tree backends are
-minimization-only; their handles refuse a maximization instance when they
-are built.
+Only exact explicit handles solve maximization instances; the adversarial
+and graph handles refuse one when they are built.
 """
 
 from __future__ import annotations
@@ -358,38 +358,32 @@ def _sorted_form(inst: ExplicitInstance) -> tuple[tuple[Solution, ...], _Integer
     return order, _IntegerForm(inst.p, [s.image for s in order])
 
 
-def _explicit_exact_kernel(inst: ExplicitInstance) -> Kernel:
-    """Optimal weighted-sum solution; ties go to the lexicographically
-    smallest objective vector, then the smallest id."""
-    order, form = _sorted_form(inst)
-    pick = min if inst.direction is Direction.MIN else max
+def _explicit_kernel(inst: ExplicitInstance, sigma: Fraction) -> Kernel:
+    """Worst solution whose weighted value still satisfies the sigma
+    contract, which at sigma = 1 is the optimum.
 
-    def solve(weights: WeightVector) -> SolveAnswer:
-        values, denom = form.values(weights)
-        best = pick(values)
-        chosen = order[values.index(best)]
-        return SolveAnswer(chosen.id, chosen.image, Fraction(best, denom))
-
-    return solve
-
-
-def _explicit_adversarial_kernel(inst: ExplicitInstance, sigma: Fraction) -> Kernel:
-    """Worst solution whose weighted value still satisfies the sigma contract.
-
-    Among all x with value <= sigma * opt the one with the largest value is
-    returned (ties as in the exact backend), so a downstream guarantee that
-    survives this backend survives any admissible sigma-approximation.
+    For MIN, among all x with value <= sigma * opt the one with the largest
+    value is returned, so a downstream guarantee that survives this kernel
+    survives any admissible sigma-approximation.  MAX is solved exactly
+    only: the largest value.  Ties go to the lexicographically smallest
+    objective vector, then the smallest id.
     """
     order, form = _sorted_form(inst)
+    maximize = inst.direction is Direction.MAX
 
     def solve(weights: WeightVector) -> SolveAnswer:
         values, denom = form.values(weights)
-        # With sigma = a/b, v is admissible iff b*v <= a*opt; as v is an
-        # int, that is v <= floor(a*opt / b).
-        cap = sigma.numerator * min(values) // sigma.denominator
-        worst = max(v for v in values if v <= cap)
-        chosen = order[values.index(worst)]
-        return SolveAnswer(chosen.id, chosen.image, Fraction(worst, denom))
+        if maximize:
+            value = max(values)
+        else:
+            # With sigma = a/b, v is admissible iff b*v <= a*opt; as v is an
+            # int, that is v <= floor(a*opt / b).  An exact solve has
+            # cap == opt and needs no second scan.
+            opt = min(values)
+            cap = sigma.numerator * opt // sigma.denominator
+            value = opt if cap == opt else max(v for v in values if v <= cap)
+        chosen = order[values.index(value)]
+        return SolveAnswer(chosen.id, chosen.image, Fraction(value, denom))
 
     return solve
 
@@ -503,13 +497,14 @@ class SolverHandle:
 
 
 def exact_solver(inst: Instance) -> SolverHandle:
-    """Exact (sigma = 1) solver handle with the backend picked per instance.
+    """Exact (sigma = 1) solver handle with the kernel picked per instance.
 
-    Explicit instances of either direction are solved; a maximization graph
-    instance is refused here, once, since both graph backends minimize.
+    Explicit instances of either direction get the explicit kernel at
+    sigma = 1; a maximization graph instance is refused here, once, since
+    both graph kernels minimize.
     """
     if isinstance(inst, ExplicitInstance):
-        kernel = _explicit_exact_kernel(inst)
+        kernel = _explicit_kernel(inst, Fraction(1))
     elif inst.direction is not Direction.MIN:
         raise ContractViolation(f"{inst.kind.value} backend is minimization-only")
     elif inst.kind is GraphKind.SHORTEST_PATH:
@@ -520,7 +515,8 @@ def exact_solver(inst: Instance) -> SolverHandle:
 
 
 def adversarial_solver(inst: ExplicitInstance, sigma: RationalLike) -> SolverHandle:
-    """Adversarial sigma-approximate handle (explicit minimization instances)."""
+    """The explicit kernel at ``sigma`` (explicit minimization instances):
+    each call returns the worst solution within sigma of the optimum."""
     if not isinstance(inst, ExplicitInstance):
         raise ContractViolation("adversarial backend requires an explicit instance")
     if inst.direction is not Direction.MIN:
@@ -528,4 +524,4 @@ def adversarial_solver(inst: ExplicitInstance, sigma: RationalLike) -> SolverHan
     sigma = as_rational(sigma)
     if sigma < 1:
         raise ContractViolation("sigma must be >= 1")
-    return SolverHandle(inst, sigma, _explicit_adversarial_kernel(inst, sigma))
+    return SolverHandle(inst, sigma, _explicit_kernel(inst, sigma))

@@ -8,7 +8,8 @@ certificate references compare every solution with every other one, and
 ``support_certificate_biobjective`` decides p = 2 supportedness by slope
 intervals instead of the package's LP, and ``verify_by_fractions`` builds a
 Fraction factor vector for every target-candidate pair instead of ranking
-cleared-denominator ints.  The references skip argument
+cleared-denominator ints, deciding each with ``covers`` on that Fraction
+vector.  The references skip argument
 checks; the package's entry points make those.
 """
 
@@ -31,7 +32,6 @@ from wsapprox import (
     VerificationReport,
     WeightVector,
     as_rational,
-    covers,
     dominates,
     factor_vector,
 )
@@ -156,6 +156,32 @@ def bounds_contain(bounds: Bounds, image) -> bool:
 def factor_le(a: FactorVector, b: FactorVector) -> bool:
     """a <= b componentwise."""
     return all(x <= y for x, y in zip(a.factors, b.factors))
+
+
+def covers(beta: FactorVector, family: GuaranteeFamily) -> bool:
+    """Decide whether some alpha in the family dominates ``beta`` componentwise.
+
+    Closed forms, each equivalent to the existence of a witness alpha in the
+    family with beta <= alpha (the tests construct one for every covered
+    beta):
+
+    * MULTI_FACTOR: some beta_i <= sigma and excess sum <= bound.
+    * UNIFORM: every component <= bound.
+    * DISJUNCTIVE_BIOBJECTIVE: one component equals 1, the other <= bound.
+
+    The one exception is a MULTI_FACTOR bound <= 1: its set is empty, since
+    a counted component of a member exceeds 1 on its own, yet the closed
+    form still accepts beta = (1, ..., 1).  That is the useful reading for
+    deficit-bound tightness checks.
+    """
+    if len(beta) != family.p:
+        raise ContractViolation("dimension mismatch")
+    if family.kind is FamilyKind.MULTI_FACTOR:
+        return any(b <= family.sigma for b in beta) and beta.excess_sum() <= family.bound
+    if family.kind is FamilyKind.UNIFORM:
+        return all(b <= family.bound for b in beta)
+    b1, b2 = beta
+    return (b1 == 1 and b2 <= family.bound) or (b2 == 1 and b1 <= family.bound)
 
 
 def family_contains(family: GuaranteeFamily, alpha: FactorVector) -> bool:

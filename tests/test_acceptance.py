@@ -310,9 +310,7 @@ def test_criterion_10_ptas_wrapper():
         for seed in range(15):
             inst = gen_random_explicit(2, 4 + seed, 1, 10, seed=10_000 + seed)
             bounds = compute_bounds(inst)
-            run = approximate_with_ptas(
-                lambda t: adversarial_solver(inst, 1 + t), bounds, epsilon, tau
-            )
+            run = approximate_with_ptas(adversarial_solver(inst, 1 + tau), bounds, epsilon)
             assert verify_approximation(run.result_ids(), inst, family).ok
             total += 1
     print(f"\ncriterion 10 PASS: {total} adversarial PTAS runs covered at sum bound p+eps")

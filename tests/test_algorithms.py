@@ -380,9 +380,7 @@ class TestPtasWrapper:
     def test_inner_run_parameters(self):
         inst = gen_random_explicit(2, 8, 1, 6, seed=21)
         bounds = compute_bounds(inst)
-        run = approximate_with_ptas(
-            lambda tau: adversarial_solver(inst, 1 + tau), bounds, 1, F(1, 4)
-        )
+        run = approximate_with_ptas(adversarial_solver(inst, 1 + F(1, 4)), bounds, 1)
         assert run.sigma == F(5, 4)
         assert run.epsilon == F(1, 2)
         assert run.eps_prime == F(1, 2) / (F(5, 4) * 2)
@@ -392,23 +390,19 @@ class TestPtasWrapper:
         bounds = compute_bounds(inst)
         for tau in (F(1, 2), F(0), F(2, 3)):
             with pytest.raises(ContractViolation):
-                approximate_with_ptas(
-                    lambda t: adversarial_solver(inst, 1 + t), bounds, 1, tau
-                )
+                approximate_with_ptas(adversarial_solver(inst, 1 + tau), bounds, 1)
 
     def test_solver_family_contract_enforced(self):
         inst = gen_random_explicit(2, 5, 1, 4, seed=2)
         bounds = compute_bounds(inst)
         with pytest.raises(ContractViolation):
-            approximate_with_ptas(lambda t: exact_solver(inst), bounds, 1, F(1, 4))
+            approximate_with_ptas(exact_solver(inst), bounds, 1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_adversarial_runs_stay_covered(self, seed):
         inst = gen_random_explicit(2, 10, 1, 8, seed=400 + seed)
         bounds = compute_bounds(inst)
-        run = approximate_with_ptas(
-            lambda tau: adversarial_solver(inst, 1 + tau), bounds, 1, F(1, 4)
-        )
+        run = approximate_with_ptas(adversarial_solver(inst, 1 + F(1, 4)), bounds, 1)
         assert verify_approximation(
             run.result_ids(), inst, ptas_family(2, 1, F(1, 4))
         ).ok

@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from wsapprox import cli
+from wsapprox import adversarial_solver, approximate_grid, cli, compute_bounds
 from wsapprox.cli import main
-from wsapprox.instances import canonical_dumps
+from wsapprox.instances import canonical_dumps, load_instance
 
 THREE_POINTS = {
     "schema_version": 1,
@@ -321,6 +321,147 @@ class TestApproximateCommand:
         assert code == 0
         report = read_json(out)
         assert all(s["id"].startswith("path:") for s in report["solutions"])
+
+
+APPROXIMATE_ARGV = ["approximate", "--instance", "{inst}", "--epsilon", "1", "--algorithm"]
+VERIFY_ARGV = ["verify", "--instance", "{inst}", "--solutions"]
+
+
+class TestRefusedFlagsAndInputs:
+    """Each refusal exits with its code and one ``error:`` line, and writes
+    no output."""
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (
+                ["approximate", "--instance", "{graph}", "--epsilon", "1", "--algorithm",
+                 "grid", "--solver", "adversarial", "--sigma", "3/2"],
+                2,
+                "the adversarial solver needs an explicit instance",
+            ),
+            (APPROXIMATE_ARGV + ["bisect", "--solver", "adversarial"], 2, "bisect requires"),
+            (APPROXIMATE_ARGV + ["bisect", "--cells"], 2, "--cells is a grid report feature"),
+            (
+                APPROXIMATE_ARGV + ["ptas", "--tau", "1/4", "--solver", "adversarial", "--cells"],
+                2,
+                "--cells is a grid report feature",
+            ),
+            (APPROXIMATE_ARGV + ["ptas", "--solver", "adversarial"], 2, "--tau is required"),
+            (APPROXIMATE_ARGV + ["ptas", "--tau", "1/4"], 2, "ptas runs against the adversarial"),
+            (
+                APPROXIMATE_ARGV + ["ptas", "--tau", "1/4", "--solver", "adversarial", "--sigma", "3"],
+                2,
+                "ptas sets sigma to 1 + tau",
+            ),
+            (APPROXIMATE_ARGV + ["grid", "--tau", "1/4"], 2, "--tau is a ptas flag"),
+            (
+                APPROXIMATE_ARGV + ["grid", "--tau", "1/4", "--solver", "adversarial", "--sigma", "3/2"],
+                2,
+                "--tau is a ptas flag",
+            ),
+            (APPROXIMATE_ARGV + ["bisect", "--tau", "1/4"], 2, "--tau is a ptas flag"),
+            (
+                VERIFY_ARGV + ["{no_ids}", "--family", "multifactor", "--epsilon", "1"],
+                3,
+                "solutions file must be a list of ids",
+            ),
+            (
+                VERIFY_ARGV + ["{int_ids}", "--family", "multifactor", "--epsilon", "1"],
+                3,
+                "solution ids must be strings",
+            ),
+            (
+                VERIFY_ARGV + ["{ids}", "--family", "disjunctive", "--sum-bound", "3"],
+                2,
+                "disjunctive verification needs --epsilon",
+            ),
+            (
+                ["oracle", "--instance", "{graph}", "--what", "max-impossibility"],
+                2,
+                "max-impossibility expects an explicit instance",
+            ),
+            (
+                ["export-plot", "--from-report", "{no_instance}", "--out-dir", "{plots}"],
+                3,
+                "report file lacks an embedded instance",
+            ),
+        ],
+        ids=[
+            "adversarial-on-graph",
+            "bisect-adversarial",
+            "bisect-cells",
+            "ptas-cells",
+            "ptas-without-tau",
+            "ptas-exact-solver",
+            "ptas-sigma",
+            "grid-tau",
+            "adversarial-grid-tau",
+            "bisect-tau",
+            "solutions-object-without-ids",
+            "non-string-ids",
+            "disjunctive-without-epsilon",
+            "max-impossibility-on-graph",
+            "export-plot-without-instance",
+        ],
+    )
+    def test_refusal(self, tmp_path, three_points_file, capsys, argv, code, message):
+        files = {
+            "inst": three_points_file,
+            "graph": tmp_path / "graph.json",
+            "ids": tmp_path / "ids.json",
+            "no_ids": tmp_path / "no-ids.json",
+            "int_ids": tmp_path / "int-ids.json",
+            "no_instance": tmp_path / "no-instance.json",
+            "plots": tmp_path / "plots",
+        }
+        main(["generate", "random-graph", "--nodes", "5", "--arcs", "8", "--p", "2", "--low",
+              "1", "--high", "4", "--seed", "3", "--kind", "shortest-path",
+              "--out", str(files["graph"])])
+        files["ids"].write_text('["a", "c"]')
+        files["no_ids"].write_text('{"solutions": ["a"]}')
+        files["int_ids"].write_text("[1, 2]")
+        files["no_instance"].write_text(json.dumps({"p": 2, "solutions": REPORT["solutions"]}))
+        out = tmp_path / "out.json"
+        argv = [arg.format(**files) for arg in argv]
+        if argv[0] != "export-plot":
+            argv += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out.exists() and not files["plots"].exists()
+
+    def test_uniform_sum_bound_verifies(self, three_points_file, tmp_path):
+        ids = tmp_path / "ids.json"
+        ids.write_text('["b"]')
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--instance", three_points_file, "--solutions", str(ids),
+                "--family", "uniform", "--sum-bound", "4", "--out", str(out)]
+        assert main(argv) == 0
+        report = read_json(out)
+        assert report["ok"] is True
+        assert report["family"] == {"variant": "uniform", "p": 2, "sigma": "1", "bound": "4"}
+        assert main(argv[:-2] + ["--sum-bound", "3/2"]) == 1
+
+    def test_adversarial_grid_matches_the_library(self, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        main(["generate", "random-explicit", "--p", "3", "--n", "30", "--low", "1", "--high",
+              "10", "--seed", "5", "--out", str(inst_path)])
+        out = tmp_path / "report.json"
+        code = main(["approximate", "--algorithm", "grid", "--instance", str(inst_path),
+                     "--epsilon", "1", "--sigma", "3/2", "--solver", "adversarial",
+                     "--out", str(out)])
+        assert code == 0
+        report = read_json(out)
+        inst = load_instance(str(inst_path))
+        run = approximate_grid(adversarial_solver(inst, "3/2"), compute_bounds(inst), 1)
+        assert report["sigma"] == "3/2"
+        assert report["ws_calls"] == run.ws_calls
+        assert [s["id"] for s in report["solutions"]] == sorted(run.result_ids())
+        assert [w["answer"]["id"] for w in report["weights"]] == [
+            a.solution_id for a in run.answers
+        ]
 
 
 class TestVerifyCommand:

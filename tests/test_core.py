@@ -13,7 +13,6 @@ from wsapprox import (
     ObjectiveVector,
     approximates,
     as_rational,
-    covers,
     dominates,
     factor_vector,
     format_rational,
@@ -21,7 +20,7 @@ from wsapprox import (
 )
 
 from conftest import objective_vectors, rationals
-from reference import factor_le, family_contains, multi_factor_witness
+from reference import covers, factor_le, family_contains, multi_factor_witness
 
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of

@@ -8,6 +8,7 @@ from wsapprox import (
     ContractViolation,
     Direction,
     ExplicitInstance,
+    FactorVector,
     GuaranteeFamily,
     ObjectiveVector,
     Solution,
@@ -404,3 +405,48 @@ class TestMaxImpossibility:
         inst = explicit(MAX, ("a", (2, 1)), ("b", (1, 2)), ("c", (3, 3)), ("d", (1, 1)))
         with pytest.raises(ContractViolation):
             verify_max_impossibility(inst)
+
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ((("a", (2, 2)), ("b", (1, 1)), ("c", (3, F(1, 2)))), "exactly one constant-image"),
+            ((("a", (2, F(1, 2))), ("b", (F(1, 2), 3)), ("c", (3, F(1, 2)))), "exactly one constant-image"),
+            ((("c", (1, 1)), ("x1", (2, F(1, 2))), ("x2", (F(1, 3), 2))), "axis point does not match"),
+            (
+                (
+                    ("c", (1, 1, 1)),
+                    ("x1", (3, 3, F(1, 3))),
+                    ("x2", (F(1, 3), 3, F(1, 3))),
+                    ("x3", (F(1, 3), F(1, 3), 3)),
+                ),
+                "axis point does not match",
+            ),
+            ((("c", (1, 1)), ("x1", (2, F(1, 2))), ("x2", (2, F(1, 2)))), "peaks do not cover"),
+            ((("c", (F(1, 2), F(1, 2))), ("x1", (1, F(1, 2))), ("x2", (F(1, 2), 1))), "peaks do not cover"),
+        ],
+        ids=["two-constant", "no-constant", "wrong-off-value", "two-peaks", "repeated-peak", "m-is-1"],
+    )
+    def test_shape_refusals(self, pairs, message):
+        with pytest.raises(ContractViolation, match=message):
+            verify_max_impossibility(explicit(MAX, *pairs))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_supported_center_is_not_a_counterexample(self, p, monkeypatch):
+        inst = gen_max_counterexample(p, 100)
+        real = oracles.support_certificates(inst)
+        assert "xtilde" not in real and len(real) == p
+        cert = next(iter(real.values()))
+        monkeypatch.setattr(
+            oracles, "support_certificates", lambda i: {s.id: cert for s in i.solutions}
+        )
+        assert verify_max_impossibility(inst) is False
+
+    def test_unsupported_axis_point_is_not_a_counterexample(self, monkeypatch):
+        inst = gen_max_counterexample(2, 100)
+        monkeypatch.setattr(oracles, "support_certificates", lambda i: {})
+        assert verify_max_impossibility(inst) is False
+
+    def test_miss_of_factor_m_minus_1_is_not_enough(self, monkeypatch):
+        inst = gen_max_counterexample(3, 100)
+        monkeypatch.setattr(oracles, "factor_vector", lambda c, t, d: FactorVector.of(99, 99, 99))
+        assert verify_max_impossibility(inst) is False

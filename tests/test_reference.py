@@ -16,6 +16,7 @@ MOVED = [
     (solvers, "solve_shortest_path"),
     (solvers, "solve_spanning_tree"),
     (core, "multi_factor_witness"),
+    (core, "covers"),
     (core.GuaranteeFamily, "contains"),
     (core.FactorVector, "le"),
     (core.Bounds, "contains"),
