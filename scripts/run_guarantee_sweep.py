@@ -64,7 +64,7 @@ def run_bisect_sweep(runs: int, seed: int) -> dict:
             2, rng.randint(1, 25), 1, rng.choice([F(5), F(20), F(50)]), seed=seed + index
         )
         run = approximate_biobjective(exact_solver(inst), compute_bounds(inst), epsilon)
-        family = GuaranteeFamily.disjunctive_biobjective(epsilon)
+        family = GuaranteeFamily.multi_factor(1, epsilon, 2)
         ok = verify_approximation(run.result_ids(), inst, family).ok
         stats["runs"] += 1
         stats["verified"] += int(ok)

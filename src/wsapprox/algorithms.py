@@ -13,12 +13,15 @@ The biobjective variant assumes an exact solver and scales weights to
 (gamma, 1).  Instead of probing all u1+u2+1 grid weights it binary-searches
 the gamma ladder, whose step is the grid's at sigma = 1 and p = 2, pruning
 subranges whose endpoints already (1, 2+eps)- or (2+eps, 1)-approximate the
-midpoint.  The search tree is instrumented (node count, nodes with two
-children, height) so the tree-size bound can be asserted empirically.
+midpoint.  Its output carries the grid's guarantee at sigma = 1 and p = 2,
+the pair {(1, 2+eps), (2+eps, 1)}, which is ``multi_factor(1, eps, 2)``.
+The search tree is instrumented (node count, nodes with two children,
+height) so the tree-size bound can be asserted empirically.
 
-Maximization instances are rejected outright: supported solutions cannot
-guarantee any bounded factor in more than one objective at once, so running
-the grid on a maximization problem would produce a set with no guarantee.
+Every algorithm takes a ``SolverHandle``, and a handle cannot be built on a
+maximization instance: supported solutions cannot guarantee any bounded
+factor in more than one objective at once, so a set with no guarantee is
+never produced.
 """
 
 from __future__ import annotations
@@ -35,18 +38,12 @@ from .core import (
     ContractViolation,
     Direction,
     FactorVector,
-    MaximizationUnsupported,
     RationalLike,
     WeightVector,
     approximates,
     as_rational,
 )
 from .solvers import SolveAnswer, Solution, SolverHandle
-
-MAXIMIZATION_REJECTION = (
-    "maximization instance rejected: supported solutions admit no bounded "
-    "weighted-sum approximation guarantee in more than one objective"
-)
 
 # Largest grid plan_grid builds; a larger one is refused before any entry is.
 MAX_GRID_CALLS = 10**6
@@ -278,11 +275,6 @@ class GridRun:
         return tuple(cells)
 
 
-def _reject_max(solver: SolverHandle) -> None:
-    if solver.direction is not Direction.MIN:
-        raise MaximizationUnsupported(MAXIMIZATION_REJECTION)
-
-
 def approximate_grid(
     solver: SolverHandle,
     bounds: Bounds,
@@ -294,7 +286,6 @@ def approximate_grid(
     plan order; ``answers[i]`` is the answer to ``plan.entries[i]`` and the
     result set is sorted by id.
     """
-    _reject_max(solver)
     plan = plan_grid(bounds, epsilon, solver.sigma, solver.p)
     before = solver.calls
     answers = [solver.solve(entry.weight) for entry in plan.entries]
@@ -352,7 +343,6 @@ def approximate_biobjective(
     by id); exploration of the interior stops early when one extreme
     already approximates the other.
     """
-    _reject_max(solver)
     if solver.sigma != 1:
         raise ContractViolation("the bisection requires an exact (sigma = 1) solver")
     if solver.p != 2 or bounds.p != 2:
@@ -387,8 +377,8 @@ def approximate_biobjective(
     # Both extremes always stay in the output: a feasible point whose grid
     # cell belongs to one extreme's weight may be covered by no other solve,
     # so dropping that extreme (even when the other approximates it) voids
-    # the disjunctive guarantee.  The approximation tests only decide
-    # whether the interior of the ladder needs exploring.
+    # the guarantee, multi_factor(1, epsilon, 2).  The approximation tests
+    # only decide whether the interior of the ladder needs exploring.
     picked[first.solution_id] = first
     picked.setdefault(last.solution_id, last)
     queue: deque[tuple[int, int, int]] = deque()

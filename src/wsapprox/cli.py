@@ -13,8 +13,10 @@ built; an ``approximate`` run whose report would print an int of more
 digits than ``sys.get_int_max_str_digits()`` before any power of the grid
 step is built or any solve is made; a ``--cells`` map of more than
 ``algorithms.MAX_CELL_DIGITS`` estimated digits before any solve; a flag
-that the chosen algorithm would ignore, such as ``--tau`` outside ptas or
-``--sigma`` under ptas, before any solve), 3
+that the chosen algorithm or family would ignore, such as ``--tau`` outside
+ptas, ``--sigma`` under ptas, or a ``--sigma`` other than 1 under ``verify
+--family disjunctive`` or ``--family uniform --sum-bound``, before any
+solve or graph enumeration), 3
 unreadable or malformed input files (instances, solution lists and
 reports), 4 maximization instance passed to an algorithm, 5 graph
 enumeration guard exceeded, 6 internal error (any other exception; one
@@ -33,7 +35,6 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from .algorithms import (
-    MAXIMIZATION_REJECTION,
     BiobjectiveRun,
     GridRun,
     approximate_biobjective,
@@ -42,6 +43,7 @@ from .algorithms import (
     check_cell_map,
 )
 from .core import (
+    MAXIMIZATION_REJECTION,
     ContractViolation,
     Direction,
     GuaranteeFamily,
@@ -307,10 +309,21 @@ def _as_explicit(inst, limit: int) -> ExplicitInstance:
 
 
 def _family_from_args(args: argparse.Namespace, p: int) -> GuaranteeFamily:
+    """The family that ``--family`` names.  ``disjunctive`` is the p = 2
+    spelling of the exact solver's guarantee {(1, 2+eps), (2+eps, 1)}, that
+    is ``multifactor --sigma 1``.  Where a family fixes sigma at 1, any other
+    ``--sigma`` is refused rather than dropped."""
     if args.family == "disjunctive":
         if args.epsilon is None:
             raise ContractViolation("disjunctive verification needs --epsilon")
-        return GuaranteeFamily.disjunctive_biobjective(args.epsilon)
+        if args.sum_bound is not None or args.sigma != 1:
+            raise ContractViolation(
+                "--family disjunctive fixes sigma at 1 and the bound at 2 + epsilon; "
+                "drop --sigma and --sum-bound"
+            )
+        if p != 2:
+            raise ContractViolation("--family disjunctive is biobjective only")
+        return GuaranteeFamily.multi_factor(1, args.epsilon, 2)
     if (args.epsilon is None) == (args.sum_bound is None):
         raise ContractViolation("give exactly one of --epsilon and --sum-bound")
     if args.family == "multifactor":
@@ -319,14 +332,16 @@ def _family_from_args(args: argparse.Namespace, p: int) -> GuaranteeFamily:
         return GuaranteeFamily.multi_factor_raw(args.sigma, args.sum_bound, p)
     if args.epsilon is not None:
         return GuaranteeFamily.uniform(args.sigma, args.epsilon, p)
+    if args.sigma != 1:
+        raise ContractViolation("--family uniform --sum-bound fixes sigma at 1; drop --sigma")
     return GuaranteeFamily.uniform_raw(args.sum_bound, p)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    inst = _as_explicit(load_instance(args.instance), args.limit)
+    inst = load_instance(args.instance)
+    family = _family_from_args(args, inst.p)  # flags refused before enumeration
     ids = _solution_ids(args)
-    family = _family_from_args(args, inst.p)
-    report = verify_approximation(ids, inst, family)
+    report = verify_approximation(ids, _as_explicit(inst, args.limit), family)
     _write_output(report_to_json(report), args.out)
     return EXIT_OK if report.ok else EXIT_VIOLATED
 

@@ -28,13 +28,20 @@ class ContractViolation(ValueError):
 
 
 class MaximizationUnsupported(ContractViolation):
-    """Raised when a maximization instance reaches an approximation algorithm.
+    """Raised when a solver handle is built on a maximization instance.
 
     Weighted-sum optima of a maximization problem can be worse than an
     unsupported solution by an arbitrarily large factor in all but one
-    objective, so no bounded guarantee exists and the algorithms refuse to
-    run instead of silently producing one.
+    objective, so no bounded guarantee exists.  Every algorithm runs through
+    a handle, and the handle refuses the instance, so no algorithm silently
+    produces a set without a guarantee.
     """
+
+
+MAXIMIZATION_REJECTION = (
+    "maximization instance rejected: supported solutions admit no bounded "
+    "weighted-sum approximation guarantee in more than one objective"
+)
 
 
 def check_rational_literal(text: str) -> str:
@@ -223,7 +230,6 @@ class FactorVector:
 class FamilyKind(Enum):
     MULTI_FACTOR = "multifactor"
     UNIFORM = "uniform"
-    DISJUNCTIVE_BIOBJECTIVE = "disjunctive"
 
 
 @dataclass(frozen=True)
@@ -238,8 +244,11 @@ class GuaranteeFamily:
       constructor admits any positive bound (used by tightness experiments,
       where the bound is a deficit such as p - epsilon).
     * UNIFORM: the single vector (bound, ..., bound).
-    * DISJUNCTIVE_BIOBJECTIVE: the pair {(1, bound), (bound, 1)} with
-      bound = 2 + epsilon; requires p = 2.
+
+    The biobjective guarantee of an exact solver, the pair
+    {(1, 2 + epsilon), (2 + epsilon, 1)}, is ``multi_factor(1, epsilon, 2)``:
+    at sigma = 1 one factor must equal 1, and the other carries the whole
+    excess sum.
     """
 
     kind: FamilyKind
@@ -256,8 +265,6 @@ class GuaranteeFamily:
             raise ContractViolation("sigma must be >= 1")
         if self.bound <= 0:
             raise ContractViolation("bound must be positive")
-        if self.kind is FamilyKind.DISJUNCTIVE_BIOBJECTIVE and self.p != 2:
-            raise ContractViolation("disjunctive families are biobjective only")
 
     @classmethod
     def multi_factor(
@@ -289,13 +296,6 @@ class GuaranteeFamily:
     @classmethod
     def uniform_raw(cls, bound: RationalLike, p: int) -> "GuaranteeFamily":
         return cls(FamilyKind.UNIFORM, p, Fraction(1), as_rational(bound))
-
-    @classmethod
-    def disjunctive_biobjective(cls, epsilon: RationalLike) -> "GuaranteeFamily":
-        epsilon = as_rational(epsilon)
-        if epsilon <= 0:
-            raise ContractViolation("epsilon must be positive")
-        return cls(FamilyKind.DISJUNCTIVE_BIOBJECTIVE, 2, Fraction(1), 2 + epsilon)
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector, direction: Direction) -> bool:

@@ -25,8 +25,9 @@ the ``Fraction`` sums.  Only the reported scalar is turned back into a
 versions of the exact and adversarial explicit solves and of both graph
 kernels, and checks every handle against them.
 
-Only exact explicit handles solve maximization instances; the adversarial
-and graph handles refuse one when they are built.
+Every kernel minimizes: a ``SolverHandle`` refuses a maximization instance
+with ``MaximizationUnsupported`` when it is built, since weighted sums carry
+no guarantee there.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
+    MAXIMIZATION_REJECTION,
     Bounds,
     ContractViolation,
     Direction,
+    MaximizationUnsupported,
     ObjectiveVector,
     RationalLike,
     WeightVector,
@@ -362,26 +365,21 @@ def _explicit_kernel(inst: ExplicitInstance, sigma: Fraction) -> Kernel:
     """Worst solution whose weighted value still satisfies the sigma
     contract, which at sigma = 1 is the optimum.
 
-    For MIN, among all x with value <= sigma * opt the one with the largest
-    value is returned, so a downstream guarantee that survives this kernel
-    survives any admissible sigma-approximation.  MAX is solved exactly
-    only: the largest value.  Ties go to the lexicographically smallest
-    objective vector, then the smallest id.
+    Among all x with value <= sigma * opt the one with the largest value is
+    returned, so a downstream guarantee that survives this kernel survives
+    any admissible sigma-approximation.  Ties go to the lexicographically
+    smallest objective vector, then the smallest id.
     """
     order, form = _sorted_form(inst)
-    maximize = inst.direction is Direction.MAX
 
     def solve(weights: WeightVector) -> SolveAnswer:
         values, denom = form.values(weights)
-        if maximize:
-            value = max(values)
-        else:
-            # With sigma = a/b, v is admissible iff b*v <= a*opt; as v is an
-            # int, that is v <= floor(a*opt / b).  An exact solve has
-            # cap == opt and needs no second scan.
-            opt = min(values)
-            cap = sigma.numerator * opt // sigma.denominator
-            value = opt if cap == opt else max(v for v in values if v <= cap)
+        # With sigma = a/b, v is admissible iff b*v <= a*opt; as v is an int,
+        # that is v <= floor(a*opt / b).  An exact solve has cap == opt and
+        # needs no second scan.
+        opt = min(values)
+        cap = sigma.numerator * opt // sigma.denominator
+        value = opt if cap == opt else max(v for v in values if v <= cap)
         chosen = order[values.index(value)]
         return SolveAnswer(chosen.id, chosen.image, Fraction(value, denom))
 
@@ -465,17 +463,23 @@ class SolverHandle:
     ``sigma`` is the contract bound the backend promises, not a measured
     quality.  ``kernel`` answers one weighted-sum problem; it is built once
     by ``exact_solver`` or ``adversarial_solver`` and shares no mutable
-    state between calls.  Every ``solve`` increments the counter by exactly
-    one, then checks the weight dimension for every kernel, so a kernel
-    only ever sees p weights.  A handle is used by one thread at a time:
-    the algorithms make their calls one after another, and the counter is
-    not locked.
+    state between calls.  A maximization instance is refused when the
+    handle is built (``MaximizationUnsupported``), so every kernel and every
+    algorithm downstream minimizes.  Every ``solve`` increments the counter
+    by exactly one, then checks the weight dimension for every kernel, so a
+    kernel only ever sees p weights.  A handle is used by one thread at a
+    time: the algorithms make their calls one after another, and the
+    counter is not locked.
     """
 
     instance: Instance
     sigma: Fraction
     kernel: Kernel = field(repr=False)
     _calls: int = 0
+
+    def __post_init__(self) -> None:
+        if self.instance.direction is not Direction.MIN:
+            raise MaximizationUnsupported(MAXIMIZATION_REJECTION)
 
     @property
     def calls(self) -> int:
@@ -485,10 +489,6 @@ class SolverHandle:
     def p(self) -> int:
         return self.instance.p
 
-    @property
-    def direction(self) -> Direction:
-        return self.instance.direction
-
     def solve(self, weights: WeightVector) -> SolveAnswer:
         self._calls += 1
         if len(weights) != self.instance.p:
@@ -497,16 +497,10 @@ class SolverHandle:
 
 
 def exact_solver(inst: Instance) -> SolverHandle:
-    """Exact (sigma = 1) solver handle with the kernel picked per instance.
-
-    Explicit instances of either direction get the explicit kernel at
-    sigma = 1; a maximization graph instance is refused here, once, since
-    both graph kernels minimize.
-    """
+    """Exact (sigma = 1) solver handle with the kernel picked per instance:
+    the explicit kernel at sigma = 1, Dijkstra or Kruskal."""
     if isinstance(inst, ExplicitInstance):
         kernel = _explicit_kernel(inst, Fraction(1))
-    elif inst.direction is not Direction.MIN:
-        raise ContractViolation(f"{inst.kind.value} backend is minimization-only")
     elif inst.kind is GraphKind.SHORTEST_PATH:
         kernel = _shortest_path_kernel(inst)
     else:
@@ -515,12 +509,10 @@ def exact_solver(inst: Instance) -> SolverHandle:
 
 
 def adversarial_solver(inst: ExplicitInstance, sigma: RationalLike) -> SolverHandle:
-    """The explicit kernel at ``sigma`` (explicit minimization instances):
-    each call returns the worst solution within sigma of the optimum."""
+    """The explicit kernel at ``sigma`` (explicit instances): each call
+    returns the worst solution within sigma of the optimum."""
     if not isinstance(inst, ExplicitInstance):
         raise ContractViolation("adversarial backend requires an explicit instance")
-    if inst.direction is not Direction.MIN:
-        raise ContractViolation("adversarial backend is minimization-only")
     sigma = as_rational(sigma)
     if sigma < 1:
         raise ContractViolation("sigma must be >= 1")

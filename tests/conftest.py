@@ -60,6 +60,15 @@ def clustered_instances(draw, p=2, direction=Direction.MIN, max_n=9):
     return ExplicitInstance(direction, p, solutions)
 
 
+# p = 2, both directions; half the instances are clustered.
+biobjective_instances = st.sampled_from(list(Direction)).flatmap(
+    lambda d: st.one_of(
+        explicit_instances(p=2, max_n=8, direction=d),
+        clustered_instances(p=2, direction=d),
+    )
+)
+
+
 # p = 2 and 3, both directions; half the instances are clustered.
 any_instances = st.tuples(st.sampled_from([2, 3]), st.sampled_from(list(Direction))).flatmap(
     lambda pd: st.one_of(

@@ -9,8 +9,9 @@ certificate references compare every solution with every other one, and
 intervals instead of the package's LP, and ``verify_by_fractions`` builds a
 Fraction factor vector for every target-candidate pair instead of ranking
 cleared-denominator ints, deciding each with ``covers`` on that Fraction
-vector.  The references skip argument
-checks; the package's entry points make those.
+vector, and ``covers_disjunctive`` spells out the pair {(1, b), (b, 1)}
+that the package decides as ``multi_factor(1, epsilon, 2)``.  The
+references skip argument checks; the package's entry points make those.
 """
 
 import heapq
@@ -167,7 +168,6 @@ def covers(beta: FactorVector, family: GuaranteeFamily) -> bool:
 
     * MULTI_FACTOR: some beta_i <= sigma and excess sum <= bound.
     * UNIFORM: every component <= bound.
-    * DISJUNCTIVE_BIOBJECTIVE: one component equals 1, the other <= bound.
 
     The one exception is a MULTI_FACTOR bound <= 1: its set is empty, since
     a counted component of a member exceeds 1 on its own, yet the closed
@@ -178,8 +178,17 @@ def covers(beta: FactorVector, family: GuaranteeFamily) -> bool:
         raise ContractViolation("dimension mismatch")
     if family.kind is FamilyKind.MULTI_FACTOR:
         return any(b <= family.sigma for b in beta) and beta.excess_sum() <= family.bound
-    if family.kind is FamilyKind.UNIFORM:
-        return all(b <= family.bound for b in beta)
+    return all(b <= family.bound for b in beta)
+
+
+def covers_disjunctive(beta: FactorVector, family: GuaranteeFamily) -> bool:
+    """The biobjective closed form: some alpha in {(1, b), (b, 1)}, with b
+    the family's bound, dominates ``beta``; one component equals 1 and the
+    other is <= b.
+
+    This is the family of ``multi_factor(1, epsilon, 2)`` written out, and
+    the reference its verdict is compared against.
+    """
     b1, b2 = beta
     return (b1 == 1 and b2 <= family.bound) or (b2 == 1 and b1 <= family.bound)
 
@@ -188,12 +197,7 @@ def family_contains(family: GuaranteeFamily, alpha: FactorVector) -> bool:
     """Exact membership of a factor vector in the family's set."""
     if family.kind is FamilyKind.MULTI_FACTOR:
         return any(a <= family.sigma for a in alpha) and alpha.excess_sum() == family.bound
-    if family.kind is FamilyKind.UNIFORM:
-        return all(a == family.bound for a in alpha)
-    return tuple(alpha) in (
-        (Fraction(1), family.bound),
-        (family.bound, Fraction(1)),
-    )
+    return all(a == family.bound for a in alpha)
 
 
 def multi_factor_witness(beta: FactorVector, family: GuaranteeFamily):
@@ -212,11 +216,6 @@ def multi_factor_witness(beta: FactorVector, family: GuaranteeFamily):
         return None
     if family.kind is FamilyKind.UNIFORM:
         return FactorVector(tuple(family.bound for _ in range(family.p)))
-    if family.kind is FamilyKind.DISJUNCTIVE_BIOBJECTIVE:
-        b1, b2 = beta
-        if b1 == 1 and b2 <= family.bound:
-            return FactorVector.of(1, family.bound)
-        return FactorVector.of(family.bound, 1)
     factors = list(beta.factors)
     deficit = family.bound - beta.excess_sum()
     big = [j for j, f in enumerate(factors) if f > 1]
@@ -341,13 +340,15 @@ def _beta_rank(beta: FactorVector, candidate_id: str):
     return (beta.excess_sum(), beta.factors, candidate_id)
 
 
-def verify_by_fractions(solution_ids, inst: ExplicitInstance, family: GuaranteeFamily):
+def verify_by_fractions(
+    solution_ids, inst: ExplicitInstance, family: GuaranteeFamily, decide=covers
+):
     """Check that the given solutions cover every feasible point of ``inst``.
 
     Per target, candidates are ranked by (excess factor sum, lexicographic
     factor vector, id); the witness is the best-ranked covering candidate,
     and violations report the best-ranked factor vector overall so failures
-    stay diagnosable.
+    stay diagnosable.  ``decide(beta, family)`` is the coverage verdict.
     """
     ids = sorted(set(solution_ids))
     known = set(inst.ids())
@@ -367,7 +368,7 @@ def verify_by_fractions(solution_ids, inst: ExplicitInstance, family: GuaranteeF
             rank = _beta_rank(beta, cid)
             if best_any is None or rank < best_any[0]:
                 best_any = (rank, cid, beta)
-            if covers(beta, family) and (best_cover is None or rank < best_cover[0]):
+            if decide(beta, family) and (best_cover is None or rank < best_cover[0]):
                 best_cover = (rank, cid, beta)
         if best_cover is not None:
             witnesses.append(Witness(target.id, best_cover[1], best_cover[2]))

@@ -33,7 +33,13 @@ from wsapprox import algorithms
 from wsapprox.algorithms import exponent_cap, expected_grid_calls, plan_grid
 
 from conftest import any_instances, explicit_instances, with_front_midpoint
-from reference import exponent_cap_by_walk, ptas_family, solve_explicit_exact
+from reference import (
+    covers_disjunctive,
+    exponent_cap_by_walk,
+    ptas_family,
+    solve_explicit_exact,
+    verify_by_fractions,
+)
 
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
@@ -213,16 +219,15 @@ class TestApproximateGrid:
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_biobjective_grid_is_also_disjunctive(self, seed):
         # With an exact solver and p=2, the multi-factor guarantee collapses
-        # to the two-vector disjunctive family.
+        # to the two-vector disjunctive family {(1, 2+eps), (2+eps, 1)}.
         epsilon = [F(1, 2), F(1), F(2)][seed % 3]
         inst = gen_random_explicit(2, 12, 1, 15, seed=500 + seed)
         run = approximate_grid(exact_solver(inst), compute_bounds(inst), epsilon)
-        for family in (
-            GuaranteeFamily.multi_factor(1, epsilon, 2),
-            GuaranteeFamily.uniform(1, epsilon, 2),
-            GuaranteeFamily.disjunctive_biobjective(epsilon),
-        ):
+        exact_family = GuaranteeFamily.multi_factor(1, epsilon, 2)
+        for family in (exact_family, GuaranteeFamily.uniform(1, epsilon, 2)):
             assert verify_approximation(run.result_ids(), inst, family).ok
+        pair = verify_by_fractions(run.result_ids(), inst, exact_family, covers_disjunctive)
+        assert pair.ok
 
     def test_weights_issued_match_grid_weights(self, three_points):
         bounds = compute_bounds(three_points)
@@ -338,14 +343,14 @@ class TestBiobjectiveBisection:
         run = approximate_biobjective(exact_solver(inst), compute_bounds(inst), 1)
         assert run.tree_nodes == 0  # extremes bracket the ladder, no exploration
         assert len(run.result) == 2
-        family = GuaranteeFamily.disjunctive_biobjective(1)
+        family = GuaranteeFamily.multi_factor(1, 1, 2)
         assert verify_approximation(run.result_ids(), inst, family).ok
 
     def test_output_is_disjunctive_approximation(self):
         inst = gen_random_explicit(2, 20, 1, 30, seed=5)
         epsilon = F(1, 2)
         run = approximate_biobjective(exact_solver(inst), compute_bounds(inst), epsilon)
-        family = GuaranteeFamily.disjunctive_biobjective(epsilon)
+        family = GuaranteeFamily.multi_factor(1, epsilon, 2)
         assert verify_approximation(run.result_ids(), inst, family).ok
 
     def test_rejects_inexact_solver_and_wrong_dimension(self, three_points):
@@ -391,12 +396,6 @@ class TestPtasWrapper:
         for tau in (F(1, 2), F(0), F(2, 3)):
             with pytest.raises(ContractViolation):
                 approximate_with_ptas(adversarial_solver(inst, 1 + tau), bounds, 1)
-
-    def test_solver_family_contract_enforced(self):
-        inst = gen_random_explicit(2, 5, 1, 4, seed=2)
-        bounds = compute_bounds(inst)
-        with pytest.raises(ContractViolation):
-            approximate_with_ptas(exact_solver(inst), bounds, 1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_adversarial_runs_stay_covered(self, seed):

@@ -377,6 +377,37 @@ class TestRefusedFlagsAndInputs:
                 "disjunctive verification needs --epsilon",
             ),
             (
+                VERIFY_ARGV + ["{ids}", "--family", "disjunctive", "--epsilon", "1", "--sigma", "3/2"],
+                2,
+                "--family disjunctive fixes sigma at 1",
+            ),
+            (
+                VERIFY_ARGV + ["{ids}", "--family", "disjunctive", "--epsilon", "1", "--sigma", "100"],
+                2,
+                "--family disjunctive fixes sigma at 1",
+            ),
+            (
+                ["verify", "--instance", "{graph}", "--solutions", "{ids}", "--family",
+                 "disjunctive", "--epsilon", "1", "--sigma", "3/2", "--limit", "1"],
+                2,
+                "--family disjunctive fixes sigma at 1",
+            ),
+            (
+                VERIFY_ARGV + ["{ids}", "--family", "disjunctive", "--epsilon", "1", "--sum-bound", "3"],
+                2,
+                "--family disjunctive fixes sigma at 1 and the bound",
+            ),
+            (
+                VERIFY_ARGV + ["{ids}", "--family", "uniform", "--sum-bound", "4", "--sigma", "3/2"],
+                2,
+                "--family uniform --sum-bound fixes sigma at 1",
+            ),
+            (
+                VERIFY_ARGV + ["{ids}", "--family", "uniform", "--sum-bound", "4", "--sigma", "100"],
+                2,
+                "--family uniform --sum-bound fixes sigma at 1",
+            ),
+            (
                 ["oracle", "--instance", "{graph}", "--what", "max-impossibility"],
                 2,
                 "max-impossibility expects an explicit instance",
@@ -401,6 +432,12 @@ class TestRefusedFlagsAndInputs:
             "solutions-object-without-ids",
             "non-string-ids",
             "disjunctive-without-epsilon",
+            "disjunctive-sigma-3/2",
+            "disjunctive-sigma-100",
+            "disjunctive-sigma-before-enumeration",
+            "disjunctive-sum-bound",
+            "uniform-sum-bound-sigma-3/2",
+            "uniform-sum-bound-sigma-100",
             "max-impossibility-on-graph",
             "export-plot-without-instance",
         ],
@@ -443,6 +480,16 @@ class TestRefusedFlagsAndInputs:
         assert report["ok"] is True
         assert report["family"] == {"variant": "uniform", "p": 2, "sigma": "1", "bound": "4"}
         assert main(argv[:-2] + ["--sum-bound", "3/2"]) == 1
+        assert main(argv + ["--sigma", "1"]) == 0
+
+    def test_zero_denominator_flag_exits_2(self, three_points_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["approximate", "--algorithm", "grid", "--instance", three_points_file,
+                  "--epsilon", "1/0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --epsilon: zero denominator: '1/0'" in err
+        assert "Traceback" not in err
 
     def test_adversarial_grid_matches_the_library(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -562,6 +609,21 @@ class TestVerifyCommand:
             ]
         )
         assert code == 2
+
+    def test_disjunctive_is_multifactor_at_sigma_1(self, three_points_file, tmp_path):
+        ids = tmp_path / "ids.json"
+        ids.write_text('["a", "c"]')
+        reports = []
+        for family in (["disjunctive"], ["multifactor", "--sigma", "1"]):
+            out = tmp_path / "verify.json"
+            argv = ["verify", "--instance", three_points_file, "--solutions", str(ids),
+                    "--family", *family, "--epsilon", "1/2", "--out", str(out)]
+            assert main(argv) == 1  # b = (2, 2) needs factor 2 in both objectives
+            assert main(argv + ["--sigma", "1"]) == 1
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+        family = json.loads(reports[0])["family"]
+        assert family == {"variant": "multifactor", "p": 2, "sigma": "1", "bound": "5/2"}
 
     def test_disjunctive_needs_p2(self, tmp_path):
         inst = tmp_path / "p3.json"

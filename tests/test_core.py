@@ -1,26 +1,35 @@
 from fractions import Fraction
-from itertools import product
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from wsapprox import (
     ContractViolation,
     Direction,
+    ExplicitInstance,
     FactorVector,
     GuaranteeFamily,
     ObjectiveVector,
+    Solution,
     approximates,
     as_rational,
     dominates,
     factor_vector,
     format_rational,
     parse_rational,
+    verify_approximation,
 )
 
-from conftest import objective_vectors, rationals
-from reference import covers, factor_le, family_contains, multi_factor_witness
+from conftest import biobjective_instances, objective_vectors, rationals, with_front_midpoint
+from reference import (
+    covers,
+    covers_disjunctive,
+    factor_le,
+    family_contains,
+    multi_factor_witness,
+    verify_by_fractions,
+)
 
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
@@ -148,7 +157,7 @@ class TestCovers:
         uni = GuaranteeFamily.uniform(1, "1/2", 2)
         assert covers(fv("5/2", "5/2"), uni)
         assert not covers(fv("5/2", "13/5"), uni)
-        dis = GuaranteeFamily.disjunctive_biobjective("1/2")
+        dis = multifactor(1, "1/2")  # the pair {(1, 5/2), (5/2, 1)}
         assert covers(fv(1, "5/2"), dis)
         assert covers(fv("5/2", 1), dis)
         assert not covers(fv("11/10", "11/10"), dis)
@@ -214,16 +223,33 @@ class TestWitness:
         assert multi_factor_witness(fv(1, 1), fam) is None
 
 
+@st.composite
+def biobjective_id_sets(draw):
+    inst = draw(with_front_midpoint(biobjective_instances))
+    return inst, draw(st.lists(st.sampled_from(inst.ids()), unique=True))
+
+
+def pair_instance(direction, a, b):
+    return ExplicitInstance(direction, 2, (Solution("a", ov(*a)), Solution("b", ov(*b))))
+
+
 class TestFamilyConsistency:
-    def test_multifactor_sigma1_p2_equals_disjunctive(self):
-        # Exhaustive over a rational grid; the two closed forms must agree.
-        epsilon = Fraction(1, 2)
-        mf = multifactor(1, epsilon)
-        dis = GuaranteeFamily.disjunctive_biobjective(epsilon)
-        grid = [1 + Fraction(k, 8) for k in range(0, 17)]
-        for b1, b2 in product(grid, grid):
-            beta = fv(b1, b2)
-            assert covers(beta, mf) == covers(beta, dis), beta
+    @given(
+        biobjective_id_sets(),
+        st.sampled_from([Fraction(1, 100), Fraction(1, 10), Fraction(1), Fraction(2)]),
+    )
+    # "a" approximates "b" with beta = (1, 3), on the bound 2 + 1 exactly.
+    @example((pair_instance(MIN, (1, 6), (2, 2)), ["a"]), Fraction(1))
+    @example((pair_instance(MAX, (2, "2/3"), (2, 2)), ["a"]), Fraction(1))
+    @settings(max_examples=200)
+    def test_multifactor_sigma1_p2_equals_disjunctive(self, case, epsilon):
+        # At sigma = 1 and p = 2 the multi-factor family is the pair
+        # {(1, 2+eps), (2+eps, 1)}: its verdict, witnesses and violations
+        # are those of the pair's closed form.
+        inst, ids = case
+        family = multifactor(1, epsilon)
+        expected = verify_by_fractions(ids, inst, family, decide=covers_disjunctive)
+        assert verify_approximation(ids, inst, family) == expected
 
     def test_constructor_validation(self):
         with pytest.raises(ContractViolation):
@@ -232,13 +258,6 @@ class TestFamilyConsistency:
             GuaranteeFamily.multi_factor(1, 0, 2)  # epsilon must be positive
         with pytest.raises(ContractViolation):
             GuaranteeFamily.multi_factor_raw(1, 0, 2)  # bound must be positive
-        with pytest.raises(ContractViolation):
-            GuaranteeFamily(  # disjunctive requires p = 2
-                kind=GuaranteeFamily.disjunctive_biobjective(1).kind,
-                p=3,
-                sigma=Fraction(1),
-                bound=Fraction(3),
-            )
         deficit = GuaranteeFamily.multi_factor_raw(1, "3/2", 2)
         assert deficit.bound == Fraction(3, 2)
 

@@ -8,7 +8,6 @@ from wsapprox import (
     ContractViolation,
     Direction,
     ExplicitInstance,
-    FactorVector,
     GuaranteeFamily,
     ObjectiveVector,
     Solution,
@@ -29,7 +28,7 @@ from wsapprox.oracles import _simplex_max, _support_certificate_lp
 
 from conftest import (
     any_instances,
-    clustered_instances,
+    biobjective_instances,
     explicit_instances,
     rationals,
     with_front_midpoint,
@@ -46,15 +45,6 @@ MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
 F = Fraction
 
-# p = 2, both directions; half the instances are clustered.
-biobjective_instances = st.sampled_from([MIN, MAX]).flatmap(
-    lambda d: st.one_of(
-        explicit_instances(p=2, max_n=8, direction=d),
-        clustered_instances(p=2, direction=d),
-    )
-)
-
-
 SIGMAS = st.sampled_from([F(1), F(3, 2)])
 EPSILONS = st.sampled_from([F(1, 10), F(1), F(4)])
 
@@ -69,8 +59,8 @@ def families(p):
         st.builds(GuaranteeFamily.uniform, SIGMAS, EPSILONS, st.just(p)),
         st.builds(GuaranteeFamily.uniform_raw, deficits, st.just(p)),
     ]
-    if p == 2:
-        kinds.append(st.builds(GuaranteeFamily.disjunctive_biobjective, EPSILONS))
+    if p == 2:  # the exact biobjective guarantee {(1, 2+eps), (2+eps, 1)}
+        kinds.append(st.builds(GuaranteeFamily.multi_factor, st.just(F(1)), EPSILONS, st.just(2)))
     return st.sampled_from(kinds).flatmap(lambda kind: kind)
 
 
@@ -444,9 +434,4 @@ class TestMaxImpossibility:
     def test_unsupported_axis_point_is_not_a_counterexample(self, monkeypatch):
         inst = gen_max_counterexample(2, 100)
         monkeypatch.setattr(oracles, "support_certificates", lambda i: {})
-        assert verify_max_impossibility(inst) is False
-
-    def test_miss_of_factor_m_minus_1_is_not_enough(self, monkeypatch):
-        inst = gen_max_counterexample(3, 100)
-        monkeypatch.setattr(oracles, "factor_vector", lambda c, t, d: FactorVector.of(99, 99, 99))
         assert verify_max_impossibility(inst) is False

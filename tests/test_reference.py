@@ -18,6 +18,7 @@ MOVED = [
     (core, "multi_factor_witness"),
     (core, "covers"),
     (core.GuaranteeFamily, "contains"),
+    (core.GuaranteeFamily, "disjunctive_biobjective"),
     (core.FactorVector, "le"),
     (core.Bounds, "contains"),
     (algorithms, "ptas_family"),

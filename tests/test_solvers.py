@@ -13,8 +13,10 @@ from wsapprox import (
     ExplicitInstance,
     GraphInstance,
     GraphKind,
+    MaximizationUnsupported,
     ObjectiveVector,
     Solution,
+    SolverHandle,
     UnreachableTarget,
     WeightVector,
     adversarial_solver,
@@ -86,9 +88,11 @@ class TestExplicitExact:
 
     def test_max_direction(self, three_points):
         flipped = ExplicitInstance(MAX, 2, three_points.solutions)
-        answer = exact_solver(flipped).solve(wv(1, 1))
-        # values 9, 4, 9: tie broken by lexicographically smallest image
-        assert answer.solution_id == "a"
+        with pytest.raises(MaximizationUnsupported):
+            exact_solver(flipped)
+        # The reference still solves it: criterion 9 re-solves MAX certificates.
+        # Values 9, 4, 9: tie broken by lexicographically smallest image.
+        assert solve_explicit_exact(flipped, wv(1, 1)).solution_id == "a"
 
     def test_tie_break_by_id(self):
         inst = explicit(MIN, ("z", (1, 1)), ("a", (1, 1)))
@@ -290,12 +294,16 @@ class TestSolverHandle:
             adversarial_solver(diamond_graph, 2)
 
     def test_minimization_only_backends_refuse_max_when_built(self, three_points, diamond_graph):
-        with pytest.raises(ContractViolation, match="minimization-only"):
-            adversarial_solver(ExplicitInstance(MAX, 2, three_points.solutions), 2)
-        for kind in GraphKind:
-            graph = GraphInstance(MAX, 2, 3, diamond_graph.arcs, kind, 0, 2)
-            with pytest.raises(ContractViolation, match=f"{kind.value} backend is minimization"):
-                exact_solver(graph)
+        flipped = ExplicitInstance(MAX, 2, three_points.solutions)
+        graphs = [GraphInstance(MAX, 2, 3, diamond_graph.arcs, kind, 0, 2) for kind in GraphKind]
+        builds = [
+            lambda: exact_solver(flipped),
+            lambda: adversarial_solver(flipped, 2),
+            lambda: SolverHandle(flipped, Fraction(1), lambda w: None),
+        ] + [lambda graph=graph: exact_solver(graph) for graph in graphs]
+        for build in builds:
+            with pytest.raises(MaximizationUnsupported, match="maximization instance rejected"):
+                build()
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ContractViolation):
@@ -340,7 +348,7 @@ class TestHandlesMatchFractionReference:
     """Every handle solves on a cleared-denominator integer form; its answers
     must equal the Fraction reference backends' field for field."""
 
-    @pytest.mark.parametrize("direction", [MIN, MAX])
+    @pytest.mark.parametrize("direction", [MIN])  # a MAX handle is refused when built
     @pytest.mark.parametrize("p", [2, 3])
     @given(data=st.data())
     @settings(max_examples=150)
