@@ -24,7 +24,7 @@ from wsapprox import (
     gen_random_explicit,
     verify_approximation,
 )
-from wsapprox.instances import canonical_dumps
+from wsapprox.instances import SCHEMA_VERSION, canonical_dumps
 
 F = Fraction
 
@@ -93,7 +93,7 @@ def main() -> int:
           f"({saved} saved)")
 
     report = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "command": "guarantee-sweep",
         "seed": args.seed,
         "grid": grid,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -89,10 +90,10 @@ def exponent_cap(low: Fraction, high: Fraction, step: Fraction) -> int:
 def _value_digits(bounds: Bounds, step: Fraction) -> float:
     """Estimated digits of the longest int a report prints, from logarithms.
 
-    The longest printed rationals are the weights, cell corners and
-    bisection gammas, l * step**k with k <= u + 1, and the answer values,
-    which add such terms over the instance's values; so their ints have
-    about (u + 1) * log10(step) digits plus those of the bounds.
+    The longest printed rationals are the weights, the cell corners of the
+    plan's table and the bisection gammas, l * step**k with k <= u + 1, and
+    the answer values, which add such terms over the instance's values; so
+    their ints have about (u + 1) * log10(step) digits plus those of the bounds.
     """
     u = max(_cap_estimate(hi / lo, step) for lo, hi in zip(bounds.lower, bounds.upper))
     return (u + 1) * math.log10(step.numerator) + sum(
@@ -120,22 +121,21 @@ def _check_report_digits(bounds: Bounds, step: Fraction) -> None:
 
 @dataclass(frozen=True)
 class GridWeight:
-    """One issued weight: exponent tuple, cell base b, and w = 1/b."""
+    """One issued weight: exponent tuple k and w_j = 1/(l_j * step**k_j)."""
 
     exponents: tuple[int, ...]
-    base: tuple[Fraction, ...]
     weight: WeightVector
 
 
 @dataclass(frozen=True)
 class GridPlan:
+    """Weights and cells read l_j * step**k from ``corners[j][k]``, k <= u_j + 1."""
+
     epsilon: Fraction
     sigma: Fraction
-    p: int
     eps_prime: Fraction
     u: tuple[int, ...]
-    powers: tuple[Fraction, ...]
-    bounds: Bounds
+    corners: tuple[tuple[Fraction, ...], ...]
     entries: tuple[GridWeight, ...]
 
 
@@ -202,9 +202,10 @@ def plan_grid(
         raise ContractViolation(
             f"grid of {calls} weights exceeds the limit of {MAX_GRID_CALLS}"
         )
-    powers = [Fraction(1)]
-    for _ in range(max(u) + 1):
-        powers.append(powers[-1] * step)
+    corners = tuple(
+        tuple(itertools.accumulate(itertools.repeat(step, cap + 1), operator.mul, initial=low))
+        for low, cap in zip(bounds.lower, u)
+    )
     entries: list[GridWeight] = []
     for k in range(p):
         ranges = [
@@ -212,11 +213,10 @@ def plan_grid(
             for l in range(p)
         ]
         for combo in itertools.product(*ranges):
-            base = tuple(bounds.lower[j] * powers[combo[j]] for j in range(p))
-            weight = WeightVector(tuple(1 / b for b in base))
-            entries.append(GridWeight(tuple(combo), base, weight))
+            weight = WeightVector(tuple(1 / corners[j][k_j] for j, k_j in enumerate(combo)))
+            entries.append(GridWeight(tuple(combo), weight))
     assert len(entries) == calls
-    return GridPlan(epsilon, sigma, p, eps_prime, u, tuple(powers), bounds, tuple(entries))
+    return GridPlan(epsilon, sigma, eps_prime, u, corners, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -257,20 +257,20 @@ class GridRun:
         return frozenset(s.id for s in self.result)
 
     def cell_map(self) -> tuple[CellAssignment, ...]:
-        """Diagonal of cells per weight: level l spans base*step^l upward.
+        """Diagonal of cells per weight: level l spans corners[j][k_j + l] upward.
 
         Any feasible image inside a cell is approximated by that weight's
-        solution, because the weight shifted to the cell base is equivalent
-        to the issued one.
+        solution, because the weight shifted to the cell's lower corner is
+        equivalent to the issued one.
         """
         cells: list[CellAssignment] = []
         u = self.plan.u
-        powers = self.plan.powers
+        corners = self.plan.corners
         for idx, (entry, answer) in enumerate(zip(self.plan.entries, self.answers)):
-            max_level = min(u[j] - entry.exponents[j] for j in range(self.plan.p))
-            for level in range(max_level + 1):
-                lower = tuple(b * powers[level] for b in entry.base)
-                upper = tuple(b * powers[level + 1] for b in entry.base)
+            k = entry.exponents
+            for level in range(min(u_j - k_j for u_j, k_j in zip(u, k)) + 1):
+                lower = tuple(column[k_j + level] for column, k_j in zip(corners, k))
+                upper = tuple(column[k_j + level + 1] for column, k_j in zip(corners, k))
                 cells.append(CellAssignment(idx, answer.solution_id, level, lower, upper))
         return tuple(cells)
 

@@ -172,7 +172,6 @@ def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
             {
                 "weight": format_rationals(entry.weight),
                 "exponents": list(entry.exponents),
-                "base": format_rationals(entry.base),
                 "answer": _answer_json(answer),
             }
             for entry, answer in zip(run.plan.entries, run.answers)

@@ -33,7 +33,7 @@ from .solvers import (
     Solution,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DEFAULT_LATTICE_DENOMINATOR = 1000
 

@@ -12,22 +12,22 @@ lexicographically smallest objective vector and then the smallest id, graph
 kernels follow input arc order.  Runs are therefore reproducible and the
 exact handles always return solutions with nondominated images.
 
-Each kernel exists once, on integers, and ``exact_solver`` or
-``adversarial_solver`` builds it into a handle.  When the handle is built,
-each objective column is multiplied by the LCM of its denominators, and
-each call multiplies the weights by the LCM of the denominators left after
-dividing out those column scales.  The column scales cancel against the
-weights, and the weight scale multiplies every weighted sum by one positive
-constant.  So every comparison of the resulting Python ints, including each
-tie and the adversarial bound, has the same outcome as the comparison of
-the ``Fraction`` sums.  Only the reported scalar is turned back into a
+Each kernel exists once, on integers, and a ``SolverHandle`` builds it
+from its instance and sigma.  When the kernel is built, each objective
+column is multiplied by the LCM of its denominators, and each call
+multiplies the weights by the LCM of the denominators left after dividing
+out those column scales.  The column scales cancel against the weights, and
+the weight scale multiplies every weighted sum by one positive constant.
+So every comparison of the resulting Python ints, including each tie and
+the adversarial bound, has the same outcome as the comparison of the
+``Fraction`` sums.  Only the reported scalar is turned back into a
 ``Fraction``, once per answer.  The test suite keeps direct ``Fraction``
 versions of the exact and adversarial explicit solves and of both graph
 kernels, and checks every handle against them.
 
 Every kernel minimizes: a ``SolverHandle`` refuses a maximization instance
-with ``MaximizationUnsupported`` when it is built, since weighted sums carry
-no guarantee there.
+with ``MaximizationUnsupported`` before it builds its kernel, since weighted
+sums carry no guarantee there.
 """
 
 from __future__ import annotations
@@ -306,8 +306,6 @@ def enumerate_graph_solutions(
                 solutions.append(Solution(tree_id(tuple(combo)), image))
                 if len(solutions) > limit:
                     raise EnumerationLimit("more trees than the enumeration limit")
-    if not solutions:  # pragma: no cover - construction validated reachability
-        raise ContractViolation("graph instance has no feasible solutions")
     return ExplicitInstance(inst.direction, inst.p, tuple(solutions))
 
 
@@ -417,8 +415,6 @@ def _shortest_path_kernel(inst: GraphInstance) -> Kernel:
                     dist[head] = nd
                     pred[head] = idx
                     heapq.heappush(heap, (nd, next(counter), head))
-        if inst.target not in done:
-            raise UnreachableTarget("target not reachable from source")
         indices: list[int] = []
         node = inst.target
         while node != inst.source:
@@ -447,8 +443,6 @@ def _spanning_tree_kernel(inst: GraphInstance) -> Kernel:
                 chosen.append(idx)
                 if len(chosen) == inst.node_count - 1:
                     break
-        if len(chosen) != inst.node_count - 1:
-            raise DisconnectedGraph("spanning-tree instance is not connected")
         arc_tuple = tuple(sorted(chosen))
         scalar = Fraction(sum(costs[i] for i in arc_tuple), denom)
         return SolveAnswer(tree_id(arc_tuple), form.image(arc_tuple), scalar, arc_tuple)
@@ -456,30 +450,43 @@ def _spanning_tree_kernel(inst: GraphInstance) -> Kernel:
     return solve
 
 
+def _kernel(inst: Instance, sigma: Fraction) -> Kernel:
+    """The explicit kernel at ``sigma``, Dijkstra or Kruskal, per instance."""
+    if isinstance(inst, ExplicitInstance):
+        return _explicit_kernel(inst, sigma)
+    if inst.kind is GraphKind.SHORTEST_PATH:
+        return _shortest_path_kernel(inst)
+    return _spanning_tree_kernel(inst)
+
+
 @dataclass
 class SolverHandle:
     """One weighted-sum backend bound to an instance, with a call counter.
 
     ``sigma`` is the contract bound the backend promises, not a measured
-    quality.  ``kernel`` answers one weighted-sum problem; it is built once
-    by ``exact_solver`` or ``adversarial_solver`` and shares no mutable
-    state between calls.  A maximization instance is refused when the
-    handle is built (``MaximizationUnsupported``), so every kernel and every
-    algorithm downstream minimizes.  Every ``solve`` increments the counter
-    by exactly one, then checks the weight dimension for every kernel, so a
-    kernel only ever sees p weights.  A handle is used by one thread at a
-    time: the algorithms make their calls one after another, and the
-    counter is not locked.
+    quality.  ``kernel`` answers one weighted-sum problem and shares no
+    mutable state between calls; left out, it is built from the instance
+    and sigma.  The handle refuses a maximization instance
+    (``MaximizationUnsupported``), then a sigma below 1, before any kernel
+    is built, so every kernel and every algorithm downstream minimizes.
+    Every ``solve`` increments the counter by exactly one, then checks the
+    weight dimension for every kernel, so a kernel only ever sees p
+    weights.  A handle is used by one thread at a time: the algorithms make
+    their calls one after another, and the counter is not locked.
     """
 
     instance: Instance
     sigma: Fraction
-    kernel: Kernel = field(repr=False)
+    kernel: Optional[Kernel] = field(default=None, repr=False)
     _calls: int = 0
 
     def __post_init__(self) -> None:
         if self.instance.direction is not Direction.MIN:
             raise MaximizationUnsupported(MAXIMIZATION_REJECTION)
+        if self.sigma < 1:
+            raise ContractViolation("sigma must be >= 1")
+        if self.kernel is None:
+            self.kernel = _kernel(self.instance, self.sigma)
 
     @property
     def calls(self) -> int:
@@ -499,13 +506,7 @@ class SolverHandle:
 def exact_solver(inst: Instance) -> SolverHandle:
     """Exact (sigma = 1) solver handle with the kernel picked per instance:
     the explicit kernel at sigma = 1, Dijkstra or Kruskal."""
-    if isinstance(inst, ExplicitInstance):
-        kernel = _explicit_kernel(inst, Fraction(1))
-    elif inst.kind is GraphKind.SHORTEST_PATH:
-        kernel = _shortest_path_kernel(inst)
-    else:
-        kernel = _spanning_tree_kernel(inst)
-    return SolverHandle(inst, Fraction(1), kernel)
+    return SolverHandle(inst, Fraction(1))
 
 
 def adversarial_solver(inst: ExplicitInstance, sigma: RationalLike) -> SolverHandle:
@@ -513,7 +514,4 @@ def adversarial_solver(inst: ExplicitInstance, sigma: RationalLike) -> SolverHan
     returns the worst solution within sigma of the optimum."""
     if not isinstance(inst, ExplicitInstance):
         raise ContractViolation("adversarial backend requires an explicit instance")
-    sigma = as_rational(sigma)
-    if sigma < 1:
-        raise ContractViolation("sigma must be >= 1")
-    return SolverHandle(inst, sigma, _explicit_kernel(inst, sigma))
+    return SolverHandle(inst, as_rational(sigma))

@@ -4,7 +4,9 @@ Nothing in the package calls these.  Each one does its job the obvious way,
 in ``Fraction`` and without the package's shortcuts: the solvers scalarize
 every image instead of comparing cleared-denominator ints, the front and
 certificate references compare every solution with every other one, and
-``exponent_cap_by_walk`` multiplies by the step one power at a time, and
+``exponent_cap_by_walk`` multiplies by the step one power at a time,
+``cell_map_by_products`` builds every cell corner as a product of a weight's
+base and a power of the step instead of reading the plan's corner table,
 ``support_certificate_biobjective`` decides p = 2 supportedness by slope
 intervals instead of the package's LP, and ``verify_by_fractions`` builds a
 Fraction factor vector for every target-candidate pair instead of ranking
@@ -36,6 +38,7 @@ from wsapprox import (
     dominates,
     factor_vector,
 )
+from wsapprox.algorithms import CellAssignment, GridRun
 from wsapprox.oracles import Violation, Witness, _support_certificate_lp
 from wsapprox.solvers import (
     DisconnectedGraph,
@@ -258,6 +261,30 @@ def exponent_cap_by_walk(low: Fraction, high: Fraction, step: Fraction) -> int:
         value *= step
         u += 1
     return u
+
+
+def grid_base(bounds: Bounds, step: Fraction, exponents) -> tuple:
+    """The cell base b_j = l_j * step**k_j of a grid weight, whose weight is
+    w_j = 1/b_j."""
+    return tuple(low * step**k for low, k in zip(bounds.lower, exponents))
+
+
+def cell_map_by_products(run: GridRun, bounds: Bounds) -> tuple:
+    """The grid's cell map with every corner built by arithmetic: the powers
+    of the step, each weight's base, and each corner b_j * step**level."""
+    step = 1 + run.plan.eps_prime
+    powers = [Fraction(1)]
+    for _ in range(max(run.u) + 1):
+        powers.append(powers[-1] * step)
+    cells = []
+    for idx, (entry, answer) in enumerate(zip(run.plan.entries, run.answers)):
+        base = grid_base(bounds, step, entry.exponents)
+        max_level = min(u - k for u, k in zip(run.u, entry.exponents))
+        for level in range(max_level + 1):
+            lower = tuple(b * powers[level] for b in base)
+            upper = tuple(b * powers[level + 1] for b in base)
+            cells.append(CellAssignment(idx, answer.solution_id, level, lower, upper))
+    return tuple(cells)
 
 
 # ---------------------------------------------------------------------------

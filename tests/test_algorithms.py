@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -34,8 +35,10 @@ from wsapprox.algorithms import exponent_cap, expected_grid_calls, plan_grid
 
 from conftest import any_instances, explicit_instances, with_front_midpoint
 from reference import (
+    cell_map_by_products,
     covers_disjunctive,
     exponent_cap_by_walk,
+    grid_base,
     ptas_family,
     solve_explicit_exact,
     verify_by_fractions,
@@ -298,6 +301,24 @@ class TestPointwiseGuarantee:
                     )
                     assert ratio_sum <= step * sigma * 2
 
+    @given(
+        st.sampled_from([2, 3]).flatmap(lambda p: explicit_instances(p=p, max_n=6, high=4)),
+        st.sampled_from([F(1, 2), F(1), F(3)]),
+        st.sampled_from([F(1), F(3, 2), F(2)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_corner_table_matches_products(self, inst, epsilon, sigma):
+        bounds = compute_bounds(inst)
+        run = approximate_grid(adversarial_solver(inst, sigma), bounds, epsilon)
+        step = 1 + run.eps_prime
+        assert run.plan.corners == tuple(
+            tuple(low * step**k for k in range(u + 2)) for low, u in zip(bounds.lower, run.u)
+        )
+        for entry in run.plan.entries:
+            base = grid_base(bounds, step, entry.exponents)
+            assert entry.weight == WeightVector(tuple(1 / b for b in base))
+        assert run.cell_map() == cell_map_by_products(run, bounds)
+
     def test_cell_map_representatives_cover_their_cells(self, three_points):
         run = approximate_grid(exact_solver(three_points), compute_bounds(three_points), 2)
         cells = run.cell_map()
@@ -520,3 +541,26 @@ class TestObjectivePermutation:
         reordered = approximate_grid(exact_solver(permuted), compute_bounds(permuted), epsilon)
         assert reordered.result_ids() == original.result_ids()
         assert reordered.ws_calls == original.ws_calls
+
+
+# Validation refusals: input, exception type, message fragment.
+REFUSALS = [
+    pytest.param(
+        lambda: exponent_cap(F(2), F(1), F(2)),
+        ContractViolation,
+        "need 0 < low <= high and step > 1",
+        id="cap-low-above-high",
+    ),
+    pytest.param(
+        lambda: exponent_cap(F(1), F(2), F(1)),
+        ContractViolation,
+        "need 0 < low <= high and step > 1",
+        id="cap-step-one",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,error,fragment", REFUSALS)
+def test_refuses_invalid_input(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()

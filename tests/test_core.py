@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from wsapprox import (
+    Bounds,
     ContractViolation,
     Direction,
     ExplicitInstance,
@@ -12,6 +14,7 @@ from wsapprox import (
     GuaranteeFamily,
     ObjectiveVector,
     Solution,
+    WeightVector,
     approximates,
     as_rational,
     dominates,
@@ -276,3 +279,52 @@ class TestValueObjects:
         assert hash(a) == hash(ov(1, 2))
         with pytest.raises(AttributeError):
             a.values = (Fraction(1),)
+
+
+# Validation refusals: input, exception type, message fragment.
+REFUSALS = [
+    pytest.param(lambda: as_rational([1]), ContractViolation, "cannot interpret", id="non-rational"),
+    pytest.param(
+        lambda: Bounds.of((1, 1), (2,)), ContractViolation, "differ in dimension", id="bounds-dims"
+    ),
+    pytest.param(
+        lambda: Bounds.of((2, 1), (1, 1)), ContractViolation, "0 < lower <= upper", id="bounds-order"
+    ),
+    pytest.param(lambda: WeightVector(()), ContractViolation, "empty weight", id="weights-empty"),
+    pytest.param(
+        lambda: WeightVector.of(1, 0), ContractViolation, "strictly positive", id="weight-zero"
+    ),
+    pytest.param(
+        lambda: WeightVector.of(1, 1).scalarize(ov(1, 1, 1)),
+        ContractViolation,
+        "dimension mismatch",
+        id="scalarize-dims",
+    ),
+    pytest.param(
+        lambda: GuaranteeFamily.uniform_raw(3, 1), ContractViolation, "p >= 2", id="family-p1"
+    ),
+    pytest.param(
+        lambda: GuaranteeFamily.uniform(1, 0, 2),
+        ContractViolation,
+        "use uniform_raw",
+        id="uniform-epsilon-zero",
+    ),
+    pytest.param(
+        lambda: factor_vector(ov(1, 1), ov(1, 1, 1), MIN),
+        ContractViolation,
+        "dimension mismatch",
+        id="factor-vector-dims",
+    ),
+    pytest.param(
+        lambda: approximates(ov(1, 1), ov(1, 1), fv(1, 1, 1), MIN),
+        ContractViolation,
+        "dimension mismatch",
+        id="approximates-alpha-dims",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,error,fragment", REFUSALS)
+def test_refuses_invalid_input(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()

@@ -1,4 +1,5 @@
 import copy
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -262,3 +263,72 @@ class TestJsonFuzz:
             instance_from_json(doc)
         except InstanceFormatError:
             pass
+
+
+def graph_json(**changes):
+    """A three-node shortest-path instance document with ``changes`` applied."""
+    doc = {
+        "kind": "shortest-path",
+        "direction": "min",
+        "p": 2,
+        "nodes": 3,
+        "source": 0,
+        "target": 2,
+        "arcs": [
+            {"from": 0, "to": 1, "cost": ["1", "2"]},
+            {"from": 1, "to": 2, "cost": ["2", "1"]},
+        ],
+    }
+    return {**doc, **changes}
+
+
+# Validation refusals: input, exception type, message fragment.
+REFUSALS = [
+    pytest.param(
+        lambda: gen_max_counterexample(1, 4), ContractViolation, "M > 1", id="max-counterexample-p1"
+    ),
+    pytest.param(
+        lambda: gen_random_explicit(2, 3, "1/3", "1/2", seed=0, denominator=1),
+        ContractViolation,
+        "no lattice point",
+        id="explicit-empty-lattice",
+    ),
+    pytest.param(
+        lambda: gen_random_graph(4, 5, 2, 2, 1, seed=0, kind=GraphKind.SHORTEST_PATH),
+        ContractViolation,
+        "cost_low <= cost_high",
+        id="graph-cost-range",
+    ),
+    pytest.param(
+        lambda: instance_from_json(graph_json(target=3)),
+        InstanceFormatError,
+        "node index below 3",
+        id="json-target-out-of-range",
+    ),
+    pytest.param(
+        lambda: instance_from_json(
+            {"kind": "explicit", "direction": "min", "p": 2, "solutions": []}
+        ),
+        InstanceFormatError,
+        "solutions must be a nonempty list",
+        id="json-no-solutions",
+    ),
+    pytest.param(
+        lambda: instance_from_json(graph_json(nodes=1)),
+        InstanceFormatError,
+        "nodes must be an integer >= 2",
+        id="json-one-node",
+    ),
+    pytest.param(
+        lambda: instance_from_json(graph_json(arcs=[])),
+        InstanceFormatError,
+        "arcs must be a nonempty list",
+        id="json-no-arcs",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,error,fragment", REFUSALS)
+def test_refuses_invalid_input(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -435,3 +436,22 @@ class TestMaxImpossibility:
         inst = gen_max_counterexample(2, 100)
         monkeypatch.setattr(oracles, "support_certificates", lambda i: {})
         assert verify_max_impossibility(inst) is False
+
+
+# Validation refusals: input, exception type, message fragment.
+REFUSALS = [
+    pytest.param(
+        lambda: verify_approximation(
+            {"y1"}, gen_tightness_min(2, 4), GuaranteeFamily.multi_factor(1, 1, 3)
+        ),
+        ContractViolation,
+        "family dimension differs from instance",
+        id="verify-family-dims",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,error,fragment", REFUSALS)
+def test_refuses_invalid_input(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()

@@ -1,9 +1,12 @@
 """Smoke tests: each experiment script runs against the package and writes its outputs."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from wsapprox.instances import SCHEMA_VERSION
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,4 +38,4 @@ def test_run_guarantee_sweep(tmp_path):
     out = tmp_path / "sweep.json"
     result = run_script("run_guarantee_sweep.py", "--runs", "3", "--out", str(out))
     assert result.returncode == 0, result.stderr
-    assert out.is_file()
+    assert json.loads(out.read_text())["schema_version"] == SCHEMA_VERSION

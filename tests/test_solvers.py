@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -26,6 +27,7 @@ from wsapprox import (
     exact_solver,
     gen_random_graph,
 )
+from wsapprox import solvers
 
 from conftest import explicit_instances, rationals, weight_vectors
 from reference import (
@@ -293,16 +295,39 @@ class TestSolverHandle:
         with pytest.raises(ContractViolation):
             adversarial_solver(diamond_graph, 2)
 
-    def test_minimization_only_backends_refuse_max_when_built(self, three_points, diamond_graph):
+    @pytest.fixture
+    def no_kernels(self, monkeypatch):
+        """Every kernel builder raises, so a refusal must come before any build."""
+
+        def no_kernel(*args):
+            raise AssertionError("a kernel was built")
+
+        for builder in ("_explicit_kernel", "_shortest_path_kernel", "_spanning_tree_kernel"):
+            monkeypatch.setattr(solvers, builder, no_kernel)
+
+    def test_minimization_only_backends_refuse_max_when_built(
+        self, three_points, diamond_graph, no_kernels
+    ):
+        with pytest.raises(AssertionError, match="a kernel was built"):
+            exact_solver(three_points)
         flipped = ExplicitInstance(MAX, 2, three_points.solutions)
         graphs = [GraphInstance(MAX, 2, 3, diamond_graph.arcs, kind, 0, 2) for kind in GraphKind]
         builds = [
             lambda: exact_solver(flipped),
             lambda: adversarial_solver(flipped, 2),
+            lambda: adversarial_solver(flipped, "1/2"),
             lambda: SolverHandle(flipped, Fraction(1), lambda w: None),
         ] + [lambda graph=graph: exact_solver(graph) for graph in graphs]
         for build in builds:
             with pytest.raises(MaximizationUnsupported, match="maximization instance rejected"):
+                build()
+
+    def test_sigma_below_one_refused_before_any_kernel_is_built(self, three_points, no_kernels):
+        for build in (
+            lambda: adversarial_solver(three_points, "1/2"),
+            lambda: SolverHandle(three_points, Fraction(1, 2)),
+        ):
+            with pytest.raises(ContractViolation, match="sigma must be >= 1"):
                 build()
 
     def test_duplicate_ids_rejected(self):
@@ -443,3 +468,70 @@ class TestPathEnumeration:
         assert len(enumerate_graph_solutions(diamond_graph, work_limit=5).solutions) == 3
         with pytest.raises(EnumerationLimit):
             enumerate_graph_solutions(diamond_graph, work_limit=4)
+
+
+UNIT = ov(1, 1)
+TRIANGLE = GraphInstance(
+    MIN, 2, 3, (Arc(0, 1, UNIT), Arc(1, 2, UNIT), Arc(0, 2, UNIT)), GraphKind.SPANNING_TREE
+)
+
+
+def path_graph(node_count=3, arcs=(Arc(0, 1, UNIT), Arc(1, 2, UNIT)), source=0, target=2):
+    return GraphInstance(MIN, 2, node_count, arcs, GraphKind.SHORTEST_PATH, source, target)
+
+
+# Validation refusals: input, exception type, message fragment.
+REFUSALS = [
+    pytest.param(
+        lambda: ExplicitInstance(MIN, 3, (Solution("a", UNIT),)),
+        ContractViolation,
+        "image dimension differs",
+        id="explicit-image-dims",
+    ),
+    pytest.param(
+        lambda: explicit(MIN, ("a", (1, 2))).image_of("b"),
+        ContractViolation,
+        "unknown solution id 'b'",
+        id="unknown-id",
+    ),
+    pytest.param(
+        lambda: path_graph(node_count=1, source=0, target=0),
+        ContractViolation,
+        "at least two nodes",
+        id="graph-one-node",
+    ),
+    pytest.param(lambda: path_graph(arcs=()), ContractViolation, "at least one arc", id="no-arcs"),
+    pytest.param(
+        lambda: path_graph(arcs=(Arc(0, 2, ov(1, 1, 1)),)),
+        ContractViolation,
+        "arc cost dimension",
+        id="arc-cost-dims",
+    ),
+    pytest.param(
+        lambda: path_graph(arcs=(Arc(0, 3, UNIT),)),
+        ContractViolation,
+        "arc endpoint out of range",
+        id="arc-endpoint",
+    ),
+    pytest.param(
+        lambda: path_graph(target=3), ContractViolation, "source/target out of range", id="target"
+    ),
+    pytest.param(
+        lambda: enumerate_graph_solutions(TRIANGLE, work_limit=1),
+        EnumerationLimit,
+        "tree enumeration work limit",
+        id="tree-work-limit",
+    ),
+    pytest.param(
+        lambda: enumerate_graph_solutions(TRIANGLE, limit=2),
+        EnumerationLimit,
+        "more trees than the enumeration limit",
+        id="tree-count-limit",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,error,fragment", REFUSALS)
+def test_refuses_invalid_input(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()
