@@ -4,12 +4,17 @@ Everything here is brute force on purpose.  The Pareto front is a
 sort-filter scan: solutions sorted by image (ascending for minimization,
 descending for maximization) put every dominator of an image before it, so
 each image is compared only with the front found so far.  Supportedness is
-decided exactly over rationals, for every p, by a small origin-feasible LP
-solved by a one-phase simplex, and only where it can matter: a strictly
-dominated image is never optimal for a weight w > 0, and a dominated
-competitor's constraint follows from the constraint of the front point
-that dominates it, so only distinct front images are certified, each
-against the other distinct front images.
+decided exactly, for every p, by a small origin-feasible LP solved by a
+one-phase simplex, and only where it can matter: a strictly dominated image
+is never optimal for a weight w > 0, and a dominated competitor's
+constraint follows from the constraint of the front point that dominates
+it, so only distinct front images are certified, each against the other
+distinct front images.  The front images are cleared once per instance by
+the lcm of all their denominators, so every LP row is a rational row times
+one positive constant, and the simplex pivots fraction-free in Python ints.
+A positive row scaling changes no sign and no ratio, so Bland's rule makes
+the same pivots as on the rational tableau and reaches the same vertex and
+witness weight.
 Approximation guarantees are checked target by target against the full
 feasible set, in Python ints: each objective is cleared of denominators
 once per call (a MAX instance from its reciprocal images, whose MIN factors
@@ -67,54 +72,64 @@ def pareto_front(inst: ExplicitInstance) -> frozenset[str]:
 
 
 def _simplex_max(
-    A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
+    A: list[list[int]], b: list[int], c: list[int]
 ) -> tuple[list[Fraction], Fraction]:
-    """Maximize c*x subject to A x <= b, x >= 0, exactly, for b >= 0.
+    """Maximize c*x subject to A x <= b, x >= 0, exactly, for int data with b >= 0.
 
     With b >= 0 the origin is a vertex, so the slack basis starts a single
-    phase: dense tableau, Bland's rule (termination guaranteed under
-    degeneracy), and each pivot updates only the nonzero entries of the
-    pivot row.  Returns (x, value); a negative b or an objective unbounded
-    on the feasible region raises ContractViolation.
+    phase with Bland's rule (termination guaranteed under degeneracy).  The
+    tableau stays in Python ints by fraction-free Gauss-Jordan pivoting
+    (Edmonds 1967, Bareiss 1968, as in Avis's lrs): every row, the
+    reduced-cost row included, is the rational tableau's row times d, the
+    previous pivot, so every basic column is d*e_i.  A pivot keeps the pivot
+    row and replaces every other row v by (v*piv - f*w) / d, where w is the
+    pivot row and f the row's entry in the entering column; the division is
+    exact.  Every pivot is positive, so d > 0 and each entry has the sign of
+    its rational counterpart: the first column with a positive reduced cost
+    enters, and the ratio test cross-multiplies (rhs/entry of both rows share
+    the factor d), with ties to the smaller basis index, exactly as on the
+    rational tableau.  x_j is the right-hand side of its row over d.
+    Returns (x, value); a negative b or an objective unbounded on the
+    feasible region raises ContractViolation.
     """
     if any(v < 0 for v in b):
         raise ContractViolation("simplex needs b >= 0 (a feasible origin)")
     m, n = len(A), len(c)
     cols = n + m
-    zero, one = Fraction(0), Fraction(1)
-    rows = [list(A[i]) + [one if k == i else zero for k in range(m)] + [b[i]] for i in range(m)]
+    rows = [list(A[i]) + [1 if k == i else 0 for k in range(m)] + [b[i]] for i in range(m)]
     basis = list(range(n, cols))
-    zrow = list(c) + [zero] * (m + 1)  # reduced costs; the slack basis has c_B = 0
+    zrow = list(c) + [0] * (m + 1)  # reduced costs; the slack basis has c_B = 0
+    d = 1
     while True:
         enter = next((j for j in range(cols) if zrow[j] > 0), -1)
         if enter < 0:
             break
         leave = -1
-        best: Optional[Fraction] = None
+        best_rhs = best_entry = 0
         for i in range(m):
-            if rows[i][enter] <= 0:
+            entry = rows[i][enter]
+            if entry <= 0:
                 continue
-            ratio = rows[i][cols] / rows[i][enter]
-            if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                best = ratio
-                leave = i
+            rhs = rows[i][cols]
+            if leave < 0 or rhs * best_entry < best_rhs * entry or (
+                rhs * best_entry == best_rhs * entry and basis[i] < basis[leave]
+            ):
+                leave, best_rhs, best_entry = i, rhs, entry
         if leave < 0:
             raise ContractViolation("unbounded linear program")
-        piv = rows[leave][enter]
-        nonzero = [(j, v / piv) for j, v in enumerate(rows[leave]) if v]
-        for j, v in nonzero:
-            rows[leave][j] = v
+        pivot_row = rows[leave]
+        piv = pivot_row[enter]
         for row in rows + [zrow]:
-            f = row[enter]
-            if f and row is not rows[leave]:
-                for j, v in nonzero:
-                    row[j] -= f * v
+            if row is not pivot_row:
+                f = row[enter]
+                row[:] = [(v * piv - f * w) // d for v, w in zip(row, pivot_row)]
+        d = piv
         basis[leave] = enter
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = rows[i][cols]
-    return x, sum((c[j] * x[j] for j in range(n)), zero)
+            x[j] = Fraction(rows[i][cols], d)
+    return x, sum((c[j] * x[j] for j in range(n)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -132,9 +147,13 @@ class SupportCertificate:
 
 
 def _support_certificate_lp(
-    image: ObjectiveVector, competitors: list[ObjectiveVector], direction: Direction
+    image: tuple[int, ...],
+    competitors: list[tuple[int, ...]],
+    direction: Direction,
+    scale: int,
 ) -> Optional[SupportCertificate]:
-    """One origin-feasible LP; competitors must be distinct from ``image``.
+    """One origin-feasible LP on cleared images; competitors must be distinct
+    from ``image``.
 
     Every weight w > 0 is s*1 + x with s = min_j w_j > 0 and x >= 0, and
     t >= 0 is the margin by which ``image`` beats each competitor o:
@@ -149,20 +168,26 @@ def _support_certificate_lp(
     1 when s reaches 1 only with t = 0 (optimal only with ties: weak), and
     above 1 otherwise (strictly supported).  The witness w/s = 1 + x/s has
     every component >= 1.
+
+    The images come multiplied by one common ``scale`` > 0 that makes them
+    ints, so each competitor row is its rational row times ``scale``: the t
+    coefficient is ``scale``, not 1.  Scaling a whole row by a positive
+    constant leaves the feasible set, and so every pivot and the vertex
+    reached, unchanged, while scaling objectives (columns) separately would
+    move the witness.
     """
     p = len(image)
-    zero, one = Fraction(0), Fraction(1)
-    A: list[list[Fraction]] = []
+    A: list[list[int]] = []
     for other in competitors:
         if direction is Direction.MIN:
-            d = [image[j] - other[j] for j in range(p)]
+            d = [a - o for a, o in zip(image, other)]
         else:
-            d = [other[j] - image[j] for j in range(p)]
-        A.append(d + [sum(d, zero), one])
-    A.append([zero] * p + [one, zero])
-    A.append([zero] * p + [-one, one])
-    b = [zero] * len(competitors) + [one, zero]
-    x, value = _simplex_max(A, b, [zero] * p + [one, one])
+            d = [o - a for a, o in zip(image, other)]
+        A.append(d + [sum(d), scale])
+    A.append([0] * p + [1, 0])
+    A.append([0] * p + [-1, 1])
+    b = [0] * len(competitors) + [1, 0]
+    x, value = _simplex_max(A, b, [0] * p + [1, 1])
     if value == 0:
         return None
     s = x[p]
@@ -180,18 +205,20 @@ def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate
     still makes its id weighted-sum optimal over the whole instance, and a
     strict witness still makes the image the unique optimum among distinct
     images, because every dominated image scores worse than its dominator
-    under any weight w > 0.
+    under any weight w > 0.  The front images are cleared once, by the lcm
+    of all their denominators, for ``_support_certificate_lp``.
     """
     front = pareto_front(inst)
-    images: dict[tuple, ObjectiveVector] = {}
-    for s in inst.solutions:
-        if s.id in front:
-            images.setdefault(s.image.values, s.image)
+    images = dict.fromkeys(s.image.values for s in inst.solutions if s.id in front)
+    scale = math.lcm(*(v.denominator for key in images for v in key))
+    cleared = {
+        key: tuple(v.numerator * (scale // v.denominator) for v in key) for key in images
+    }
     by_image = {
         key: _support_certificate_lp(
-            image, [o for k, o in images.items() if k != key], inst.direction
+            image, [o for k, o in cleared.items() if k != key], inst.direction, scale
         )
-        for key, image in images.items()
+        for key, image in cleared.items()
     }
     result: dict[str, SupportCertificate] = {}
     for s in inst.solutions:

@@ -1,24 +1,35 @@
 """Slow, direct reference implementations that the tests compare against.
 
 Nothing in the package calls these.  Each one does its job the obvious way,
-in ``Fraction`` and without the package's shortcuts: the solvers scalarize
-every image instead of comparing cleared-denominator ints, the front and
-certificate references compare every solution with every other one, and
-``exponent_cap_by_walk`` multiplies by the step one power at a time,
-``cell_map_by_products`` builds every cell corner as a product of a weight's
-base and a power of the step instead of reading the plan's corner table,
-``support_certificate_biobjective`` decides p = 2 supportedness by slope
-intervals instead of the package's LP, and ``verify_by_fractions`` builds a
-Fraction factor vector for every target-candidate pair instead of ranking
-cleared-denominator ints, deciding each with ``covers`` on that Fraction
-vector, and ``covers_disjunctive`` spells out the pair {(1, b), (b, 1)}
-that the package decides as ``multi_factor(1, epsilon, 2)``.  The
-references skip argument checks; the package's entry points make those.
+in ``Fraction`` and without the package's shortcuts:
+
+- the solvers scalarize every image instead of comparing
+  cleared-denominator ints;
+- the front and certificate references compare every solution with every
+  other one;
+- ``exponent_cap_by_walk`` multiplies by the step one power at a time;
+- ``cell_map_by_products`` builds every cell corner as a product of a
+  weight's base and a power of the step instead of reading the plan's
+  corner table;
+- ``support_certificate_biobjective`` decides p = 2 supportedness by slope
+  intervals instead of the package's LP;
+- ``support_certificate_by_fractions`` builds that LP on the Fraction
+  images, not on images cleared by a common lcm, and solves it with
+  ``simplex_max_by_fractions``, which pivots a tableau of Fractions where
+  the package pivots fraction-free in ints;
+- ``verify_by_fractions`` builds a Fraction factor vector for every
+  target-candidate pair instead of ranking cleared-denominator ints, and
+  decides each with ``covers`` on that vector;
+- ``covers_disjunctive`` spells out the pair {(1, b), (b, 1)} that the
+  package decides as ``multi_factor(1, epsilon, 2)``.
+
+The references skip argument checks; the package's entry points make those.
 """
 
 import heapq
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 from wsapprox import (
     Bounds,
@@ -39,7 +50,7 @@ from wsapprox import (
     factor_vector,
 )
 from wsapprox.algorithms import CellAssignment, GridRun
-from wsapprox.oracles import Violation, Witness, _support_certificate_lp
+from wsapprox.oracles import Violation, Witness
 from wsapprox.solvers import (
     DisconnectedGraph,
     UnreachableTarget,
@@ -348,7 +359,106 @@ def support_certificate_biobjective(image, competitors, direction):
     return SupportCertificate(weight, weak=weak)
 
 
-def unpruned_certificates(inst: ExplicitInstance, certify=_support_certificate_lp) -> dict:
+def simplex_max_by_fractions(
+    A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
+) -> tuple[list[Fraction], Fraction]:
+    """Maximize c*x subject to A x <= b, x >= 0, exactly, for b >= 0.
+
+    With b >= 0 the origin is a vertex, so the slack basis starts a single
+    phase: dense tableau, Bland's rule (termination guaranteed under
+    degeneracy), and each pivot updates only the nonzero entries of the
+    pivot row.  Returns (x, value); a negative b or an objective unbounded
+    on the feasible region raises ContractViolation.
+    """
+    if any(v < 0 for v in b):
+        raise ContractViolation("simplex needs b >= 0 (a feasible origin)")
+    m, n = len(A), len(c)
+    cols = n + m
+    zero, one = Fraction(0), Fraction(1)
+    rows = [list(A[i]) + [one if k == i else zero for k in range(m)] + [b[i]] for i in range(m)]
+    basis = list(range(n, cols))
+    zrow = list(c) + [zero] * (m + 1)  # reduced costs; the slack basis has c_B = 0
+    while True:
+        enter = next((j for j in range(cols) if zrow[j] > 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best: Optional[Fraction] = None
+        for i in range(m):
+            if rows[i][enter] <= 0:
+                continue
+            ratio = rows[i][cols] / rows[i][enter]
+            if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                best = ratio
+                leave = i
+        if leave < 0:
+            raise ContractViolation("unbounded linear program")
+        piv = rows[leave][enter]
+        nonzero = [(j, v / piv) for j, v in enumerate(rows[leave]) if v]
+        for j, v in nonzero:
+            rows[leave][j] = v
+        for row in rows + [zrow]:
+            f = row[enter]
+            if f and row is not rows[leave]:
+                for j, v in nonzero:
+                    row[j] -= f * v
+        basis[leave] = enter
+    x = [zero] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = rows[i][cols]
+    return x, sum((c[j] * x[j] for j in range(n)), zero)
+
+
+def support_certificate_by_fractions(image, competitors, direction):
+    """The supportedness LP of ``oracles._support_certificate_lp`` on
+    Fraction images, every competitor row unscaled (t coefficient 1), solved
+    by ``simplex_max_by_fractions``; competitors must be distinct from
+    ``image``.  The optimum is 0 (unsupported), 1 (weak) or above 1, and the
+    witness is 1 + x/s."""
+    p = len(image)
+    zero, one = Fraction(0), Fraction(1)
+    A: list[list[Fraction]] = []
+    for other in competitors:
+        if direction is Direction.MIN:
+            d = [image[j] - other[j] for j in range(p)]
+        else:
+            d = [other[j] - image[j] for j in range(p)]
+        A.append(d + [sum(d, zero), one])
+    A.append([zero] * p + [one, zero])
+    A.append([zero] * p + [-one, one])
+    b = [zero] * len(competitors) + [one, zero]
+    x, value = simplex_max_by_fractions(A, b, [zero] * p + [one, one])
+    if value == 0:
+        return None
+    s = x[p]
+    weight = WeightVector(tuple(1 + x[j] / s for j in range(p)))
+    return SupportCertificate(weight, weak=value == 1)
+
+
+def front_certificates_by_fractions(inst: ExplicitInstance) -> dict:
+    """Reference for ``support_certificates``: the same LP per distinct front
+    image, against the other distinct front images in order of first
+    appearance, so the witnesses must match too, but on Fraction images and
+    the Fraction simplex."""
+    front = pairwise_front(inst)
+    images = list(dict.fromkeys(s.image.values for s in inst.solutions if s.id in front))
+    by_image = {
+        key: support_certificate_by_fractions(
+            key, [k for k in images if k != key], inst.direction
+        )
+        for key in images
+    }
+    return {
+        s.id: by_image[s.image.values]
+        for s in inst.solutions
+        if by_image.get(s.image.values) is not None
+    }
+
+
+def unpruned_certificates(
+    inst: ExplicitInstance, certify=support_certificate_by_fractions
+) -> dict:
     """Reference certificates: every distinct image, dominated ones included,
     certified by ``certify`` against every other image."""
     by_image = {}

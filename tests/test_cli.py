@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -986,3 +989,23 @@ class TestModuleEntryPoint:
             text=True,
         )
         assert result.returncode == 2
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """Every ``wsapprox`` command in README's fenced blocks, in order, with
+    backslash continuations joined and comments dropped."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("wsapprox ")]
+
+
+class TestReadme:
+    def test_commands_run_in_order_in_a_fresh_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert any(argv[1] == "export-plot" for argv in commands)
+        for argv in commands:
+            assert main(argv[1:]) == 0, " ".join(argv)

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -35,7 +36,9 @@ from conftest import (
     with_front_midpoint,
 )
 from reference import (
+    front_certificates_by_fractions,
     pairwise_front,
+    simplex_max_by_fractions,
     solve_explicit_exact,
     support_certificate_biobjective,
     unpruned_certificates,
@@ -85,20 +88,94 @@ def three_points():
     return explicit(MIN, ("a", (1, 8)), ("b", (2, 2)), ("c", (8, 1)))
 
 
+def cleared_rows(A, b):
+    """Each row of A x <= b times the lcm of its denominators, in ints."""
+    rows = []
+    for row, rhs in zip(A, b):
+        scale = math.lcm(*(v.denominator for v in row + [rhs]))
+        rows.append([int(v * scale) for v in row + [rhs]])
+    return [r[:-1] for r in rows], [r[-1] for r in rows]
+
+
+def lp_outcome(simplex, A, b, c):
+    try:
+        return simplex(A, b, c)
+    except ContractViolation as exc:
+        return str(exc)
+
+
+def cleared_lp(image, competitors, direction):
+    """``_support_certificate_lp`` on images cleared by their common lcm."""
+    scale = math.lcm(*(v.denominator for o in competitors + [image] for v in o))
+
+    def clear(o):
+        return tuple(int(v * scale) for v in o)
+
+    return _support_certificate_lp(clear(image), [clear(o) for o in competitors], direction, scale)
+
+
+SMALL_RATIONALS = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+RIGHT_HAND_SIDES = st.one_of(st.just(F(0)), SMALL_RATIONALS.map(abs))  # half of them 0
+
+
+@st.composite
+def rational_lps(draw):
+    """(A, b, c) with b >= 0: many zero right-hand sides (degenerate vertices),
+    negative entries, and columns that nothing bounds (unbounded programs)."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    A = [draw(st.lists(SMALL_RATIONALS, min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(RIGHT_HAND_SIDES, min_size=m, max_size=m))
+    c = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return A, b, c
+
+
+# A degenerate LP whose third pivot ties: x4 enters, and rows 3 (slack basic)
+# and 4 (x1 basic) both allow x4 = 0.  Bland's rule lets x1, the smaller
+# basis index, leave, although its row comes later, and reaches
+# x = (0, 0, 1/2, 1).  Breaking the tie by row order, or by the larger basis
+# index, reaches the other optimal vertex (0, 0, 0, 1).
+TIED_A = [[-1, 1, 2, -1], [-1, -2, 0, 2], [-2, 0, -1, 0], [1, 1, 0, 0]]
+TIED_B = [0, 2, 0, 0]
+TIED_C = [0, 1, 0, 1]
+
+
 class TestSimplex:
     def test_simple_maximum(self):
         # max x1 + x2 s.t. x1 <= 3, x2 <= 2
-        x, value = _simplex_max([[F(1), F(0)], [F(0), F(1)]], [F(3), F(2)], [F(1), F(1)])
+        x, value = _simplex_max([[1, 0], [0, 1]], [3, 2], [1, 1])
         assert value == 5 and x == [F(3), F(2)]
+
+    def test_scaled_rows_keep_the_vertex(self):
+        # max x1 + x2 s.t. x1 + 2 x2 <= 4, 3 x1 + x2 <= 6, then each row times 6
+        x, value = _simplex_max([[1, 2], [3, 1]], [4, 6], [1, 1])
+        assert _simplex_max([[6, 12], [18, 6]], [24, 36], [1, 1]) == (x, value)
+        assert x == [F(8, 5), F(6, 5)] and value == F(14, 5)
 
     def test_negative_rhs_rejected(self):
         # -x1 <= -2 leaves the origin infeasible: there is no phase 1 to repair it
         with pytest.raises(ContractViolation):
-            _simplex_max([[F(-1)], [F(1)]], [F(-2), F(5)], [F(1)])
+            _simplex_max([[-1], [1]], [-2, 5], [1])
 
     def test_unbounded_detected(self):
         with pytest.raises(ContractViolation):
-            _simplex_max([[F(-1)]], [F(0)], [F(1)])
+            _simplex_max([[-1]], [0], [1])
+
+    def test_ratio_tie_goes_to_the_smaller_basis_index(self):
+        x, value = _simplex_max(TIED_A, TIED_B, TIED_C)
+        fractions = [[F(v) for v in row] for row in TIED_A]
+        reference = simplex_max_by_fractions(fractions, [F(v) for v in TIED_B], TIED_C)
+        assert (x, value) == reference
+        assert x == [F(0), F(0), F(1, 2), F(1)] and value == 1
+
+    @given(rational_lps())
+    @settings(max_examples=300, deadline=None)
+    @example(([[F(-1), F(1)], [F(1), F(-1)]], [F(0), F(0)], [1, 1]))  # degenerate, unbounded
+    def test_integer_pivots_match_fraction_pivots(self, lp):
+        A, b, c = lp
+        int_A, int_b = cleared_rows(A, b)
+        assert lp_outcome(_simplex_max, int_A, int_b, c) == lp_outcome(
+            simplex_max_by_fractions, A, b, c
+        )
 
 
 class TestParetoFront:
@@ -171,7 +248,7 @@ class TestSupportedSet:
         for s in inst.solutions:
             competitors = [o.image for o in inst.solutions if o.image.values != s.image.values]
             analytic = support_certificate_biobjective(s.image, competitors, inst.direction)
-            lp = _support_certificate_lp(s.image, competitors, inst.direction)
+            lp = cleared_lp(s.image, competitors, inst.direction)
             assert (analytic is None) == (lp is None)
             if analytic is not None:
                 assert analytic.weak == lp.weak
@@ -235,13 +312,40 @@ class TestSupportedSet:
             i for i, c in reference.items() if c.weak
         }
 
+    @given(with_front_midpoint(any_instances))
+    @settings(max_examples=150, deadline=None)
+    def test_witnesses_match_the_fraction_lp(self, inst):
+        # Ids and weak flags alone would miss a row scaled in all but one
+        # entry: it keeps every verdict and moves the witness weights.
+        assert support_certificates(inst) == front_certificates_by_fractions(inst)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_tightness_min(3, 6),
+            lambda: gen_tightness_min(2, 64),
+            lambda: gen_max_counterexample(3, 9),
+            lambda: gen_random_explicit(3, 12, 1, 10, 7000),
+            lambda: gen_random_explicit(3, 40, 1, 1000, 1),
+            lambda: gen_random_explicit(4, 20, 1, 100, 2),
+            lambda: gen_random_explicit(3, 30, 1, 1000, 3, direction=MAX),
+        ],
+        ids=["tight-p3", "tight-p2", "max-p3", "p3-n12", "p3-n40", "p4-n20", "max-p3-n30"],
+    )
+    def test_witnesses_match_the_fraction_lp_on_generated_instances(self, make):
+        inst = make()
+        assert support_certificates(inst) == front_certificates_by_fractions(inst)
+
     @given(any_instances)
     @settings(max_examples=100, deadline=None)
     def test_only_front_images_are_solved_against_front_images(self, inst):
         calls = []
 
-        def record(image, competitors, direction):
-            calls.append((image.values, [c.values for c in competitors]))
+        def record(image, competitors, direction, scale):
+            def restore(cleared):
+                return tuple(F(v, scale) for v in cleared)
+
+            calls.append((restore(image), [restore(c) for c in competitors]))
             return None
 
         with pytest.MonkeyPatch.context() as patch:
