@@ -262,6 +262,11 @@ class GridRun:
         Any feasible image inside a cell is approximated by that weight's
         solution, because the weight shifted to the cell's lower corner is
         equivalent to the issued one.
+
+        The map has prod (u_j + 1) cells, but every corner is an entry of
+        ``plan.corners``, so its 2p bounds per cell take only sum (u_j + 2)
+        distinct values.  The CLI formats, checks and CSV-escapes each of
+        them once, reading a cell's bounds at its weight's exponents.
         """
         cells: list[CellAssignment] = []
         u = self.plan.u

@@ -32,7 +32,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from .algorithms import (
     BiobjectiveRun,
@@ -163,6 +163,14 @@ def report_to_json(report: VerificationReport) -> dict[str, Any]:
 
 
 def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
+    """The grid part of an ``approximate`` report; with ``include_cells``,
+    the ``cells`` block of ``run.cell_map()``.
+
+    Every cell corner is l_j * step**k from ``run.plan.corners``, so a
+    ``cells`` block prints only sum (u_j + 2) distinct corner strings however
+    many cells it has.  Each is formatted once into ``text[j][k]``, and a
+    cell's bounds are read from that table at the exponents of its weight.
+    """
     data: dict[str, Any] = {
         "eps_prime": format_rational(run.eps_prime),
         "u": list(run.u),
@@ -178,16 +186,20 @@ def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
         ],
     }
     if include_cells:
-        data["cells"] = [
-            {
-                "weight_index": cell.weight_index,
-                "level": cell.level,
-                "id": cell.solution_id,
-                "lower": format_rationals(cell.lower),
-                "upper": format_rationals(cell.upper),
-            }
-            for cell in run.cell_map()
-        ]
+        text = [format_rationals(column) for column in run.plan.corners]
+        cells = []
+        for cell in run.cell_map():
+            k = run.plan.entries[cell.weight_index].exponents
+            cells.append(
+                {
+                    "weight_index": cell.weight_index,
+                    "level": cell.level,
+                    "id": cell.solution_id,
+                    "lower": [column[k_j + cell.level] for column, k_j in zip(text, k)],
+                    "upper": [column[k_j + cell.level + 1] for column, k_j in zip(text, k)],
+                }
+            )
+        data["cells"] = cells
     return data
 
 
@@ -407,29 +419,79 @@ def _is_rational_text(value: Any) -> bool:
     return True
 
 
+_CELLS_FORMAT = (
+    "report 'cells' must hold integer weight_index and level, a string id "
+    "and two rational strings each in lower and upper"
+)
+
+
 def _cell_rows(cells: Any) -> list[list[Any]]:
-    """CSV rows of a report's ``cells``, all checked before any is written."""
-    if not isinstance(cells, list) or not all(
-        isinstance(c, dict)
-        and all(type(c.get(k)) is int for k in ("weight_index", "level"))  # bool excluded
-        and isinstance(c.get("id"), str)
-        and all(
-            isinstance(c.get(k), list)
-            and len(c[k]) == 2
-            and all(_is_rational_text(v) for v in c[k])
-            for k in ("lower", "upper")
+    """CSV rows of a report's ``cells``, all checked before any is written.
+
+    A report's cells repeat few distinct corner strings, so each distinct
+    ``lower``/``upper`` string is checked once; a value that is not a
+    string is refused before any set lookup, which could not hash it.
+    """
+    accepted: set[str] = set()
+
+    def is_bound(value: Any) -> bool:
+        if isinstance(value, str) and value in accepted:
+            return True
+        if _is_rational_text(value):
+            accepted.add(value)
+            return True
+        return False
+
+    if not isinstance(cells, list):
+        raise InstanceFormatError(_CELLS_FORMAT)
+    rows: list[list[Any]] = []
+    for c in cells:
+        if not isinstance(c, dict):
+            raise InstanceFormatError(_CELLS_FORMAT)
+        lower, upper = c.get("lower"), c.get("upper")
+        if not (
+            isinstance(lower, list)
+            and isinstance(upper, list)
+            and type(c.get("weight_index")) is int  # bool excluded
+            and type(c.get("level")) is int
+            and isinstance(c.get("id"), str)
+            and len(lower) == len(upper) == 2
+            and all(is_bound(v) for v in lower + upper)
+        ):
+            raise InstanceFormatError(_CELLS_FORMAT)
+        rows.append(
+            [c["weight_index"], c["level"], c["id"], lower[0], upper[0], lower[1], upper[1]]
         )
-        for c in cells
-    ):
-        raise InstanceFormatError(
-            "report 'cells' must hold integer weight_index and level, a string id "
-            "and two rational strings each in lower and upper"
-        )
-    return [
-        [c["weight_index"], c["level"], c["id"]]
-        + [c["lower"][0], c["upper"][0], c["lower"][1], c["upper"][1]]
-        for c in cells
-    ]
+    return rows
+
+
+class _Echo:
+    """A file whose ``write`` returns its line, which ``writerow`` returns."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def _csv_text(rows: Iterable[Sequence[Any]]) -> str:
+    """The text ``csv.writer`` writes for ``rows`` of two or more fields,
+    with each distinct field escaped once, by ``csv.writer`` itself.
+
+    A field is escaped as the second field of a two-field row, because
+    ``csv.writer`` quotes a row of one empty field as ``""`` but writes an
+    empty field in a longer row as nothing.
+    """
+    writer = csv.writer(_Echo())
+    delimiter, terminator = writer.dialect.delimiter, writer.dialect.lineterminator
+    escaped: dict[Any, str] = {}
+
+    def escape(field: Any) -> str:
+        text = escaped.get(field)
+        if text is None:
+            text = escaped[field] = writer.writerow(("", field))[1 : -len(terminator)]
+        return text
+
+    return "".join(delimiter.join([escape(f) for f in row]) + terminator for row in rows)
 
 
 def cmd_export_plot(args: argparse.Namespace) -> int:
@@ -444,28 +506,21 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
     pareto = pareto_front(inst)
     supported_ids = frozenset(support_certificates(inst))
     os.makedirs(args.out_dir, exist_ok=True)
-    points_path = os.path.join(args.out_dir, "points.csv")
-    with open(points_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "f1", "f2", "pareto", "supported", "output"])
-        for s in inst.solutions:
-            writer.writerow(
-                [
-                    s.id,
-                    format_rational(s.image[0]),
-                    format_rational(s.image[1]),
-                    int(s.id in pareto),
-                    int(s.id in supported_ids),
-                    int(s.id in output_ids),
-                ]
-            )
-    cells_path = os.path.join(args.out_dir, "cells.csv")
-    with open(cells_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi"]
-        )
-        writer.writerows(cell_rows)
+    points_rows = [["id", "f1", "f2", "pareto", "supported", "output"]] + [
+        [
+            s.id,
+            format_rational(s.image[0]),
+            format_rational(s.image[1]),
+            int(s.id in pareto),
+            int(s.id in supported_ids),
+            int(s.id in output_ids),
+        ]
+        for s in inst.solutions
+    ]
+    header = ["weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi"]
+    for name, rows in (("points.csv", points_rows), ("cells.csv", [header] + cell_rows)):
+        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8", newline="") as handle:
+            handle.write(_csv_text(rows))
     return EXIT_OK
 
 

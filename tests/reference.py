@@ -11,6 +11,12 @@ in ``Fraction`` and without the package's shortcuts:
 - ``cell_map_by_products`` builds every cell corner as a product of a
   weight's base and a power of the step instead of reading the plan's
   corner table;
+- ``cells_block_by_cells`` formats a report's ``cells`` block corner by
+  corner, once for every cell that prints it, instead of once for each
+  distinct corner;
+- ``csv_text_by_writerows`` writes CSV rows with ``csv.writer.writerows``,
+  which escapes a field wherever it appears, where the CLI escapes each
+  distinct field once;
 - ``support_certificate_biobjective`` decides p = 2 supportedness by slope
   intervals instead of the package's LP;
 - ``support_certificate_by_fractions`` builds that LP on the Fraction
@@ -26,7 +32,9 @@ in ``Fraction`` and without the package's shortcuts:
 The references skip argument checks; the package's entry points make those.
 """
 
+import csv
 import heapq
+import io
 import itertools
 from fractions import Fraction
 from typing import Optional
@@ -50,6 +58,7 @@ from wsapprox import (
     factor_vector,
 )
 from wsapprox.algorithms import CellAssignment, GridRun
+from wsapprox.core import format_rationals
 from wsapprox.oracles import Violation, Witness
 from wsapprox.solvers import (
     DisconnectedGraph,
@@ -296,6 +305,28 @@ def cell_map_by_products(run: GridRun, bounds: Bounds) -> tuple:
             upper = tuple(b * powers[level + 1] for b in base)
             cells.append(CellAssignment(idx, answer.solution_id, level, lower, upper))
     return tuple(cells)
+
+
+def cells_block_by_cells(run: GridRun) -> list:
+    """A grid report's ``cells`` block with each cell's corners formatted
+    from the cell itself."""
+    return [
+        {
+            "weight_index": cell.weight_index,
+            "level": cell.level,
+            "id": cell.solution_id,
+            "lower": format_rationals(cell.lower),
+            "upper": format_rationals(cell.upper),
+        }
+        for cell in run.cell_map()
+    ]
+
+
+def csv_text_by_writerows(rows) -> str:
+    """The text that ``csv.writer(...).writerows(rows)`` writes."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,25 @@
+import csv
 import json
+import math
 import pathlib
 import re
 import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from wsapprox import adversarial_solver, approximate_grid, cli, compute_bounds
+from wsapprox import adversarial_solver, approximate_grid, cli, compute_bounds, exact_solver
 from wsapprox.cli import main
+from wsapprox.core import format_rational
 from wsapprox.instances import canonical_dumps, load_instance
+
+from conftest import explicit_instances
+from reference import cell_map_by_products, cells_block_by_cells, csv_text_by_writerows
 
 THREE_POINTS = {
     "schema_version": 1,
@@ -884,6 +893,28 @@ class TestOutFlag:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+CELLS_HEADER = ["weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi"]
+
+# Text that csv.writer must quote or leave empty, and rational literals
+# padded with whitespace that check_rational_literal strips.
+CSV_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "1"]), max_size=4)
+PADDED_RATIONALS = st.builds(
+    lambda before, literal, after: before + literal + after,
+    st.text(st.sampled_from([" ", "\n", "\t", "\r"]), max_size=2),
+    st.sampled_from(["1/2", "3", "-7/4", "+08", "0/5"]),
+    st.text(st.sampled_from([" ", "\n", "\t", "\r"]), max_size=2),
+)
+REPORT_CELLS = st.fixed_dictionaries(
+    {
+        "weight_index": st.integers(0, 9),
+        "level": st.integers(0, 3),
+        "id": CSV_TEXT,
+        "lower": st.lists(PADDED_RATIONALS, min_size=2, max_size=2),
+        "upper": st.lists(PADDED_RATIONALS, min_size=2, max_size=2),
+    }
+)
+
+
 class TestExportPlot:
     def test_roles_and_cells(self, tmp_path):
         inst = tmp_path / "tight.json"
@@ -911,9 +942,58 @@ class TestExportPlot:
         # The center point is nondominated but unsupported.
         assert rows["ytilde"][3] == "1" and rows["ytilde"][4] == "0"
         assert rows["y1"][3] == "1" and rows["y1"][4] == "1"
-        cells = (out_dir / "cells.csv").read_text().strip().splitlines()
-        assert len(cells) > 1
-        assert cells[0].startswith("weight_index")
+        with open(out_dir / "cells.csv", encoding="utf-8", newline="") as handle:
+            cells = list(csv.reader(handle))
+        assert cells[0] == CELLS_HEADER
+        tight = load_instance(str(inst))
+        bounds = compute_bounds(tight)
+        run = approximate_grid(exact_solver(tight), bounds, Fraction(1, 2))
+        assert len(cells) - 1 == math.prod(u + 1 for u in run.u)
+        assert cells[1:] == [
+            [str(c.weight_index), str(c.level), c.solution_id]
+            + [format_rational(v) for pair in zip(c.lower, c.upper) for v in pair]
+            for c in cell_map_by_products(run, bounds)
+        ]
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [CELL] * 3000 + [{**CELL, "upper": ["2", "1/0"]}],
+            [CELL, {**CELL, "upper": ["2", 2]}],
+            [CELL, {**CELL, "lower": [{"x": 1}, "1"]}],
+        ],
+        ids=["zero-denominator-after-repeats", "int-after-equal-string", "unhashable-later"],
+    )
+    def test_bad_bound_after_accepted_ones_exits_3(self, tmp_path, capsys, cells):
+        # Each distinct bound string is checked once: a repeat is accepted
+        # from a set, so whatever is not a string must never reach that set.
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({**REPORT, "cells": cells}))
+        out_dir = tmp_path / "plots"
+        assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err.startswith("error: report 'cells' must hold")
+        assert not out_dir.exists()
+
+    @given(
+        explicit_instances(p=2, max_n=6),
+        st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3)]),
+        st.sampled_from([Fraction(1), Fraction(3, 2)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cells_block_matches_per_cell_formatting(self, inst, epsilon, sigma):
+        run = approximate_grid(adversarial_solver(inst, sigma), compute_bounds(inst), epsilon)
+        assert cli._grid_report(run, include_cells=True)["cells"] == cells_block_by_cells(run)
+
+    @given(st.lists(REPORT_CELLS, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_cells_csv_matches_writerows(self, cells):
+        rows = [CELLS_HEADER] + cli._cell_rows(cells)
+        assert cli._csv_text(rows) == csv_text_by_writerows(rows)
+
+    @given(st.lists(st.lists(CSV_TEXT, min_size=2, max_size=7), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_csv_text_matches_writerows(self, rows):
+        assert cli._csv_text(rows) == csv_text_by_writerows(rows)
 
     def test_rejects_p3_reports(self, tmp_path):
         inst = tmp_path / "p3.json"
