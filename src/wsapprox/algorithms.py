@@ -145,10 +145,11 @@ def expected_grid_calls(u: tuple[int, ...]) -> int:
 
 
 def _grid_step(
-    bounds: Bounds, epsilon: RationalLike, sigma: RationalLike, p: int
+    bounds: Bounds, epsilon: RationalLike, sigma: RationalLike
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Checked (epsilon, sigma, step) of a grid, step = 1 + epsilon/(sigma*p);
-    a report past the interpreter's digit limit is refused here.
+    """Checked (epsilon, sigma, step) of a grid, step = 1 + epsilon/(sigma*p)
+    with p = bounds.p; a report past the interpreter's digit limit is
+    refused here.
 
     The grid calls it at its solver's sigma; the bisection walks the same
     ladder at sigma = 1 and p = 2, step 1 + epsilon/2."""
@@ -158,9 +159,7 @@ def _grid_step(
         raise ContractViolation("epsilon must be positive")
     if sigma < 1:
         raise ContractViolation("sigma must be >= 1")
-    if bounds.p != p:
-        raise ContractViolation("bounds dimension differs from p")
-    step = 1 + epsilon / (sigma * p)
+    step = 1 + epsilon / (sigma * bounds.p)
     _check_report_digits(bounds, step)
     return epsilon, sigma, step
 
@@ -174,7 +173,7 @@ def check_cell_map(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -
     The count uses the caps' float estimates and each value the digit
     estimate of ``_value_digits``, so no power of the step is built.
     """
-    _, _, step = _grid_step(bounds, epsilon, sigma, bounds.p)
+    _, _, step = _grid_step(bounds, epsilon, sigma)
     cells = math.prod(
         _cap_estimate(hi / lo, step) + 1 for lo, hi in zip(bounds.lower, bounds.upper)
     )
@@ -186,17 +185,15 @@ def check_cell_map(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -
         )
 
 
-def plan_grid(
-    bounds: Bounds, epsilon: RationalLike, sigma: RationalLike, p: int
-) -> GridPlan:
-    """Enumerate the weight grid; deterministic order (k ascending, then
-    mixed-radix over the remaining exponents).  A grid of more than
-    MAX_GRID_CALLS weights, or one whose report values would pass the
-    interpreter's digit limit, raises ContractViolation before any weight
-    is built."""
-    epsilon, sigma, step = _grid_step(bounds, epsilon, sigma, p)
-    eps_prime = step - 1
-    u = tuple(exponent_cap(bounds.lower[j], bounds.upper[j], step) for j in range(p))
+def plan_grid(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> GridPlan:
+    """Enumerate the weight grid of the p = bounds.p objectives; deterministic
+    order (k ascending, then mixed-radix over the remaining exponents).  A
+    grid of more than MAX_GRID_CALLS weights, or one whose report values
+    would pass the interpreter's digit limit, raises ContractViolation
+    before any weight is built."""
+    epsilon, sigma, step = _grid_step(bounds, epsilon, sigma)
+    p = bounds.p
+    u = tuple(exponent_cap(lo, hi, step) for lo, hi in zip(bounds.lower, bounds.upper))
     calls = expected_grid_calls(u)
     if calls > MAX_GRID_CALLS:
         raise ContractViolation(
@@ -216,7 +213,7 @@ def plan_grid(
             weight = WeightVector(tuple(1 / corners[j][k_j] for j, k_j in enumerate(combo)))
             entries.append(GridWeight(tuple(combo), weight))
     assert len(entries) == calls
-    return GridPlan(epsilon, sigma, eps_prime, u, corners, tuple(entries))
+    return GridPlan(epsilon, sigma, step - 1, u, corners, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -236,22 +233,6 @@ class GridRun:
     answers: tuple[SolveAnswer, ...]
     result: tuple[Solution, ...]
     ws_calls: int
-
-    @property
-    def epsilon(self) -> Fraction:
-        return self.plan.epsilon
-
-    @property
-    def sigma(self) -> Fraction:
-        return self.plan.sigma
-
-    @property
-    def eps_prime(self) -> Fraction:
-        return self.plan.eps_prime
-
-    @property
-    def u(self) -> tuple[int, ...]:
-        return self.plan.u
 
     def result_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.result)
@@ -280,6 +261,11 @@ class GridRun:
         return tuple(cells)
 
 
+def _output_set(picked: dict[str, SolveAnswer]) -> tuple[Solution, ...]:
+    """P: one solution per answer id, sorted by id (an id fixes its image)."""
+    return tuple(Solution(sid, picked[sid].image) for sid in sorted(picked))
+
+
 def approximate_grid(
     solver: SolverHandle,
     bounds: Bounds,
@@ -291,16 +277,13 @@ def approximate_grid(
     plan order; ``answers[i]`` is the answer to ``plan.entries[i]`` and the
     result set is sorted by id.
     """
-    plan = plan_grid(bounds, epsilon, solver.sigma, solver.p)
+    if bounds.p != solver.p:
+        raise ContractViolation("bounds dimension differs from p")
+    plan = plan_grid(bounds, epsilon, solver.sigma)
     before = solver.calls
     answers = [solver.solve(entry.weight) for entry in plan.entries]
     ws_calls = solver.calls - before
-    picked: dict[str, SolveAnswer] = {}
-    for answer in answers:
-        picked.setdefault(answer.solution_id, answer)
-    result = tuple(
-        Solution(sid, picked[sid].image) for sid in sorted(picked)
-    )
+    result = _output_set({a.solution_id: a for a in answers})
     return GridRun(plan, tuple(answers), result, ws_calls)
 
 
@@ -339,21 +322,24 @@ def approximate_biobjective(
     """Binary search over the gamma ladder (exact solver, p = 2 only).
 
     The pending ranges form a tree rooted at the initialization (which
-    solves the two extreme gammas); every processed range solves the
-    midpoint index once.  Indices are memoized, so a range that bisects to
-    an already-solved index costs no extra call; this keeps ws_calls at the
-    number of distinct ladder indices probed, never above u1 + u2 + 1.
+    solves the two extreme gammas); every processed range solves its
+    midpoint index.  A range is queued only with a rung strictly inside
+    it, and the interiors of queued ranges are disjoint, so no index is
+    solved twice: ws_calls is 2 + tree_nodes (1 on a one-rung ladder),
+    never above u1 + u2 + 1.
 
     The two extreme solutions are always part of the output (deduplicated
     by id); exploration of the interior stops early when one extreme
-    already approximates the other.
+    already approximates the other.  On a two-rung ladder it always does:
+    one objective spans less than the step 1 + eps/2 < 2 + eps, and the
+    extreme whose weight favours the other objective is no worse there,
+    so it approximates its partner.
     """
     if solver.sigma != 1:
         raise ContractViolation("the bisection requires an exact (sigma = 1) solver")
     if solver.p != 2 or bounds.p != 2:
         raise ContractViolation("the bisection is biobjective only")
-    epsilon, _, step = _grid_step(bounds, epsilon, 1, 2)
-    eps_prime = step - 1
+    epsilon, _, step = _grid_step(bounds, epsilon, 1)
     u1 = exponent_cap(bounds.lower[0], bounds.upper[0], step)
     u2 = exponent_cap(bounds.lower[1], bounds.upper[1], step)
     count = u1 + u2 + 1
@@ -362,73 +348,66 @@ def approximate_biobjective(
     factor_left = FactorVector.of(2 + epsilon, 1)
 
     before = solver.calls
-    solved: dict[int, SolveAnswer] = {}
     probes: list[BisectProbe] = []
 
     def solve_index(t: int) -> SolveAnswer:
-        if t not in solved:
-            gamma = ratio * step ** (u2 - t + 1)
-            answer = solver.solve(WeightVector.of(gamma, 1))
-            solved[t] = answer
-            probes.append(BisectProbe(t, gamma, answer))
-        return solved[t]
+        gamma = ratio * step ** (u2 - t + 1)
+        answer = solver.solve(WeightVector.of(gamma, 1))
+        probes.append(BisectProbe(t, gamma, answer))
+        return answer
 
     def approx(a: SolveAnswer, b: SolveAnswer, alpha: FactorVector) -> bool:
         return approximates(a.image, b.image, alpha, Direction.MIN)
 
     first = solve_index(1)
-    last = solve_index(count)
-    picked: dict[str, SolveAnswer] = {}
+    last = solve_index(count) if count > 1 else first
     # Both extremes always stay in the output: a feasible point whose grid
     # cell belongs to one extreme's weight may be covered by no other solve,
     # so dropping that extreme (even when the other approximates it) voids
     # the guarantee, multi_factor(1, epsilon, 2).  The approximation tests
     # only decide whether the interior of the ladder needs exploring.
-    picked[first.solution_id] = first
-    picked.setdefault(last.solution_id, last)
-    queue: deque[tuple[int, int, int]] = deque()
-    if not approx(first, last, factor_right) and not approx(last, first, factor_left):
-        queue.append((1, count, 1))
+    picked = {first.solution_id: first, last.solution_id: last}
+    # A queued range (left, x_left, right, x_right, depth) carries its endpoints' answers.
+    queue: deque[tuple[int, SolveAnswer, int, SolveAnswer, int]] = deque()
+    if count > 2 and not (approx(first, last, factor_right) or approx(last, first, factor_left)):
+        queue.append((1, first, count, last, 1))
 
     tree_nodes = 0
     two_child_nodes = 0
     tree_height = 0
     while queue:
-        left, right, depth = queue.popleft()
+        left, x_left, right, x_right, depth = queue.popleft()
         tree_nodes += 1
         tree_height = max(tree_height, depth)
         t = (left + right) // 2
         probe = solve_index(t)
-        x_left, x_right = solved[left], solved[right]
         left_covers = approx(x_left, probe, factor_right)
         right_covers = approx(x_right, probe, factor_left)
         if not left_covers or not right_covers:
-            picked.setdefault(probe.solution_id, probe)
+            picked[probe.solution_id] = probe
             children = 0
             if t >= left + 2 and not left_covers and not approx(probe, x_left, factor_left):
-                queue.append((left, t, depth + 1))
+                queue.append((left, x_left, t, probe, depth + 1))
                 children += 1
             if (
                 t <= right - 2
                 and not approx(probe, x_right, factor_right)
                 and not right_covers
             ):
-                queue.append((t, right, depth + 1))
+                queue.append((t, probe, right, x_right, depth + 1))
                 children += 1
             if children == 2:
                 two_child_nodes += 1
 
-    ws_calls = solver.calls - before
-    result = tuple(Solution(sid, picked[sid].image) for sid in sorted(picked))
     return BiobjectiveRun(
         epsilon,
-        eps_prime,
+        step - 1,
         u1,
         u2,
         count,
         tuple(probes),
-        result,
-        ws_calls,
+        _output_set(picked),
+        solver.calls - before,
         tree_nodes,
         two_child_nodes,
         tree_height,

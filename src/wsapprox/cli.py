@@ -7,11 +7,12 @@ computes ground-truth sets, ``generate`` writes instance files, and
 
 Exit codes are a stable contract: 0 success (and "verified"), 1 guarantee
 violated, 2 invalid flags or preconditions (an ``--out`` in a missing
-directory, or naming a directory, is refused before any work; a grid of
-more than ``algorithms.MAX_GRID_CALLS`` weights before any weight is
-built; an ``approximate`` run whose report would print an int of more
-digits than ``sys.get_int_max_str_digits()`` before any power of the grid
-step is built or any solve is made; a ``--cells`` map of more than
+directory, or naming a directory, and an ``export-plot --out-dir`` that is
+empty or names a file, are refused before any work; a grid of more than
+``algorithms.MAX_GRID_CALLS`` weights before any weight is built; an
+``approximate`` run whose report would print an int of more digits than
+``sys.get_int_max_str_digits()`` before any power of the grid step is
+built or any solve is made; a ``--cells`` map of more than
 ``algorithms.MAX_CELL_DIGITS`` estimated digits before any solve; a flag
 that the chosen algorithm or family would ignore, such as ``--tau`` outside
 ptas, ``--sigma`` under ptas, or a ``--sigma`` other than 1 under ``verify
@@ -112,6 +113,16 @@ def _check_out(out: Optional[str]) -> None:
         raise ContractViolation(f"--out directory does not exist: {directory}")
 
 
+def _check_out_dir(out_dir: Optional[str]) -> None:
+    """Refuse, before any work, an ``--out-dir`` that is empty or that names
+    a file or lies under one."""
+    existing = os.path.abspath(out_dir) if out_dir else ""
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if out_dir is not None and not os.path.isdir(existing):
+        raise ContractViolation(f"--out-dir {out_dir!r} is not a directory")
+
+
 def _write_output(payload: Any, out: Optional[str]) -> None:
     text = canonical_dumps(payload)
     if out:
@@ -172,8 +183,8 @@ def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
     cell's bounds are read from that table at the exponents of its weight.
     """
     data: dict[str, Any] = {
-        "eps_prime": format_rational(run.eps_prime),
-        "u": list(run.u),
+        "eps_prime": format_rational(run.plan.eps_prime),
+        "u": list(run.plan.u),
         "ws_calls": run.ws_calls,
         "solutions": [{"id": s.id, "f": format_rationals(s.image)} for s in run.result],
         "weights": [
@@ -279,9 +290,9 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         if args.cells:
             raise ContractViolation("--cells is a grid report feature")
         run = approximate_with_ptas(adversarial_solver(inst, 1 + args.tau), bounds, args.epsilon)
-        report["sigma"] = format_rational(run.sigma)
+        report["sigma"] = format_rational(run.plan.sigma)
         report["tau"] = format_rational(args.tau)
-        report["inner_epsilon"] = format_rational(run.epsilon)
+        report["inner_epsilon"] = format_rational(run.plan.epsilon)
         report.update(_grid_report(run, include_cells=False))
     _write_output(report, args.out)
     return EXIT_OK
@@ -611,6 +622,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(getattr(args, "out", None))
+        _check_out_dir(getattr(args, "out_dir", None))
         return args.func(args)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, TypeVar, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -113,21 +113,22 @@ class Direction(Enum):
     MAX = "max"
 
 
+_V = TypeVar("_V", bound="_RationalVector")
+
+
 @dataclass(frozen=True)
-class ObjectiveVector:
-    """Image f(x) of a feasible solution: p >= 2 strictly positive rationals."""
+class _RationalVector:
+    """Immutable tuple of exact rationals, ``values``; each subclass adds its
+    invariant.  Equality and hashing are per subclass, so a weight vector
+    never equals an image with the same values."""
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _rational_tuple(self.values))
-        if len(self.values) < 2:
-            raise ContractViolation("objective vectors need p >= 2 components")
-        if any(v <= 0 for v in self.values):
-            raise ContractViolation("objective values must be strictly positive")
 
     @classmethod
-    def of(cls, *values: RationalLike) -> "ObjectiveVector":
+    def of(cls: type[_V], *values: RationalLike) -> _V:
         return cls(tuple(values))
 
     def __len__(self) -> int:
@@ -138,6 +139,17 @@ class ObjectiveVector:
 
     def __getitem__(self, j: int) -> Fraction:
         return self.values[j]
+
+
+class ObjectiveVector(_RationalVector):
+    """Image f(x) of a feasible solution: p >= 2 strictly positive rationals."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.values) < 2:
+            raise ContractViolation("objective vectors need p >= 2 components")
+        if any(v <= 0 for v in self.values):
+            raise ContractViolation("objective values must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -165,66 +177,34 @@ class Bounds:
         return len(self.lower)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_RationalVector):
     """Strictly positive weights of a weighted-sum scalarization."""
 
-    weights: tuple[Fraction, ...]
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _rational_tuple(self.weights))
-        if not self.weights:
+        super().__post_init__()
+        if not self.values:
             raise ContractViolation("empty weight vector")
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in self.values):
             raise ContractViolation("weights must be strictly positive")
-
-    @classmethod
-    def of(cls, *weights: RationalLike) -> "WeightVector":
-        return cls(tuple(weights))
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.weights)
-
-    def __getitem__(self, j: int) -> Fraction:
-        return self.weights[j]
 
     def scalarize(self, image: ObjectiveVector) -> Fraction:
         """Exact weighted sum of an image under this weight vector."""
-        if len(image) != len(self.weights):
+        if len(image) != len(self.values):
             raise ContractViolation("dimension mismatch")
-        return sum((w * v for w, v in zip(self.weights, image)), Fraction(0))
+        return sum((w * v for w, v in zip(self.values, image)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class FactorVector:
+class FactorVector(_RationalVector):
     """Componentwise approximation factors, each >= 1."""
 
-    factors: tuple[Fraction, ...]
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", _rational_tuple(self.factors))
-        if any(f < 1 for f in self.factors):
+        super().__post_init__()
+        if any(f < 1 for f in self.values):
             raise ContractViolation("approximation factors must be >= 1")
-
-    @classmethod
-    def of(cls, *factors: RationalLike) -> "FactorVector":
-        return cls(tuple(factors))
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.factors)
-
-    def __getitem__(self, j: int) -> Fraction:
-        return self.factors[j]
 
     def excess_sum(self) -> Fraction:
         """Sum of the components that are strictly larger than 1."""
-        return sum((f for f in self.factors if f > 1), Fraction(0))
+        return sum((f for f in self.values if f > 1), Fraction(0))
 
 
 class FamilyKind(Enum):

@@ -42,6 +42,21 @@ class InstanceFormatError(ValueError):
     """Instance JSON that does not match the schema."""
 
 
+def _axis_instance(
+    direction: Direction, prefix: str, p: int, big_m: RationalLike, shift: int
+) -> ExplicitInstance:
+    """p axis points ``{prefix}j`` with M in their own coordinate and 1/p
+    elsewhere, and ``{prefix}tilde`` at (M + shift)/p in every coordinate."""
+    big_m = as_rational(big_m)
+    if p < 2 or big_m <= 1:
+        raise ContractViolation("need p >= 2 and M > 1")
+    off = Fraction(1, p)
+    axes = (ObjectiveVector(tuple(big_m if i == j else off for i in range(p))) for j in range(p))
+    solutions = [Solution(f"{prefix}{j + 1}", image) for j, image in enumerate(axes)]
+    solutions.append(Solution(f"{prefix}tilde", ObjectiveVector(((big_m + shift) / p,) * p)))
+    return ExplicitInstance(direction, p, tuple(solutions))
+
+
 def gen_tightness_min(p: int, big_m: RationalLike) -> ExplicitInstance:
     """Minimization instance whose unsupported point defeats any deficit bound.
 
@@ -50,17 +65,7 @@ def gen_tightness_min(p: int, big_m: RationalLike) -> ExplicitInstance:
     are supported, the extra point is nondominated but unsupported, and the
     ratio between them in the peak coordinate is p*M/(M+1).
     """
-    big_m = as_rational(big_m)
-    if p < 2 or big_m <= 1:
-        raise ContractViolation("need p >= 2 and M > 1")
-    off = Fraction(1, p)
-    solutions = [
-        Solution(f"y{j + 1}", ObjectiveVector(tuple(big_m if i == j else off for i in range(p))))
-        for j in range(p)
-    ]
-    center = (big_m + 1) / p
-    solutions.append(Solution("ytilde", ObjectiveVector(tuple(center for _ in range(p)))))
-    return ExplicitInstance(Direction.MIN, p, tuple(solutions))
+    return _axis_instance(Direction.MIN, "y", p, big_m, 1)
 
 
 def gen_max_counterexample(p: int, big_m: RationalLike) -> ExplicitInstance:
@@ -70,27 +75,18 @@ def gen_max_counterexample(p: int, big_m: RationalLike) -> ExplicitInstance:
     at M/p per coordinate, so each supported point misses it by a ratio of
     exactly M in every coordinate other than its own peak.
     """
-    big_m = as_rational(big_m)
-    if p < 2 or big_m <= 1:
-        raise ContractViolation("need p >= 2 and M > 1")
-    off = Fraction(1, p)
-    solutions = [
-        Solution(f"x{j + 1}", ObjectiveVector(tuple(big_m if i == j else off for i in range(p))))
-        for j in range(p)
-    ]
-    center = big_m / p
-    solutions.append(Solution("xtilde", ObjectiveVector(tuple(center for _ in range(p)))))
-    return ExplicitInstance(Direction.MAX, p, tuple(solutions))
+    return _axis_instance(Direction.MAX, "x", p, big_m, 0)
 
 
-def _lattice_value(
-    rng: random.Random, low: Fraction, high: Fraction, denominator: int
-) -> Fraction:
+def _lattice_vector(
+    rng: random.Random, p: int, low: Fraction, high: Fraction, denominator: int
+) -> ObjectiveVector:
+    """p uniform draws from the rationals k/denominator in [low, high]."""
     lo = math.ceil(low * denominator)
     hi = math.floor(high * denominator)
     if lo > hi:
         raise ContractViolation("value range contains no lattice point")
-    return Fraction(rng.randint(lo, hi), denominator)
+    return ObjectiveVector(tuple(Fraction(rng.randint(lo, hi), denominator) for _ in range(p)))
 
 
 def gen_random_explicit(
@@ -109,11 +105,7 @@ def gen_random_explicit(
         raise ContractViolation("need n >= 1 and 0 < value_low <= value_high")
     rng = random.Random(seed)
     solutions = tuple(
-        Solution(
-            f"s{i + 1}",
-            ObjectiveVector(tuple(_lattice_value(rng, low, high, denominator) for _ in range(p))),
-        )
-        for i in range(n)
+        Solution(f"s{i + 1}", _lattice_vector(rng, p, low, high, denominator)) for i in range(n)
     )
     return ExplicitInstance(direction, p, solutions)
 
@@ -157,12 +149,7 @@ def gen_random_graph(
         if tail != head:
             pairs.append((tail, head))
     arcs = tuple(
-        Arc(
-            tail,
-            head,
-            ObjectiveVector(tuple(_lattice_value(rng, low, high, denominator) for _ in range(p))),
-        )
-        for tail, head in pairs
+        Arc(tail, head, _lattice_vector(rng, p, low, high, denominator)) for tail, head in pairs
     )
     return GraphInstance(
         Direction.MIN, p, node_count, arcs, kind, source=0, target=node_count - 1
@@ -175,27 +162,22 @@ def canonical_dumps(payload: Any) -> str:
 
 
 def instance_to_json(inst: Instance) -> dict[str, Any]:
-    if isinstance(inst, ExplicitInstance):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "explicit",
-            "direction": inst.direction.value,
-            "p": inst.p,
-            "solutions": [
-                {"id": s.id, "f": format_rationals(s.image)} for s in inst.solutions
-            ],
-        }
+    explicit = isinstance(inst, ExplicitInstance)
     payload: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "kind": inst.kind.value,
+        "kind": "explicit" if explicit else inst.kind.value,
         "direction": inst.direction.value,
         "p": inst.p,
-        "nodes": inst.node_count,
-        "arcs": [
-            {"from": a.tail, "to": a.head, "cost": format_rationals(a.cost)}
-            for a in inst.arcs
-        ],
     }
+    if explicit:
+        payload["solutions"] = [
+            {"id": s.id, "f": format_rationals(s.image)} for s in inst.solutions
+        ]
+        return payload
+    payload["nodes"] = inst.node_count
+    payload["arcs"] = [
+        {"from": a.tail, "to": a.head, "cost": format_rationals(a.cost)} for a in inst.arcs
+    ]
     if inst.kind is GraphKind.SHORTEST_PATH:
         payload["source"] = inst.source
         payload["target"] = inst.target
@@ -306,7 +288,8 @@ def read_json(path: str, what: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
+    # ValueError: bad JSON, UTF-8 or digit count; RecursionError: deep nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise InstanceFormatError(f"cannot read {what} {path}: {exc}") from exc
 
 

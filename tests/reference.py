@@ -179,7 +179,7 @@ def bounds_contain(bounds: Bounds, image) -> bool:
 
 def factor_le(a: FactorVector, b: FactorVector) -> bool:
     """a <= b componentwise."""
-    return all(x <= y for x, y in zip(a.factors, b.factors))
+    return all(x <= y for x, y in zip(a.values, b.values))
 
 
 def covers(beta: FactorVector, family: GuaranteeFamily) -> bool:
@@ -239,7 +239,7 @@ def multi_factor_witness(beta: FactorVector, family: GuaranteeFamily):
         return None
     if family.kind is FamilyKind.UNIFORM:
         return FactorVector(tuple(family.bound for _ in range(family.p)))
-    factors = list(beta.factors)
+    factors = list(beta.values)
     deficit = family.bound - beta.excess_sum()
     big = [j for j, f in enumerate(factors) if f > 1]
     escapes = [j for j, f in enumerate(factors) if f <= family.sigma]
@@ -294,12 +294,12 @@ def cell_map_by_products(run: GridRun, bounds: Bounds) -> tuple:
     of the step, each weight's base, and each corner b_j * step**level."""
     step = 1 + run.plan.eps_prime
     powers = [Fraction(1)]
-    for _ in range(max(run.u) + 1):
+    for _ in range(max(run.plan.u) + 1):
         powers.append(powers[-1] * step)
     cells = []
     for idx, (entry, answer) in enumerate(zip(run.plan.entries, run.answers)):
         base = grid_base(bounds, step, entry.exponents)
-        max_level = min(u - k for u, k in zip(run.u, entry.exponents))
+        max_level = min(u - k for u, k in zip(run.plan.u, entry.exponents))
         for level in range(max_level + 1):
             lower = tuple(b * powers[level] for b in base)
             upper = tuple(b * powers[level + 1] for b in base)
@@ -505,7 +505,7 @@ def unpruned_certificates(
 
 
 def _beta_rank(beta: FactorVector, candidate_id: str):
-    return (beta.excess_sum(), beta.factors, candidate_id)
+    return (beta.excess_sum(), beta.values, candidate_id)
 
 
 def verify_by_fractions(

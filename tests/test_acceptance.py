@@ -102,10 +102,10 @@ def test_criterion_2_uniform_guarantee(grid_sweep):
 def test_criterion_3_exact_call_count(grid_sweep):
     """ws_calls equals the grid-size formula exactly (ladder length for p=2)."""
     for p, epsilon, sigma, inst, run in grid_sweep:
-        assert run.ws_calls == expected_grid_calls(run.u)
-        assert run.eps_prime == epsilon / (sigma * p)
+        assert run.ws_calls == expected_grid_calls(run.plan.u)
+        assert run.plan.eps_prime == epsilon / (sigma * p)
         if p == 2:
-            assert run.ws_calls == run.u[0] + run.u[1] + 1
+            assert run.ws_calls == run.plan.u[0] + run.plan.u[1] + 1
     print(f"\ncriterion 3 PASS: call counts match the formula on {len(grid_sweep)} runs")
 
 

@@ -104,7 +104,7 @@ class TestExponentCap:
 class TestGridWeights:
     def test_worked_example_bases_and_order(self, three_points):
         bounds = compute_bounds(three_points)
-        weights = [entry.weight for entry in plan_grid(bounds, 2, 1, 2).entries]
+        weights = [entry.weight for entry in plan_grid(bounds, 2, 1).entries]
         bases = [tuple(1 / w for w in wv) for wv in weights]
         assert bases == [
             (F(1), F(1)),
@@ -118,9 +118,9 @@ class TestGridWeights:
 
     def test_degenerate_bounds_single_weight(self):
         bounds = Bounds.of((2, 3), (2, 3))
-        weights = [entry.weight for entry in plan_grid(bounds, 1, 1, 2).entries]
+        weights = [entry.weight for entry in plan_grid(bounds, 1, 1).entries]
         assert len(weights) == 1
-        assert weights[0].weights == (F(1, 2), F(1, 3))
+        assert weights[0].values == (F(1, 2), F(1, 3))
 
     @given(
         st.integers(1, 40),
@@ -130,28 +130,29 @@ class TestGridWeights:
     @settings(max_examples=60, deadline=None)
     def test_p2_count_is_ladder_length(self, span1, span2, epsilon):
         bounds = Bounds.of((1, 1), (1 + F(span1, 5), 1 + F(span2, 5)))
-        plan = plan_grid(bounds, epsilon, 1, 2)
+        plan = plan_grid(bounds, epsilon, 1)
         assert len(plan.entries) == plan.u[0] + plan.u[1] + 1
 
     def test_every_entry_has_a_zero_exponent(self, three_points):
-        plan = plan_grid(compute_bounds(three_points), F(1, 2), F(3, 2), 2)
+        plan = plan_grid(compute_bounds(three_points), F(1, 2), F(3, 2))
         assert all(min(e.exponents) == 0 for e in plan.entries)
         assert len(plan.entries) == expected_grid_calls(plan.u)
 
     def test_parameter_validation(self):
         bounds = Bounds.of((1, 1), (2, 2))
         with pytest.raises(ContractViolation):
-            plan_grid(bounds, 0, 1, 2)
+            plan_grid(bounds, 0, 1)
         with pytest.raises(ContractViolation):
-            plan_grid(bounds, 1, F(1, 2), 2)
-        with pytest.raises(ContractViolation):
-            plan_grid(bounds, 1, 1, 3)
+            plan_grid(bounds, 1, F(1, 2))
+        three_objectives = exact_solver(gen_random_explicit(3, 4, 1, 4, seed=0))
+        with pytest.raises(ContractViolation, match="bounds dimension differs from p"):
+            approximate_grid(three_objectives, bounds, 1)
 
     def test_oversized_grid_refused(self):
         # p = 4 on [1, 1000] at eps = 1/3: u_j = 86, about 2.6e6 weights.
         bounds = Bounds.of((1, 1, 1, 1), (1000, 1000, 1000, 1000))
         with pytest.raises(ContractViolation, match="exceeds the limit"):
-            plan_grid(bounds, F(1, 3), 1, 4)
+            plan_grid(bounds, F(1, 3), 1)
 
     def test_digit_blow_up_refused_before_any_power(self, three_points, monkeypatch):
         # On [1, 1000] at eps = 1/300, u = 4148 and step**u has 11,527 digits.
@@ -161,29 +162,29 @@ class TestGridWeights:
         monkeypatch.setattr(algorithms, "exponent_cap", no_cap)
         bounds = Bounds.of((1, 1), (1000, 1000))
         with pytest.raises(ContractViolation, match="digits"):
-            plan_grid(bounds, F(1, 300), 1, 2)
+            plan_grid(bounds, F(1, 300), 1)
         with pytest.raises(ContractViolation, match="digits"):
             approximate_biobjective(exact_solver(three_points), bounds, F(1, 300))
         # A limit of 0 means none: nothing is refused.
         monkeypatch.setattr(algorithms.sys, "get_int_max_str_digits", lambda: 0)
         with pytest.raises(AssertionError, match="exponent_cap reached"):
-            plan_grid(bounds, F(1, 300), 1, 2)
+            plan_grid(bounds, F(1, 300), 1)
 
     def test_grid_limit_is_inclusive(self, three_points, monkeypatch):
         bounds = compute_bounds(three_points)  # the worked example: 7 weights
         monkeypatch.setattr(algorithms, "MAX_GRID_CALLS", 7)
-        assert len(plan_grid(bounds, 2, 1, 2).entries) == 7
+        assert len(plan_grid(bounds, 2, 1).entries) == 7
         monkeypatch.setattr(algorithms, "MAX_GRID_CALLS", 6)
         with pytest.raises(ContractViolation):
-            plan_grid(bounds, 2, 1, 2)
+            plan_grid(bounds, 2, 1)
 
 class TestApproximateGrid:
     def test_worked_example(self, three_points):
         run = approximate_grid(exact_solver(three_points), compute_bounds(three_points), 2)
         assert run.result_ids() == {"a", "b", "c"}
         assert run.ws_calls == 7
-        assert run.eps_prime == 1
-        assert run.u == (3, 3)
+        assert run.plan.eps_prime == 1
+        assert run.plan.u == (3, 3)
 
     def test_tightness_coverage(self):
         inst = gen_tightness_min(2, 4)
@@ -209,7 +210,7 @@ class TestApproximateGrid:
             exact_solver(inst) if sigma == 1 else adversarial_solver(inst, sigma)
         )
         run = approximate_grid(solver, compute_bounds(inst), F(3, 4))
-        assert run.ws_calls == expected_grid_calls(run.u)
+        assert run.ws_calls == expected_grid_calls(run.plan.u)
         assert run.ws_calls == len(run.plan.entries)
         assert solver.calls == run.ws_calls
 
@@ -241,7 +242,7 @@ class TestApproximateGrid:
             return solve_explicit_exact(three_points, w)
 
         run = approximate_grid(SolverHandle(three_points, F(1), recording_kernel), bounds, 2)
-        planned = [entry.weight for entry in plan_grid(bounds, 2, 1, 2).entries]
+        planned = [entry.weight for entry in plan_grid(bounds, 2, 1).entries]
         assert received == planned
         assert [entry.weight for entry in run.plan.entries] == planned
 
@@ -310,9 +311,9 @@ class TestPointwiseGuarantee:
     def test_corner_table_matches_products(self, inst, epsilon, sigma):
         bounds = compute_bounds(inst)
         run = approximate_grid(adversarial_solver(inst, sigma), bounds, epsilon)
-        step = 1 + run.eps_prime
+        step = 1 + run.plan.eps_prime
         assert run.plan.corners == tuple(
-            tuple(low * step**k for k in range(u + 2)) for low, u in zip(bounds.lower, run.u)
+            tuple(low * step**k for k in range(u + 2)) for low, u in zip(bounds.lower, run.plan.u)
         )
         for entry in run.plan.entries:
             base = grid_base(bounds, step, entry.exponents)
@@ -387,14 +388,21 @@ class TestBiobjectiveBisection:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_never_more_calls_than_the_grid(self, seed):
-        inst = gen_random_explicit(2, 12, 1, 25, seed=300 + seed)
-        bounds = compute_bounds(inst)
-        epsilon = [F(1, 4), F(1), F(2)][seed % 3]
-        run = approximate_biobjective(exact_solver(inst), bounds, epsilon)
-        assert run.ws_calls <= run.gamma_count
-        assert run.ws_calls == (2 if run.gamma_count >= 2 else 1) + run.tree_nodes
-        bound = 2 * run.two_child_nodes + 1 + 2 * (run.two_child_nodes + 1) * run.tree_height
-        assert run.tree_nodes <= bound
+        # (epsilon, value_high): long ladders on [1, 25], shorter ones at
+        # epsilon 3 and 10, down to one to three rungs on [1, 2], [1, 4], [1, 8].
+        cases = [
+            ([F(1, 4), F(1), F(2)][seed % 3], 25),
+            (F(3), 2), (F(3), 4), (F(3), 25), (F(10), 8), (F(10), 25),
+        ]
+        for epsilon, high in cases:
+            inst = gen_random_explicit(2, 12, 1, high, seed=300 + seed)
+            run = approximate_biobjective(exact_solver(inst), compute_bounds(inst), epsilon)
+            indices = [probe.index for probe in run.probes]
+            assert len(set(indices)) == len(indices) == run.ws_calls  # no rung solved twice
+            assert run.ws_calls <= run.gamma_count
+            assert run.ws_calls == (1 if run.gamma_count == 1 else 2 + run.tree_nodes)
+            bound = 2 * run.two_child_nodes + 1 + 2 * (run.two_child_nodes + 1) * run.tree_height
+            assert run.tree_nodes <= bound
 
 
 class TestPtasWrapper:
@@ -407,9 +415,9 @@ class TestPtasWrapper:
         inst = gen_random_explicit(2, 8, 1, 6, seed=21)
         bounds = compute_bounds(inst)
         run = approximate_with_ptas(adversarial_solver(inst, 1 + F(1, 4)), bounds, 1)
-        assert run.sigma == F(5, 4)
-        assert run.epsilon == F(1, 2)
-        assert run.eps_prime == F(1, 2) / (F(5, 4) * 2)
+        assert run.plan.sigma == F(5, 4)
+        assert run.plan.epsilon == F(1, 2)
+        assert run.plan.eps_prime == F(1, 2) / (F(5, 4) * 2)
 
     def test_boundary_tau_rejected(self):
         inst = gen_random_explicit(2, 5, 1, 4, seed=2)
@@ -533,7 +541,7 @@ class TestObjectivePermutation:
     def test_grid_answer_set_ignores_the_order(self, inst_and_order, epsilon):
         inst, order = inst_and_order
         bounds = compute_bounds(inst)
-        for entry in plan_grid(bounds, epsilon, 1, inst.p).entries:
+        for entry in plan_grid(bounds, epsilon, 1).entries:
             best = solve_explicit_exact(inst, entry.weight).scalar
             assume(sum(entry.weight.scalarize(s.image) == best for s in inst.solutions) == 1)
         permuted = permute_objectives(inst, order)

@@ -802,6 +802,25 @@ class TestOracleCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "points.csv").exists()
 
+    @pytest.mark.parametrize("command", ["oracle", "verify", "export-plot"])
+    def test_deeply_nested_json_exits_3(self, tmp_path, three_points_file, capsys, command):
+        # json.load recurses once per level and raises RecursionError.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        out = tmp_path / "out"
+        argv = {
+            "oracle": ["oracle", "--instance", str(deep), "--what", "pareto", "--out", str(out)],
+            "verify": [
+                "verify", "--instance", three_points_file, "--solutions", str(deep),
+                "--family", "multifactor", "--epsilon", "1", "--out", str(out),
+            ],
+            "export-plot": ["export-plot", "--from-report", str(deep), "--out-dir", str(out)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read ")
+        assert not out.exists()
+
     def test_unexpected_exception_exits_6_without_traceback(
         self, three_points_file, monkeypatch, capsys
     ):
@@ -948,7 +967,7 @@ class TestExportPlot:
         tight = load_instance(str(inst))
         bounds = compute_bounds(tight)
         run = approximate_grid(exact_solver(tight), bounds, Fraction(1, 2))
-        assert len(cells) - 1 == math.prod(u + 1 for u in run.u)
+        assert len(cells) - 1 == math.prod(u + 1 for u in run.plan.u)
         assert cells[1:] == [
             [str(c.weight_index), str(c.level), c.solution_id]
             + [format_rational(v) for pair in zip(c.lower, c.upper) for v in pair]
@@ -1013,6 +1032,33 @@ class TestExportPlot:
             ]
         )
         assert main(["export-plot", "--from-report", str(report), "--out-dir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "target", ["", "plots.txt", "plots.txt/sub"], ids=["empty", "a-file", "under-a-file"]
+    )
+    def test_out_dir_not_a_directory_exits_2_before_any_work(
+        self, tmp_path, three_points_file, monkeypatch, capsys, target
+    ):
+        report = tmp_path / "report.json"
+        argv = ["--instance", three_points_file, "--epsilon", "1", "--cells", "--out", str(report)]
+        assert main(["approximate", "--algorithm", "grid", *argv]) == 0
+        (tmp_path / "plots.txt").write_text("kept\n")
+        reads = []
+        read_json = cli.read_json
+        monkeypatch.setattr(cli, "read_json", lambda *a: reads.append(a) or read_json(*a))
+
+        def no_oracle(*args):
+            raise AssertionError("pareto_front reached")
+
+        monkeypatch.setattr(cli, "pareto_front", no_oracle)
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        out_dir = str(tmp_path / target) if target else ""
+        assert main(["export-plot", "--from-report", str(report), "--out-dir", out_dir]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --out-dir {out_dir!r} is not a directory"]
+        assert reads == []
+        after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert after == before
 
     def test_cell_bound_at_the_digit_limit_is_exported(self, tmp_path):
         bound = "-" + "0" + "9" * (LIMIT - 1)  # sign excluded, leading zero counted

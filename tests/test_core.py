@@ -1,4 +1,6 @@
+import itertools
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -37,6 +39,7 @@ from reference import (
 MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
 fv = FactorVector.of
+VECTOR_CLASSES = (ObjectiveVector, WeightVector, FactorVector)
 
 
 class TestRationalParsing:
@@ -100,13 +103,13 @@ class TestDominates:
 
 class TestFactorVector:
     def test_spec_examples(self):
-        assert factor_vector(ov(3, 4), ov(1, 4), MIN).factors == (Fraction(3), Fraction(1))
-        assert factor_vector(ov(4, "1/2"), ov("5/2", "5/2"), MIN).factors == (
+        assert factor_vector(ov(3, 4), ov(1, 4), MIN).values == (Fraction(3), Fraction(1))
+        assert factor_vector(ov(4, "1/2"), ov("5/2", "5/2"), MIN).values == (
             Fraction(8, 5),
             Fraction(1),
         )
-        assert factor_vector(ov(2, 3), ov(2, 3), MIN).factors == (Fraction(1), Fraction(1))
-        assert factor_vector(ov(2, 3), ov(2, 3), MAX).factors == (Fraction(1), Fraction(1))
+        assert factor_vector(ov(2, 3), ov(2, 3), MIN).values == (Fraction(1), Fraction(1))
+        assert factor_vector(ov(2, 3), ov(2, 3), MAX).values == (Fraction(1), Fraction(1))
 
     def test_component_below_one_rejected(self):
         with pytest.raises(ContractViolation):
@@ -122,7 +125,7 @@ class TestFactorVector:
         assert approximates(a, b, beta, d)
         for j, f in enumerate(beta):
             if f > 1:
-                shrunk = list(beta.factors)
+                shrunk = list(beta.values)
                 shrunk[j] = (f + 1) / 2
                 assert not approximates(a, b, FactorVector(tuple(shrunk)), d)
 
@@ -187,7 +190,7 @@ class TestWitness:
     def test_spec_exact_point_witness(self):
         fam = multifactor(1, "1/2")
         witness = multi_factor_witness(fv(1, 1), fam)
-        assert witness.factors == (Fraction(5, 2), Fraction(1))
+        assert witness.values == (Fraction(5, 2), Fraction(1))
         assert family_contains(fam, witness)
 
     @given(
@@ -275,10 +278,24 @@ class TestValueObjects:
             ObjectiveVector.of(1, -2)
 
     def test_vectors_hashable_and_immutable(self):
-        a = ov(1, 2)
-        assert hash(a) == hash(ov(1, 2))
-        with pytest.raises(AttributeError):
-            a.values = (Fraction(1),)
+        for cls in VECTOR_CLASSES:
+            a = cls.of(1, 2)
+            assert hash(a) == hash(cls.of(1, 2))
+            with pytest.raises(FrozenInstanceError):
+                a.values = (Fraction(1),)
+
+    def test_vector_classes_stay_distinct(self):
+        # One base class holds the values, but equality and hashing stay
+        # per class: a weight vector is never an image or a factor vector.
+        vectors = [cls.of(1, "3/2") for cls in VECTOR_CLASSES]
+        for a, b in itertools.combinations(vectors, 2):
+            assert a != b and b != a
+        assert len(dict.fromkeys(vectors)) == len(set(vectors)) == 3
+        for vector, cls in zip(vectors, VECTOR_CLASSES):
+            assert type(vector) is cls
+            assert vector.values == (Fraction(1), Fraction(3, 2)) != vector
+            values = "(Fraction(1, 1), Fraction(3, 2))"
+            assert repr(vector) == f"{cls.__name__}(values={values})"
 
 
 # Validation refusals: input, exception type, message fragment.
@@ -290,9 +307,32 @@ REFUSALS = [
     pytest.param(
         lambda: Bounds.of((2, 1), (1, 1)), ContractViolation, "0 < lower <= upper", id="bounds-order"
     ),
-    pytest.param(lambda: WeightVector(()), ContractViolation, "empty weight", id="weights-empty"),
     pytest.param(
-        lambda: WeightVector.of(1, 0), ContractViolation, "strictly positive", id="weight-zero"
+        lambda: ov(1),
+        ContractViolation,
+        "objective vectors need p >= 2 components",
+        id="image-p1",
+    ),
+    pytest.param(
+        lambda: ov(1, 0),
+        ContractViolation,
+        "objective values must be strictly positive",
+        id="image-zero",
+    ),
+    pytest.param(
+        lambda: WeightVector(()), ContractViolation, "empty weight vector", id="weights-empty"
+    ),
+    pytest.param(
+        lambda: WeightVector.of(1, 0),
+        ContractViolation,
+        "weights must be strictly positive",
+        id="weight-zero",
+    ),
+    pytest.param(
+        lambda: fv(1, "1/2"),
+        ContractViolation,
+        "approximation factors must be >= 1",
+        id="factor-below-1",
     ),
     pytest.param(
         lambda: WeightVector.of(1, 1).scalarize(ov(1, 1, 1)),
