@@ -623,6 +623,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _check_out(getattr(args, "out", None))
         _check_out_dir(getattr(args, "out_dir", None))
+        if getattr(args, "limit", 1) < 1:
+            raise ContractViolation(f"--limit must be at least 1, got {args.limit}")
         return args.func(args)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

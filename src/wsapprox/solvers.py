@@ -21,9 +21,10 @@ the weight scale multiplies every weighted sum by one positive constant.
 So every comparison of the resulting Python ints, including each tie and
 the adversarial bound, has the same outcome as the comparison of the
 ``Fraction`` sums.  Only the reported scalar is turned back into a
-``Fraction``, once per answer.  The test suite keeps direct ``Fraction``
-versions of the exact and adversarial explicit solves and of both graph
-kernels, and checks every handle against them.
+``Fraction``, once per answer, and exhaustive graph enumeration sums path
+and tree images in the same integer form.  The test suite keeps direct
+``Fraction`` versions of the explicit solves, both graph kernels and the
+enumeration, and checks the package against them.
 
 Every kernel minimizes: a ``SolverHandle`` refuses a maximization instance
 with ``MaximizationUnsupported`` before it builds its kernel, since weighted
@@ -144,31 +145,27 @@ class GraphInstance:
                 raise ContractViolation("source/target out of range")
             if self.source == self.target:
                 raise ContractViolation("source and target must differ")
-            if not self._target_reachable():
+            if self.target not in self._reached(self.source, undirected=False):
                 raise UnreachableTarget("target not reachable from source")
-        else:
-            if not self._connected():
-                raise DisconnectedGraph("spanning-tree instance is not connected")
+        elif len(self._reached(0, undirected=True)) < self.node_count:
+            raise DisconnectedGraph("spanning-tree instance is not connected")
 
-    def _target_reachable(self) -> bool:
+    def _reached(self, start: int, undirected: bool) -> set[int]:
+        """Nodes reachable from ``start`` along the arcs, or along the edges
+        they form if ``undirected``."""
         successors: list[list[int]] = [[] for _ in range(self.node_count)]
         for arc in self.arcs:
             successors[arc.tail].append(arc.head)
-        seen = {self.source}
-        frontier = [self.source]
+            if undirected:
+                successors[arc.head].append(arc.tail)
+        seen = {start}
+        frontier = [start]
         while frontier:
             for head in successors[frontier.pop()]:
                 if head not in seen:
                     seen.add(head)
                     frontier.append(head)
-        return self.target in seen
-
-    def _connected(self) -> bool:
-        uf = _UnionFind(self.node_count)
-        for arc in self.arcs:
-            uf.union(arc.tail, arc.head)
-        root = uf.find(0)
-        return all(uf.find(v) == root for v in range(self.node_count))
+        return seen
 
 
 Instance = Union[ExplicitInstance, GraphInstance]
@@ -184,38 +181,12 @@ class SolveAnswer:
     arcs: Optional[tuple[int, ...]] = None
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
-def _vector_sum(p: int, vectors: list[ObjectiveVector]) -> ObjectiveVector:
-    total = [Fraction(0)] * p
-    for vec in vectors:
-        for j, v in enumerate(vec):
-            total[j] += v
-    return ObjectiveVector(tuple(total))
-
-
 def path_id(arc_indices: tuple[int, ...]) -> str:
-    return "path:" + ",".join(str(i) for i in arc_indices)
+    return "path:" + ",".join(map(str, arc_indices))
 
 
 def tree_id(arc_indices: tuple[int, ...]) -> str:
-    return "tree:" + ",".join(str(i) for i in sorted(arc_indices))
+    return "tree:" + ",".join(map(str, sorted(arc_indices)))
 
 
 def compute_bounds(inst: Instance) -> Bounds:
@@ -245,49 +216,57 @@ def enumerate_graph_solutions(
 ) -> ExplicitInstance:
     """Materialize all simple paths or spanning trees as an explicit instance.
 
-    Guarded: raises EnumerationLimit once more than ``limit`` solutions are
-    found or the combinational work exceeds ``work_limit``.  Intended only
-    for desk-scale oracle verification.
+    Paths come in depth-first order, trees in lexicographic order of their
+    arc indices.  Both searches keep an explicit stack, so the recursion
+    limit bounds neither, and sum images in the integer form of the arc
+    costs.  Guarded: raises EnumerationLimit once more than ``limit``
+    solutions are found, once the path search visits more than
+    ``work_limit`` nodes, or, before the tree search, if more than
+    ``work_limit + 1`` sets of n - 1 arcs exist.  Desk-scale use only.
     """
+    form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
+    rows = tuple(zip(*form.columns))
     solutions: list[Solution] = []
-    if inst.kind is GraphKind.SHORTEST_PATH:
-        out: list[list[tuple[int, Arc]]] = [[] for _ in range(inst.node_count)]
-        for idx, arc in enumerate(inst.arcs):
-            out[arc.tail].append((idx, arc))
 
-        # Depth-first search with an explicit stack of arc iterators, one per
-        # non-target node of the current path, so that path length is not
-        # bounded by the interpreter's recursion limit.
+    def emit(solution_id: str, totals: tuple[int, ...], noun: str) -> None:
+        solutions.append(Solution(solution_id, form.vector(totals)))
+        if len(solutions) > limit:
+            raise EnumerationLimit(f"more {noun} than the enumeration limit")
+
+    if inst.kind is GraphKind.SHORTEST_PATH:
+        out: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(inst.node_count)]
+        for idx, arc in enumerate(inst.arcs):
+            out[arc.tail].append((idx, arc.head, rows[idx]))
+
+        # One frame per non-target node of the current path: an iterator over
+        # its out-arcs and the column totals of the path up to the node.
         steps = 0
         on_path = {inst.source}
         taken: list[int] = []
-        frames: list[Iterator[tuple[int, Arc]]] = []
+        frames: list[tuple[Iterator[tuple[int, int, tuple[int, ...]]], tuple[int, ...]]] = []
 
-        def enter(node: int) -> bool:
-            """Visit ``node``: record the path if it is the target, else
-            open its frame.  True iff a frame was opened."""
+        def enter(node: int, total: tuple[int, ...]) -> bool:
+            """Visit ``node``: record the path at the target, else open its frame
+            and return True."""
             nonlocal steps
             steps += 1
             if steps > work_limit:
                 raise EnumerationLimit("path enumeration work limit exceeded")
             if node == inst.target:
-                arc_tuple = tuple(taken)
-                image = _vector_sum(inst.p, [inst.arcs[i].cost for i in arc_tuple])
-                solutions.append(Solution(path_id(arc_tuple), image))
-                if len(solutions) > limit:
-                    raise EnumerationLimit("more paths than the enumeration limit")
+                emit(path_id(tuple(taken)), total, "paths")
                 return False
-            frames.append(iter(out[node]))
+            frames.append((iter(out[node]), total))
             return True
 
-        enter(inst.source)
+        enter(inst.source, (0,) * inst.p)
         while frames:
-            for idx, arc in frames[-1]:
-                if arc.head in on_path:
+            arcs_out, total = frames[-1]
+            for idx, head, row in arcs_out:
+                if head in on_path:
                     continue
                 taken.append(idx)
-                if enter(arc.head):
-                    on_path.add(arc.head)
+                if enter(head, tuple(map(operator.add, total, row))):
+                    on_path.add(head)
                     break
                 taken.pop()
             else:
@@ -295,17 +274,30 @@ def enumerate_graph_solutions(
                 if taken:
                     on_path.remove(inst.arcs[taken.pop()].head)
     else:
-        m = inst.node_count - 1
-        combos = itertools.combinations(range(len(inst.arcs)), m)
-        for steps, combo in enumerate(combos):
-            if steps > work_limit:
-                raise EnumerationLimit("tree enumeration work limit exceeded")
-            uf = _UnionFind(inst.node_count)
-            if all(uf.union(inst.arcs[i].tail, inst.arcs[i].head) for i in combo):
-                image = _vector_sum(inst.p, [inst.arcs[i].cost for i in combo])
-                solutions.append(Solution(tree_id(tuple(combo)), image))
-                if len(solutions) > limit:
-                    raise EnumerationLimit("more trees than the enumeration limit")
+        need, m = inst.node_count - 1, len(inst.arcs)
+        if math.comb(m, need) > work_limit + 1:
+            raise EnumerationLimit("tree enumeration work limit exceeded")
+        arcs = [(idx, arc.tail, arc.head, rows[idx]) for idx, arc in enumerate(inst.arcs)]
+        # Depth-first search taking arcs in increasing index order.  A level
+        # holds the arcs taken, each node's component label and the column
+        # totals under them, and an iterator over the arcs that leave enough
+        # after them to finish the tree; an arc inside a component is skipped.
+        stack = [((), list(range(inst.node_count)), (0,) * inst.p, iter(arcs[: m - need + 1]))]
+        while stack:
+            chosen, label, total, candidates = stack[-1]
+            for idx, tail, head, row in candidates:
+                keep, drop = label[tail], label[head]
+                if keep == drop:
+                    continue
+                grown, sums = (*chosen, idx), tuple(map(operator.add, total, row))
+                if len(grown) == need:
+                    emit(tree_id(grown), sums, "trees")
+                    continue
+                rest = iter(arcs[idx + 1 : m - need + len(grown) + 1])
+                stack.append((grown, [keep if v == drop else v for v in label], sums, rest))
+                break
+            else:
+                stack.pop()
     return ExplicitInstance(inst.direction, inst.p, tuple(solutions))
 
 
@@ -339,14 +331,13 @@ class _IntegerForm:
             values = list(map(operator.add, values, map(factor.__mul__, column)))
         return values, denom
 
+    def vector(self, totals: Sequence[int]) -> ObjectiveVector:
+        """The vector whose column-j int is ``totals[j]``."""
+        return ObjectiveVector(tuple(map(Fraction, totals, self.scales)))
+
     def image(self, indices: tuple[int, ...]) -> ObjectiveVector:
         """Exact sum of the vectors at ``indices``."""
-        return ObjectiveVector(
-            tuple(
-                Fraction(sum(column[i] for i in indices), scale)
-                for column, scale in zip(self.columns, self.scales)
-            )
-        )
+        return self.vector([sum(column[i] for i in indices) for column in self.columns])
 
 
 Kernel = Callable[[WeightVector], SolveAnswer]
@@ -432,14 +423,21 @@ def _shortest_path_kernel(inst: GraphInstance) -> Kernel:
 def _spanning_tree_kernel(inst: GraphInstance) -> Kernel:
     """Kruskal on the scalarized edge costs; ties keep input edge order."""
     form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
+    ends = [(arc.tail, arc.head) for arc in inst.arcs]
 
     def solve(weights: WeightVector) -> SolveAnswer:
         costs, denom = form.values(weights)
-        uf = _UnionFind(inst.node_count)
+        parent = list(range(inst.node_count))
         chosen: list[int] = []
         for idx in sorted(range(len(costs)), key=costs.__getitem__):
-            arc = inst.arcs[idx]
-            if uf.union(arc.tail, arc.head):
+            tail, head = ends[idx]
+            # Find both roots, pointing each node walked at its grandparent.
+            while parent[tail] != tail:
+                parent[tail] = tail = parent[parent[tail]]
+            while parent[head] != head:
+                parent[head] = head = parent[parent[head]]
+            if tail != head:
+                parent[head] = tail
                 chosen.append(idx)
                 if len(chosen) == inst.node_count - 1:
                     break

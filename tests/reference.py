@@ -4,7 +4,11 @@ Nothing in the package calls these.  Each one does its job the obvious way,
 in ``Fraction`` and without the package's shortcuts:
 
 - the solvers scalarize every image instead of comparing
-  cleared-denominator ints;
+  cleared-denominator ints, and Kruskal joins components through a
+  ``_UnionFind`` object;
+- ``enumerate_graph_solutions_by_combinations`` walks every (n - 1)-arc
+  subset for spanning trees, testing each with a fresh ``_UnionFind``, and
+  sums every path and tree image in ``Fraction`` with ``_vector_sum``;
 - the front and certificate references compare every solution with every
   other one;
 - ``exponent_cap_by_walk`` multiplies by the step one power at a time;
@@ -37,7 +41,7 @@ import heapq
 import io
 import itertools
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from wsapprox import (
     Bounds,
@@ -48,6 +52,7 @@ from wsapprox import (
     FamilyKind,
     GraphInstance,
     GuaranteeFamily,
+    ObjectiveVector,
     SolveAnswer,
     SolverHandle,
     SupportCertificate,
@@ -61,17 +66,45 @@ from wsapprox.algorithms import CellAssignment, GridRun
 from wsapprox.core import format_rationals
 from wsapprox.oracles import Violation, Witness
 from wsapprox.solvers import (
+    Arc,
     DisconnectedGraph,
+    EnumerationLimit,
+    GraphKind,
+    Solution,
     UnreachableTarget,
-    _UnionFind,
-    _vector_sum,
     path_id,
     tree_id,
 )
 
 # ---------------------------------------------------------------------------
-# Weighted-sum solvers
+# Weighted-sum solvers and graph enumeration
 # ---------------------------------------------------------------------------
+
+
+class _UnionFind:
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, v: int) -> int:
+        while self.parent[v] != v:
+            self.parent[v] = self.parent[self.parent[v]]
+            v = self.parent[v]
+        return v
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
+def _vector_sum(p: int, vectors: list[ObjectiveVector]) -> ObjectiveVector:
+    total = [Fraction(0)] * p
+    for vec in vectors:
+        for j, v in enumerate(vec):
+            total[j] += v
+    return ObjectiveVector(tuple(total))
 
 
 def solve_explicit_exact(inst: ExplicitInstance, weights: WeightVector) -> SolveAnswer:
@@ -157,6 +190,77 @@ def solve_spanning_tree(inst: GraphInstance, weights: WeightVector) -> SolveAnsw
     arc_tuple = tuple(sorted(chosen))
     image = _vector_sum(inst.p, [inst.arcs[i].cost for i in arc_tuple])
     return SolveAnswer(tree_id(arc_tuple), image, weights.scalarize(image), arc_tuple)
+
+
+def enumerate_graph_solutions_by_combinations(
+    inst: GraphInstance, limit: int = 10000, work_limit: int = 2_000_000
+) -> ExplicitInstance:
+    """Materialize all simple paths or spanning trees as an explicit instance,
+    walking every (n - 1)-arc subset for trees and summing images in
+    ``Fraction``.
+
+    Guarded: raises EnumerationLimit once more than ``limit`` solutions are
+    found or the combinational work exceeds ``work_limit``.  Intended only
+    for desk-scale oracle verification.
+    """
+    solutions: list[Solution] = []
+    if inst.kind is GraphKind.SHORTEST_PATH:
+        out: list[list[tuple[int, Arc]]] = [[] for _ in range(inst.node_count)]
+        for idx, arc in enumerate(inst.arcs):
+            out[arc.tail].append((idx, arc))
+
+        # Depth-first search with an explicit stack of arc iterators, one per
+        # non-target node of the current path, so that path length is not
+        # bounded by the interpreter's recursion limit.
+        steps = 0
+        on_path = {inst.source}
+        taken: list[int] = []
+        frames: list[Iterator[tuple[int, Arc]]] = []
+
+        def enter(node: int) -> bool:
+            """Visit ``node``: record the path if it is the target, else
+            open its frame.  True iff a frame was opened."""
+            nonlocal steps
+            steps += 1
+            if steps > work_limit:
+                raise EnumerationLimit("path enumeration work limit exceeded")
+            if node == inst.target:
+                arc_tuple = tuple(taken)
+                image = _vector_sum(inst.p, [inst.arcs[i].cost for i in arc_tuple])
+                solutions.append(Solution(path_id(arc_tuple), image))
+                if len(solutions) > limit:
+                    raise EnumerationLimit("more paths than the enumeration limit")
+                return False
+            frames.append(iter(out[node]))
+            return True
+
+        enter(inst.source)
+        while frames:
+            for idx, arc in frames[-1]:
+                if arc.head in on_path:
+                    continue
+                taken.append(idx)
+                if enter(arc.head):
+                    on_path.add(arc.head)
+                    break
+                taken.pop()
+            else:
+                frames.pop()
+                if taken:
+                    on_path.remove(inst.arcs[taken.pop()].head)
+    else:
+        m = inst.node_count - 1
+        combos = itertools.combinations(range(len(inst.arcs)), m)
+        for steps, combo in enumerate(combos):
+            if steps > work_limit:
+                raise EnumerationLimit("tree enumeration work limit exceeded")
+            uf = _UnionFind(inst.node_count)
+            if all(uf.union(inst.arcs[i].tail, inst.arcs[i].head) for i in combo):
+                image = _vector_sum(inst.p, [inst.arcs[i].cost for i in combo])
+                solutions.append(Solution(tree_id(tuple(combo)), image))
+                if len(solutions) > limit:
+                    raise EnumerationLimit("more trees than the enumeration limit")
+    return ExplicitInstance(inst.direction, inst.p, tuple(solutions))
 
 
 def reference_solver(inst: ExplicitInstance, sigma=None) -> SolverHandle:

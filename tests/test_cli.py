@@ -13,7 +13,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from wsapprox import adversarial_solver, approximate_grid, cli, compute_bounds, exact_solver
+from wsapprox import (
+    adversarial_solver,
+    approximate_grid,
+    cli,
+    compute_bounds,
+    exact_solver,
+    solvers,
+)
 from wsapprox.cli import main
 from wsapprox.core import format_rational
 from wsapprox.instances import canonical_dumps, load_instance
@@ -481,6 +488,33 @@ class TestRefusedFlagsAndInputs:
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert not out.exists() and not files["plots"].exists()
 
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["verify", "oracle", "export-plot"])
+    def test_limit_below_one_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, limit
+    ):
+        graph, report = tmp_path / "graph.json", tmp_path / "report.json"
+        out, plots = tmp_path / "out.json", tmp_path / "plots"
+        main(["generate", "random-graph", "--nodes", "5", "--arcs", "7", "--p", "2", "--low",
+              "1", "--high", "4", "--seed", "3", "--kind", "spanning-tree", "--out", str(graph)])
+        main(["approximate", "--algorithm", "grid", "--instance", str(graph), "--epsilon", "1",
+              "--cells", "--out", str(report)])
+        argv = {
+            "verify": ["verify", "--instance", str(graph), "--from-report", str(report),
+                       "--family", "multifactor", "--epsilon", "1", "--out", str(out)],
+            "oracle": ["oracle", "--instance", str(graph), "--what", "pareto", "--out", str(out)],
+            "export-plot": ["export-plot", "--from-report", str(report), "--out-dir", str(plots)],
+        }[command]
+        work = []
+        for name in ("read_json", "load_instance", "enumerate_graph_solutions"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: work.append(name))
+        capsys.readouterr()
+        assert main(argv + ["--limit", limit]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --limit must be at least 1, got {limit}"]
+        assert work == []
+        assert not out.exists() and not plots.exists()
+
     def test_uniform_sum_bound_verifies(self, three_points_file, tmp_path):
         ids = tmp_path / "ids.json"
         ids.write_text('["b"]')
@@ -831,6 +865,39 @@ class TestOracleCommand:
         assert main(["oracle", "--instance", three_points_file, "--what", "pareto"]) == 6
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: internal error: RuntimeError: boom"]
+
+    def test_tree_work_guard_refuses_a_complete_graph_at_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # K_12 has C(66, 11) > 2 * 10**11 sets of 11 arcs, far over the guard.
+        nodes = 12
+        complete = {
+            "kind": "spanning-tree",
+            "direction": "min",
+            "p": 2,
+            "nodes": nodes,
+            "arcs": [
+                {"from": a, "to": b, "cost": ["1", "2"]}
+                for a in range(nodes)
+                for b in range(a + 1, nodes)
+            ],
+        }
+        inst, ids = tmp_path / "complete.json", tmp_path / "ids.json"
+        inst.write_text(json.dumps(complete))
+        ids.write_text('["tree:0,1,2,3,4,5,6,7,8,9,10"]')
+        built = []
+        monkeypatch.setattr(solvers, "tree_id", lambda arcs: built.append(arcs))
+        out = tmp_path / "verify.json"
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main(["verify", "--instance", str(inst), "--solutions", str(ids), "--family",
+                     "multifactor", "--epsilon", "1", "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert code == 5
+        assert capsys.readouterr().err.splitlines() == [
+            "error: tree enumeration work limit exceeded"
+        ]
+        assert built == [] and not out.exists()
 
     def test_pareto_on_long_chain(self, tmp_path):
         n = 1500

@@ -15,6 +15,8 @@ MOVED = [
     (solvers, "solve_explicit_adversarial"),
     (solvers, "solve_shortest_path"),
     (solvers, "solve_spanning_tree"),
+    (solvers, "_UnionFind"),
+    (solvers, "_vector_sum"),
     (core, "multi_factor_witness"),
     (core, "covers"),
     (core.GuaranteeFamily, "contains"),

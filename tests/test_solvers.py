@@ -29,9 +29,11 @@ from wsapprox import (
 )
 from wsapprox import solvers
 
-from conftest import explicit_instances, rationals, weight_vectors
+from conftest import explicit_instances, objective_vectors, rationals, weight_vectors
 from reference import (
+    _UnionFind,
     bounds_contain,
+    enumerate_graph_solutions_by_combinations,
     solve_explicit_adversarial,
     solve_explicit_exact,
     solve_shortest_path,
@@ -214,12 +216,47 @@ class TestSpanningTree:
         answer = exact_solver(inst).solve(wv(1, 2))
         assert 0 in answer.arcs and len(answer.arcs) == 2
 
+    def test_parallel_ties_and_self_loop_match_reference(self):
+        # Arcs 0 and 2 join the same two nodes and tie under (1, 1); arc 1 is
+        # a self-loop, the cheapest arc under every weight, and never taken.
+        inst = GraphInstance(
+            MIN,
+            2,
+            3,
+            (Arc(0, 1, ov(1, 3)), Arc(1, 1, ov(1, 1)), Arc(0, 1, ov(3, 1)), Arc(1, 2, ov(2, 2))),
+            GraphKind.SPANNING_TREE,
+        )
+        handle = exact_solver(inst)
+        for weights, arcs in ((wv(1, 1), (0, 3)), (wv(2, 1), (0, 3)), (wv(1, 2), (2, 3))):
+            answer = handle.solve(weights)
+            assert answer == solve_spanning_tree(inst, weights)
+            assert answer.arcs == arcs
+
     def test_disconnected_rejected_at_construction(self):
         with pytest.raises(DisconnectedGraph):
             GraphInstance(
                 MIN, 2, 4, (Arc(0, 1, ov(1, 1)), Arc(2, 3, ov(1, 1)), Arc(3, 2, ov(1, 1))),
                 GraphKind.SPANNING_TREE,
             )
+
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.tuples(*[st.integers(0, n - 1)] * 2), min_size=1)
+            )
+        )
+    )
+    def test_connectivity_verdict_matches_union_find(self, graph):
+        nodes, pairs = graph
+        uf = _UnionFind(nodes)
+        for tail, head in pairs:
+            uf.union(tail, head)
+        arcs = tuple(Arc(tail, head, ov(1, 1)) for tail, head in pairs)
+        if len({uf.find(v) for v in range(nodes)}) == 1:
+            GraphInstance(MIN, 2, nodes, arcs, GraphKind.SPANNING_TREE)
+        else:
+            with pytest.raises(DisconnectedGraph):
+                GraphInstance(MIN, 2, nodes, arcs, GraphKind.SPANNING_TREE)
 
 
 class TestComputeBounds:
@@ -468,6 +505,103 @@ class TestPathEnumeration:
         assert len(enumerate_graph_solutions(diamond_graph, work_limit=5).solutions) == 3
         with pytest.raises(EnumerationLimit):
             enumerate_graph_solutions(diamond_graph, work_limit=4)
+
+
+class TestTreeEnumeration:
+    def test_long_chain_is_not_bounded_by_recursion(self):
+        n = 1500
+        arcs = tuple(Arc(i, i + 1, ov(1, 2)) for i in range(n - 1))
+        chain = GraphInstance(MIN, 2, n, arcs, GraphKind.SPANNING_TREE)
+        (only,) = enumerate_graph_solutions(chain).solutions
+        assert only.id == "tree:" + ",".join(str(i) for i in range(n - 1))
+        assert only.image.values == (Fraction(n - 1), Fraction(2 * (n - 1)))
+
+    def test_work_guard_admits_one_more_subset_than_the_limit(self):
+        # The triangle's 3 two-arc subsets pass at work_limit=2 (REFUSALS
+        # refuses them at work_limit=1); K_12 is refused under `verify` in
+        # tests/test_cli.py.
+        assert len(enumerate_graph_solutions(TRIANGLE, work_limit=2).solutions) == 3
+
+
+@st.composite
+def enumerable_graphs(draw, kind):
+    """Small random graphs of ``kind`` plus up to three arcs that may repeat
+    an arc's ends or be self-loops, all in shuffled order."""
+    nodes = draw(st.integers(2, 6))
+    base = gen_random_graph(
+        nodes,
+        draw(st.integers(nodes - 1, 2 * nodes)),
+        2,
+        1,
+        3,
+        draw(st.integers(0, 10**6)),
+        kind,
+        denominator=draw(st.sampled_from([1, 6, 1000])),
+    )
+    node = st.integers(0, nodes - 1)
+    extra = draw(st.lists(st.builds(Arc, node, node, objective_vectors()), max_size=3))
+    arcs = list(base.arcs) + extra
+    order = draw(st.permutations(range(len(arcs))))
+    return GraphInstance(
+        MIN, 2, nodes, tuple(arcs[i] for i in order), kind, base.source, base.target
+    )
+
+
+PARALLEL_AND_LOOP = (
+    Arc(0, 1, ov(1, 2)),
+    Arc(1, 1, ov(1, 1)),
+    Arc(0, 1, ov(2, 1)),
+    Arc(1, 2, ov("1/2", 3)),
+    Arc(2, 0, ov(3, "3/4")),
+)
+
+
+class TestEnumerationMatchesCombinations:
+    """The pruned tree search and the int image totals against the reference
+    that walks every arc subset and sums images in Fractions."""
+
+    @pytest.mark.parametrize("kind", list(GraphKind))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_solutions_in_the_same_order(self, kind, data):
+        inst = data.draw(enumerable_graphs(kind))
+        ours = enumerate_graph_solutions(inst)
+        ref = enumerate_graph_solutions_by_combinations(inst)
+        assert ours.ids() == ref.ids()
+        assert ours == ref
+
+    @pytest.mark.parametrize("kind", list(GraphKind))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_guards_refuse_the_same_inputs(self, kind, data):
+        inst = data.draw(enumerable_graphs(kind))
+        limits = {
+            "limit": data.draw(st.integers(0, 12)),
+            "work_limit": data.draw(st.integers(0, 60)),
+        }
+        outcomes = []
+        for enumerate_ in (enumerate_graph_solutions, enumerate_graph_solutions_by_combinations):
+            try:
+                outcomes.append(enumerate_(inst, **limits))
+            except EnumerationLimit:
+                outcomes.append(EnumerationLimit)
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "kind,ids",
+        [
+            (
+                GraphKind.SPANNING_TREE,
+                ("tree:0,3", "tree:0,4", "tree:2,3", "tree:2,4", "tree:3,4"),
+            ),
+            (GraphKind.SHORTEST_PATH, ("path:0,3", "path:2,3")),
+        ],
+    )
+    def test_parallel_arcs_and_a_self_loop(self, kind, ids):
+        inst = GraphInstance(MIN, 2, 3, PARALLEL_AND_LOOP, kind, source=0, target=2)
+        ours = enumerate_graph_solutions(inst)
+        assert ours.ids() == ids
+        assert ours == enumerate_graph_solutions_by_combinations(inst)
 
 
 UNIT = ov(1, 1)
