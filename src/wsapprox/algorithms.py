@@ -33,6 +33,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .core import (
     Bounds,
@@ -203,6 +204,8 @@ def plan_grid(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> Gri
         tuple(itertools.accumulate(itertools.repeat(step, cap + 1), operator.mul, initial=low))
         for low, cap in zip(bounds.lower, u)
     )
+    # w_j = 1/corners[j][k_j], k_j <= u_j: one division per distinct weight component
+    inverses = tuple(tuple(1 / c for c in column[:-1]) for column in corners)
     entries: list[GridWeight] = []
     for k in range(p):
         ranges = [
@@ -210,7 +213,7 @@ def plan_grid(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> Gri
             for l in range(p)
         ]
         for combo in itertools.product(*ranges):
-            weight = WeightVector(tuple(1 / corners[j][k_j] for j, k_j in enumerate(combo)))
+            weight = WeightVector(tuple(column[k_j] for column, k_j in zip(inverses, combo)))
             entries.append(GridWeight(tuple(combo), weight))
     assert len(entries) == calls
     return GridPlan(epsilon, sigma, step - 1, u, corners, tuple(entries))
@@ -237,27 +240,34 @@ class GridRun:
     def result_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.result)
 
+    def diagonal(self) -> Iterator[tuple[int, int]]:
+        """(weight_index, level) of every cell, in cell-map order: weight i with
+        exponents k owns levels 0 .. min_j (u_j - k_j), and its cell at a level
+        spans ``corners[j][k_j + level]`` to ``corners[j][k_j + level + 1]``."""
+        u = self.plan.u
+        for idx, entry in enumerate(self.plan.entries):
+            for level in range(min(u_j - k_j for u_j, k_j in zip(u, entry.exponents)) + 1):
+                yield idx, level
+
     def cell_map(self) -> tuple[CellAssignment, ...]:
-        """Diagonal of cells per weight: level l spans corners[j][k_j + l] upward.
+        """The cells of ``diagonal()`` with their Fraction corners.
 
         Any feasible image inside a cell is approximated by that weight's
         solution, because the weight shifted to the cell's lower corner is
         equivalent to the issued one.
 
-        The map has prod (u_j + 1) cells, but every corner is an entry of
-        ``plan.corners``, so its 2p bounds per cell take only sum (u_j + 2)
-        distinct values.  The CLI formats, checks and CSV-escapes each of
-        them once, reading a cell's bounds at its weight's exponents.
+        The map has prod (u_j + 1) cells of 2p bounds each, but every bound
+        is an entry of ``plan.corners``, so it takes only sum (u_j + 2)
+        distinct values.  The CLI's ``cells`` block builds no cell map: it
+        reads the formatted corners at the pairs of ``diagonal()``.
         """
-        cells: list[CellAssignment] = []
-        u = self.plan.u
         corners = self.plan.corners
-        for idx, (entry, answer) in enumerate(zip(self.plan.entries, self.answers)):
-            k = entry.exponents
-            for level in range(min(u_j - k_j for u_j, k_j in zip(u, k)) + 1):
-                lower = tuple(column[k_j + level] for column, k_j in zip(corners, k))
-                upper = tuple(column[k_j + level + 1] for column, k_j in zip(corners, k))
-                cells.append(CellAssignment(idx, answer.solution_id, level, lower, upper))
+        cells: list[CellAssignment] = []
+        for idx, level in self.diagonal():
+            k = self.plan.entries[idx].exponents
+            lower = tuple(column[k_j + level] for column, k_j in zip(corners, k))
+            upper = tuple(column[k_j + level + 1] for column, k_j in zip(corners, k))
+            cells.append(CellAssignment(idx, self.answers[idx].solution_id, level, lower, upper))
         return tuple(cells)
 
 

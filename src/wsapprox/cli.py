@@ -175,12 +175,13 @@ def report_to_json(report: VerificationReport) -> dict[str, Any]:
 
 def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
     """The grid part of an ``approximate`` report; with ``include_cells``,
-    the ``cells`` block of ``run.cell_map()``.
+    the ``cells`` block, one entry per pair of ``run.diagonal()``.
 
     Every cell corner is l_j * step**k from ``run.plan.corners``, so a
     ``cells`` block prints only sum (u_j + 2) distinct corner strings however
     many cells it has.  Each is formatted once into ``text[j][k]``, and a
-    cell's bounds are read from that table at the exponents of its weight.
+    cell's bounds are read from that table at the exponents of its weight;
+    no cell map and no Fraction is built.
     """
     data: dict[str, Any] = {
         "eps_prime": format_rational(run.plan.eps_prime),
@@ -198,16 +199,17 @@ def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
     }
     if include_cells:
         text = [format_rationals(column) for column in run.plan.corners]
+        entries, answers = run.plan.entries, run.answers
         cells = []
-        for cell in run.cell_map():
-            k = run.plan.entries[cell.weight_index].exponents
+        for idx, level in run.diagonal():
+            k = entries[idx].exponents
             cells.append(
                 {
-                    "weight_index": cell.weight_index,
-                    "level": cell.level,
-                    "id": cell.solution_id,
-                    "lower": [column[k_j + cell.level] for column, k_j in zip(text, k)],
-                    "upper": [column[k_j + cell.level + 1] for column, k_j in zip(text, k)],
+                    "weight_index": idx,
+                    "level": level,
+                    "id": answers[idx].solution_id,
+                    "lower": [column[k_j + level] for column, k_j in zip(text, k)],
+                    "upper": [column[k_j + level + 1] for column, k_j in zip(text, k)],
                 }
             )
         data["cells"] = cells

@@ -125,7 +125,9 @@ class _RationalVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _rational_tuple(self.values))
+        values = self.values
+        if type(values) is not tuple or not all(type(v) is Fraction for v in values):
+            object.__setattr__(self, "values", _rational_tuple(values))
 
     @classmethod
     def of(cls: type[_V], *values: RationalLike) -> _V:
@@ -148,7 +150,8 @@ class ObjectiveVector(_RationalVector):
         super().__post_init__()
         if len(self.values) < 2:
             raise ContractViolation("objective vectors need p >= 2 components")
-        if any(v <= 0 for v in self.values):
+        # a Fraction's denominator is positive, so its numerator carries its sign
+        if any(v.numerator <= 0 for v in self.values):
             raise ContractViolation("objective values must be strictly positive")
 
 
@@ -184,7 +187,7 @@ class WeightVector(_RationalVector):
         super().__post_init__()
         if not self.values:
             raise ContractViolation("empty weight vector")
-        if any(w <= 0 for w in self.values):
+        if any(w.numerator <= 0 for w in self.values):
             raise ContractViolation("weights must be strictly positive")
 
     def scalarize(self, image: ObjectiveVector) -> Fraction:
@@ -199,7 +202,7 @@ class FactorVector(_RationalVector):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if any(f < 1 for f in self.values):
+        if any(f.numerator < f.denominator for f in self.values):
             raise ContractViolation("approximation factors must be >= 1")
 
     def excess_sum(self) -> Fraction:

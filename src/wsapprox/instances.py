@@ -13,6 +13,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Any
 
 from .core import (
@@ -156,9 +157,64 @@ def gen_random_graph(
     )
 
 
+class _Escapes(dict):
+    """JSON string literal of each str looked up, escaped on first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        escaped = self[text] = encode_basestring(text)
+        return escaped
+
+
 def canonical_dumps(payload: Any) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON text: the bytes of ``json.dumps(payload, sort_keys=True,
+    indent=2, ensure_ascii=False) + "\\n"``, written in one pass.
+
+    With an indent, json runs its pure-Python encoder; this writer escapes
+    each distinct string once per call and joins a list of strings at once.
+    Scalars other than str and int go through ``json.dumps``; a dict key
+    that is not a str raises TypeError.
+    """
+    escaped = _Escapes()
+    out: list[str] = []
+    write = out.append
+
+    def value(v: Any, nl: str) -> None:
+        t = type(v)
+        if t is str:
+            write(escaped[v])
+        elif isinstance(v, dict):
+            inner = nl + "  "
+            sep = "{" + inner
+            for key in sorted(v):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                x = v[key]
+                if type(x) is str:  # most members of a report: one piece with the key
+                    write(f"{sep}{escaped[key]}: {escaped[x]}")
+                else:
+                    write(f"{sep}{escaped[key]}: ")
+                    value(x, inner)
+                sep = "," + inner
+            write(nl + "}" if v else "{}")
+        elif isinstance(v, (list, tuple)):
+            inner = nl + "  "
+            if set(map(type, v)) == {str}:
+                write("[" + inner + ("," + inner).join([escaped[x] for x in v]) + nl + "]")
+                return
+            sep = "[" + inner
+            for x in v:
+                write(sep)
+                value(x, inner)
+                sep = "," + inner
+            write(nl + "]" if v else "[]")
+        elif t is int:
+            write(int.__repr__(v))
+        else:
+            write(json.dumps(v))
+
+    value(payload, "\n")
+    write("\n")
+    return "".join(out)
 
 
 def instance_to_json(inst: Instance) -> dict[str, Any]:

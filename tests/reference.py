@@ -18,6 +18,9 @@ in ``Fraction`` and without the package's shortcuts:
 - ``cells_block_by_cells`` formats a report's ``cells`` block corner by
   corner, once for every cell that prints it, instead of once for each
   distinct corner;
+- ``canonical_dumps_by_json`` writes canonical JSON with ``json.dumps``,
+  whose indented encoder escapes a string wherever it appears, where the
+  package's writer escapes each distinct string once in one pass;
 - ``csv_text_by_writerows`` writes CSV rows with ``csv.writer.writerows``,
   which escapes a field wherever it appears, where the CLI escapes each
   distinct field once;
@@ -40,6 +43,7 @@ import csv
 import heapq
 import io
 import itertools
+import json
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -424,6 +428,12 @@ def cells_block_by_cells(run: GridRun) -> list:
         }
         for cell in run.cell_map()
     ]
+
+
+def canonical_dumps_by_json(payload) -> str:
+    """Canonical JSON text as ``json.dumps`` writes it: sorted keys,
+    two-space indent, no ASCII escaping, trailing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def csv_text_by_writerows(rows) -> str:

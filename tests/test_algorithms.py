@@ -133,6 +133,20 @@ class TestGridWeights:
         plan = plan_grid(bounds, epsilon, 1)
         assert len(plan.entries) == plan.u[0] + plan.u[1] + 1
 
+    @given(
+        st.lists(st.integers(0, 30), min_size=2, max_size=3),
+        st.sampled_from([F(1, 4), F(1), F(2)]),
+        st.sampled_from([F(1), F(3, 2)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weights_invert_their_corners(self, spans, epsilon, sigma):
+        bounds = Bounds.of([F(1, 3)] * len(spans), [F(1, 3) + F(s, 7) for s in spans])
+        plan = plan_grid(bounds, epsilon, sigma)
+        for entry in plan.entries:
+            assert entry.weight.values == tuple(
+                1 / plan.corners[j][k_j] for j, k_j in enumerate(entry.exponents)
+            )
+
     def test_every_entry_has_a_zero_exponent(self, three_points):
         plan = plan_grid(compute_bounds(three_points), F(1, 2), F(3, 2))
         assert all(min(e.exponents) == 0 for e in plan.entries)

@@ -26,7 +26,12 @@ from wsapprox.core import format_rational
 from wsapprox.instances import canonical_dumps, load_instance
 
 from conftest import explicit_instances
-from reference import cell_map_by_products, cells_block_by_cells, csv_text_by_writerows
+from reference import (
+    canonical_dumps_by_json,
+    cell_map_by_products,
+    cells_block_by_cells,
+    csv_text_by_writerows,
+)
 
 THREE_POINTS = {
     "schema_version": 1,
@@ -977,6 +982,43 @@ class TestOutFlag:
         assert len(err) == 1 and err[0].startswith("error: --out")
         assert calls == []
         assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestCanonicalOutput:
+    def test_every_output_file_is_json_dumps_text(self, tmp_path):
+        def out(name):
+            return str(tmp_path / name)
+
+        inst, graph, grid = out("inst.json"), out("graph.json"), out("grid.json")
+        values = ["--p", "2", "--low", "1", "--high", "9", "--seed", "5"]
+        commands = [
+            ["generate", "random-explicit", "--n", "12", *values, "--out", inst],
+            ["generate", "random-graph", "--nodes", "6", "--arcs", "12", *values,
+             "--kind", "shortest-path", "--out", graph],
+            ["approximate", "--algorithm", "grid", "--instance", inst, "--epsilon", "1/2",
+             "--cells", "--out", grid],
+            ["approximate", "--algorithm", "grid", "--instance", inst, "--epsilon", "1/2",
+             "--solver", "adversarial", "--sigma", "3/2", "--out", out("adversarial.json")],
+            ["approximate", "--algorithm", "bisect", "--instance", inst, "--epsilon", "1/4",
+             "--out", out("bisect.json")],
+            ["approximate", "--algorithm", "ptas", "--instance", inst, "--epsilon", "1",
+             "--tau", "1/4", "--solver", "adversarial", "--out", out("ptas.json")],
+            ["approximate", "--algorithm", "grid", "--instance", graph, "--epsilon", "1/2",
+             "--out", out("graph-grid.json")],
+            ["verify", "--instance", inst, "--from-report", grid, "--family", "multifactor",
+             "--epsilon", "1/2", "--out", out("verify-grid.json")],
+            ["verify", "--instance", inst, "--from-report", out("bisect.json"),
+             "--family", "disjunctive", "--epsilon", "1/4", "--out", out("verify-bisect.json")],
+            ["oracle", "--instance", inst, "--what", "pareto", "--out", out("pareto.json")],
+            ["oracle", "--instance", inst, "--what", "supported", "--out", out("supported.json")],
+        ]
+        for argv in commands:
+            assert main(argv) == 0, argv
+            text = pathlib.Path(argv[-1]).read_text(encoding="utf-8")
+            assert text == canonical_dumps_by_json(json.loads(text)), argv
+        explicit = load_instance(inst)
+        run = approximate_grid(exact_solver(explicit), compute_bounds(explicit), Fraction(1, 2))
+        assert read_json(grid)["cells"] == cells_block_by_cells(run)
 
 
 CELLS_HEADER = ["weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi"]

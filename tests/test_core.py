@@ -298,6 +298,51 @@ class TestValueObjects:
             assert repr(vector) == f"{cls.__name__}(values={values})"
 
 
+# The invariant of each vector class, stated with Fraction comparisons.
+VECTOR_INVARIANTS = {
+    ObjectiveVector: lambda vs: len(vs) >= 2 and all(v > 0 for v in vs),
+    WeightVector: lambda vs: len(vs) >= 1 and all(v > 0 for v in vs),
+    FactorVector: lambda vs: all(v >= 1 for v in vs),
+}
+
+
+def _build(cls, values):
+    try:
+        return cls(values)
+    except ContractViolation as exc:
+        return str(exc)
+
+
+class TestVectorCoercion:
+    @given(
+        st.sampled_from(VECTOR_CLASSES),
+        st.lists(rationals(-2, 3, denominator=4), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ints_strings_and_fractions_build_equal_vectors(self, cls, values):
+        fractions = tuple(values)
+        spellings = [
+            fractions,
+            list(fractions),
+            tuple(format_rational(v) for v in values),
+            tuple(v.numerator if v.denominator == 1 else format_rational(v) for v in values),
+        ]
+        built = [_build(cls, spelled) for spelled in spellings]
+        assert all(b == built[0] for b in built)
+        if VECTOR_INVARIANTS[cls](fractions):
+            assert all(type(b) is cls and b.values == fractions for b in built)
+            assert all(type(b.values) is tuple for b in built)
+            assert all(type(v) is Fraction for v in built[-1].values)
+        else:
+            assert isinstance(built[0], str)
+
+    @pytest.mark.parametrize("cls", VECTOR_CLASSES)
+    @pytest.mark.parametrize("bad", [1.5, True, None], ids=["float", "bool", "none"])
+    def test_non_rational_component_refused_beside_fractions(self, cls, bad):
+        with pytest.raises(ContractViolation, match="exact rational required|cannot interpret"):
+            cls((Fraction(2), Fraction(3), bad))
+
+
 # Validation refusals: input, exception type, message fragment.
 REFUSALS = [
     pytest.param(lambda: as_rational([1]), ContractViolation, "cannot interpret", id="non-rational"),

@@ -24,6 +24,8 @@ from wsapprox import (
 )
 from wsapprox.instances import canonical_dumps
 
+from reference import canonical_dumps_by_json
+
 
 class TestTightnessMin:
     def test_p2_m4(self):
@@ -263,6 +265,58 @@ class TestJsonFuzz:
             instance_from_json(doc)
         except InstanceFormatError:
             pass
+
+
+# Characters json must escape or may pass through: quotes, backslashes,
+# control characters, non-ASCII and lone surrogates.
+JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff"]),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=6,
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    JSON_TEXT,
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(JSON_TEXT, max_size=4),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestCanonicalDumps:
+    @given(JSON_TREES)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert canonical_dumps(payload) == canonical_dumps_by_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"a": Fraction(1)}, [1, {"b": {1, 2}}], object()],
+        ids=["fraction", "set", "object"],
+    )
+    def test_unserializable_value_raises_as_json_does(self, payload):
+        with pytest.raises(TypeError) as expected:
+            canonical_dumps_by_json(payload)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            canonical_dumps(payload)
+
+    @pytest.mark.parametrize("key", [1, None, (1, 2)])
+    def test_non_str_key_raises(self, key):
+        with pytest.raises(TypeError, match="keys must be str"):
+            canonical_dumps({"a": [{key: 1}]})
 
 
 def graph_json(**changes):
