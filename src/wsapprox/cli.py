@@ -158,6 +158,7 @@ def report_to_json(report: VerificationReport) -> dict[str, Any]:
         "command": "verify",
         "family": family_to_json(report.family),
         "ok": report.ok,
+        "targets": "pareto",
         "witnesses": [
             {"target": w.target_id, "by": w.covered_by, "beta": format_rationals(w.beta)}
             for w in report.witnesses

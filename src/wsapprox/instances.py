@@ -34,7 +34,7 @@ from .solvers import (
     Solution,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 DEFAULT_LATTICE_DENOMINATOR = 1000
 
@@ -170,7 +170,10 @@ def canonical_dumps(payload: Any) -> str:
     indent=2, ensure_ascii=False) + "\\n"``, written in one pass.
 
     With an indent, json runs its pure-Python encoder; this writer escapes
-    each distinct string once per call and joins a list of strings at once.
+    each distinct string once per call, writes a str or int member of a dict
+    in one piece with its key, and a list of only strs or only ints by one
+    join.  Ints are tested by ``type(x) is int``, so bools still go through
+    ``json.dumps`` and print ``true``/``false``.
     Scalars other than str and int go through ``json.dumps``; a dict key
     that is not a str raises TypeError.
     """
@@ -191,6 +194,8 @@ def canonical_dumps(payload: Any) -> str:
                 x = v[key]
                 if type(x) is str:  # most members of a report: one piece with the key
                     write(f"{sep}{escaped[key]}: {escaped[x]}")
+                elif type(x) is int:  # not bool, which prints true/false
+                    write(f"{sep}{escaped[key]}: {int.__repr__(x)}")
                 else:
                     write(f"{sep}{escaped[key]}: ")
                     value(x, inner)
@@ -198,8 +203,12 @@ def canonical_dumps(payload: Any) -> str:
             write(nl + "}" if v else "{}")
         elif isinstance(v, (list, tuple)):
             inner = nl + "  "
-            if set(map(type, v)) == {str}:
+            types = set(map(type, v))
+            if types == {str}:
                 write("[" + inner + ("," + inner).join([escaped[x] for x in v]) + nl + "]")
+                return
+            if types == {int}:
+                write("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
                 return
             sep = "[" + inner
             for x in v:

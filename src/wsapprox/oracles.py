@@ -1,9 +1,11 @@
 """Ground-truth machinery: Pareto front, supported solutions, verifiers.
 
-Everything here is brute force on purpose.  The Pareto front is a
-sort-filter scan: solutions sorted by image (ascending for minimization,
-descending for maximization) put every dominator of an image before it, so
-each image is compared only with the front found so far.  Supportedness is
+Everything here is brute force on purpose.  Every image is first cleared
+of denominators, objective by objective, into Python ints in which smaller
+is better (a MAX instance from its reciprocal images, whose MIN factors are
+the MAX factors).  The Pareto front is a sort-filter scan of those ints:
+sorted ascending, every dominator of an image comes before it, so each
+image is compared only with the front found so far.  Supportedness is
 decided exactly, for every p, by a small origin-feasible LP solved by a
 one-phase simplex, and only where it can matter: a strictly dominated image
 is never optimal for a weight w > 0, and a dominated competitor's
@@ -15,18 +17,19 @@ one positive constant, and the simplex pivots fraction-free in Python ints.
 A positive row scaling changes no sign and no ratio, so Bland's rule makes
 the same pivots as on the rational tableau and reaches the same vertex and
 witness weight.
-Approximation guarantees are checked target by target against the full
-feasible set, in Python ints: each objective is cleared of denominators
-once per call (a MAX instance from its reciprocal images, whose MIN factors
-are the MAX factors), so ranking and coverage are exact int comparisons,
-and one Fraction factor vector is built per target, for the candidate that
-the report names.  These oracles are the independent side of every guarantee
-test, so none of them share code with the approximation algorithms.
+Approximation guarantees are checked target by target against the Pareto
+front, which decides the whole feasible set because every family is
+down-closed; ranking and coverage are exact int comparisons on the cleared
+images, and one Fraction factor vector is built per target, for the
+candidate that the report names.  These oracles are the independent side
+of every guarantee test, so none of them share code with the approximation
+algorithms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -37,33 +40,58 @@ from .core import (
     FactorVector,
     FamilyKind,
     GuaranteeFamily,
-    ObjectiveVector,
     WeightVector,
-    dominates,
     factor_vector,
 )
 from .solvers import ExplicitInstance
 
 
-def pareto_front(inst: ExplicitInstance) -> frozenset[str]:
-    """Ids of all solutions with nondominated images (duplicates retained).
+def _cleared_images(inst: ExplicitInstance) -> dict[str, tuple[int, ...]]:
+    """Int image per id in which a candidate C approximates a target T with
+    factor max(1, C_j / T_j) in objective j, in either direction.
 
-    A dominator is lexicographically better, so it sorts first and every
-    image meets its dominators, or theirs, among the front found so far.
+    A MIN image is multiplied, objective by objective, by the lcm of that
+    objective's denominators.  A MAX factor T_j / C_j is the MIN factor of
+    the reciprocals 1/C_j over 1/T_j, so a MAX image is cleared the same way
+    from its reciprocals, numerators and denominators swapped.
     """
-    ordered = sorted(
-        inst.solutions,
-        key=lambda s: s.image.values,
-        reverse=inst.direction is Direction.MAX,
-    )
-    front_images: list[ObjectiveVector] = []
+    maximize = inst.direction is Direction.MAX
+    pairs = {
+        s.id: [(v.denominator, v.numerator) if maximize else (v.numerator, v.denominator)
+               for v in s.image]
+        for s in inst.solutions
+    }
+    scale = [math.lcm(*(pair[j][1] for pair in pairs.values())) for j in range(inst.p)]
+    return {
+        sid: tuple(n * (scale[j] // d) for j, (n, d) in enumerate(pair))
+        for sid, pair in pairs.items()
+    }
+
+
+def _front(images: dict[str, tuple[int, ...]]) -> frozenset[str]:
+    """Ids whose cleared image (``_cleared_images``) no other image
+    dominates; ids sharing a front image are all kept.
+
+    Smaller is better in every objective of a cleared image, for MIN and
+    MAX alike, so a dominator is lexicographically smaller: it sorts first,
+    and every image meets its dominators, or theirs, among the distinct
+    front images found so far.
+    """
+    front_images: list[tuple[int, ...]] = []
     front: list[str] = []
-    for s in ordered:
-        if not any(dominates(f, s.image, inst.direction) for f in front_images):
-            if not front_images or front_images[-1].values != s.image.values:
-                front_images.append(s.image)
-            front.append(s.id)
+    for sid in sorted(images, key=images.__getitem__):
+        image = images[sid]
+        if front_images and front_images[-1] == image:
+            front.append(sid)
+        elif not any(all(map(operator.le, f, image)) for f in front_images):
+            front_images.append(image)
+            front.append(sid)
     return frozenset(front)
+
+
+def pareto_front(inst: ExplicitInstance) -> frozenset[str]:
+    """Ids of all solutions with nondominated images (duplicates retained)."""
+    return _front(_cleared_images(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -260,28 +288,6 @@ class VerificationReport:
     violations: tuple[Violation, ...]
 
 
-def _cleared_images(inst: ExplicitInstance) -> dict[str, tuple[int, ...]]:
-    """Int image per id in which a candidate C approximates a target T with
-    factor max(1, C_j / T_j) in objective j, in either direction.
-
-    A MIN image is multiplied, objective by objective, by the lcm of that
-    objective's denominators.  A MAX factor T_j / C_j is the MIN factor of
-    the reciprocals 1/C_j over 1/T_j, so a MAX image is cleared the same way
-    from its reciprocals, numerators and denominators swapped.
-    """
-    maximize = inst.direction is Direction.MAX
-    pairs = {
-        s.id: [(v.denominator, v.numerator) if maximize else (v.numerator, v.denominator)
-               for v in s.image]
-        for s in inst.solutions
-    }
-    scale = [math.lcm(*(pair[j][1] for pair in pairs.values())) for j in range(inst.p)]
-    return {
-        sid: tuple(n * (scale[j] // d) for j, (n, d) in enumerate(pair))
-        for sid, pair in pairs.items()
-    }
-
-
 def _covers_cleared(
     clipped: tuple[int, ...],
     target: tuple[int, ...],
@@ -347,18 +353,24 @@ def verify_approximation(
 ) -> VerificationReport:
     """Check that the given solutions cover every feasible point of ``inst``.
 
+    The targets are the Pareto-optimal solutions, in instance order.  That
+    decides every target: each family is down-closed, and each factor
+    beta_j = max(1, C_j / T_j) can only grow when the target T is replaced
+    by a target that dominates it, so a candidate that covers a front
+    target covers every target that the front target dominates.
+
     Per target, candidates are ranked by (excess factor sum, lexicographic
     factor vector, id); the witness is the best-ranked covering candidate,
     and violations report the best-ranked factor vector overall so failures
     stay diagnosable.
 
-    Ranking and coverage run on int images (``_cleared_images``): each
-    objective is cleared of denominators once per call, and a MAX instance
-    is cleared from its reciprocal images, so both directions share this one
-    path.  Only the smallest id of each distinct candidate image is scored,
-    since it wins every tie with the others, and each distinct target image
-    is scored once.  The one Fraction ``factor_vector`` per target is built
-    for the reported candidate alone.
+    Ranking, coverage and the front run on int images (``_cleared_images``):
+    each objective is cleared of denominators once per call, and a MAX
+    instance is cleared from its reciprocal images, so both directions share
+    this one path.  Only the smallest id of each distinct candidate image is
+    scored, since it wins every tie with the others, and each distinct
+    target image is scored once.  The one Fraction ``factor_vector`` per
+    target is built for the reported candidate alone.
     """
     ids = sorted(set(solution_ids))
     known = set(inst.ids())
@@ -368,6 +380,7 @@ def verify_approximation(
     if family.p != inst.p:
         raise ContractViolation("family dimension differs from instance")
     images = _cleared_images(inst)
+    front = _front(images)
     candidates: dict[tuple[int, ...], str] = {}
     for cid in ids:
         candidates.setdefault(images[cid], cid)
@@ -376,6 +389,8 @@ def verify_approximation(
     witnesses: list[Witness] = []
     violations: list[Violation] = []
     for target in inst.solutions:
+        if target.id not in front:
+            continue
         image = images[target.id]
         if image not in verdicts:
             verdicts[image] = _best_candidate(image, candidates, family)

@@ -30,9 +30,11 @@ in ``Fraction`` and without the package's shortcuts:
   images, not on images cleared by a common lcm, and solves it with
   ``simplex_max_by_fractions``, which pivots a tableau of Fractions where
   the package pivots fraction-free in ints;
-- ``verify_by_fractions`` builds a Fraction factor vector for every
+- ``verify_by_fractions`` scores every solution as a target, not only the
+  Pareto-optimal ones, and builds a Fraction factor vector for every
   target-candidate pair instead of ranking cleared-denominator ints, and
-  decides each with ``covers`` on that vector;
+  decides each with ``covers`` on that vector; ``on_front`` keeps its
+  entries for front targets, which the package's verifier reports;
 - ``covers_disjunctive`` spells out the pair {(1, b), (b, 1)} that the
   package decides as ``multi_factor(1, epsilon, 2)``.
 
@@ -40,6 +42,7 @@ The references skip argument checks; the package's entry points make those.
 """
 
 import csv
+import dataclasses
 import heapq
 import io
 import itertools
@@ -660,4 +663,15 @@ def verify_by_fractions(
             violations.append(Violation(target.id, None, None))
     return VerificationReport(
         family, ok=not violations, witnesses=tuple(witnesses), violations=tuple(violations)
+    )
+
+
+def on_front(report: VerificationReport, inst: ExplicitInstance) -> VerificationReport:
+    """``report`` with only the witnesses and violations whose target is in
+    ``pairwise_front(inst)``, in order; ``ok`` stays that of all targets."""
+    front = pairwise_front(inst)
+    return dataclasses.replace(
+        report,
+        witnesses=tuple(w for w in report.witnesses if w.target_id in front),
+        violations=tuple(v for v in report.violations if v.target_id in front),
     )

@@ -33,6 +33,7 @@ from reference import (
     factor_le,
     family_contains,
     multi_factor_witness,
+    on_front,
     verify_by_fractions,
 )
 
@@ -250,12 +251,13 @@ class TestFamilyConsistency:
     @settings(max_examples=200)
     def test_multifactor_sigma1_p2_equals_disjunctive(self, case, epsilon):
         # At sigma = 1 and p = 2 the multi-factor family is the pair
-        # {(1, 2+eps), (2+eps, 1)}: its verdict, witnesses and violations
-        # are those of the pair's closed form.
+        # {(1, 2+eps), (2+eps, 1)}: its verdict is that of the pair's closed
+        # form over all targets, its witnesses and violations those of the
+        # front targets.
         inst, ids = case
         family = multifactor(1, epsilon)
         expected = verify_by_fractions(ids, inst, family, decide=covers_disjunctive)
-        assert verify_approximation(ids, inst, family) == expected
+        assert verify_approximation(ids, inst, family) == on_front(expected, inst)
 
     def test_constructor_validation(self):
         with pytest.raises(ContractViolation):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from wsapprox import (
     ContractViolation,
@@ -290,7 +290,10 @@ JSON_TREES = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.lists(JSON_TEXT, max_size=4),
+        st.lists(st.integers(), max_size=4),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=4),
         st.dictionaries(JSON_TEXT, children, max_size=4),
+        st.dictionaries(JSON_TEXT, st.one_of(st.integers(), st.booleans()), max_size=4),
     ),
     max_leaves=30,
 )
@@ -299,6 +302,13 @@ JSON_TREES = st.recursive(
 class TestCanonicalDumps:
     @given(JSON_TREES)
     @settings(max_examples=400, deadline=None)
+    # An int goes out in one piece; a bool, whose type is not int, still
+    # prints true/false.
+    @example([3, -1, 0, 10**40])
+    @example({"n": 7, "z": -2, "big": 10**40})
+    @example([1, True, 0, False])
+    @example({"t": True, "one": 1, "f": False, "zero": 0, "none": None})
+    @example([[1, 2], [], {"arcs": [4, 5], "ws_calls": 9, "ok": True}])
     def test_matches_json_dumps(self, payload):
         assert canonical_dumps(payload) == canonical_dumps_by_json(payload)
 

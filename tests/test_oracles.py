@@ -37,6 +37,7 @@ from conftest import (
 )
 from reference import (
     front_certificates_by_fractions,
+    on_front,
     pairwise_front,
     simplex_max_by_fractions,
     solve_explicit_exact,
@@ -69,9 +70,21 @@ def families(p):
 
 
 @st.composite
-def verification_cases(draw, min_ids=1):
+def with_repeated_images(draw, instances):
+    """Instances from ``instances`` plus one to three copies of their images
+    under new ids "d1", "d2", ..., all in a drawn order, so that front
+    images repeat away from each other."""
+    inst = draw(instances)
+    copies = draw(st.lists(st.sampled_from(inst.solutions), min_size=1, max_size=3))
+    extra = tuple(Solution(f"d{i + 1}", s.image) for i, s in enumerate(copies))
+    solutions = draw(st.permutations(inst.solutions + extra))
+    return ExplicitInstance(inst.direction, inst.p, tuple(solutions))
+
+
+@st.composite
+def verification_cases(draw, min_ids=1, instances=with_front_midpoint(any_instances)):
     """(instance, solution ids, family) with at least ``min_ids`` ids."""
-    inst = draw(with_front_midpoint(any_instances))
+    inst = draw(instances)
     ids = draw(st.lists(st.sampled_from(inst.ids()), min_size=min_ids, unique=True))
     return inst, ids, draw(families(inst.p))
 
@@ -200,6 +213,13 @@ class TestParetoFront:
     @given(any_instances)
     @settings(max_examples=150, deadline=None)
     def test_sort_scan_matches_pairwise_scan(self, inst):
+        assert pareto_front(inst) == pairwise_front(inst)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_max_front_on_wide_reciprocals(self, seed):
+        # Values k/1000 clear, from their reciprocals, to ints of hundreds
+        # of digits per objective.
+        inst = gen_random_explicit(3, 150, 1, 1000, seed, direction=MAX)
         assert pareto_front(inst) == pairwise_front(inst)
 
 
@@ -453,7 +473,20 @@ class TestVerifyApproximation:
     )
     def test_integer_ranking_matches_fraction_reference(self, case):
         inst, ids, family = case
-        assert verify_approximation(ids, inst, family) == verify_by_fractions(ids, inst, family)
+        expected = on_front(verify_by_fractions(ids, inst, family), inst)
+        assert verify_approximation(ids, inst, family) == expected
+
+    @given(verification_cases(min_ids=0, instances=with_repeated_images(any_instances)))
+    @settings(max_examples=300, deadline=None)
+    def test_targets_are_the_front(self, case):
+        # The front decides the verdict of every target, and exactly the
+        # front targets are reported, each once, as the all-target
+        # reference reports them.
+        inst, ids, family = case
+        report = verify_approximation(ids, inst, family)
+        assert report == on_front(verify_by_fractions(ids, inst, family), inst)
+        reported = [e.target_id for e in report.witnesses + report.violations]
+        assert sorted(reported) == sorted(pairwise_front(inst))
 
     @given(verification_cases(min_ids=0))
     @settings(max_examples=60, deadline=None)
@@ -469,7 +502,9 @@ class TestVerifyApproximation:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracles, "factor_vector", record)
             verify_approximation(ids, inst, family)
-        assert targets == ([s.image for s in inst.solutions] if ids else [])
+        front = pairwise_front(inst)
+        expected = [s.image for s in inst.solutions if s.id in front]
+        assert targets == (expected if ids else [])
 
     @pytest.mark.parametrize("p,eps", [(2, F(1, 2)), (2, F(1)), (3, F(1, 2)), (3, F(1))])
     def test_uniform_deficit_fails_for_large_m(self, p, eps):
