@@ -10,7 +10,7 @@ Usage: python scripts/reproduce_constructions.py [--out-dir OUT]
 """
 
 import argparse
-import json
+import csv
 import os
 import sys
 from fractions import Fraction
@@ -106,8 +106,9 @@ def main() -> int:
     code |= cli_main(
         ["export-plot", "--from-report", report_path, "--out-dir", args.out_dir]
     )
-    with open(report_path, "r", encoding="utf-8") as handle:
-        cells = len(json.load(handle)["cells"])
+    cells_csv = os.path.join(args.out_dir, "cells.csv")
+    with open(cells_csv, "r", encoding="utf-8", newline="") as handle:
+        cells = sum(1 for _ in csv.reader(handle)) - 1  # data rows, after the header
     print(f"wrote points.csv and cells.csv ({cells} cells) under {args.out_dir}")
     return code
 

@@ -33,7 +33,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Bounds,
@@ -169,10 +169,13 @@ def check_cell_map(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -
     """Refuse, before any solve, a grid whose cell map would print more than
     MAX_CELL_DIGITS digits (ContractViolation).
 
-    Every exponent point of prod [0, u_j] lies on exactly one weight's
-    diagonal, so the map has prod (u_j + 1) cells, each printing 2p values.
-    The count uses the caps' float estimates and each value the digit
-    estimate of ``_value_digits``, so no power of the step is built.
+    The report's ``cells`` block holds only the sum (u_j + 2) corners, but
+    ``export-plot`` writes the map from it as ``cells.csv``, and that file
+    is what this bounds.  Every exponent point of prod [0, u_j] lies on
+    exactly one weight's diagonal, so the map has prod (u_j + 1) cells, each
+    printing 2p values.  The count uses the caps' float estimates and each
+    value the digit estimate of ``_value_digits``, so no power of the step
+    is built.
     """
     _, _, step = _grid_step(bounds, epsilon, sigma)
     cells = math.prod(
@@ -219,6 +222,22 @@ def plan_grid(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> Gri
     return GridPlan(epsilon, sigma, step - 1, u, corners, tuple(entries))
 
 
+def cell_diagonal(
+    u: Sequence[int], exponents: Iterable[Sequence[int]]
+) -> Iterator[tuple[int, int]]:
+    """(weight_index, level) of every cell of a grid with caps ``u`` whose
+    weights have the exponent tuples ``exponents``, in cell-map order.
+
+    Weight i with exponents k owns levels 0 .. min_j (u_j - k_j), and its
+    cell at a level spans ``corners[j][k_j + level]`` to
+    ``corners[j][k_j + level + 1]``.  Every point of prod [0, u_j] lies on
+    exactly one weight's diagonal, so a grid's cells are prod (u_j + 1).
+    """
+    for idx, k in enumerate(exponents):
+        for level in range(min(u_j - k_j for u_j, k_j in zip(u, k)) + 1):
+            yield idx, level
+
+
 @dataclass(frozen=True)
 class CellAssignment:
     """Hyperrectangle of the objective-space subdivision and its covering id."""
@@ -241,13 +260,8 @@ class GridRun:
         return frozenset(s.id for s in self.result)
 
     def diagonal(self) -> Iterator[tuple[int, int]]:
-        """(weight_index, level) of every cell, in cell-map order: weight i with
-        exponents k owns levels 0 .. min_j (u_j - k_j), and its cell at a level
-        spans ``corners[j][k_j + level]`` to ``corners[j][k_j + level + 1]``."""
-        u = self.plan.u
-        for idx, entry in enumerate(self.plan.entries):
-            for level in range(min(u_j - k_j for u_j, k_j in zip(u, entry.exponents)) + 1):
-                yield idx, level
+        """``cell_diagonal`` of this run's caps and weights."""
+        return cell_diagonal(self.plan.u, (entry.exponents for entry in self.plan.entries))
 
     def cell_map(self) -> tuple[CellAssignment, ...]:
         """The cells of ``diagonal()`` with their Fraction corners.
@@ -258,8 +272,9 @@ class GridRun:
 
         The map has prod (u_j + 1) cells of 2p bounds each, but every bound
         is an entry of ``plan.corners``, so it takes only sum (u_j + 2)
-        distinct values.  The CLI's ``cells`` block builds no cell map: it
-        reads the formatted corners at the pairs of ``diagonal()``.
+        distinct values.  The CLI builds no cell map: a report's ``cells``
+        block holds the formatted corner table, and ``export-plot`` reads it
+        at the pairs of ``cell_diagonal``.
         """
         corners = self.plan.corners
         cells: list[CellAssignment] = []

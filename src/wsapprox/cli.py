@@ -4,6 +4,9 @@ Subcommands: ``approximate`` runs an algorithm and writes a JSON report,
 ``verify`` checks a solution set against a guarantee family, ``oracle``
 computes ground-truth sets, ``generate`` writes instance files, and
 ``export-plot`` turns a report into CSV plot data (biobjective only).
+``approximate --cells`` adds the grid's corner table to a grid report as
+its ``cells`` block, and ``export-plot`` writes the cell map from that
+table, ``u`` and the weights' exponents and answer ids as ``cells.csv``.
 
 Exit codes are a stable contract: 0 success (and "verified"), 1 guarantee
 violated, 2 invalid flags or preconditions (an ``--out`` in a missing
@@ -12,16 +15,18 @@ empty or names a file, are refused before any work; a grid of more than
 ``algorithms.MAX_GRID_CALLS`` weights before any weight is built; an
 ``approximate`` run whose report would print an int of more digits than
 ``sys.get_int_max_str_digits()`` before any power of the grid step is
-built or any solve is made; a ``--cells`` map of more than
-``algorithms.MAX_CELL_DIGITS`` estimated digits before any solve; a flag
-that the chosen algorithm or family would ignore, such as ``--tau`` outside
-ptas, ``--sigma`` under ptas, or a ``--sigma`` other than 1 under ``verify
---family disjunctive`` or ``--family uniform --sum-bound``, before any
-solve or graph enumeration), 3
-unreadable or malformed input files (instances, solution lists and
-reports), 4 maximization instance passed to an algorithm, 5 graph
-enumeration guard exceeded, 6 internal error (any other exception; one
-``error:`` line, no traceback).
+built or any solve is made; a ``--cells`` run whose ``cells.csv`` would
+print more than ``algorithms.MAX_CELL_DIGITS`` estimated digits before any
+solve; a flag that the chosen algorithm or family would ignore, such as
+``--tau`` outside ptas, ``--sigma`` under ptas, or a ``--sigma`` other
+than 1 under ``verify --family disjunctive`` or ``--family uniform
+--sum-bound``, before any solve or graph enumeration), 3 unreadable or
+malformed input files (instances, solution lists and reports, including a
+``cells`` block that is not a corner table that fits ``u`` and the
+weights' exponents, such as the list of cells that reports of schema 4
+and earlier held), 4 maximization instance passed to an algorithm, 5
+graph enumeration guard exceeded, 6 internal error (any other exception;
+one ``error:`` line, no traceback).
 All rationals cross this boundary as strings.
 """
 
@@ -41,6 +46,7 @@ from .algorithms import (
     approximate_biobjective,
     approximate_grid,
     approximate_with_ptas,
+    cell_diagonal,
     check_cell_map,
 )
 from .core import (
@@ -176,13 +182,13 @@ def report_to_json(report: VerificationReport) -> dict[str, Any]:
 
 def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
     """The grid part of an ``approximate`` report; with ``include_cells``,
-    the ``cells`` block, one entry per pair of ``run.diagonal()``.
+    the ``cells`` block ``{"corners": text}``.
 
-    Every cell corner is l_j * step**k from ``run.plan.corners``, so a
-    ``cells`` block prints only sum (u_j + 2) distinct corner strings however
-    many cells it has.  Each is formatted once into ``text[j][k]``, and a
-    cell's bounds are read from that table at the exponents of its weight;
-    no cell map and no Fraction is built.
+    Every cell corner is l_j * step**k from ``run.plan.corners``, so the
+    block is that table formatted once, ``text[j][k]`` for k <= u_j + 1:
+    sum (u_j + 2) strings however many cells the grid has.  The report's
+    ``u``, ``weights[].exponents`` and ``weights[].answer.id`` then fix
+    every cell, and ``export-plot`` writes them out.
     """
     data: dict[str, Any] = {
         "eps_prime": format_rational(run.plan.eps_prime),
@@ -199,21 +205,7 @@ def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
         ],
     }
     if include_cells:
-        text = [format_rationals(column) for column in run.plan.corners]
-        entries, answers = run.plan.entries, run.answers
-        cells = []
-        for idx, level in run.diagonal():
-            k = entries[idx].exponents
-            cells.append(
-                {
-                    "weight_index": idx,
-                    "level": level,
-                    "id": answers[idx].solution_id,
-                    "lower": [column[k_j + level] for column, k_j in zip(text, k)],
-                    "upper": [column[k_j + level + 1] for column, k_j in zip(text, k)],
-                }
-            )
-        data["cells"] = cells
+        data["cells"] = {"corners": [format_rationals(column) for column in run.plan.corners]}
     return data
 
 
@@ -425,56 +417,77 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _is_rational_text(value: Any) -> bool:
-    try:
-        check_rational_literal(value)
-    except ContractViolation:
-        return False
-    return True
-
-
 _CELLS_FORMAT = (
-    "report 'cells' must hold integer weight_index and level, a string id "
-    "and two rational strings each in lower and upper"
+    "report 'cells' must be {\"corners\": [column_1, column_2]}, column j holding "
+    "u_j + 2 rational strings, with 'u' and every 'weights[].exponents' two "
+    "integers 0 <= k_j <= u_j and every 'weights[].answer.id' a string"
 )
 
 
-def _cell_rows(cells: Any) -> list[list[Any]]:
-    """CSV rows of a report's ``cells``, all checked before any is written.
+def _cell_table(data: dict[str, Any]) -> list[list[Any]]:
+    """CSV rows of the cell map of a report's ``cells`` corner table, all
+    checked before any is written; no rows if the report has no ``cells``.
 
-    A report's cells repeat few distinct corner strings, so each distinct
-    ``lower``/``upper`` string is checked once; a value that is not a
-    string is refused before any set lookup, which could not hash it.
+    Weight i with exponents k covers the cells ``cell_diagonal`` pairs with
+    it, and its cell at a level spans corners[j][k_j + level] to
+    corners[j][k_j + level + 1].  Each distinct corner string is checked
+    once; a corner that is not a string is refused before any set lookup,
+    which could not hash it.
     """
-    accepted: set[str] = set()
+    cells = data.get("cells")
+    if cells is None:
+        return []
+    if isinstance(cells, list):
+        raise InstanceFormatError(
+            "report 'cells' is a list of cells, a report of schema 4 or earlier; "
+            "re-run approximate --cells"
+        )
 
-    def is_bound(value: Any) -> bool:
-        if isinstance(value, str) and value in accepted:
-            return True
-        if _is_rational_text(value):
-            accepted.add(value)
-            return True
-        return False
+    def is_ints(values: Any) -> bool:
+        return (
+            isinstance(values, list)
+            and len(values) == 2
+            and all(type(v) is int and v >= 0 for v in values)  # bool excluded
+        )
 
-    if not isinstance(cells, list):
+    corners = cells.get("corners") if isinstance(cells, dict) else None
+    u, weights = data.get("u"), data.get("weights")
+    if not (
+        is_ints(u)
+        and isinstance(weights, list)
+        and isinstance(corners, list)
+        and len(corners) == 2
+        and all(isinstance(c, list) and len(c) == u_j + 2 for c, u_j in zip(corners, u))
+    ):
         raise InstanceFormatError(_CELLS_FORMAT)
-    rows: list[list[Any]] = []
-    for c in cells:
-        if not isinstance(c, dict):
-            raise InstanceFormatError(_CELLS_FORMAT)
-        lower, upper = c.get("lower"), c.get("upper")
+    accepted: set[str] = set()
+    for value in corners[0] + corners[1]:
+        if not (isinstance(value, str) and value in accepted):
+            try:
+                check_rational_literal(value)
+            except ContractViolation:
+                raise InstanceFormatError(_CELLS_FORMAT) from None
+            accepted.add(value)
+    exponents, ids = [], []
+    for w in weights:
+        k = w.get("exponents") if isinstance(w, dict) else None
+        answer = w.get("answer") if isinstance(w, dict) else None
         if not (
-            isinstance(lower, list)
-            and isinstance(upper, list)
-            and type(c.get("weight_index")) is int  # bool excluded
-            and type(c.get("level")) is int
-            and isinstance(c.get("id"), str)
-            and len(lower) == len(upper) == 2
-            and all(is_bound(v) for v in lower + upper)
+            is_ints(k)
+            and all(k_j <= u_j for k_j, u_j in zip(k, u))
+            and isinstance(answer, dict)
+            and isinstance(answer.get("id"), str)
         ):
             raise InstanceFormatError(_CELLS_FORMAT)
+        exponents.append(k)
+        ids.append(answer["id"])
+    f1, f2 = corners
+    rows: list[list[Any]] = []
+    for idx, level in cell_diagonal(u, exponents):
+        k1, k2 = exponents[idx]
         rows.append(
-            [c["weight_index"], c["level"], c["id"], lower[0], upper[0], lower[1], upper[1]]
+            [idx, level, ids[idx], f1[k1 + level], f1[k1 + level + 1],
+             f2[k2 + level], f2[k2 + level + 1]]
         )
     return rows
 
@@ -515,7 +528,7 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
     if data.get("p") != 2:
         raise ContractViolation("plot export is biobjective only")
     output_ids = set(_report_solution_ids(data.get("solutions", [])))
-    cell_rows = _cell_rows(data.get("cells", []))
+    cell_rows = _cell_table(data)
     inst = _as_explicit(instance_from_json(data["instance"]), args.limit)
     pareto = pareto_front(inst)
     supported_ids = frozenset(support_certificates(inst))
@@ -555,7 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--sigma", type=_rational_flag, default=Fraction(1))
     approx.add_argument("--tau", type=_rational_flag, default=None)
     approx.add_argument("--solver", choices=["exact", "adversarial"], default="exact")
-    approx.add_argument("--cells", action="store_true", help="emit the grid-cell map")
+    approx.add_argument(
+        "--cells", action="store_true", help="emit the corner table export-plot writes cells from"
+    )
     approx.add_argument("--out", default=None)
     approx.set_defaults(func=cmd_approximate)
 

@@ -34,7 +34,7 @@ from .solvers import (
     Solution,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 DEFAULT_LATTICE_DENOMINATOR = 1000
 

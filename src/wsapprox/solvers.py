@@ -147,6 +147,12 @@ class GraphInstance:
                 raise ContractViolation("source and target must differ")
             if self.target not in self._reached(self.source, undirected=False):
                 raise UnreachableTarget("target not reachable from source")
+        elif len(self.arcs) < self.node_count - 1:
+            # refused before _reached builds a list for every declared node
+            raise DisconnectedGraph(
+                f"spanning-tree instance has {len(self.arcs)} arcs, fewer than "
+                f"nodes - 1 = {self.node_count - 1}, so it is not connected"
+            )
         elif len(self._reached(0, undirected=True)) < self.node_count:
             raise DisconnectedGraph("spanning-tree instance is not connected")
 

@@ -15,9 +15,9 @@ in ``Fraction`` and without the package's shortcuts:
 - ``cell_map_by_products`` builds every cell corner as a product of a
   weight's base and a power of the step instead of reading the plan's
   corner table;
-- ``cells_block_by_cells`` formats a report's ``cells`` block corner by
-  corner, once for every cell that prints it, instead of once for each
-  distinct corner;
+- ``cells_csv_by_products`` writes ``export-plot``'s ``cells.csv`` from
+  those cells, formatting every corner once for every cell that prints it,
+  instead of once for each distinct corner of a report's corner table;
 - ``canonical_dumps_by_json`` writes canonical JSON with ``json.dumps``,
   whose indented encoder escapes a string wherever it appears, where the
   package's writer escapes each distinct string once in one pass;
@@ -70,7 +70,7 @@ from wsapprox import (
     factor_vector,
 )
 from wsapprox.algorithms import CellAssignment, GridRun
-from wsapprox.core import format_rationals
+from wsapprox.core import format_rational
 from wsapprox.oracles import Violation, Witness
 from wsapprox.solvers import (
     Arc,
@@ -418,19 +418,17 @@ def cell_map_by_products(run: GridRun, bounds: Bounds) -> tuple:
     return tuple(cells)
 
 
-def cells_block_by_cells(run: GridRun) -> list:
-    """A grid report's ``cells`` block with each cell's corners formatted
-    from the cell itself."""
-    return [
-        {
-            "weight_index": cell.weight_index,
-            "level": cell.level,
-            "id": cell.solution_id,
-            "lower": format_rationals(cell.lower),
-            "upper": format_rationals(cell.upper),
-        }
-        for cell in run.cell_map()
+def cells_csv_by_products(run: GridRun, bounds: Bounds) -> str:
+    """The ``cells.csv`` that ``export-plot`` writes for a p = 2 grid run:
+    the cells of ``cell_map_by_products``, each corner formatted from its
+    cell, written by ``csv_text_by_writerows``."""
+    header = ["weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi"]
+    rows = [
+        [cell.weight_index, cell.level, cell.solution_id]
+        + [format_rational(v) for pair in zip(cell.lower, cell.upper) for v in pair]
+        for cell in cell_map_by_products(run, bounds)
     ]
+    return csv_text_by_writerows([header] + rows)
 
 
 def canonical_dumps_by_json(payload) -> str:

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -23,13 +24,13 @@ from wsapprox import (
 )
 from wsapprox.cli import main
 from wsapprox.core import format_rational
-from wsapprox.instances import canonical_dumps, load_instance
+from wsapprox.instances import canonical_dumps, instance_to_json, load_instance
 
 from conftest import explicit_instances
 from reference import (
     canonical_dumps_by_json,
     cell_map_by_products,
-    cells_block_by_cells,
+    cells_csv_by_products,
     csv_text_by_writerows,
 )
 
@@ -47,14 +48,24 @@ THREE_POINTS = {
 
 LIMIT = sys.get_int_max_str_digits()  # digits int() converts; 0 means no limit
 
-# A valid biobjective grid report with one cell, for export-plot and verify.
-CELL = {"weight_index": 0, "level": 0, "id": "a", "lower": ["1", "1"], "upper": ["2", "2"]}
+# A valid biobjective grid report of one weight, whose one cell spans the
+# corner table's two corners in each objective, for export-plot and verify.
+WEIGHT = {"exponents": [0, 0], "answer": {"id": "a"}}
 REPORT = {
     "p": 2,
     "instance": THREE_POINTS,
     "solutions": [{"id": "a", "f": ["1", "8"]}],
-    "cells": [CELL],
+    "u": [0, 0],
+    "weights": [WEIGHT],
+    "cells": {"corners": [["1", "2"], ["1", "2"]]},
 }
+
+
+def plot_report(corners=None, **fields):
+    """REPORT as JSON text with ``fields`` replaced and, if given, ``corners``
+    as its corner table."""
+    cells = {"cells": {"corners": corners}} if corners is not None else {}
+    return json.dumps({**REPORT, **cells, **fields})
 
 
 @pytest.fixture
@@ -780,22 +791,24 @@ class TestOracleCommand:
             ("oracle", "\udcff{}"),
             ("export-plot", json.dumps({**REPORT, "solutions": ["s1"]})),
             ("export-plot", json.dumps({**REPORT, "solutions": [{"f": ["1", "8"]}]})),
-            (
-                "export-plot",
-                json.dumps({**REPORT, "cells": [{k: v for k, v in CELL.items() if k != "weight_index"}]}),
-            ),
-            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "lower": ["1"]}]})),
-            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "weight_index": None}]})),
-            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "weight_index": True}]})),
-            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "level": "0"}]})),
-            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "id": 7}]})),
-            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "lower": [{"x": 1}, "1"]}]})),
-            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "upper": ["2", 2]}]})),
-            ("export-plot", json.dumps({**REPORT, "cells": [{**CELL, "upper": ["2", "1/0"]}]})),
-            (
-                "export-plot",
-                json.dumps({**REPORT, "cells": [{**CELL, "lower": ["1", "1/" + "1" * (LIMIT + 1)]}]}),
-            ),
+            ("export-plot", plot_report(cells="corners")),
+            ("export-plot", plot_report(cells={"columns": REPORT["cells"]["corners"]})),
+            ("export-plot", plot_report([["1", "2"]])),
+            ("export-plot", plot_report([["1", "2"], ["1"]])),
+            ("export-plot", plot_report([["1", "2", "4"], ["1", "2"]])),
+            ("export-plot", plot_report(u=[1, 0])),
+            ("export-plot", plot_report(u=[False, 0])),
+            ("export-plot", plot_report(u="0")),
+            ("export-plot", plot_report(weights=[{"answer": {"id": "a"}}])),
+            ("export-plot", plot_report(weights=[{**WEIGHT, "exponents": [False, 0]}])),
+            ("export-plot", plot_report(weights=[{**WEIGHT, "exponents": [None, 0]}])),
+            ("export-plot", plot_report(weights=[{**WEIGHT, "exponents": [1, 0]}])),
+            ("export-plot", plot_report(weights=[{**WEIGHT, "exponents": [-1, 0]}])),
+            ("export-plot", plot_report(weights=[{**WEIGHT, "answer": {"id": 7}}])),
+            ("export-plot", plot_report([[{"x": 1}, "2"], ["1", "2"]])),
+            ("export-plot", plot_report([["1", "2"], ["1", 2]])),
+            ("export-plot", plot_report([["1", "2"], ["1", "1/0"]])),
+            ("export-plot", plot_report([["1", "2"], ["1", "1/" + "1" * (LIMIT + 1)]])),
             ("verify", json.dumps({**REPORT, "solutions": ["s1"]})),
         ],
         ids=[
@@ -804,11 +817,19 @@ class TestOracleCommand:
             "not-utf-8",
             "plot-solution-not-an-object",
             "plot-solution-without-id",
-            "plot-cell-without-weight-index",
+            "plot-cells-not-an-object",
+            "plot-cells-without-corners",
             "plot-cell-with-one-element-lower",
-            "plot-cell-null-weight-index",
-            "plot-cell-bool-weight-index",
-            "plot-cell-string-level",
+            "plot-cell-corner-column-too-short",
+            "plot-cell-corner-column-too-long",
+            "plot-cell-u-past-the-corner-table",
+            "plot-cell-bool-u",
+            "plot-cell-string-u",
+            "plot-cell-weight-without-exponents",
+            "plot-cell-bool-exponent",
+            "plot-cell-null-exponent",
+            "plot-cell-exponent-past-u",
+            "plot-cell-negative-exponent",
             "plot-cell-integer-id",
             "plot-cell-object-in-lower",
             "plot-cell-number-in-upper",
@@ -838,7 +859,10 @@ class TestOracleCommand:
             ],
         }[command]
         assert main(argv) == 3
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if command == "export-plot" and json.loads(text)["solutions"] == REPORT["solutions"]:
+            assert err.startswith("error: report 'cells'")  # refused for the block itself
         assert not (tmp_path / "points.csv").exists()
 
     @pytest.mark.parametrize("command", ["oracle", "verify", "export-plot"])
@@ -903,6 +927,25 @@ class TestOracleCommand:
             "error: tree enumeration work limit exceeded"
         ]
         assert built == [] and not out.exists()
+
+    def test_spanning_tree_with_too_few_arcs_exits_3_at_once(self, tmp_path, capsys):
+        # 8 arcs cannot connect 2**63 nodes; no list per declared node is built.
+        short = {
+            "kind": "spanning-tree",
+            "direction": "min",
+            "p": 2,
+            "nodes": 2**63,
+            "arcs": [{"from": a, "to": a + 1, "cost": ["1", "2"]} for a in range(8)],
+        }
+        inst, out = tmp_path / "short.json", tmp_path / "oracle.json"
+        inst.write_text(json.dumps(short))
+        start = time.perf_counter()
+        code = main(["oracle", "--instance", str(inst), "--what", "pareto", "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: spanning-tree instance has 8 arcs")
+        assert not out.exists()
 
     def test_pareto_on_long_chain(self, tmp_path):
         n = 1500
@@ -1017,8 +1060,15 @@ class TestCanonicalOutput:
             text = pathlib.Path(argv[-1]).read_text(encoding="utf-8")
             assert text == canonical_dumps_by_json(json.loads(text)), argv
         explicit = load_instance(inst)
-        run = approximate_grid(exact_solver(explicit), compute_bounds(explicit), Fraction(1, 2))
-        assert read_json(grid)["cells"] == cells_block_by_cells(run)
+        bounds = compute_bounds(explicit)
+        run = approximate_grid(exact_solver(explicit), bounds, Fraction(1, 2))
+        step = 1 + run.plan.eps_prime
+        assert read_json(grid)["cells"] == {
+            "corners": [
+                [format_rational(low * step**k) for k in range(u + 2)]
+                for low, u in zip(bounds.lower, run.plan.u)
+            ]
+        }
 
 
 CELLS_HEADER = ["weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi"]
@@ -1032,15 +1082,21 @@ PADDED_RATIONALS = st.builds(
     st.sampled_from(["1/2", "3", "-7/4", "+08", "0/5"]),
     st.text(st.sampled_from([" ", "\n", "\t", "\r"]), max_size=2),
 )
-REPORT_CELLS = st.fixed_dictionaries(
-    {
-        "weight_index": st.integers(0, 9),
-        "level": st.integers(0, 3),
-        "id": CSV_TEXT,
-        "lower": st.lists(PADDED_RATIONALS, min_size=2, max_size=2),
-        "upper": st.lists(PADDED_RATIONALS, min_size=2, max_size=2),
-    }
-)
+
+
+@st.composite
+def corner_table_reports(draw):
+    """The fields of a report that ``export-plot`` writes ``cells.csv``
+    from: caps u, weights with exponents k_j <= u_j and ids, and a corner
+    table of u_j + 2 padded rational strings in column j."""
+    u = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+    exponents = st.tuples(*[st.integers(0, u_j) for u_j in u]).map(list)
+    weights = draw(
+        st.lists(st.builds(lambda k, i: {"exponents": k, "answer": {"id": i}}, exponents, CSV_TEXT),
+                 max_size=5)
+    )
+    corners = [draw(st.lists(PADDED_RATIONALS, min_size=u_j + 2, max_size=u_j + 2)) for u_j in u]
+    return {"u": u, "weights": weights, "cells": {"corners": corners}}
 
 
 class TestExportPlot:
@@ -1084,22 +1140,32 @@ class TestExportPlot:
         ]
 
     @pytest.mark.parametrize(
-        "cells",
+        "corners",
         [
-            [CELL] * 3000 + [{**CELL, "upper": ["2", "1/0"]}],
-            [CELL, {**CELL, "upper": ["2", 2]}],
-            [CELL, {**CELL, "lower": [{"x": 1}, "1"]}],
+            [["1"] * 3000 + ["1/0"], ["1", "2"]],
+            [["1", "2"], ["2", 2]],
+            [["1", "2"], ["1", {"x": 1}]],
         ],
         ids=["zero-denominator-after-repeats", "int-after-equal-string", "unhashable-later"],
     )
-    def test_bad_bound_after_accepted_ones_exits_3(self, tmp_path, capsys, cells):
-        # Each distinct bound string is checked once: a repeat is accepted
+    def test_bad_bound_after_accepted_ones_exits_3(self, tmp_path, capsys, corners):
+        # Each distinct corner string is checked once: a repeat is accepted
         # from a set, so whatever is not a string must never reach that set.
         report = tmp_path / "report.json"
-        report.write_text(json.dumps({**REPORT, "cells": cells}))
+        report.write_text(plot_report(corners, u=[len(corners[0]) - 2, 0]))
         out_dir = tmp_path / "plots"
         assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 3
-        assert capsys.readouterr().err.startswith("error: report 'cells' must hold")
+        assert capsys.readouterr().err.startswith("error: report 'cells' must be")
+        assert not out_dir.exists()
+
+    def test_schema_4_cell_list_exits_3_asking_for_a_rerun(self, tmp_path, capsys):
+        cell = {"weight_index": 0, "level": 0, "id": "a", "lower": ["1", "1"], "upper": ["2", "2"]}
+        report = tmp_path / "report.json"
+        report.write_text(plot_report(cells=[cell]))
+        out_dir = tmp_path / "plots"
+        assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("re-run approximate --cells")
         assert not out_dir.exists()
 
     @given(
@@ -1108,14 +1174,24 @@ class TestExportPlot:
         st.sampled_from([Fraction(1), Fraction(3, 2)]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_cells_block_matches_per_cell_formatting(self, inst, epsilon, sigma):
-        run = approximate_grid(adversarial_solver(inst, sigma), compute_bounds(inst), epsilon)
-        assert cli._grid_report(run, include_cells=True)["cells"] == cells_block_by_cells(run)
+    def test_cells_csv_matches_per_cell_formatting(self, inst, epsilon, sigma):
+        bounds = compute_bounds(inst)
+        run = approximate_grid(adversarial_solver(inst, sigma), bounds, epsilon)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp)
+            (path / "inst.json").write_text(canonical_dumps(instance_to_json(inst)))
+            flags = ["--epsilon", str(epsilon), "--solver", "adversarial", "--sigma", str(sigma)]
+            assert main(["approximate", "--algorithm", "grid", "--instance", str(path / "inst.json"),
+                         *flags, "--cells", "--out", str(path / "report.json")]) == 0
+            assert main(["export-plot", "--from-report", str(path / "report.json"),
+                         "--out-dir", str(path / "plots")]) == 0
+            written = (path / "plots" / "cells.csv").read_bytes()
+        assert written == cells_csv_by_products(run, bounds).encode("utf-8")
 
-    @given(st.lists(REPORT_CELLS, max_size=8))
+    @given(corner_table_reports())
     @settings(max_examples=100, deadline=None)
-    def test_cells_csv_matches_writerows(self, cells):
-        rows = [CELLS_HEADER] + cli._cell_rows(cells)
+    def test_cells_csv_matches_writerows(self, report):
+        rows = [CELLS_HEADER] + cli._cell_table(report)
         assert cli._csv_text(rows) == csv_text_by_writerows(rows)
 
     @given(st.lists(st.lists(CSV_TEXT, min_size=2, max_size=7), max_size=6))
@@ -1172,7 +1248,7 @@ class TestExportPlot:
     def test_cell_bound_at_the_digit_limit_is_exported(self, tmp_path):
         bound = "-" + "0" + "9" * (LIMIT - 1)  # sign excluded, leading zero counted
         report = tmp_path / "report.json"
-        report.write_text(json.dumps({**REPORT, "cells": [{**CELL, "lower": ["1", bound]}]}))
+        report.write_text(plot_report([["1", "2"], [bound, "2"]]))
         out_dir = tmp_path / "plots"
         assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 0
         row = (out_dir / "cells.csv").read_text().strip().splitlines()[1]

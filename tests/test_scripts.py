@@ -1,7 +1,9 @@
 """Smoke tests: each experiment script runs against the package and writes its outputs."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,9 @@ def test_reproduce_constructions(tmp_path):
         "cells.csv",
     ):
         assert (tmp_path / name).is_file(), name
+    u = json.loads((tmp_path / "tightness_grid_report.json").read_text())["u"]
+    printed = re.search(r"cells\.csv \((\d+) cells\)", result.stdout)
+    assert printed and int(printed.group(1)) == math.prod(u_j + 1 for u_j in u)
 
 
 def test_run_guarantee_sweep(tmp_path):
