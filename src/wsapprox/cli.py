@@ -17,14 +17,17 @@ empty or names a file, are refused before any work; a grid of more than
 ``sys.get_int_max_str_digits()`` before any power of the grid step is
 built or any solve is made; a ``--cells`` run whose ``cells.csv`` would
 print more than ``algorithms.MAX_CELL_DIGITS`` estimated digits before any
-solve; a flag that the chosen algorithm or family would ignore, such as
-``--tau`` outside ptas, ``--sigma`` under ptas, or a ``--sigma`` other
-than 1 under ``verify --family disjunctive`` or ``--family uniform
---sum-bound``, before any solve or graph enumeration), 3 unreadable or
+solve, and an ``export-plot`` report whose ``cells.csv`` could print more
+than that many characters before any file is written; a flag that the
+chosen algorithm or family would ignore, such as ``--tau`` outside ptas,
+``--sigma`` under ptas, or a ``--sigma`` other than 1 under ``verify
+--family disjunctive`` or ``--family uniform --sum-bound``, before any
+solve or graph enumeration), 3 unreadable or
 malformed input files (instances, solution lists and reports, including a
 ``cells`` block that is not a corner table that fits ``u`` and the
 weights' exponents, such as the list of cells that reports of schema 4
-and earlier held), 4 maximization instance passed to an algorithm, 5
+and earlier held, or whose weights' diagonals do not hold exactly
+prod (u_j + 1) cells), 4 maximization instance passed to an algorithm, 5
 graph enumeration guard exceeded, 6 internal error (any other exception;
 one ``error:`` line, no traceback).
 All rationals cross this boundary as strings.
@@ -35,12 +38,14 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import os
 import sys
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
 from .algorithms import (
+    MAX_CELL_DIGITS,
     BiobjectiveRun,
     GridRun,
     approximate_biobjective,
@@ -420,7 +425,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 _CELLS_FORMAT = (
     "report 'cells' must be {\"corners\": [column_1, column_2]}, column j holding "
     "u_j + 2 rational strings, with 'u' and every 'weights[].exponents' two "
-    "integers 0 <= k_j <= u_j and every 'weights[].answer.id' a string"
+    "integers 0 <= k_j <= u_j, every 'weights[].answer.id' a string, and the "
+    "weights' diagonals holding prod (u_j + 1) cells together"
 )
 
 
@@ -432,7 +438,11 @@ def _cell_table(data: dict[str, Any]) -> list[list[Any]]:
     it, and its cell at a level spans corners[j][k_j + level] to
     corners[j][k_j + level + 1].  Each distinct corner string is checked
     once; a corner that is not a string is refused before any set lookup,
-    which could not hash it.
+    which could not hash it.  The diagonals of a grid tile prod [0, u_j], so
+    a table whose diagonals hold another number of cells is refused, and so
+    is one whose prod (u_j + 1) cells could print more than
+    ``MAX_CELL_DIGITS`` characters (ContractViolation), before any row is
+    built.
     """
     cells = data.get("cells")
     if cells is None:
@@ -481,6 +491,15 @@ def _cell_table(data: dict[str, Any]) -> list[list[Any]]:
             raise InstanceFormatError(_CELLS_FORMAT)
         exponents.append(k)
         ids.append(answer["id"])
+    cells_count = math.prod(u_j + 1 for u_j in u)
+    if sum(min(u_j - k_j for u_j, k_j in zip(u, k)) + 1 for k in exponents) != cells_count:
+        raise InstanceFormatError(_CELLS_FORMAT)
+    longest = max(map(len, accepted))
+    if cells_count * 2 * len(u) * longest > MAX_CELL_DIGITS:
+        raise ContractViolation(
+            f"cells.csv of {cells_count} cells with corners of up to {longest} characters "
+            f"could print over {MAX_CELL_DIGITS} characters"
+        )
     f1, f2 = corners
     rows: list[list[Any]] = []
     for idx, level in cell_diagonal(u, exponents):

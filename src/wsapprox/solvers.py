@@ -7,6 +7,15 @@ second path), Dijkstra over the scalarized arc costs of a digraph, and
 Kruskal over the scalarized edge costs of an undirected graph.  The
 adversarial choice at sigma > 1 makes guarantee tests maximally stressing.
 
+The explicit kernel keeps a private scan list of the solutions it may
+still return, in (image, id) order.  With sigma = a/b and F the cleared
+int images (below), each optimum x that a call finds for the first time
+drops every y with b*F_y >= a*F_x componentwise and b*F_y != a*F_x.  Under
+strictly positive weights such a y has b*V_y > a*V_x >= a*opt at every
+weight, so it is never the optimum and never admissible again; the answer,
+its tie-break and its scalar do not change.  At sigma = 1 this drops what
+an optimum strictly dominates.
+
 Tie-breaking is deterministic everywhere: the explicit kernel prefers the
 lexicographically smallest objective vector and then the smallest id, graph
 kernels follow input arc order.  Runs are therefore reproducible and the
@@ -158,16 +167,17 @@ class GraphInstance:
 
     def _reached(self, start: int, undirected: bool) -> set[int]:
         """Nodes reachable from ``start`` along the arcs, or along the edges
-        they form if ``undirected``."""
-        successors: list[list[int]] = [[] for _ in range(self.node_count)]
+        they form if ``undirected``.  Keyed by the nodes the arcs name, so
+        the work is bounded by the arcs, not by ``node_count``."""
+        successors: dict[int, list[int]] = {}
         for arc in self.arcs:
-            successors[arc.tail].append(arc.head)
+            successors.setdefault(arc.tail, []).append(arc.head)
             if undirected:
-                successors[arc.head].append(arc.tail)
+                successors.setdefault(arc.head, []).append(arc.tail)
         seen = {start}
         frontier = [start]
         while frontier:
-            for head in successors[frontier.pop()]:
+            for head in successors.get(frontier.pop(), ()):
                 if head not in seen:
                     seen.add(head)
                     frontier.append(head)
@@ -200,7 +210,8 @@ def compute_bounds(inst: Instance) -> Bounds:
 
     Explicit instances get the exact componentwise min and max.  Graph
     instances use the cheapest arc as the lower bound and the sum of all
-    arcs as the upper bound; looser bounds only enlarge the weight grid.
+    arcs as the upper bound, both taken from the arcs' integer form; looser
+    bounds only enlarge the weight grid.
     """
     if isinstance(inst, ExplicitInstance):
         lower = tuple(
@@ -210,11 +221,10 @@ def compute_bounds(inst: Instance) -> Bounds:
             max(s.image[j] for s in inst.solutions) for j in range(inst.p)
         )
         return Bounds(lower, upper)
-    lower = tuple(min(a.cost[j] for a in inst.arcs) for j in range(inst.p))
-    upper = tuple(
-        sum((a.cost[j] for a in inst.arcs), Fraction(0)) for j in range(inst.p)
-    )
-    return Bounds(lower, upper)
+    form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
+    lower = form.vector([min(column) for column in form.columns])
+    upper = form.image(range(len(inst.arcs)))
+    return Bounds(lower.values, upper.values)
 
 
 def enumerate_graph_solutions(
@@ -240,9 +250,9 @@ def enumerate_graph_solutions(
             raise EnumerationLimit(f"more {noun} than the enumeration limit")
 
     if inst.kind is GraphKind.SHORTEST_PATH:
-        out: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(inst.node_count)]
+        out: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
         for idx, arc in enumerate(inst.arcs):
-            out[arc.tail].append((idx, arc.head, rows[idx]))
+            out.setdefault(arc.tail, []).append((idx, arc.head, rows[idx]))
 
         # One frame per non-target node of the current path: an iterator over
         # its out-arcs and the column totals of the path up to the node.
@@ -261,7 +271,7 @@ def enumerate_graph_solutions(
             if node == inst.target:
                 emit(path_id(tuple(taken)), total, "paths")
                 return False
-            frames.append((iter(out[node]), total))
+            frames.append((iter(out.get(node, ())), total))
             return True
 
         enter(inst.source, (0,) * inst.p)
@@ -327,23 +337,37 @@ class _IntegerForm:
             for j, scale in enumerate(self.scales)
         )
 
+    def factors(self, weights: WeightVector) -> tuple[list[int], int]:
+        """The int weights W_j and the denominator D."""
+        scaled = []
+        for w, scale in zip(weights.values, self.scales):
+            # w_j / L_j in lowest terms: w_j is, so only gcd(numerator, L_j) cancels
+            g = math.gcd(w.numerator, scale)
+            scaled.append((w.numerator // g, w.denominator * (scale // g)))
+        denom = math.lcm(*(d for _, d in scaled))
+        return [n * (denom // d) for n, d in scaled], denom
+
     def values(self, weights: WeightVector) -> tuple[list[int], int]:
         """The ints D * (w . f_i) in input order, and the denominator D."""
-        scaled = [w / scale for w, scale in zip(weights, self.scales)]
-        denom = math.lcm(*(s.denominator for s in scaled))
-        values = [0] * len(self.columns[0])
-        for s, column in zip(scaled, self.columns):
-            factor = s.numerator * (denom // s.denominator)
-            values = list(map(operator.add, values, map(factor.__mul__, column)))
-        return values, denom
+        factors, denom = self.factors(weights)
+        return _dot(factors, self.columns), denom
 
     def vector(self, totals: Sequence[int]) -> ObjectiveVector:
         """The vector whose column-j int is ``totals[j]``."""
         return ObjectiveVector(tuple(map(Fraction, totals, self.scales)))
 
-    def image(self, indices: tuple[int, ...]) -> ObjectiveVector:
+    def image(self, indices: Sequence[int]) -> ObjectiveVector:
         """Exact sum of the vectors at ``indices``."""
         return self.vector([sum(column[i] for i in indices) for column in self.columns])
+
+
+def _dot(factors: Sequence[int], columns: Sequence[Sequence[int]]) -> list[int]:
+    """The ints sum_j factors[j] * columns[j][i], one pass per column."""
+    (first, column), *rest = zip(factors, columns)
+    values = [first * x for x in column]
+    for factor, column in rest:
+        values = [v + factor * x for v, x in zip(values, column)]
+    return values
 
 
 Kernel = Callable[[WeightVector], SolveAnswer]
@@ -364,18 +388,53 @@ def _explicit_kernel(inst: ExplicitInstance, sigma: Fraction) -> Kernel:
     returned, so a downstream guarantee that survives this kernel survives
     any admissible sigma-approximation.  Ties go to the lexicographically
     smallest objective vector, then the smallest id.
+
+    The scan list shrinks by the forgetting rule of the module docstring.
+    A dropped solution is never admissible, so the first index of a value
+    in the kept order is still its tie-break winner.
     """
     order, form = _sorted_form(inst)
+    a, b = sigma.numerator, sigma.denominator
+    # kept[t] is the order index of scan position t; columns[j][t] is its F_j.
+    kept = list(range(len(order)))
+    columns = [list(column) for column in form.columns]
+    pruned_by: set[int] = set()
+
+    def forget(position: int) -> None:
+        """Drop every y that the optimum x at scan ``position`` rules out:
+        b * F_y >= a * F_x componentwise, that is F_y >= ceil(a * F_x / b),
+        and b * F_y != a * F_x."""
+        nonlocal kept, columns
+        x = [column[position] for column in columns]
+        least = [-(-a * f // b) for f in x]
+        above = [True] * len(kept)
+        for column, bound in zip(columns, least):
+            above = [up and f >= bound for up, f in zip(above, column)]
+        # b * F_y == a * F_x only if a * F_x / b is an int vector, equal to least
+        exact = all(b * bound == a * f for bound, f in zip(least, x))
+        survivors = [
+            t
+            for t, up in enumerate(above)
+            if not up or exact and [column[t] for column in columns] == least
+        ]
+        if len(survivors) < len(kept):
+            kept = [kept[t] for t in survivors]
+            columns = [[column[t] for t in survivors] for column in columns]
 
     def solve(weights: WeightVector) -> SolveAnswer:
-        values, denom = form.values(weights)
+        factors, denom = form.factors(weights)
+        values = _dot(factors, columns)
         # With sigma = a/b, v is admissible iff b*v <= a*opt; as v is an int,
         # that is v <= floor(a*opt / b).  An exact solve has cap == opt and
         # needs no second scan.
         opt = min(values)
-        cap = sigma.numerator * opt // sigma.denominator
-        value = opt if cap == opt else max(v for v in values if v <= cap)
-        chosen = order[values.index(value)]
+        cap = a * opt // b
+        best = values.index(opt)
+        value = opt if cap == opt else max([v for v in values if v <= cap])
+        chosen = order[kept[best if value == opt else values.index(value)]]
+        if kept[best] not in pruned_by:
+            pruned_by.add(kept[best])
+            forget(best)
         return SolveAnswer(chosen.id, chosen.image, Fraction(value, denom))
 
     return solve
@@ -388,9 +447,9 @@ def _shortest_path_kernel(inst: GraphInstance) -> Kernel:
     arcs relaxed in input order, so the returned path is deterministic.
     """
     form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
-    out: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count)]
+    out: dict[int, list[tuple[int, int]]] = {}
     for idx, arc in enumerate(inst.arcs):
-        out[arc.tail].append((idx, arc.head))
+        out.setdefault(arc.tail, []).append((idx, arc.head))
 
     def solve(weights: WeightVector) -> SolveAnswer:
         costs, denom = form.values(weights)
@@ -406,7 +465,7 @@ def _shortest_path_kernel(inst: GraphInstance) -> Kernel:
             done.add(node)
             if node == inst.target:
                 break
-            for idx, head in out[node]:
+            for idx, head in out.get(node, ()):
                 nd = d + costs[idx]
                 if head not in dist or nd < dist[head]:
                     dist[head] = nd
@@ -468,11 +527,13 @@ class SolverHandle:
     """One weighted-sum backend bound to an instance, with a call counter.
 
     ``sigma`` is the contract bound the backend promises, not a measured
-    quality.  ``kernel`` answers one weighted-sum problem and shares no
-    mutable state between calls; left out, it is built from the instance
-    and sigma.  The handle refuses a maximization instance
-    (``MaximizationUnsupported``), then a sigma below 1, before any kernel
-    is built, so every kernel and every algorithm downstream minimizes.
+    quality.  ``kernel`` answers one weighted-sum problem; it may shrink a
+    private scan list between calls (the explicit kernel forgets what its
+    optima rule out), but each answer depends on the weight alone.  Left
+    out, it is built from the instance and sigma.  The handle refuses a
+    maximization instance (``MaximizationUnsupported``), then a sigma below
+    1, before any kernel is built, so every kernel and every algorithm
+    downstream minimizes.
     Every ``solve`` increments the counter by exactly one, then checks the
     weight dimension for every kernel, so a kernel only ever sees p
     weights.  A handle is used by one thread at a time: the algorithms make

@@ -1,9 +1,13 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
 import pathlib
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -947,6 +951,37 @@ class TestOracleCommand:
         assert len(err) == 1 and err[0].startswith("error: spanning-tree instance has 8 arcs")
         assert not out.exists()
 
+    def test_shortest_path_work_is_bounded_by_the_arcs(self, tmp_path):
+        # Seven arcs among nodes 0-4; ten million declared nodes change no id.
+        arcs = [(0, 1, "1", "5"), (0, 2, "3", "2"), (1, 2, "1", "1"), (1, 4, "6", "1"),
+                (2, 3, "2", "2"), (3, 4, "1", "3"), (2, 4, "5", "1/2")]
+        outputs = {}
+        for nodes in (5, 10**7):
+            graph = {
+                "kind": "shortest-path", "direction": "min", "p": 2, "nodes": nodes,
+                "source": 0, "target": 4,
+                "arcs": [{"from": a, "to": b, "cost": [c1, c2]} for a, b, c1, c2 in arcs],
+            }
+            inst = tmp_path / f"graph-{nodes}.json"
+            inst.write_text(json.dumps(graph))
+            for name, argv in {
+                "pareto": ["oracle", "--instance", str(inst), "--what", "pareto"],
+                "supported": ["oracle", "--instance", str(inst), "--what", "supported"],
+                "grid": ["approximate", "--algorithm", "grid", "--instance", str(inst),
+                         "--epsilon", "1"],
+            }.items():
+                out = tmp_path / f"{name}-{nodes}.json"
+                start = time.perf_counter()
+                assert main([*argv, "--out", str(out)]) == 0
+                assert time.perf_counter() - start < 1
+                outputs[name, nodes] = read_json(out)
+        for name in ("pareto", "supported"):
+            assert outputs[name, 10**7] == outputs[name, 5]
+        small, large = outputs["grid", 5], outputs["grid", 10**7]
+        assert large["solutions"] == small["solutions"]
+        assert large["weights"] == small["weights"]
+        assert len(small["weights"]) > 1 and len(small["solutions"]) > 1
+
     def test_pareto_on_long_chain(self, tmp_path):
         n = 1500
         chain = {
@@ -1087,14 +1122,14 @@ PADDED_RATIONALS = st.builds(
 @st.composite
 def corner_table_reports(draw):
     """The fields of a report that ``export-plot`` writes ``cells.csv``
-    from: caps u, weights with exponents k_j <= u_j and ids, and a corner
-    table of u_j + 2 padded rational strings in column j."""
+    from: caps u, the grid's weights (exponents with some k_j = 0, whose
+    diagonals tile prod [0, u_j]) in a drawn order with drawn ids, and a
+    corner table of u_j + 2 padded rational strings in column j."""
     u = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
-    exponents = st.tuples(*[st.integers(0, u_j) for u_j in u]).map(list)
-    weights = draw(
-        st.lists(st.builds(lambda k, i: {"exponents": k, "answer": {"id": i}}, exponents, CSV_TEXT),
-                 max_size=5)
-    )
+    grid = [[0, k2] for k2 in range(u[1] + 1)] + [[k1, 0] for k1 in range(1, u[0] + 1)]
+    exponents = draw(st.permutations(grid))
+    ids = draw(st.lists(CSV_TEXT, min_size=len(grid), max_size=len(grid)))
+    weights = [{"exponents": k, "answer": {"id": i}} for k, i in zip(exponents, ids)]
     corners = [draw(st.lists(PADDED_RATIONALS, min_size=u_j + 2, max_size=u_j + 2)) for u_j in u]
     return {"u": u, "weights": weights, "cells": {"corners": corners}}
 
@@ -1156,6 +1191,38 @@ class TestExportPlot:
         out_dir = tmp_path / "plots"
         assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 3
         assert capsys.readouterr().err.startswith("error: report 'cells' must be")
+        assert not out_dir.exists()
+
+    def test_diagonals_that_do_not_tile_the_grid_exit_3(self, tmp_path, monkeypatch, capsys):
+        # 200 weights at (0, 0) of a 2000 x 2000 grid name 400,200 cells, not
+        # the grid's 2001**2: refused before any row is built.
+        u = [2000, 2000]
+        report = tmp_path / "report.json"
+        report.write_text(plot_report([["1"] * 2002] * 2, u=u, weights=[WEIGHT] * 200))
+        out_dir = tmp_path / "plots"
+        walked = []
+        monkeypatch.setattr(cli, "cell_diagonal", lambda *a: walked.append(a) or iter(()))
+        assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: report 'cells' must be")
+        assert walked == [] and not out_dir.exists()
+
+    def test_cells_csv_over_the_character_limit_exits_2(self, tmp_path, capsys):
+        # A true 1000 x 1000 grid: 1001**2 cells * 4 corners * 30 characters
+        # could print 1.2e8 characters, over MAX_CELL_DIGITS = 1e8.
+        u = [1000, 1000]
+        grid = [[0, k] for k in range(1001)] + [[k, 0] for k in range(1, 1001)]
+        weights = [{"exponents": k, "answer": {"id": "a"}} for k in grid]
+        long = "1" + "0" * 29
+        report = tmp_path / "report.json"
+        report.write_text(plot_report([["1"] * 1001 + [long], ["1"] * 1002], u=u, weights=weights))
+        out_dir = tmp_path / "plots"
+        assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: cells.csv of 1002001 cells with corners of up to 30 characters "
+            "could print over 100000000 characters"
+        ]
         assert not out_dir.exists()
 
     def test_schema_4_cell_list_exits_3_asking_for_a_rerun(self, tmp_path, capsys):
@@ -1320,3 +1387,155 @@ class TestReadme:
         assert any(argv[1] == "export-plot" for argv in commands)
         for argv in commands:
             assert main(argv[1:]) == 0, " ".join(argv)
+
+
+# Leaves and flag values that break files and flags: zero, negative, float,
+# unparsable and oversized rationals, ints past int64, booleans, empties.
+FUZZ_LEAVES = [0, -1, 1.5, "1/0", "1e400", 10**400, 2**63, True, False, "", [], {}]
+FUZZ_FLAGS = [json.dumps(v) if not isinstance(v, str) else v for v in FUZZ_LEAVES]
+SHORT_PATHS = {
+    "kind": "shortest-path",
+    "direction": "min",
+    "p": 2,
+    "nodes": 4,
+    "source": 0,
+    "target": 3,
+    "arcs": [
+        {"from": a, "to": b, "cost": [c1, c2]}
+        for a, b, c1, c2 in [(0, 1, "1", "3"), (0, 2, "2", "1"), (1, 2, "1", "1"),
+                             (1, 3, "4", "1/2"), (2, 3, "1", "2")]
+    ],
+}
+
+
+class _Overtime(BaseException):
+    """Raised by the alarm; not an Exception, so ``main`` cannot absorb it."""
+
+
+def bounded_main(argv, seconds=5.0):
+    """``main(argv)`` with its exit code (argparse's too) and stderr lines;
+    a run past ``seconds`` raises _Overtime."""
+
+    def alarm(signum, frame):
+        raise _Overtime(argv)
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue().splitlines()
+
+
+@st.composite
+def mutated(draw, payload):
+    """``payload`` after one to three edits, each at a drawn node: replace it
+    with a fuzz leaf, drop it, or add a key or element beside it."""
+    data = {"root": copy.deepcopy(payload)}
+    for _ in range(draw(st.integers(1, 3))):
+        slots = [(data, "root")]
+        for parent, key in slots:
+            child = parent[key]
+            if isinstance(child, dict):
+                slots.extend((child, k) for k in child)
+            elif isinstance(child, list):
+                slots.extend((child, i) for i in range(len(child)))
+        parent, key = draw(st.sampled_from(slots))
+        leaf = copy.deepcopy(draw(st.sampled_from(FUZZ_LEAVES)))
+        edit = draw(st.sampled_from(["replace", "drop", "add"]))
+        if edit == "drop" and parent is not data:
+            del parent[key]
+        elif edit == "add" and isinstance(parent, dict) and parent is not data:
+            parent[draw(st.sampled_from(["id", "f", "p", "u", "cells", "nodes", "extra"]))] = leaf
+        elif edit == "add" and isinstance(parent, list):
+            parent.append(leaf)
+        else:
+            parent[key] = leaf
+    return data["root"]
+
+
+@st.composite
+def fuzz_cases(draw, valid):
+    """(files, argv, outputs, command): a command with valid flags, or with
+    one flag drawn from the fuzz values, whose input files are valid but the
+    one of them drawn to be mutated."""
+    values = {
+        "--epsilon": draw(st.sampled_from(["1", "1/2"])),
+        "--sigma": draw(st.sampled_from(["1", "3/2"])),
+        "--tau": "1/2",
+        "--limit": "10000",
+    }
+    fuzzed = draw(st.sampled_from([None, *values]))
+    if fuzzed:
+        values[fuzzed] = draw(st.sampled_from(FUZZ_FLAGS))
+    instance = draw(st.sampled_from(["inst.json", "graph.json"]))
+    command = draw(st.sampled_from(["approximate", "verify", "oracle", "export-plot"]))
+    if command == "approximate":
+        algorithm = draw(st.sampled_from(["grid", "bisect", "ptas"]))
+        solver = draw(st.sampled_from(["exact", "adversarial"]))
+        argv = ["approximate", "--algorithm", algorithm, "--instance", instance, "--solver", solver,
+                *[f for name in ("--epsilon", "--sigma") for f in (name, values[name])]]
+        if algorithm == "ptas":
+            argv += ["--tau", values["--tau"]]
+        if draw(st.booleans()):
+            argv.append("--cells")
+    elif command == "verify":
+        source = draw(st.sampled_from([["--solutions", "ids.json"],
+                                       ["--from-report", "report.json"]]))
+        family = draw(st.sampled_from(["multifactor", "uniform", "disjunctive"]))
+        argv = ["verify", "--instance", instance, *source, "--family", family,
+                *[f for name in ("--epsilon", "--sigma", "--limit") for f in (name, values[name])]]
+    elif command == "oracle":
+        what = draw(st.sampled_from(["pareto", "supported", "max-impossibility"]))
+        argv = ["oracle", "--instance", instance, "--what", what, "--limit", values["--limit"]]
+    else:
+        argv = ["export-plot", "--from-report", "report.json", "--limit", values["--limit"]]
+    files = dict(valid)
+    target = draw(st.sampled_from([a for a in argv if a in files]))
+    files[target] = draw(mutated(files[target]))
+    if command == "export-plot":
+        return files, argv + ["--out-dir", "plots"], ["plots"], command
+    return files, argv + ["--out", "out.json"], ["out.json"], command
+
+
+class TestExitCodeFuzz:
+    """Mutated instance, solution-list and report files under drawn flags
+    keep the exit-code contract: a code in 0-5, exactly one ``error:`` line
+    on failure, exit 1 only from ``verify``, and no output on a refusal."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("fuzz")
+        (base / "inst.json").write_text(canonical_dumps(THREE_POINTS))
+        report = base / "report.json"
+        assert main(["approximate", "--algorithm", "grid", "--instance", str(base / "inst.json"),
+                     "--epsilon", "1", "--cells", "--out", str(report)]) == 0
+        return {
+            "inst.json": THREE_POINTS,
+            "graph.json": SHORT_PATHS,
+            "ids.json": ["a", "b"],
+            "report.json": read_json(report),
+        }
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_inputs_keep_the_contract(self, valid, data):
+        files, argv, outputs, command = data.draw(fuzz_cases(valid))
+        with tempfile.TemporaryDirectory() as tmp:
+            work = pathlib.Path(tmp)
+            for name, payload in files.items():
+                (work / name).write_text(json.dumps(payload))
+            argv = [str(work / a) if a in files or a in outputs else a for a in argv]
+            code, err = bounded_main(argv)
+            assert code in range(6), err
+            assert code != 1 or command == "verify"
+            if code not in (0, 1):
+                assert len([line for line in err if "error:" in line]) == 1, err
+                assert not any((work / name).exists() for name in outputs)

@@ -1,3 +1,5 @@
+import inspect
+import operator
 import re
 from fractions import Fraction
 
@@ -21,10 +23,12 @@ from wsapprox import (
     UnreachableTarget,
     WeightVector,
     adversarial_solver,
+    approximate_grid,
     compute_bounds,
     dominates,
     enumerate_graph_solutions,
     exact_solver,
+    gen_random_explicit,
     gen_random_graph,
 )
 from wsapprox import solvers
@@ -34,6 +38,7 @@ from reference import (
     _UnionFind,
     bounds_contain,
     enumerate_graph_solutions_by_combinations,
+    reference_solver,
     solve_explicit_adversarial,
     solve_explicit_exact,
     solve_shortest_path,
@@ -275,6 +280,18 @@ class TestComputeBounds:
         bounds = compute_bounds(inst)
         assert bounds.lower == bounds.upper == (Fraction(5, 2), Fraction(7))
 
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_graph_bounds_equal_the_fraction_sums(self, data):
+        p = data.draw(st.integers(2, 4))
+        costs = data.draw(
+            st.lists(st.tuples(*[st.one_of(TIE_PRONE, MIXED)] * p), min_size=1, max_size=30)
+        )
+        arcs = tuple(Arc(0, 1, ObjectiveVector(cost)) for cost in costs)
+        bounds = compute_bounds(GraphInstance(MIN, p, 2, arcs, GraphKind.SHORTEST_PATH, 0, 1))
+        assert bounds.lower == tuple(min(cost[j] for cost in costs) for j in range(p))
+        assert bounds.upper == tuple(sum((cost[j] for cost in costs), Fraction(0)) for j in range(p))
+
     @given(explicit_instances(p=3, max_n=10))
     def test_sandwiches_every_image(self, inst):
         bounds = compute_bounds(inst)
@@ -385,9 +402,9 @@ MIXED = st.builds(
 
 
 @st.composite
-def tie_prone_instances(draw, p, direction):
+def tie_prone_instances(draw, p, direction, max_n=10):
     values = draw(st.sampled_from([TIE_PRONE, MIXED]))
-    images = draw(st.lists(st.tuples(*[values] * p), min_size=1, max_size=10))
+    images = draw(st.lists(st.tuples(*[values] * p), min_size=1, max_size=max_n))
     # Ids out of input order, so that the id tie-break is exercised.
     keys = draw(st.permutations(range(len(images))))
     return ExplicitInstance(
@@ -459,6 +476,79 @@ class TestHandlesMatchFractionReference:
         for handle in (exact_solver(three_points), exact_solver(diamond_graph)):
             with pytest.raises(ContractViolation):
                 handle.solve(wv(1, 1, 1))
+
+
+def scan_list(handle):
+    """The solutions the explicit kernel of ``handle`` may still return."""
+    state = inspect.getclosurevars(handle.kernel).nonlocals
+    return [state["order"][i] for i in state["kept"]]
+
+
+def ruled_out(y, x, sigma):
+    """y >= sigma * x componentwise and y != sigma * x: the forgetting rule,
+    in Fractions."""
+    scaled = [sigma * v for v in x.values]
+    return all(map(operator.ge, y.values, scaled)) and list(y.values) != scaled
+
+
+@st.composite
+def weight_sequences(draw, p):
+    """10 to 60 weights drawn from a pool of at most 12, so that repeats and
+    returns to an earlier weight are common, in drawn order."""
+    pool = draw(st.lists(mixed_weights(p), min_size=1, max_size=12))
+    return draw(st.lists(st.sampled_from(pool), min_size=10, max_size=60))
+
+
+class TestForgettingKernel:
+    """The explicit kernel drops, for each new optimum x, every y with
+    y >= sigma * x componentwise and y != sigma * x.  Its answers must stay
+    those of the stateless Fraction reference at every later weight."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_answer_matches_the_reference(self, data):
+        p = data.draw(st.sampled_from([2, 3, 4]))
+        inst = data.draw(tie_prone_instances(p, MIN, max_n=60))
+        sigma = data.draw(SIGMAS)
+        handle = exact_solver(inst) if sigma == 1 else adversarial_solver(inst, sigma)
+        for weights in data.draw(weight_sequences(p)):
+            if sigma == 1:
+                assert handle.solve(weights) == solve_explicit_exact(inst, weights)
+            else:
+                assert handle.solve(weights) == solve_explicit_adversarial(inst, weights, sigma)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_drops_exactly_what_each_optimum_rules_out(self, data):
+        p = data.draw(st.sampled_from([2, 3, 4]))
+        inst = data.draw(tie_prone_instances(p, MIN, max_n=60))
+        sigma = data.draw(SIGMAS)
+        handle = adversarial_solver(inst, sigma)
+        optima = []
+        for weights in data.draw(weight_sequences(p)):
+            handle.solve(weights)
+            optima.append(solve_explicit_exact(inst, weights).image)
+            kept = scan_list(handle)
+            # nothing that an optimum found so far rules out is still scanned
+            assert not any(ruled_out(y.image, x, sigma) for y in kept for x in optima)
+        kept_ids = {s.id for s in kept}
+        dropped = [s for s in inst.solutions if s.id not in kept_ids]
+        assert all(any(ruled_out(s.image, x, sigma) for x in optima) for s in dropped)
+        # each dropped solution is inadmissible at fresh weights too
+        for weights in data.draw(st.lists(mixed_weights(p), min_size=1, max_size=5)):
+            opt = min(weights.scalarize(s.image) for s in inst.solutions)
+            assert all(weights.scalarize(s.image) > sigma * opt for s in dropped)
+
+    @pytest.mark.parametrize("sigma", [Fraction(1), Fraction(3, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_matches_the_reference_on_p3(self, sigma, seed):
+        inst = gen_random_explicit(3, 40, 1, 10, seed=501 + seed)
+        bounds = compute_bounds(inst)
+        run = approximate_grid(adversarial_solver(inst, sigma), bounds, Fraction(1))
+        ref = approximate_grid(reference_solver(inst, sigma), bounds, Fraction(1))
+        assert run.answers == ref.answers
+        assert run.result == ref.result
+        assert len(run.result) > 1
 
 
 def recursive_path_ids(inst):
