@@ -50,7 +50,7 @@ from .solvers import SolveAnswer, Solution, SolverHandle
 # Largest grid plan_grid builds; a larger one is refused before any entry is.
 MAX_GRID_CALLS = 10**6
 
-# Largest cell map, in estimated printed digits, that check_cell_map admits.
+# Largest cell map, in estimated printed characters, that check_cell_map admits.
 MAX_CELL_DIGITS = 10**8
 
 
@@ -167,21 +167,25 @@ def _grid_step(
 
 def check_cell_map(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> None:
     """Refuse, before any solve, a grid whose cell map would print more than
-    MAX_CELL_DIGITS digits (ContractViolation).
+    MAX_CELL_DIGITS characters of corners (ContractViolation).
 
     The report's ``cells`` block holds only the sum (u_j + 2) corners, but
     ``export-plot`` writes the map from it as ``cells.csv``, and that file
-    is what this bounds.  Every exponent point of prod [0, u_j] lies on
-    exactly one weight's diagonal, so the map has prod (u_j + 1) cells, each
-    printing 2p values.  The count uses the caps' float estimates and each
-    value the digit estimate of ``_value_digits``, so no power of the step
-    is built.
+    is what this bounds, as ``export-plot`` does: prod (u_j + 1) cells,
+    each printing 2p corners l_j * step**k, k <= u_j + 1, of at most the
+    numerator digits of l_j and step**k, a "/" and their denominator digits.
+    Caps and digits are float estimates, so no power of the step is built,
+    and they err toward refusing.
     """
     _, _, step = _grid_step(bounds, epsilon, sigma)
-    cells = math.prod(
-        _cap_estimate(hi / lo, step) + 1 for lo, hi in zip(bounds.lower, bounds.upper)
+    caps = [_cap_estimate(hi / lo, step) for lo, hi in zip(bounds.lower, bounds.upper)]
+    cells = math.prod(u + 1 for u in caps)
+    step_digits = math.log10(step.numerator) + math.log10(step.denominator)
+    longest = max(
+        (u + 1) * step_digits + math.log10(low.numerator) + math.log10(low.denominator) + 3
+        for u, low in zip(caps, bounds.lower)
     )
-    digits = cells * 2 * bounds.p * _value_digits(bounds, step)
+    digits = cells * 2 * bounds.p * longest
     if digits > MAX_CELL_DIGITS:
         raise ContractViolation(
             f"cell map of about {cells:.3g} cells would print about {digits:.3g} digits, "

@@ -16,9 +16,9 @@ empty or names a file, are refused before any work; a grid of more than
 ``approximate`` run whose report would print an int of more digits than
 ``sys.get_int_max_str_digits()`` before any power of the grid step is
 built or any solve is made; a ``--cells`` run whose ``cells.csv`` would
-print more than ``algorithms.MAX_CELL_DIGITS`` estimated digits before any
-solve, and an ``export-plot`` report whose ``cells.csv`` could print more
-than that many characters before any file is written; a flag that the
+print more than ``algorithms.MAX_CELL_DIGITS`` estimated characters before
+any solve, and an ``export-plot`` report whose ``cells.csv`` could print
+more than that many characters before any file is written; a flag that the
 chosen algorithm or family would ignore, such as ``--tau`` outside ptas,
 ``--sigma`` under ptas, or a ``--sigma`` other than 1 under ``verify
 --family disjunctive`` or ``--family uniform --sum-bound``, before any
@@ -42,7 +42,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .algorithms import (
     MAX_CELL_DIGITS,
@@ -51,7 +51,6 @@ from .algorithms import (
     approximate_biobjective,
     approximate_grid,
     approximate_with_ptas,
-    cell_diagonal,
     check_cell_map,
 )
 from .core import (
@@ -430,23 +429,24 @@ _CELLS_FORMAT = (
 )
 
 
-def _cell_table(data: dict[str, Any]) -> list[list[Any]]:
-    """CSV rows of the cell map of a report's ``cells`` corner table, all
-    checked before any is written; no rows if the report has no ``cells``.
+def _cell_table(data: dict[str, Any]) -> Optional[tuple[list, list, list, list]]:
+    """(u, exponents, ids, corners) of a report's ``cells`` corner table,
+    weights and caps, as the report holds them, for ``_cells_csv``; None if
+    the report has no ``cells``.  Every check is made here, before
+    ``export-plot`` opens any file.
 
-    Weight i with exponents k covers the cells ``cell_diagonal`` pairs with
-    it, and its cell at a level spans corners[j][k_j + level] to
+    Weight i with exponents k covers levels 0 .. min_j (u_j - k_j), and its
+    cell at a level spans corners[j][k_j + level] to
     corners[j][k_j + level + 1].  Each distinct corner string is checked
     once; a corner that is not a string is refused before any set lookup,
     which could not hash it.  The diagonals of a grid tile prod [0, u_j], so
     a table whose diagonals hold another number of cells is refused, and so
     is one whose prod (u_j + 1) cells could print more than
-    ``MAX_CELL_DIGITS`` characters (ContractViolation), before any row is
-    built.
+    ``MAX_CELL_DIGITS`` characters (ContractViolation).
     """
     cells = data.get("cells")
     if cells is None:
-        return []
+        return None
     if isinstance(cells, list):
         raise InstanceFormatError(
             "report 'cells' is a list of cells, a report of schema 4 or earlier; "
@@ -500,15 +500,7 @@ def _cell_table(data: dict[str, Any]) -> list[list[Any]]:
             f"cells.csv of {cells_count} cells with corners of up to {longest} characters "
             f"could print over {MAX_CELL_DIGITS} characters"
         )
-    f1, f2 = corners
-    rows: list[list[Any]] = []
-    for idx, level in cell_diagonal(u, exponents):
-        k1, k2 = exponents[idx]
-        rows.append(
-            [idx, level, ids[idx], f1[k1 + level], f1[k1 + level + 1],
-             f2[k2 + level], f2[k2 + level + 1]]
-        )
-    return rows
+    return u, exponents, ids, corners
 
 
 class _Echo:
@@ -519,25 +511,56 @@ class _Echo:
         return line
 
 
-def _csv_text(rows: Iterable[Sequence[Any]]) -> str:
-    """The text ``csv.writer`` writes for ``rows`` of two or more fields,
-    with each distinct field escaped once, by ``csv.writer`` itself.
+_CELLS_HEADER = ("weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi")
 
+
+def _csv_escaper() -> Callable[[Any], str]:
+    """A function giving a field as ``csv.writer`` writes it in a row of two
+    or more fields; it escapes each distinct field once, by ``csv.writer``,
+    whose default dialect joins fields by "," and ends a row with "\r\n".
     A field is escaped as the second field of a two-field row, because
     ``csv.writer`` quotes a row of one empty field as ``""`` but writes an
     empty field in a longer row as nothing.
     """
     writer = csv.writer(_Echo())
-    delimiter, terminator = writer.dialect.delimiter, writer.dialect.lineterminator
     escaped: dict[Any, str] = {}
 
     def escape(field: Any) -> str:
         text = escaped.get(field)
         if text is None:
-            text = escaped[field] = writer.writerow(("", field))[1 : -len(terminator)]
+            text = escaped[field] = writer.writerow(("", field))[1:-2]
         return text
 
-    return "".join(delimiter.join([escape(f) for f in row]) + terminator for row in rows)
+    return escape
+
+
+def _csv_text(rows: Iterable[Sequence[Any]]) -> str:
+    """The text ``csv.writer`` writes for ``rows`` of two or more fields, each
+    distinct field escaped once by ``_csv_escaper``: ``points.csv``."""
+    escape = _csv_escaper()
+    return "".join(",".join([escape(f) for f in row]) + "\r\n" for row in rows)
+
+
+def _cells_csv(table: Optional[tuple[list, list, list, list]]) -> Iterator[str]:
+    """``cells.csv`` of a ``_cell_table`` (None: no cells) in pieces: the
+    header, then each weight's diagonal in ``algorithms.cell_diagonal``
+    order.  The text is ``_csv_text`` of the per-cell rows, which are never
+    built: each distinct corner and id is escaped once, column j's adjacent
+    corners are joined once into u_j + 1 ``"lo,hi"`` pairs, and a cell is
+    one f-string of its indices, its weight's id and two pairs.
+    """
+    yield _csv_text([_CELLS_HEADER])
+    if table is None:
+        return
+    (u1, u2), exponents, ids, corners = table
+    escape = _csv_escaper()
+    pairs1, pairs2 = (
+        [f"{escape(lo)},{escape(hi)}" for lo, hi in zip(column, column[1:])] for column in corners
+    )
+    for idx, ((k1, k2), answer) in enumerate(zip(exponents, ids)):
+        tail = f",{escape(answer)},"
+        cells = zip(range(min(u1 - k1, u2 - k2) + 1), pairs1[k1:], pairs2[k2:])
+        yield "".join([f"{idx},{level}{tail}{lo},{hi}\r\n" for level, lo, hi in cells])
 
 
 def cmd_export_plot(args: argparse.Namespace) -> int:
@@ -547,7 +570,7 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
     if data.get("p") != 2:
         raise ContractViolation("plot export is biobjective only")
     output_ids = set(_report_solution_ids(data.get("solutions", [])))
-    cell_rows = _cell_table(data)
+    table = _cell_table(data)
     inst = _as_explicit(instance_from_json(data["instance"]), args.limit)
     pareto = pareto_front(inst)
     supported_ids = frozenset(support_certificates(inst))
@@ -563,10 +586,10 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
         ]
         for s in inst.solutions
     ]
-    header = ["weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi"]
-    for name, rows in (("points.csv", points_rows), ("cells.csv", [header] + cell_rows)):
+    files = (("points.csv", [_csv_text(points_rows)]), ("cells.csv", _cells_csv(table)))
+    for name, pieces in files:
         with open(os.path.join(args.out_dir, name), "w", encoding="utf-8", newline="") as handle:
-            handle.write(_csv_text(rows))
+            handle.writelines(pieces)
     return EXIT_OK
 
 

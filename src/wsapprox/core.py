@@ -52,9 +52,9 @@ def check_rational_literal(text: str) -> str:
     ``sys.get_int_max_str_digits()``, as ``int()`` requires.  Anything else
     raises ContractViolation; no int is built.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    value = text.strip() if isinstance(text, str) else None
+    if value is None or not _RATIONAL_RE.match(value):
         raise ContractViolation(f"not a rational literal: {text!r}")
-    value = text.strip()
     numerator, _, denominator = value.lstrip("+-").partition("/")
     if denominator and denominator.lstrip("0") == "":
         raise ContractViolation(f"zero denominator: {text!r}")
@@ -70,8 +70,11 @@ def check_rational_literal(text: str) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"7"`` or ``"num/den"``; the denominator must be positive."""
-    return Fraction(check_rational_literal(text))
+    """Parse ``"7"`` or ``"num/den"``; the denominator must be positive.
+    The checked literal's digit runs are read by ``int``, so the text is not
+    matched a second time, as ``Fraction(text)`` would."""
+    numerator, _, denominator = check_rational_literal(text).partition("/")
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 def format_rational(value: Fraction) -> str:

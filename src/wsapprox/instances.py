@@ -263,7 +263,7 @@ def _parse_positive_vector(values: Any, p: int, what: str) -> ObjectiveVector:
     if not isinstance(values, list) or len(values) != p:
         raise InstanceFormatError(f"{what}: expected a list of {p} rationals")
     try:
-        return ObjectiveVector(tuple(parse_rational(v) for v in values))
+        return ObjectiveVector(tuple([parse_rational(v) for v in values]))
     except ContractViolation as exc:
         raise InstanceFormatError(f"{what}: {exc}") from exc
 
@@ -311,7 +311,8 @@ def instance_from_json(data: Any) -> Instance:
             for entry in raw:
                 if not isinstance(entry, dict):
                     raise InstanceFormatError("each solution must be an object")
-                _require_keys(entry, {"id", "f"}, set(), "solution")
+                if entry.keys() != {"id", "f"}:  # one comparison; the call words the error
+                    _require_keys(entry, {"id", "f"}, set(), "solution")
                 if not isinstance(entry["id"], str) or not entry["id"]:
                     raise InstanceFormatError("solution id must be a nonempty string")
                 solutions.append(
@@ -329,7 +330,8 @@ def instance_from_json(data: Any) -> Instance:
         for entry in raw:
             if not isinstance(entry, dict):
                 raise InstanceFormatError("each arc must be an object")
-            _require_keys(entry, {"from", "to", "cost"}, set(), "arc")
+            if entry.keys() != {"from", "to", "cost"}:
+                _require_keys(entry, {"from", "to", "cost"}, set(), "arc")
             arcs.append(
                 Arc(
                     _parse_index(entry["from"], nodes, "arc tail"),

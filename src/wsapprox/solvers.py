@@ -42,6 +42,7 @@ sums carry no guarantee there.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import math
@@ -210,20 +211,16 @@ def compute_bounds(inst: Instance) -> Bounds:
 
     Explicit instances get the exact componentwise min and max.  Graph
     instances use the cheapest arc as the lower bound and the sum of all
-    arcs as the upper bound, both taken from the arcs' integer form; looser
-    bounds only enlarge the weight grid.
+    arcs as the upper bound; looser bounds only enlarge the weight grid.
+    Both come from the int columns of the ``_IntegerForm``.
     """
     if isinstance(inst, ExplicitInstance):
-        lower = tuple(
-            min(s.image[j] for s in inst.solutions) for j in range(inst.p)
-        )
-        upper = tuple(
-            max(s.image[j] for s in inst.solutions) for j in range(inst.p)
-        )
-        return Bounds(lower, upper)
-    form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
+        form = _IntegerForm(inst.p, [s.image for s in inst.solutions])
+        upper = form.vector([max(column) for column in form.columns])
+    else:
+        form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
+        upper = form.image(range(len(inst.arcs)))
     lower = form.vector([min(column) for column in form.columns])
-    upper = form.image(range(len(inst.arcs)))
     return Bounds(lower.values, upper.values)
 
 
@@ -337,6 +334,12 @@ class _IntegerForm:
             for j, scale in enumerate(self.scales)
         )
 
+    def reordered(self, order: Sequence[int]) -> "_IntegerForm":
+        """The form of the same vectors taken in ``order``."""
+        form = copy.copy(self)
+        form.columns = tuple(tuple(column[i] for i in order) for column in self.columns)
+        return form
+
     def factors(self, weights: WeightVector) -> tuple[list[int], int]:
         """The int weights W_j and the denominator D."""
         scaled = []
@@ -375,9 +378,13 @@ Kernel = Callable[[WeightVector], SolveAnswer]
 
 def _sorted_form(inst: ExplicitInstance) -> tuple[tuple[Solution, ...], _IntegerForm]:
     """Solutions ordered by (image, id), so that the first index holding the
-    chosen value is the tie-break winner, with their integer form."""
-    order = tuple(sorted(inst.solutions, key=lambda s: (s.image.values, s.id)))
-    return order, _IntegerForm(inst.p, [s.image for s in order])
+    chosen value is the tie-break winner, with their integer form.  Column j
+    is objective j times L_j > 0, so the form's int rows sort like images."""
+    form = _IntegerForm(inst.p, [s.image for s in inst.solutions])
+    rows = list(zip(*form.columns))
+    solutions = inst.solutions
+    order = sorted(range(len(solutions)), key=lambda i: (rows[i], solutions[i].id))
+    return tuple(solutions[i] for i in order), form.reordered(order)
 
 
 def _explicit_kernel(inst: ExplicitInstance, sigma: Fraction) -> Kernel:

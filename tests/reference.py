@@ -3,6 +3,9 @@
 Nothing in the package calls these.  Each one does its job the obvious way,
 in ``Fraction`` and without the package's shortcuts:
 
+- ``parse_rational_by_fraction`` reads a checked literal with
+  ``Fraction(text)``, which matches it a second time, where the package
+  reads its digit runs with ``int``;
 - the solvers scalarize every image instead of comparing
   cleared-denominator ints, and Kruskal joins components through a
   ``_UnionFind`` object;
@@ -24,6 +27,9 @@ in ``Fraction`` and without the package's shortcuts:
 - ``csv_text_by_writerows`` writes CSV rows with ``csv.writer.writerows``,
   which escapes a field wherever it appears, where the CLI escapes each
   distinct field once;
+- ``cell_rows_by_diagonal`` builds one row per cell of a report's corner
+  table by walking ``cell_diagonal``, where ``export-plot`` writes each
+  weight's diagonal from corner pairs joined once;
 - ``support_certificate_biobjective`` decides p = 2 supportedness by slope
   intervals instead of the package's LP;
 - ``support_certificate_by_fractions`` builds that LP on the Fraction
@@ -69,8 +75,8 @@ from wsapprox import (
     dominates,
     factor_vector,
 )
-from wsapprox.algorithms import CellAssignment, GridRun
-from wsapprox.core import format_rational
+from wsapprox.algorithms import CellAssignment, GridRun, cell_diagonal
+from wsapprox.core import check_rational_literal, format_rational
 from wsapprox.oracles import Violation, Witness
 from wsapprox.solvers import (
     Arc,
@@ -82,6 +88,17 @@ from wsapprox.solvers import (
     path_id,
     tree_id,
 )
+
+# ---------------------------------------------------------------------------
+# Parsing
+# ---------------------------------------------------------------------------
+
+
+def parse_rational_by_fraction(text) -> Fraction:
+    """The rational of a literal that ``check_rational_literal`` accepts,
+    read by ``Fraction``."""
+    return Fraction(check_rational_literal(text))
+
 
 # ---------------------------------------------------------------------------
 # Weighted-sum solvers and graph enumeration
@@ -429,6 +446,23 @@ def cells_csv_by_products(run: GridRun, bounds: Bounds) -> str:
         for cell in cell_map_by_products(run, bounds)
     ]
     return csv_text_by_writerows([header] + rows)
+
+
+def cell_rows_by_diagonal(report) -> list:
+    """The rows of ``cells.csv`` below its header for a report with a valid
+    corner table: [weight index, level, id, f1_lo, f1_hi, f2_lo, f2_hi] for
+    every cell of ``cell_diagonal``, with the corners as the report holds
+    them."""
+    exponents = [w["exponents"] for w in report["weights"]]
+    f1, f2 = report["cells"]["corners"]
+    rows = []
+    for idx, level in cell_diagonal(report["u"], exponents):
+        k1, k2 = exponents[idx]
+        rows.append(
+            [idx, level, report["weights"][idx]["answer"]["id"], f1[k1 + level],
+             f1[k1 + level + 1], f2[k2 + level], f2[k2 + level + 1]]
+        )
+    return rows
 
 
 def canonical_dumps_by_json(payload) -> str:

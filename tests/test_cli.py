@@ -28,12 +28,18 @@ from wsapprox import (
 )
 from wsapprox.cli import main
 from wsapprox.core import format_rational
-from wsapprox.instances import canonical_dumps, instance_to_json, load_instance
+from wsapprox.instances import (
+    canonical_dumps,
+    gen_random_explicit,
+    instance_to_json,
+    load_instance,
+)
 
 from conftest import explicit_instances
 from reference import (
     canonical_dumps_by_json,
     cell_map_by_products,
+    cell_rows_by_diagonal,
     cells_csv_by_products,
     csv_text_by_writerows,
 )
@@ -265,6 +271,31 @@ class TestApproximateCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cell map of about ")
         assert not out.exists()
+
+    def test_cells_that_approximate_accepts_export_plot_accepts(self, tmp_path, capsys):
+        # check_cell_map estimates a corner as its numerator, "/" and its
+        # denominator, as export-plot bounds cells.csv by its longest corner
+        # string; with numerator digits only, every eps from 1/42 to 1/50
+        # passed approximate here while export-plot refused the report.
+        inst = tmp_path / "inst.json"
+        explicit = gen_random_explicit(2, 200, 100, 1000, 1951000)
+        inst.write_text(canonical_dumps(instance_to_json(explicit)))
+        refused = []
+        for d in range(16, 61):
+            out = tmp_path / f"report-{d}.json"
+            code = main(
+                ["approximate", "--algorithm", "grid", "--instance", str(inst),
+                 "--epsilon", f"1/{d}", "--cells", "--out", str(out)]
+            )
+            if code == 2:
+                assert capsys.readouterr().err.startswith("error: cell map of about ")
+                assert not out.exists()
+                refused.append(d)
+            else:
+                assert code == 0
+                cli._cell_table(read_json(out))  # export-plot's checks, which pass
+                out.unlink()
+        assert refused and refused == list(range(refused[0], 61)) and refused[0] <= 42
 
     def test_max_instance_exits_4(self, tmp_path):
         max_file = tmp_path / "max.json"
@@ -1109,13 +1140,18 @@ class TestCanonicalOutput:
 CELLS_HEADER = ["weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi"]
 
 # Text that csv.writer must quote or leave empty, and rational literals
-# padded with whitespace that check_rational_literal strips.
+# padded with whitespace that check_rational_literal strips, which csv
+# quotes where it holds "\r" or "\n".
 CSV_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "1"]), max_size=4)
+CSV_IDS = st.one_of(CSV_TEXT, st.sampled_from(["a,b", 'say "x"', "line\r\nbreak", '",\r\n"']))
+PADDING = st.lists(st.sampled_from([" ", "\n", "\t", "\r", "\r\n", "\u2003"]), max_size=2).map(
+    "".join
+)
 PADDED_RATIONALS = st.builds(
     lambda before, literal, after: before + literal + after,
-    st.text(st.sampled_from([" ", "\n", "\t", "\r"]), max_size=2),
+    PADDING,
     st.sampled_from(["1/2", "3", "-7/4", "+08", "0/5"]),
-    st.text(st.sampled_from([" ", "\n", "\t", "\r"]), max_size=2),
+    PADDING,
 )
 
 
@@ -1123,12 +1159,13 @@ PADDED_RATIONALS = st.builds(
 def corner_table_reports(draw):
     """The fields of a report that ``export-plot`` writes ``cells.csv``
     from: caps u, the grid's weights (exponents with some k_j = 0, whose
-    diagonals tile prod [0, u_j]) in a drawn order with drawn ids, and a
-    corner table of u_j + 2 padded rational strings in column j."""
+    diagonals tile prod [0, u_j]) in a drawn order with drawn ids, some of
+    which csv must quote, and a corner table of u_j + 2 padded rational
+    strings in column j."""
     u = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
     grid = [[0, k2] for k2 in range(u[1] + 1)] + [[k1, 0] for k1 in range(1, u[0] + 1)]
     exponents = draw(st.permutations(grid))
-    ids = draw(st.lists(CSV_TEXT, min_size=len(grid), max_size=len(grid)))
+    ids = draw(st.lists(CSV_IDS, min_size=len(grid), max_size=len(grid)))
     weights = [{"exponents": k, "answer": {"id": i}} for k, i in zip(exponents, ids)]
     corners = [draw(st.lists(PADDED_RATIONALS, min_size=u_j + 2, max_size=u_j + 2)) for u_j in u]
     return {"u": u, "weights": weights, "cells": {"corners": corners}}
@@ -1195,13 +1232,13 @@ class TestExportPlot:
 
     def test_diagonals_that_do_not_tile_the_grid_exit_3(self, tmp_path, monkeypatch, capsys):
         # 200 weights at (0, 0) of a 2000 x 2000 grid name 400,200 cells, not
-        # the grid's 2001**2: refused before any row is built.
+        # the grid's 2001**2: refused before any cell is written.
         u = [2000, 2000]
         report = tmp_path / "report.json"
         report.write_text(plot_report([["1"] * 2002] * 2, u=u, weights=[WEIGHT] * 200))
         out_dir = tmp_path / "plots"
         walked = []
-        monkeypatch.setattr(cli, "cell_diagonal", lambda *a: walked.append(a) or iter(()))
+        monkeypatch.setattr(cli, "_cells_csv", lambda *a: walked.append(a) or iter(()))
         assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: report 'cells' must be")
@@ -1258,8 +1295,9 @@ class TestExportPlot:
     @given(corner_table_reports())
     @settings(max_examples=100, deadline=None)
     def test_cells_csv_matches_writerows(self, report):
-        rows = [CELLS_HEADER] + cli._cell_table(report)
-        assert cli._csv_text(rows) == csv_text_by_writerows(rows)
+        streamed = "".join(cli._cells_csv(cli._cell_table(report)))
+        rows = [CELLS_HEADER] + cell_rows_by_diagonal(report)
+        assert streamed == csv_text_by_writerows(rows)
 
     @given(st.lists(st.lists(CSV_TEXT, min_size=2, max_size=7), max_size=6))
     @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from reference import (
     family_contains,
     multi_factor_witness,
     on_front,
+    parse_rational_by_fraction,
     verify_by_fractions,
 )
 
@@ -41,6 +43,26 @@ MIN, MAX = Direction.MIN, Direction.MAX
 ov = ObjectiveVector.of
 fv = FactorVector.of
 VECTOR_CLASSES = (ObjectiveVector, WeightVector, FactorVector)
+
+
+# Digit runs for parse_rational: ASCII and other Unicode decimal digits,
+# empty, with leading zeros, and at and one past int()'s digit limit.
+DIGIT_LIMIT = sys.get_int_max_str_digits() or 5000
+DIGIT_RUNS = st.one_of(
+    st.text(st.sampled_from("0012789\u0663\u06f7\u0969\uff15"), max_size=6),
+    st.sampled_from(["7" * DIGIT_LIMIT, "0" * DIGIT_LIMIT, "7" * (DIGIT_LIMIT + 1)]),
+)
+SPACES = st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\u2003\u3000"), max_size=2)
+
+
+@st.composite
+def rational_texts(draw):
+    """A sign, a digit run and maybe "/" and a second run, padded with
+    ASCII and Unicode whitespace."""
+    sign = draw(st.sampled_from(["", "+", "-", "+-"]))
+    denominator = draw(st.one_of(st.none(), DIGIT_RUNS))
+    literal = sign + draw(DIGIT_RUNS) + ("" if denominator is None else "/" + denominator)
+    return draw(SPACES) + literal + draw(SPACES)
 
 
 class TestRationalParsing:
@@ -66,6 +88,25 @@ class TestRationalParsing:
             as_rational(0.5)
         with pytest.raises(ContractViolation):
             as_rational(True)
+
+    @given(
+        st.one_of(
+            rational_texts(),
+            st.text(max_size=6),
+            st.sampled_from([None, 7, 1.5, True, b"1/2", ["1"], Fraction(1, 2)]),
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_fraction_of_the_checked_literal(self, text):
+        try:
+            expected = parse_rational_by_fraction(text)
+        except ContractViolation as exc:
+            with pytest.raises(ContractViolation) as raised:
+                parse_rational(text)
+            assert str(raised.value) == str(exc)
+        else:
+            value = parse_rational(text)
+            assert type(value) is Fraction and value == expected
 
     @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
     def test_round_trip(self, num, den):

@@ -44,3 +44,15 @@ def test_run_guarantee_sweep(tmp_path):
     result = run_script("run_guarantee_sweep.py", "--runs", "3", "--out", str(out))
     assert result.returncode == 0, result.stderr
     assert json.loads(out.read_text())["schema_version"] == SCHEMA_VERSION
+
+
+def test_compare_outputs_finds_no_difference_against_its_own_tree():
+    result = run_script(
+        "compare_outputs.py", "--parent-src", str(ROOT / "src"), "--size", "tiny", "--seeds", "5"
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines == [
+        f"{name} seed 5: 0 differences"
+        for name in ("grid-p3", "oracle-p3", "p2-report", "graph-p2")
+    ]

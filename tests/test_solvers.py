@@ -264,6 +264,20 @@ class TestSpanningTree:
                 GraphInstance(MIN, 2, nodes, arcs, GraphKind.SPANNING_TREE)
 
 
+@st.composite
+def repeated_mixed_instances(draw):
+    """Explicit instances, p in 2..4, whose images are drawn from a small
+    pool of mixed-denominator vectors, so that equal images under different
+    ids are common; ids are out of input order and compare as strings."""
+    p = draw(st.integers(2, 4))
+    pool = draw(st.lists(st.tuples(*[st.one_of(TIE_PRONE, MIXED)] * p), min_size=1, max_size=6))
+    images = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    keys = draw(st.permutations(range(len(images))))
+    direction = draw(st.sampled_from([MIN, MAX]))
+    solutions = tuple(Solution(f"s{k}", ObjectiveVector(img)) for k, img in zip(keys, images))
+    return ExplicitInstance(direction, p, solutions)
+
+
 class TestComputeBounds:
     def test_explicit(self, three_points):
         bounds = compute_bounds(three_points)
@@ -292,11 +306,31 @@ class TestComputeBounds:
         assert bounds.lower == tuple(min(cost[j] for cost in costs) for j in range(p))
         assert bounds.upper == tuple(sum((cost[j] for cost in costs), Fraction(0)) for j in range(p))
 
+    @given(repeated_mixed_instances())
+    @settings(max_examples=100)
+    def test_explicit_bounds_equal_the_fraction_min_and_max(self, inst):
+        columns = list(zip(*(s.image.values for s in inst.solutions)))
+        bounds = compute_bounds(inst)
+        assert bounds.lower == tuple(map(min, columns))
+        assert bounds.upper == tuple(map(max, columns))
+
     @given(explicit_instances(p=3, max_n=10))
     def test_sandwiches_every_image(self, inst):
         bounds = compute_bounds(inst)
         for s in inst.solutions:
             assert bounds_contain(bounds, s.image)
+
+
+class TestSortedForm:
+    @given(repeated_mixed_instances())
+    @settings(max_examples=100)
+    def test_order_and_form_equal_the_fraction_sort(self, inst):
+        # The kernel sorts the cleared ints; the order must be the Fraction
+        # order by (image, id), and the form that of the sorted images.
+        order, form = solvers._sorted_form(inst)
+        assert order == tuple(sorted(inst.solutions, key=lambda s: (s.image.values, s.id)))
+        direct = solvers._IntegerForm(inst.p, [s.image for s in order])
+        assert (form.scales, form.columns) == (direct.scales, direct.columns)
 
 
 def random_graph_cases():
