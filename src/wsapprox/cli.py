@@ -74,6 +74,7 @@ from .instances import (
     gen_tightness_min,
     instance_from_json,
     instance_to_json,
+    is_utf8_text,
     load_instance,
     read_json,
 )
@@ -136,8 +137,9 @@ def _check_out_dir(out_dir: Optional[str]) -> None:
 def _write_output(payload: Any, out: Optional[str]) -> None:
     text = canonical_dumps(payload)
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        data = text.encode("utf-8")  # fails, if it must, before ``out`` is opened
+        with open(out, "wb") as handle:
+            handle.write(data)
     else:
         sys.stdout.write(text)
 
@@ -424,8 +426,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 _CELLS_FORMAT = (
     "report 'cells' must be {\"corners\": [column_1, column_2]}, column j holding "
     "u_j + 2 rational strings, with 'u' and every 'weights[].exponents' two "
-    "integers 0 <= k_j <= u_j, every 'weights[].answer.id' a string, and the "
-    "weights' diagonals holding prod (u_j + 1) cells together"
+    "integers 0 <= k_j <= u_j, every 'weights[].answer.id' a string that UTF-8 "
+    "can encode, and the weights' diagonals holding prod (u_j + 1) cells together"
 )
 
 
@@ -487,6 +489,7 @@ def _cell_table(data: dict[str, Any]) -> Optional[tuple[list, list, list, list]]
             and all(k_j <= u_j for k_j, u_j in zip(k, u))
             and isinstance(answer, dict)
             and isinstance(answer.get("id"), str)
+            and is_utf8_text(answer["id"])
         ):
             raise InstanceFormatError(_CELLS_FORMAT)
         exponents.append(k)

@@ -43,6 +43,11 @@ class InstanceFormatError(ValueError):
     """Instance JSON that does not match the schema."""
 
 
+def is_utf8_text(text: str) -> bool:
+    """Whether ``text`` has a UTF-8 form: JSON can hold lone surrogates, UTF-8 cannot."""
+    return text.isascii() or not any("\ud800" <= ch <= "\udfff" for ch in text)
+
+
 def _axis_instance(
     direction: Direction, prefix: str, p: int, big_m: RationalLike, shift: int
 ) -> ExplicitInstance:
@@ -313,10 +318,11 @@ def instance_from_json(data: Any) -> Instance:
                     raise InstanceFormatError("each solution must be an object")
                 if entry.keys() != {"id", "f"}:  # one comparison; the call words the error
                     _require_keys(entry, {"id", "f"}, set(), "solution")
-                if not isinstance(entry["id"], str) or not entry["id"]:
-                    raise InstanceFormatError("solution id must be a nonempty string")
+                sid = entry["id"]
+                if not (isinstance(sid, str) and sid and is_utf8_text(sid)):
+                    raise InstanceFormatError("solution id must be a nonempty string in UTF-8")
                 solutions.append(
-                    Solution(entry["id"], _parse_positive_vector(entry["f"], p, "solution image"))
+                    Solution(sid, _parse_positive_vector(entry["f"], p, "solution image"))
                 )
             return ExplicitInstance(direction, p, tuple(solutions))
 

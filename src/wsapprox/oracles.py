@@ -13,10 +13,10 @@ constraint follows from the constraint of the front point that dominates
 it, so only distinct front images are certified, each against the other
 distinct front images.  The front images are cleared once per instance by
 the lcm of all their denominators, so every LP row is a rational row times
-one positive constant, and the simplex pivots fraction-free in Python ints.
-A positive row scaling changes no sign and no ratio, so Bland's rule makes
-the same pivots as on the rational tableau and reaches the same vertex and
-witness weight.
+one positive constant, and the simplex pivots fraction-free in Python ints
+on lrs's compact dictionary.  A positive row scaling changes no sign and no
+ratio, so Bland's rule makes the same pivots as on the rational tableau and
+reaches the same vertex, read as ints, and witness weight.
 Approximation guarantees are checked target by target against the Pareto
 front, which decides the whole feasible set because every family is
 down-closed; ranking and coverage are exact int comparisons on the cleared
@@ -99,46 +99,43 @@ def pareto_front(inst: ExplicitInstance) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_max(
-    A: list[list[int]], b: list[int], c: list[int]
-) -> tuple[list[Fraction], Fraction]:
+def _simplex_max(A: list[list[int]], b: list[int], c: list[int]) -> tuple[list[int], int]:
     """Maximize c*x subject to A x <= b, x >= 0, exactly, for int data with b >= 0.
 
     With b >= 0 the origin is a vertex, so the slack basis starts a single
-    phase with Bland's rule (termination guaranteed under degeneracy).  The
-    tableau stays in Python ints by fraction-free Gauss-Jordan pivoting
-    (Edmonds 1967, Bareiss 1968, as in Avis's lrs): every row, the
-    reduced-cost row included, is the rational tableau's row times d, the
-    previous pivot, so every basic column is d*e_i.  A pivot keeps the pivot
-    row and replaces every other row v by (v*piv - f*w) / d, where w is the
-    pivot row and f the row's entry in the entering column; the division is
-    exact.  Every pivot is positive, so d > 0 and each entry has the sign of
-    its rational counterpart: the first column with a positive reduced cost
-    enters, and the ratio test cross-multiplies (rhs/entry of both rows share
-    the factor d), with ties to the smaller basis index, exactly as on the
-    rational tableau.  x_j is the right-hand side of its row over d.
-    Returns (x, value); a negative b or an objective unbounded on the
-    feasible region raises ContractViolation.
+    phase with Bland's rule (Bland 1977), which terminates under degeneracy.
+    Pivots are fraction-free (Edmonds 1967, Bareiss 1968) on the compact
+    dictionary of Avis's lrs (2000): in the full tableau times d, the last
+    pivot, each basic column is d*e_i, so only the nonbasic columns are kept,
+    each with its variable's label (originals 0..n-1, slacks n..n+m-1), and
+    the right-hand side last.  The column with a positive reduced cost and
+    the smallest label enters; the ratio test cross-multiplies, ties going
+    to the smaller basis label.  Every row v but the pivot row w, the cost
+    row included, becomes (v*piv - f*w) / d, f its entering entry, exactly;
+    the entering column then becomes the leaving variable's: old d in the
+    pivot row, -f elsewhere.  These are the full tableau's ints, so the
+    pivots and vertex are the same.  Returns (X, d) with x_j = X_j / d; a
+    negative b or an unbounded objective raises ContractViolation.
     """
     if any(v < 0 for v in b):
         raise ContractViolation("simplex needs b >= 0 (a feasible origin)")
     m, n = len(A), len(c)
-    cols = n + m
-    rows = [list(A[i]) + [1 if k == i else 0 for k in range(m)] + [b[i]] for i in range(m)]
-    basis = list(range(n, cols))
-    zrow = list(c) + [0] * (m + 1)  # reduced costs; the slack basis has c_B = 0
+    rows = [list(A[i]) + [b[i]] for i in range(m)]
+    zrow = list(c) + [0]  # reduced costs; the slack basis has c_B = 0
+    labels, basis = list(range(n)), list(range(n, n + m))  # nonbasic and basic variables
     d = 1
     while True:
-        enter = next((j for j in range(cols) if zrow[j] > 0), -1)
-        if enter < 0:
+        entering = [(labels[k], k) for k in range(n) if zrow[k] > 0]
+        if not entering:
             break
+        enter = min(entering)[1]
         leave = -1
         best_rhs = best_entry = 0
         for i in range(m):
             entry = rows[i][enter]
             if entry <= 0:
                 continue
-            rhs = rows[i][cols]
+            rhs = rows[i][n]
             if leave < 0 or rhs * best_entry < best_rhs * entry or (
                 rhs * best_entry == best_rhs * entry and basis[i] < basis[leave]
             ):
@@ -151,13 +148,12 @@ def _simplex_max(
             if row is not pivot_row:
                 f = row[enter]
                 row[:] = [(v * piv - f * w) // d for v, w in zip(row, pivot_row)]
+                row[enter] = -f
+        pivot_row[enter] = d
+        labels[enter], basis[leave] = basis[leave], labels[enter]
         d = piv
-        basis[leave] = enter
-    x = [Fraction(0)] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] = Fraction(rows[i][cols], d)
-    return x, sum((c[j] * x[j] for j in range(n)), Fraction(0))
+    basic = {j: row[n] for j, row in zip(basis, rows)}
+    return [basic.get(j, 0) for j in range(n)], d
 
 
 @dataclass(frozen=True)
@@ -202,25 +198,20 @@ def _support_certificate_lp(
     coefficient is ``scale``, not 1.  Scaling a whole row by a positive
     constant leaves the feasible set, and so every pivot and the vertex
     reached, unchanged, while scaling objectives (columns) separately would
-    move the witness.
+    move the witness.  With x = X / d and S, T the numerators of s and t, the
+    verdict is S + T against 0 and d, and the witness w_j = (S + X_j) / S.
     """
     p = len(image)
-    A: list[list[int]] = []
-    for other in competitors:
-        if direction is Direction.MIN:
-            d = [a - o for a, o in zip(image, other)]
-        else:
-            d = [o - a for a, o in zip(image, other)]
-        A.append(d + [sum(d), scale])
-    A.append([0] * p + [1, 0])
-    A.append([0] * p + [-1, 1])
+    sign = 1 if direction is Direction.MIN else -1
+    diffs = [[sign * (a - o) for a, o in zip(image, other)] for other in competitors]
+    A = [d + [sum(d), scale] for d in diffs] + [[0] * p + [1, 0], [0] * p + [-1, 1]]
     b = [0] * len(competitors) + [1, 0]
-    x, value = _simplex_max(A, b, [0] * p + [1, 1])
-    if value == 0:
+    X, d = _simplex_max(A, b, [0] * p + [1, 1])
+    S, T = X[p], X[p + 1]
+    if S + T == 0:
         return None
-    s = x[p]
-    weight = WeightVector(tuple(1 + x[j] / s for j in range(p)))
-    return SupportCertificate(weight, weak=value == 1)
+    weight = WeightVector(tuple(Fraction(S + X[j], S) for j in range(p)))
+    return SupportCertificate(weight, weak=S + T == d)
 
 
 def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate]:
@@ -233,27 +224,27 @@ def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate
     still makes its id weighted-sum optimal over the whole instance, and a
     strict witness still makes the image the unique optimum among distinct
     images, because every dominated image scores worse than its dominator
-    under any weight w > 0.  The front images are cleared once, by the lcm
-    of all their denominators, for ``_support_certificate_lp``.
+    under any weight w > 0.  Images are keyed by ``_cleared_images`` and
+    meet each other in order of first appearance, which breaks Bland's ties;
+    the keys clear objective by objective, which would move the witness, so
+    the LP rows are cleared by the lcm of all front denominators.
     """
-    front = pareto_front(inst)
-    images = dict.fromkeys(s.image.values for s in inst.solutions if s.id in front)
-    scale = math.lcm(*(v.denominator for key in images for v in key))
+    keys = _cleared_images(inst)
+    front = _front(keys)
+    # equal keys hold equal images, and a key keeps its first place
+    originals = {keys[s.id]: s.image.values for s in inst.solutions if s.id in front}
+    scale = math.lcm(*(v.denominator for image in originals.values() for v in image))
     cleared = {
-        key: tuple(v.numerator * (scale // v.denominator) for v in key) for key in images
+        key: tuple(v.numerator * (scale // v.denominator) for v in image)
+        for key, image in originals.items()
     }
-    by_image = {
+    by_key = {
         key: _support_certificate_lp(
             image, [o for k, o in cleared.items() if k != key], inst.direction, scale
         )
         for key, image in cleared.items()
     }
-    result: dict[str, SupportCertificate] = {}
-    for s in inst.solutions:
-        cert = by_image.get(s.image.values)
-        if cert is not None:
-            result[s.id] = cert
-    return result
+    return {s.id: cert for s in inst.solutions if (cert := by_key.get(keys[s.id])) is not None}
 
 
 def supported_set(inst: ExplicitInstance) -> frozenset[str]:

@@ -1,6 +1,9 @@
-"""Shared hypothesis strategies: small exact rationals and explicit instances."""
+"""Shared hypothesis strategies: small exact rationals and explicit instances;
+and ``time_limit``, which turns a run that never returns into a failure."""
 
+import contextlib
 import itertools
+import signal
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -10,6 +13,23 @@ from wsapprox import Direction, ExplicitInstance, ObjectiveVector, Solution, Wei
 from reference import pairwise_front
 
 LATTICE = 12  # small denominator keeps downstream exact arithmetic cheap
+
+
+@contextlib.contextmanager
+def time_limit(seconds, overtime):
+    """Raise the exception ``overtime`` in the enclosed block once it has run
+    ``seconds``."""
+
+    def alarm(signum, frame):
+        raise overtime
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rationals(low=1, high=8, denominator=LATTICE):

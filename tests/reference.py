@@ -36,6 +36,9 @@ in ``Fraction`` and without the package's shortcuts:
   images, not on images cleared by a common lcm, and solves it with
   ``simplex_max_by_fractions``, which pivots a tableau of Fractions where
   the package pivots fraction-free in ints;
+- ``simplex_max_full_tableau`` makes the package's fraction-free pivots on
+  the full int tableau, slack columns included, where the package keeps
+  only the nonbasic columns of the dictionary;
 - ``verify_by_fractions`` scores every solution as a target, not only the
   Pareto-optimal ones, and builds a Fraction factor vector for every
   target-candidate pair instead of ranking cleared-denominator ints, and
@@ -588,6 +591,55 @@ def simplex_max_by_fractions(
         if j < n:
             x[j] = rows[i][cols]
     return x, sum((c[j] * x[j] for j in range(n)), zero)
+
+
+def simplex_max_full_tableau(
+    A: list[list[int]], b: list[int], c: list[int]
+) -> tuple[list[int], int]:
+    """``oracles._simplex_max`` on the full int tableau: the same Bland
+    pivots and fraction-free updates, but every slack column is stored and
+    updated too, although a basic column is only d*e_i.  Returns (X, d)
+    with x_j = X_j / d; a negative b or an objective unbounded on the
+    feasible region raises ContractViolation.
+    """
+    if any(v < 0 for v in b):
+        raise ContractViolation("simplex needs b >= 0 (a feasible origin)")
+    m, n = len(A), len(c)
+    cols = n + m
+    rows = [list(A[i]) + [1 if k == i else 0 for k in range(m)] + [b[i]] for i in range(m)]
+    basis = list(range(n, cols))
+    zrow = list(c) + [0] * (m + 1)  # reduced costs; the slack basis has c_B = 0
+    d = 1
+    while True:
+        enter = next((j for j in range(cols) if zrow[j] > 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best_rhs = best_entry = 0
+        for i in range(m):
+            entry = rows[i][enter]
+            if entry <= 0:
+                continue
+            rhs = rows[i][cols]
+            if leave < 0 or rhs * best_entry < best_rhs * entry or (
+                rhs * best_entry == best_rhs * entry and basis[i] < basis[leave]
+            ):
+                leave, best_rhs, best_entry = i, rhs, entry
+        if leave < 0:
+            raise ContractViolation("unbounded linear program")
+        pivot_row = rows[leave]
+        piv = pivot_row[enter]
+        for row in rows + [zrow]:
+            if row is not pivot_row:
+                f = row[enter]
+                row[:] = [(v * piv - f * w) // d for v, w in zip(row, pivot_row)]
+        d = piv
+        basis[leave] = enter
+    X = [0] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            X[j] = rows[i][cols]
+    return X, d
 
 
 def support_certificate_by_fractions(image, competitors, direction):

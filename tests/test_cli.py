@@ -7,7 +7,6 @@ import math
 import pathlib
 import re
 import shlex
-import signal
 import subprocess
 import sys
 import tempfile
@@ -35,7 +34,7 @@ from wsapprox.instances import (
     load_instance,
 )
 
-from conftest import explicit_instances
+from conftest import explicit_instances, time_limit
 from reference import (
     canonical_dumps_by_json,
     cell_map_by_products,
@@ -840,6 +839,7 @@ class TestOracleCommand:
             ("export-plot", plot_report(weights=[{**WEIGHT, "exponents": [1, 0]}])),
             ("export-plot", plot_report(weights=[{**WEIGHT, "exponents": [-1, 0]}])),
             ("export-plot", plot_report(weights=[{**WEIGHT, "answer": {"id": 7}}])),
+            ("export-plot", plot_report(weights=[{**WEIGHT, "answer": {"id": "a\ud800"}}])),
             ("export-plot", plot_report([[{"x": 1}, "2"], ["1", "2"]])),
             ("export-plot", plot_report([["1", "2"], ["1", 2]])),
             ("export-plot", plot_report([["1", "2"], ["1", "1/0"]])),
@@ -866,6 +866,7 @@ class TestOracleCommand:
             "plot-cell-exponent-past-u",
             "plot-cell-negative-exponent",
             "plot-cell-integer-id",
+            "plot-cell-lone-surrogate-id",
             "plot-cell-object-in-lower",
             "plot-cell-number-in-upper",
             "plot-cell-zero-denominator",
@@ -1091,6 +1092,33 @@ class TestOutFlag:
         assert len(err) == 1 and err[0].startswith("error: --out")
         assert calls == []
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approximate", "--algorithm", "grid", "--epsilon", "1"],
+            ["oracle", "--what", "pareto"],
+            ["oracle", "--what", "supported"],
+        ],
+        ids=["approximate", "oracle-pareto", "oracle-supported"],
+    )
+    def test_lone_surrogate_id_exits_3_without_out(self, tmp_path, capsys, argv):
+        # A JSON string can hold "\ud800" and UTF-8 cannot: the id is refused
+        # when the instance is read, not found when the output is written.
+        solutions = [{"id": "a\ud800", "f": ["1", "2"]}, {"id": "b", "f": ["2", "1"]}]
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({**THREE_POINTS, "solutions": solutions}))
+        out = tmp_path / "out.json"
+        assert main(argv + ["--instance", str(inst), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: solution id")
+        assert not out.exists()
+
+    def test_unencodable_output_opens_no_file(self, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_output({"id": "\ud800"}, str(out))
+        assert not out.exists()
 
 
 class TestCanonicalOutput:
@@ -1428,8 +1456,9 @@ class TestReadme:
 
 
 # Leaves and flag values that break files and flags: zero, negative, float,
-# unparsable and oversized rationals, ints past int64, booleans, empties.
-FUZZ_LEAVES = [0, -1, 1.5, "1/0", "1e400", 10**400, 2**63, True, False, "", [], {}]
+# unparsable and oversized rationals, ints past int64, booleans, empties, and
+# a lone surrogate, which JSON can hold and UTF-8 cannot.
+FUZZ_LEAVES = [0, -1, 1.5, "1/0", "1e400", 10**400, 2**63, True, False, "", "\ud800", [], {}]
 FUZZ_FLAGS = [json.dumps(v) if not isinstance(v, str) else v for v in FUZZ_LEAVES]
 SHORT_PATHS = {
     "kind": "shortest-path",
@@ -1453,22 +1482,13 @@ class _Overtime(BaseException):
 def bounded_main(argv, seconds=5.0):
     """``main(argv)`` with its exit code (argparse's too) and stderr lines;
     a run past ``seconds`` raises _Overtime."""
-
-    def alarm(signum, frame):
-        raise _Overtime(argv)
-
-    previous = signal.signal(signal.SIGALRM, alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     err = io.StringIO()
-    try:
+    with time_limit(seconds, _Overtime(argv)):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     return code, err.getvalue().splitlines()
 
 

@@ -33,6 +33,7 @@ from conftest import (
     biobjective_instances,
     explicit_instances,
     rationals,
+    time_limit,
     with_front_midpoint,
 )
 from reference import (
@@ -40,6 +41,7 @@ from reference import (
     on_front,
     pairwise_front,
     simplex_max_by_fractions,
+    simplex_max_full_tableau,
     solve_explicit_exact,
     support_certificate_biobjective,
     unpruned_certificates,
@@ -111,10 +113,18 @@ def cleared_rows(A, b):
 
 
 def lp_outcome(simplex, A, b, c):
+    """``simplex(A, b, c)``, or the text of the ContractViolation it raises."""
     try:
         return simplex(A, b, c)
     except ContractViolation as exc:
         return str(exc)
+
+
+def simplex_in_fractions(A, b, c):
+    """``_simplex_max``'s (X, d) as (x, c*x) in Fractions, x_j = X_j / d."""
+    X, d = _simplex_max(A, b, c)
+    x = [F(v, d) for v in X]
+    return x, sum((cj * xj for cj, xj in zip(c, x)), F(0))
 
 
 def cleared_lp(image, competitors, direction):
@@ -155,13 +165,13 @@ TIED_C = [0, 1, 0, 1]
 class TestSimplex:
     def test_simple_maximum(self):
         # max x1 + x2 s.t. x1 <= 3, x2 <= 2
-        x, value = _simplex_max([[1, 0], [0, 1]], [3, 2], [1, 1])
+        x, value = simplex_in_fractions([[1, 0], [0, 1]], [3, 2], [1, 1])
         assert value == 5 and x == [F(3), F(2)]
 
     def test_scaled_rows_keep_the_vertex(self):
         # max x1 + x2 s.t. x1 + 2 x2 <= 4, 3 x1 + x2 <= 6, then each row times 6
-        x, value = _simplex_max([[1, 2], [3, 1]], [4, 6], [1, 1])
-        assert _simplex_max([[6, 12], [18, 6]], [24, 36], [1, 1]) == (x, value)
+        x, value = simplex_in_fractions([[1, 2], [3, 1]], [4, 6], [1, 1])
+        assert simplex_in_fractions([[6, 12], [18, 6]], [24, 36], [1, 1]) == (x, value)
         assert x == [F(8, 5), F(6, 5)] and value == F(14, 5)
 
     def test_negative_rhs_rejected(self):
@@ -174,7 +184,7 @@ class TestSimplex:
             _simplex_max([[-1]], [0], [1])
 
     def test_ratio_tie_goes_to_the_smaller_basis_index(self):
-        x, value = _simplex_max(TIED_A, TIED_B, TIED_C)
+        x, value = simplex_in_fractions(TIED_A, TIED_B, TIED_C)
         fractions = [[F(v) for v in row] for row in TIED_A]
         reference = simplex_max_by_fractions(fractions, [F(v) for v in TIED_B], TIED_C)
         assert (x, value) == reference
@@ -186,9 +196,23 @@ class TestSimplex:
     def test_integer_pivots_match_fraction_pivots(self, lp):
         A, b, c = lp
         int_A, int_b = cleared_rows(A, b)
-        assert lp_outcome(_simplex_max, int_A, int_b, c) == lp_outcome(
+        assert lp_outcome(simplex_in_fractions, int_A, int_b, c) == lp_outcome(
             simplex_max_by_fractions, A, b, c
         )
+
+    @given(rational_lps())
+    @settings(max_examples=300, deadline=None)
+    @example(([[F(-1), F(1)], [F(1), F(-1)]], [F(0), F(0)], [1, 1]))  # degenerate, unbounded
+    @example(([[F(v) for v in row] for row in TIED_A], [F(v) for v in TIED_B], TIED_C))
+    def test_compact_dictionary_matches_full_tableau(self, lp):
+        # The same pivots leave the same ints at every nonbasic position, so
+        # X and the final pivot d agree exactly, not only X / d.
+        A, b, c = lp
+        int_A, int_b = cleared_rows(A, b)
+        # a wrong sign in the replaced column makes the pivots cycle forever
+        with time_limit(5.0, AssertionError("no result within 5 s")):
+            compact = lp_outcome(_simplex_max, int_A, int_b, c)
+        assert compact == lp_outcome(simplex_max_full_tableau, int_A, int_b, c)
 
 
 class TestParetoFront:
@@ -334,6 +358,22 @@ class TestSupportedSet:
 
     @given(with_front_midpoint(any_instances))
     @settings(max_examples=150, deadline=None)
+    # equal images under different ids share one int key and one certificate
+    @example(explicit(MIN, ("a", (1, 3)), ("b", (3, 1)), ("a2", (1, 3)), ("c", (3, 3))))
+    @example(explicit(MAX, ("a", (1, 3)), ("b", (3, 1)), ("a2", (1, 3)), ("c", (1, 1))))
+    # a weak midpoint: the LP's optimum is exactly 1, S + T == d
+    @example(explicit(MIN, ("a", (1, 3)), ("b", (2, 2)), ("c", (3, 1))))
+    @example(explicit(MAX, ("a", (1, 3)), ("b", (2, 2)), ("c", (3, 1))))
+    # halves in one objective and thirds in the other: rows cleared objective
+    # by objective, as the keys are, would move the witnesses
+    @example(explicit(MIN, ("a", (F(1, 2), F(2, 3))), ("b", (F(3, 2), F(1, 3))),
+                      ("c", (F(5, 2), F(1, 3))), ("d", (F(5, 2), F(8, 3)))))
+    @example(explicit(MAX, ("a", (F(5, 2), F(7, 3))), ("b", (F(7, 2), 2)),
+                      ("c", (F(7, 2), F(4, 3))), ("d", (3, F(1, 3)))))
+    # first appearance differs from sorted order, and the competitors' order
+    # breaks a ratio tie: sorted competitors would move a witness
+    @example(explicit(MIN, ("a", (2, 1, 2)), ("b", (1, 3, 2)), ("c", (4, 2, 1))))
+    @example(explicit(MAX, ("a", (1, 4, 3)), ("b", (1, 1, 4)), ("c", (3, 2, 3)), ("d", (4, 2, 3))))
     def test_witnesses_match_the_fraction_lp(self, inst):
         # Ids and weak flags alone would miss a row scaled in all but one
         # entry: it keeps every verdict and moves the witness weights.
