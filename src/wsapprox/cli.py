@@ -3,7 +3,9 @@
 Subcommands: ``approximate`` runs an algorithm and writes a JSON report,
 ``verify`` checks a solution set against a guarantee family, ``oracle``
 computes ground-truth sets, ``generate`` writes instance files, and
-``export-plot`` turns a report into CSV plot data (biobjective only).
+``export-plot`` turns a report into CSV plot data (biobjective only),
+writing each file under a temporary name and moving it into place, so a
+failed export leaves no partial file.
 ``approximate --cells`` adds the grid's corner table to a grid report as
 its ``cells`` block, and ``export-plot`` writes the cell map from that
 table, ``u`` and the weights' exponents and answer ids as ``cells.csv``.
@@ -591,8 +593,17 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
     ]
     files = (("points.csv", [_csv_text(points_rows)]), ("cells.csv", _cells_csv(table)))
     for name, pieces in files:
-        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(pieces)
+        # Written beside the file and moved over it, so a failure leaves no
+        # partial file and an earlier one as it was.
+        temporary = os.path.join(args.out_dir, f".{name}.{os.urandom(8).hex()}.tmp")
+        handle = open(temporary, "x", encoding="utf-8", newline="")
+        try:
+            with handle:
+                handle.writelines(pieces)
+            os.replace(temporary, os.path.join(args.out_dir, name))
+        except BaseException:
+            os.remove(temporary)
+            raise
     return EXIT_OK
 
 

@@ -364,8 +364,8 @@ def verify_approximation(
     target is built for the reported candidate alone.
     """
     ids = sorted(set(solution_ids))
-    known = set(inst.ids())
-    unknown = [i for i in ids if i not in known]
+    originals = {s.id: s.image for s in inst.solutions}
+    unknown = [i for i in ids if i not in originals]
     if unknown:
         raise ContractViolation(f"solution ids not in instance: {unknown}")
     if family.p != inst.p:
@@ -375,7 +375,6 @@ def verify_approximation(
     candidates: dict[tuple[int, ...], str] = {}
     for cid in ids:
         candidates.setdefault(images[cid], cid)
-    originals = {cid: inst.image_of(cid) for cid in candidates.values()}
     verdicts: dict[tuple[int, ...], tuple[Optional[str], bool]] = {}
     witnesses: list[Witness] = []
     violations: list[Violation] = []

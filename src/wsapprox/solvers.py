@@ -16,6 +16,14 @@ weight, so it is never the optimum and never admissible again; the answer,
 its tie-break and its scalar do not change.  At sigma = 1 this drops what
 an optimum strictly dominates.
 
+The Kruskal kernel forgets, when it is built, the edges it never chooses.
+Edge f precedes e at every strictly positive weight when F_f <= F_e
+componentwise and (F_f != F_e or f < e).  When such edges join e's ends,
+Kruskal has joined them before it reaches e (the cycle property), so
+dropping e changes no chosen edge, component or early stop.  Both graph
+kernels build each distinct answer's id and image once, and Dijkstra
+numbers the nodes its arcs name once; a call computes only the search.
+
 Tie-breaking is deterministic everywhere: the explicit kernel prefers the
 lexicographically smallest objective vector and then the smallest id, graph
 kernels follow input arc order.  Runs are therefore reproducible and the
@@ -452,57 +460,141 @@ def _shortest_path_kernel(inst: GraphInstance) -> Kernel:
 
     Predecessors are updated only on strictly smaller scalar values, with
     arcs relaxed in input order, so the returned path is deterministic.
+    The nodes are numbered once, in order of first mention by an arc with
+    the source first, so the search runs on lists as long as the nodes the
+    arcs name, never as long as the declared ``node_count``; each distinct
+    path's id and image are built once.
     """
     form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
-    out: dict[int, list[tuple[int, int]]] = {}
+    number = {inst.source: 0}
+    for arc in inst.arcs:
+        number.setdefault(arc.tail, len(number))
+        number.setdefault(arc.head, len(number))
+    out: list[list[tuple[int, int]]] = [[] for _ in number]
     for idx, arc in enumerate(inst.arcs):
-        out.setdefault(arc.tail, []).append((idx, arc.head))
+        out[number[arc.tail]].append((idx, number[arc.head]))
+    tails = [number[arc.tail] for arc in inst.arcs]
+    target = number[inst.target]
+    answers: dict[tuple[int, ...], tuple[str, ObjectiveVector]] = {}
 
     def solve(weights: WeightVector) -> SolveAnswer:
         costs, denom = form.values(weights)
-        dist: dict[int, int] = {inst.source: 0}
-        pred: dict[int, int] = {}
-        done: set[int] = set()
+        dist: list[Optional[int]] = [None] * len(out)
+        dist[0] = 0
+        pred = [0] * len(out)
+        done = [False] * len(out)
         counter = itertools.count()
-        heap: list[tuple[int, int, int]] = [(0, next(counter), inst.source)]
+        heap: list[tuple[int, int, int]] = [(0, next(counter), 0)]
         while heap:
             d, _, node = heapq.heappop(heap)
-            if node in done:
+            if done[node]:
                 continue
-            done.add(node)
-            if node == inst.target:
+            done[node] = True
+            if node == target:
                 break
-            for idx, head in out.get(node, ()):
+            for idx, head in out[node]:
                 nd = d + costs[idx]
-                if head not in dist or nd < dist[head]:
+                old = dist[head]
+                if old is None or nd < old:
                     dist[head] = nd
                     pred[head] = idx
                     heapq.heappush(heap, (nd, next(counter), head))
         indices: list[int] = []
-        node = inst.target
-        while node != inst.source:
+        node = target
+        while node:
             idx = pred[node]
             indices.append(idx)
-            node = inst.arcs[idx].tail
+            node = tails[idx]
         indices.reverse()
         arc_tuple = tuple(indices)
-        scalar = Fraction(dist[inst.target], denom)
-        return SolveAnswer(path_id(arc_tuple), form.image(arc_tuple), scalar, arc_tuple)
+        if arc_tuple not in answers:
+            answers[arc_tuple] = (path_id(arc_tuple), form.image(arc_tuple))
+        solution_id, image = answers[arc_tuple]
+        return SolveAnswer(solution_id, image, Fraction(dist[target], denom), arc_tuple)
 
     return solve
 
 
+def _never_chosen(inst: GraphInstance, rows: Sequence[tuple[int, ...]]) -> set[int]:
+    """The edges the module docstring's cycle rule drops.
+
+    The sweep takes the edges in (F, index) order, so each edge comes after
+    every edge that precedes it, and keeps a minimum spanning forest of the
+    edges kept so far under the key (F_2..F_p, F_1, index), as parent
+    pointers.  Edge e is dropped when every edge on the forest path between
+    its ends is <= F_e componentwise: each was swept before e, so each
+    precedes e.  A kept e links two trees, the one holding its tail
+    everted, or replaces the largest key on that path if its own is
+    smaller.  At p = 2 the forest path has the least largest F_2 of any
+    path between its ends (the bottleneck property), so the sweep drops
+    exactly the edges the rule names; at p > 2 it may keep some of them.
+    """
+    keys = [(*row[1:], row[0], idx) for idx, row in enumerate(rows)]
+    parent = [-1] * inst.node_count
+    up = [-1] * inst.node_count  # the edge from a node to its parent
+
+    def path(tail: int, head: int) -> Optional[list[int]]:
+        """The nodes whose edge to their parent lies on the forest path
+        between ``tail`` and ``head``; None if no path joins them."""
+        above = []
+        node = tail
+        while node != -1:
+            above.append(node)
+            node = parent[node]
+        steps = {node: k for k, node in enumerate(above)}
+        below = []
+        node = head
+        while node not in steps:
+            if node == -1:
+                return None
+            below.append(node)
+            node = parent[node]
+        return above[: steps[node]] + below
+
+    def link(tail: int, head: int, edge: int) -> None:
+        """Evert the tree holding ``tail``, then hang it from ``head``."""
+        node, prev, prev_edge = tail, head, edge
+        while node != -1:
+            above, above_edge = parent[node], up[node]
+            parent[node], up[node] = prev, prev_edge
+            node, prev, prev_edge = above, node, above_edge
+
+    dropped = set()
+    for edge in sorted(range(len(rows)), key=rows.__getitem__):
+        tail, head = inst.arcs[edge].tail, inst.arcs[edge].head
+        nodes = path(tail, head)
+        if nodes is None:
+            link(tail, head, edge)
+        elif all(all(map(operator.le, rows[up[v]], rows[edge])) for v in nodes):
+            dropped.add(edge)
+        else:
+            top = max(nodes, key=lambda v: keys[up[v]])
+            if keys[up[top]] > keys[edge]:
+                parent[top] = up[top] = -1
+                link(tail, head, edge)
+    return dropped
+
+
 def _spanning_tree_kernel(inst: GraphInstance) -> Kernel:
-    """Kruskal on the scalarized edge costs; ties keep input edge order."""
+    """Kruskal on the scalarized edge costs; ties keep input edge order.
+
+    Only the edges ``_never_chosen`` keeps are sorted, in input order, so
+    every chosen edge and tie is that of Kruskal on all of them; each
+    distinct tree's id and image are built once.
+    """
     form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
-    ends = [(arc.tail, arc.head) for arc in inst.arcs]
+    dropped = _never_chosen(inst, list(zip(*form.columns)))
+    kept = [idx for idx in range(len(inst.arcs)) if idx not in dropped]
+    kept_form = form.reordered(kept)
+    ends = [(inst.arcs[idx].tail, inst.arcs[idx].head) for idx in kept]
+    answers: dict[tuple[int, ...], tuple[str, ObjectiveVector]] = {}
 
     def solve(weights: WeightVector) -> SolveAnswer:
-        costs, denom = form.values(weights)
+        costs, denom = kept_form.values(weights)
         parent = list(range(inst.node_count))
         chosen: list[int] = []
-        for idx in sorted(range(len(costs)), key=costs.__getitem__):
-            tail, head = ends[idx]
+        for position in sorted(range(len(costs)), key=costs.__getitem__):
+            tail, head = ends[position]
             # Find both roots, pointing each node walked at its grandparent.
             while parent[tail] != tail:
                 parent[tail] = tail = parent[parent[tail]]
@@ -510,12 +602,16 @@ def _spanning_tree_kernel(inst: GraphInstance) -> Kernel:
                 parent[head] = head = parent[parent[head]]
             if tail != head:
                 parent[head] = tail
-                chosen.append(idx)
+                chosen.append(position)
                 if len(chosen) == inst.node_count - 1:
                     break
-        arc_tuple = tuple(sorted(chosen))
-        scalar = Fraction(sum(costs[i] for i in arc_tuple), denom)
-        return SolveAnswer(tree_id(arc_tuple), form.image(arc_tuple), scalar, arc_tuple)
+        chosen.sort()
+        arc_tuple = tuple([kept[position] for position in chosen])
+        if arc_tuple not in answers:
+            answers[arc_tuple] = (tree_id(arc_tuple), form.image(arc_tuple))
+        solution_id, image = answers[arc_tuple]
+        scalar = Fraction(sum([costs[position] for position in chosen]), denom)
+        return SolveAnswer(solution_id, image, scalar, arc_tuple)
 
     return solve
 
@@ -534,9 +630,10 @@ class SolverHandle:
     """One weighted-sum backend bound to an instance, with a call counter.
 
     ``sigma`` is the contract bound the backend promises, not a measured
-    quality.  ``kernel`` answers one weighted-sum problem; it may shrink a
-    private scan list between calls (the explicit kernel forgets what its
-    optima rule out), but each answer depends on the weight alone.  Left
+    quality.  ``kernel`` answers one weighted-sum problem; it may keep
+    private state between calls (the explicit kernel forgets what its
+    optima rule out, the graph kernels keep each distinct answer), but each
+    answer depends on the weight alone.  Left
     out, it is built from the instance and sigma.  The handle refuses a
     maximization instance (``MaximizationUnsupported``), then a sigma below
     1, before any kernel is built, so every kernel and every algorithm

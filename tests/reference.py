@@ -9,6 +9,9 @@ in ``Fraction`` and without the package's shortcuts:
 - the solvers scalarize every image instead of comparing
   cleared-denominator ints, and Kruskal joins components through a
   ``_UnionFind`` object;
+- ``never_chosen_by_union_find`` finds the edges Kruskal never chooses
+  from their definition, one union-find over every edge's predecessors,
+  where the package sweeps once with a minimum spanning forest;
 - ``enumerate_graph_solutions_by_combinations`` walks every (n - 1)-arc
   subset for spanning trees, testing each with a fresh ``_UnionFind``, and
   sums every path and tree image in ``Fraction`` with ``_vector_sum``;
@@ -56,6 +59,7 @@ import heapq
 import io
 import itertools
 import json
+import operator
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -217,6 +221,22 @@ def solve_spanning_tree(inst: GraphInstance, weights: WeightVector) -> SolveAnsw
     arc_tuple = tuple(sorted(chosen))
     image = _vector_sum(inst.p, [inst.arcs[i].cost for i in arc_tuple])
     return SolveAnswer(tree_id(arc_tuple), image, weights.scalarize(image), arc_tuple)
+
+
+def never_chosen_by_union_find(inst: GraphInstance) -> frozenset:
+    """Edges whose ends are joined by edges that precede them at every
+    strictly positive weight: f precedes e when cost_f <= cost_e
+    componentwise and (cost_f != cost_e or f < e).  One fresh union-find
+    over all m edges per edge."""
+    dropped = set()
+    for e, arc in enumerate(inst.arcs):
+        uf = _UnionFind(inst.node_count)
+        for f, other in enumerate(inst.arcs):
+            if all(map(operator.le, other.cost, arc.cost)) and (other.cost != arc.cost or f < e):
+                uf.union(other.tail, other.head)
+        if uf.find(arc.tail) == uf.find(arc.head):
+            dropped.add(e)
+    return frozenset(dropped)
 
 
 def enumerate_graph_solutions_by_combinations(

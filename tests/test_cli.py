@@ -1397,6 +1397,28 @@ class TestExportPlot:
         cells = (out_dir / "cells.csv").read_text().strip().splitlines()
         assert cells == ["weight_index,level,solution_id,f1_lo,f1_hi,f2_lo,f2_hi"]
 
+    def test_failed_export_leaves_the_earlier_file_and_no_temporary(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        report, out_dir = tmp_path / "report.json", tmp_path / "plots"
+        report.write_text(plot_report())
+        argv = ["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        earlier = (out_dir / "cells.csv").read_bytes()
+        cells_csv = cli._cells_csv
+
+        def failing(table):
+            yield next(cells_csv(table))
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(cli, "_cells_csv", failing)
+        report.write_text(plot_report([["1", "3"], ["1", "3"]]))
+        capsys.readouterr()
+        assert main(argv) == 6
+        assert capsys.readouterr().err == "error: internal error: RuntimeError: disk gone\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["cells.csv", "points.csv"]
+        assert (out_dir / "cells.csv").read_bytes() == earlier
+
 
 class TestParser:
     def test_built_once_per_process(self):

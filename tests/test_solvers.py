@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import operator
 import re
@@ -38,6 +39,7 @@ from reference import (
     _UnionFind,
     bounds_contain,
     enumerate_graph_solutions_by_combinations,
+    never_chosen_by_union_find,
     reference_solver,
     solve_explicit_adversarial,
     solve_explicit_exact,
@@ -583,6 +585,114 @@ class TestForgettingKernel:
         assert run.answers == ref.answers
         assert run.result == ref.result
         assert len(run.result) > 1
+
+
+@st.composite
+def tie_prone_graphs(draw, kind, p):
+    """Random graphs whose costs lie in [1, high] with high in {1, 2, 3, 10},
+    so that equal costs and parallel edges are common; spanning-tree graphs
+    may gain a self-loop."""
+    nodes = draw(st.integers(2, 9))
+    inst = gen_random_graph(
+        nodes,
+        draw(st.integers(nodes - 1, 4 * nodes)),
+        p,
+        1,
+        draw(st.sampled_from([1, 2, 3, 10])),
+        draw(st.integers(0, 10**6)),
+        kind,
+        denominator=draw(st.sampled_from([1, 6, 1000])),
+    )
+    if kind is GraphKind.SPANNING_TREE and draw(st.booleans()):
+        node = draw(st.integers(0, nodes - 1))
+        loop = Arc(node, node, draw(st.sampled_from(inst.arcs)).cost)
+        inst = dataclasses.replace(inst, arcs=(*inst.arcs, loop))
+    return inst
+
+
+def kept_edges(handle):
+    """The edges the Kruskal kernel of ``handle`` sorts."""
+    return inspect.getclosurevars(handle.kernel).nonlocals["kept"]
+
+
+class TestForgettingTreeKernel:
+    """The Kruskal kernel drops, once per instance, every edge whose ends are
+    joined by edges that precede it at every weight.  Its answers must stay
+    those of the Fraction reference, and each graph kernel builds each
+    distinct answer once."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_drops_what_the_definition_drops(self, p, data):
+        inst = data.draw(tie_prone_graphs(GraphKind.SPANNING_TREE, p))
+        kept = kept_edges(exact_solver(inst))
+        dropped = frozenset(range(len(inst.arcs))) - frozenset(kept)
+        reference = never_chosen_by_union_find(inst)
+        if p == 2:
+            assert dropped == reference
+        else:
+            assert dropped <= reference
+        assert kept == sorted(kept)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_tree_matches_the_reference(self, p, data):
+        inst = data.draw(tie_prone_graphs(GraphKind.SPANNING_TREE, p))
+        handle = exact_solver(inst)
+        dropped = frozenset(range(len(inst.arcs))) - frozenset(kept_edges(handle))
+        for weights in data.draw(weight_sequences(p)):
+            answer = handle.solve(weights)
+            assert answer == solve_spanning_tree(inst, weights)
+            assert dropped.isdisjoint(answer.arcs)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_path_matches_the_reference(self, p, data):
+        inst = data.draw(tie_prone_graphs(GraphKind.SHORTEST_PATH, p))
+        handle = exact_solver(inst)
+        for weights in data.draw(weight_sequences(p)):
+            assert handle.solve(weights) == solve_shortest_path(inst, weights)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_paths_among_far_more_declared_nodes(self, data):
+        # The arcs name at most 9 of 10^4 declared nodes, under scattered labels.
+        inst = data.draw(tie_prone_graphs(GraphKind.SHORTEST_PATH, 2))
+        labels = data.draw(
+            st.lists(
+                st.integers(0, 10**4 - 1),
+                min_size=inst.node_count,
+                max_size=inst.node_count,
+                unique=True,
+            )
+        )
+        relabeled = GraphInstance(
+            MIN,
+            2,
+            10**4,
+            tuple(Arc(labels[a.tail], labels[a.head], a.cost) for a in inst.arcs),
+            GraphKind.SHORTEST_PATH,
+            source=labels[inst.source],
+            target=labels[inst.target],
+        )
+        handle = exact_solver(relabeled)
+        for weights in data.draw(weight_sequences(2)):
+            answer = handle.solve(weights)
+            assert answer == solve_shortest_path(relabeled, weights)
+            assert answer.arcs == solve_shortest_path(inst, weights).arcs
+
+    @pytest.mark.parametrize("kind", [GraphKind.SHORTEST_PATH, GraphKind.SPANNING_TREE])
+    def test_each_distinct_answer_is_built_once(self, kind):
+        inst = gen_random_graph(9, 20, 2, 1, 3, 11, kind, denominator=1)
+        handle = exact_solver(inst)
+        weights = [wv(1, k) for k in (1, 2, 3)] * 3
+        answers = [handle.solve(w) for w in weights]
+        for repeat, first in zip(answers[3:], answers):
+            assert repeat.solution_id is first.solution_id
+            assert repeat.image is first.image
 
 
 def recursive_path_ids(inst):
