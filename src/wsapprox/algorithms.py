@@ -33,7 +33,6 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Bounds,
@@ -49,9 +48,6 @@ from .solvers import SolveAnswer, Solution, SolverHandle
 
 # Largest grid plan_grid builds; a larger one is refused before any entry is.
 MAX_GRID_CALLS = 10**6
-
-# Largest cell map, in estimated printed characters, that check_cell_map admits.
-MAX_CELL_DIGITS = 10**8
 
 
 def _log(x: Fraction) -> float:
@@ -88,31 +84,24 @@ def exponent_cap(low: Fraction, high: Fraction, step: Fraction) -> int:
     return u
 
 
-def _value_digits(bounds: Bounds, step: Fraction) -> float:
-    """Estimated digits of the longest int a report prints, from logarithms.
+def _check_report_digits(bounds: Bounds, step: Fraction, u: float) -> None:
+    """Refuse a run whose report would print an int of more digits than
+    ``sys.get_int_max_str_digits()`` allows (0 means no limit); ``u`` is the
+    largest cap estimate.
 
+    Decided from logarithms alone, before any power of the step is built.
     The longest printed rationals are the weights, the cell corners of the
     plan's table and the bisection gammas, l * step**k with k <= u + 1, and
     the answer values, which add such terms over the instance's values; so
     their ints have about (u + 1) * log10(step) digits plus those of the bounds.
     """
-    u = max(_cap_estimate(hi / lo, step) for lo, hi in zip(bounds.lower, bounds.upper))
-    return (u + 1) * math.log10(step.numerator) + sum(
-        math.log10(v.numerator) + math.log10(v.denominator)
-        for v in bounds.lower + bounds.upper
-    )
-
-
-def _check_report_digits(bounds: Bounds, step: Fraction) -> None:
-    """Refuse a run whose report would print an int of more digits than
-    ``sys.get_int_max_str_digits()`` allows (0 means no limit).
-
-    Decided from logarithms alone, before any power of the step is built.
-    """
     limit = sys.get_int_max_str_digits()
     if not limit:
         return
-    digits = _value_digits(bounds, step)
+    digits = (u + 1) * math.log10(step.numerator) + sum(
+        math.log10(v.numerator) + math.log10(v.denominator)
+        for v in bounds.lower + bounds.upper
+    )
     if digits > limit:
         raise ContractViolation(
             f"report values would have about {digits:.0f} digits, over the limit of "
@@ -149,11 +138,13 @@ def _grid_step(
     bounds: Bounds, epsilon: RationalLike, sigma: RationalLike
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Checked (epsilon, sigma, step) of a grid, step = 1 + epsilon/(sigma*p)
-    with p = bounds.p; a report past the interpreter's digit limit is
-    refused here.
+    with p = bounds.p.  From float estimates of the caps, before any power
+    of the step is built, it refuses a report past the interpreter's digit
+    limit and then a grid that is sure to exceed MAX_GRID_CALLS weights.
 
     The grid calls it at its solver's sigma; the bisection walks the same
-    ladder at sigma = 1 and p = 2, step 1 + epsilon/2."""
+    ladder at sigma = 1 and p = 2, step 1 + epsilon/2, whose u1 + u2 + 1
+    rungs are the p = 2 grid's weights."""
     epsilon = as_rational(epsilon)
     sigma = as_rational(sigma)
     if epsilon <= 0:
@@ -161,36 +152,22 @@ def _grid_step(
     if sigma < 1:
         raise ContractViolation("sigma must be >= 1")
     step = 1 + epsilon / (sigma * bounds.p)
-    _check_report_digits(bounds, step)
-    return epsilon, sigma, step
-
-
-def check_cell_map(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> None:
-    """Refuse, before any solve, a grid whose cell map would print more than
-    MAX_CELL_DIGITS characters of corners (ContractViolation).
-
-    The report's ``cells`` block holds only the sum (u_j + 2) corners, but
-    ``export-plot`` writes the map from it as ``cells.csv``, and that file
-    is what this bounds, as ``export-plot`` does: prod (u_j + 1) cells,
-    each printing 2p corners l_j * step**k, k <= u_j + 1, of at most the
-    numerator digits of l_j and step**k, a "/" and their denominator digits.
-    Caps and digits are float estimates, so no power of the step is built,
-    and they err toward refusing.
-    """
-    _, _, step = _grid_step(bounds, epsilon, sigma)
     caps = [_cap_estimate(hi / lo, step) for lo, hi in zip(bounds.lower, bounds.upper)]
-    cells = math.prod(u + 1 for u in caps)
-    step_digits = math.log10(step.numerator) + math.log10(step.denominator)
-    longest = max(
-        (u + 1) * step_digits + math.log10(low.numerator) + math.log10(low.denominator) + 3
-        for u, low in zip(caps, bounds.lower)
-    )
-    digits = cells * 2 * bounds.p * longest
-    if digits > MAX_CELL_DIGITS:
+    _check_report_digits(bounds, step, max(caps))
+    # floor(estimate) - 1 never exceeds the exact cap, so this refuses no grid
+    # that plan_grid admits.  Without a digit limit it is what keeps
+    # exponent_cap from building step**u at an astronomic u, or counting u
+    # up one at a time at an infinite estimate.
+    if math.inf in caps:
+        calls = math.inf
+    else:
+        calls = expected_grid_calls(tuple(max(0, math.floor(c) - 1) for c in caps))
+    if calls > MAX_GRID_CALLS:
         raise ContractViolation(
-            f"cell map of about {cells:.3g} cells would print about {digits:.3g} digits, "
-            f"over the limit of {MAX_CELL_DIGITS}; use a larger epsilon"
+            f"grid of about 10^{math.log10(calls):.3g} weights exceeds the limit of "
+            f"{MAX_GRID_CALLS}"
         )
+    return epsilon, sigma, step
 
 
 def plan_grid(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> GridPlan:
@@ -226,22 +203,6 @@ def plan_grid(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> Gri
     return GridPlan(epsilon, sigma, step - 1, u, corners, tuple(entries))
 
 
-def cell_diagonal(
-    u: Sequence[int], exponents: Iterable[Sequence[int]]
-) -> Iterator[tuple[int, int]]:
-    """(weight_index, level) of every cell of a grid with caps ``u`` whose
-    weights have the exponent tuples ``exponents``, in cell-map order.
-
-    Weight i with exponents k owns levels 0 .. min_j (u_j - k_j), and its
-    cell at a level spans ``corners[j][k_j + level]`` to
-    ``corners[j][k_j + level + 1]``.  Every point of prod [0, u_j] lies on
-    exactly one weight's diagonal, so a grid's cells are prod (u_j + 1).
-    """
-    for idx, k in enumerate(exponents):
-        for level in range(min(u_j - k_j for u_j, k_j in zip(u, k)) + 1):
-            yield idx, level
-
-
 @dataclass(frozen=True)
 class CellAssignment:
     """Hyperrectangle of the objective-space subdivision and its covering id."""
@@ -263,30 +224,29 @@ class GridRun:
     def result_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.result)
 
-    def diagonal(self) -> Iterator[tuple[int, int]]:
-        """``cell_diagonal`` of this run's caps and weights."""
-        return cell_diagonal(self.plan.u, (entry.exponents for entry in self.plan.entries))
-
     def cell_map(self) -> tuple[CellAssignment, ...]:
-        """The cells of ``diagonal()`` with their Fraction corners.
+        """The cells of the grid with their Fraction corners, weight by weight.
 
+        Weight i with exponents k owns levels 0 .. min_j (u_j - k_j), and its
+        cell at a level spans ``corners[j][k_j + level]`` to
+        ``corners[j][k_j + level + 1]``.  Every point of prod [0, u_j] lies on
+        exactly one weight's diagonal, so the map has prod (u_j + 1) cells.
         Any feasible image inside a cell is approximated by that weight's
         solution, because the weight shifted to the cell's lower corner is
         equivalent to the issued one.
 
-        The map has prod (u_j + 1) cells of 2p bounds each, but every bound
-        is an entry of ``plan.corners``, so it takes only sum (u_j + 2)
-        distinct values.  The CLI builds no cell map: a report's ``cells``
-        block holds the formatted corner table, and ``export-plot`` reads it
-        at the pairs of ``cell_diagonal``.
+        The CLI builds no cell map: a report's ``cells`` block holds the
+        formatted corner table, sum (u_j + 2) strings, and ``export-plot``
+        writes the same cells from it in the same order.
         """
         corners = self.plan.corners
         cells: list[CellAssignment] = []
-        for idx, level in self.diagonal():
-            k = self.plan.entries[idx].exponents
-            lower = tuple(column[k_j + level] for column, k_j in zip(corners, k))
-            upper = tuple(column[k_j + level + 1] for column, k_j in zip(corners, k))
-            cells.append(CellAssignment(idx, self.answers[idx].solution_id, level, lower, upper))
+        for idx, (entry, answer) in enumerate(zip(self.plan.entries, self.answers)):
+            k = entry.exponents
+            for level in range(min(u_j - k_j for u_j, k_j in zip(self.plan.u, k)) + 1):
+                lower = tuple(column[k_j + level] for column, k_j in zip(corners, k))
+                upper = tuple(column[k_j + level + 1] for column, k_j in zip(corners, k))
+                cells.append(CellAssignment(idx, answer.solution_id, level, lower, upper))
         return tuple(cells)
 
 

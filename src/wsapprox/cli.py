@@ -14,13 +14,14 @@ Exit codes are a stable contract: 0 success (and "verified"), 1 guarantee
 violated, 2 invalid flags or preconditions (an ``--out`` in a missing
 directory, or naming a directory, and an ``export-plot --out-dir`` that is
 empty or names a file, are refused before any work; a grid of more than
-``algorithms.MAX_GRID_CALLS`` weights before any weight is built; an
-``approximate`` run whose report would print an int of more digits than
-``sys.get_int_max_str_digits()`` before any power of the grid step is
-built or any solve is made; a ``--cells`` run whose ``cells.csv`` would
-print more than ``algorithms.MAX_CELL_DIGITS`` estimated characters before
-any solve, and an ``export-plot`` report whose ``cells.csv`` could print
-more than that many characters before any file is written; a flag that the
+``algorithms.MAX_GRID_CALLS`` weights before any weight is built, and a
+grid or bisection ladder whose float cap estimates alone pass that limit
+before any power of the grid step is built, even with the digit limit off
+(``PYTHONINTMAXSTRDIGITS=0``); an ``approximate`` run whose report would
+print an int of more digits than ``sys.get_int_max_str_digits()`` before
+any power of the grid step is built or any solve is made; an
+``export-plot`` report whose ``cells.csv`` could print more than
+``MAX_CELL_DIGITS`` characters before any file is written; a flag that the
 chosen algorithm or family would ignore, such as ``--tau`` outside ptas,
 ``--sigma`` under ptas, or a ``--sigma`` other than 1 under ``verify
 --family disjunctive`` or ``--family uniform --sum-bound``, before any
@@ -40,20 +41,19 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional
 
 from .algorithms import (
-    MAX_CELL_DIGITS,
     BiobjectiveRun,
     GridRun,
     approximate_biobjective,
     approximate_grid,
     approximate_with_ptas,
-    check_cell_map,
 )
 from .core import (
     MAXIMIZATION_REJECTION,
@@ -270,8 +270,6 @@ def cmd_approximate(args: argparse.Namespace) -> int:
             if args.sigma != 1:
                 raise ContractViolation("--sigma above 1 needs --solver adversarial")
             solver = exact_solver(inst)
-        if args.cells:
-            check_cell_map(bounds, args.epsilon, solver.sigma)
         run = approximate_grid(solver, bounds, args.epsilon)
         report["sigma"] = format_rational(solver.sigma)
         report.update(_grid_report(run, args.cells))
@@ -425,6 +423,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Largest cells.csv, in printed characters, that export-plot writes.
+MAX_CELL_DIGITS = 10**8
+
 _CELLS_FORMAT = (
     "report 'cells' must be {\"corners\": [column_1, column_2]}, column j holding "
     "u_j + 2 rational strings, with 'u' and every 'weights[].exponents' two "
@@ -451,11 +452,6 @@ def _cell_table(data: dict[str, Any]) -> Optional[tuple[list, list, list, list]]
     cells = data.get("cells")
     if cells is None:
         return None
-    if isinstance(cells, list):
-        raise InstanceFormatError(
-            "report 'cells' is a list of cells, a report of schema 4 or earlier; "
-            "re-run approximate --cells"
-        )
 
     def is_ints(values: Any) -> bool:
         return (
@@ -516,9 +512,6 @@ class _Echo:
         return line
 
 
-_CELLS_HEADER = ("weight_index", "level", "solution_id", "f1_lo", "f1_hi", "f2_lo", "f2_hi")
-
-
 def _csv_escaper() -> Callable[[Any], str]:
     """A function giving a field as ``csv.writer`` writes it in a row of two
     or more fields; it escapes each distinct field once, by ``csv.writer``,
@@ -539,22 +532,16 @@ def _csv_escaper() -> Callable[[Any], str]:
     return escape
 
 
-def _csv_text(rows: Iterable[Sequence[Any]]) -> str:
-    """The text ``csv.writer`` writes for ``rows`` of two or more fields, each
-    distinct field escaped once by ``_csv_escaper``: ``points.csv``."""
-    escape = _csv_escaper()
-    return "".join(",".join([escape(f) for f in row]) + "\r\n" for row in rows)
-
-
 def _cells_csv(table: Optional[tuple[list, list, list, list]]) -> Iterator[str]:
     """``cells.csv`` of a ``_cell_table`` (None: no cells) in pieces: the
-    header, then each weight's diagonal in ``algorithms.cell_diagonal``
-    order.  The text is ``_csv_text`` of the per-cell rows, which are never
-    built: each distinct corner and id is escaped once, column j's adjacent
-    corners are joined once into u_j + 1 ``"lo,hi"`` pairs, and a cell is
-    one f-string of its indices, its weight's id and two pairs.
+    header, then each weight's diagonal, level by level, in weight order,
+    the order of ``GridRun.cell_map``.  The text is what ``csv.writer``
+    writes for the per-cell rows, which are never built: each distinct
+    corner and id is escaped once, column j's adjacent corners are joined
+    once into u_j + 1 ``"lo,hi"`` pairs, and a cell is one f-string of its
+    indices, its weight's id and two pairs.
     """
-    yield _csv_text([_CELLS_HEADER])
+    yield "weight_index,level,solution_id,f1_lo,f1_hi,f2_lo,f2_hi\r\n"
     if table is None:
         return
     (u1, u2), exponents, ids, corners = table
@@ -591,7 +578,9 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
         ]
         for s in inst.solutions
     ]
-    files = (("points.csv", [_csv_text(points_rows)]), ("cells.csv", _cells_csv(table)))
+    points = io.StringIO(newline="")
+    csv.writer(points).writerows(points_rows)
+    files = (("points.csv", [points.getvalue()]), ("cells.csv", _cells_csv(table)))
     for name, pieces in files:
         # Written beside the file and moved over it, so a failure leaves no
         # partial file and an earlier one as it was.

@@ -31,8 +31,8 @@ in ``Fraction`` and without the package's shortcuts:
   which escapes a field wherever it appears, where the CLI escapes each
   distinct field once;
 - ``cell_rows_by_diagonal`` builds one row per cell of a report's corner
-  table by walking ``cell_diagonal``, where ``export-plot`` writes each
-  weight's diagonal from corner pairs joined once;
+  table by walking each weight's diagonal level by level, where
+  ``export-plot`` writes each diagonal from corner pairs joined once;
 - ``support_certificate_biobjective`` decides p = 2 supportedness by slope
   intervals instead of the package's LP;
 - ``support_certificate_by_fractions`` builds that LP on the Fraction
@@ -82,7 +82,7 @@ from wsapprox import (
     dominates,
     factor_vector,
 )
-from wsapprox.algorithms import CellAssignment, GridRun, cell_diagonal
+from wsapprox.algorithms import CellAssignment, GridRun
 from wsapprox.core import check_rational_literal, format_rational
 from wsapprox.oracles import Violation, Witness
 from wsapprox.solvers import (
@@ -474,17 +474,18 @@ def cells_csv_by_products(run: GridRun, bounds: Bounds) -> str:
 def cell_rows_by_diagonal(report) -> list:
     """The rows of ``cells.csv`` below its header for a report with a valid
     corner table: [weight index, level, id, f1_lo, f1_hi, f2_lo, f2_hi] for
-    every cell of ``cell_diagonal``, with the corners as the report holds
-    them."""
-    exponents = [w["exponents"] for w in report["weights"]]
+    every cell, with the corners as the report holds them.  Weight i with
+    exponents k owns levels 0 .. min_j (u_j - k_j), in weight order."""
+    u1, u2 = report["u"]
     f1, f2 = report["cells"]["corners"]
     rows = []
-    for idx, level in cell_diagonal(report["u"], exponents):
-        k1, k2 = exponents[idx]
-        rows.append(
-            [idx, level, report["weights"][idx]["answer"]["id"], f1[k1 + level],
-             f1[k1 + level + 1], f2[k2 + level], f2[k2 + level + 1]]
-        )
+    for idx, weight in enumerate(report["weights"]):
+        k1, k2 = weight["exponents"]
+        for level in range(min(u1 - k1, u2 - k2) + 1):
+            rows.append(
+                [idx, level, weight["answer"]["id"], f1[k1 + level],
+                 f1[k1 + level + 1], f2[k2 + level], f2[k2 + level + 1]]
+            )
     return rows
 
 

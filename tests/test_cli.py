@@ -249,52 +249,79 @@ class TestApproximateCommand:
         assert len(err) == 1 and err[0].startswith("error: report values would have")
         assert not out.exists()
 
-    @pytest.mark.parametrize("eps", ["1/50", "1/100"])
-    def test_cell_map_blow_up_exits_2_before_writing(self, tmp_path, capsys, eps):
-        # The cell map alone would print about 2.8e8 digits at 1/50 (a 214 MB
-        # report) and 2.5e9 at 1/100, whose run took minutes; every value is
-        # under the interpreter's digit limit, so only the cell guard refuses.
+    @pytest.mark.parametrize(
+        "algorithm,eps",
+        [(a, e) for a in ("grid", "bisect") for e in ("1/10000000", "1/1" + "0" * 400)],
+        ids=["grid-1e-7", "grid-1e-400", "bisect-1e-7", "bisect-1e-400"],
+    )
+    def test_oversized_grid_without_a_digit_limit_exits_2_at_once(
+        self, tmp_path, algorithm, eps
+    ):
+        # With the limit off no digit guard fires: at 1/10^7 the caps are
+        # about 1.4e8, and at 1/10^400 step - 1 is below float range, so the
+        # cap estimate is infinite.  The grid-size estimate refuses both
+        # before exponent_cap builds or counts toward step**u.
         inst = tmp_path / "inst.json"
         main(
             ["generate", "random-explicit", "--p", "2", "--n", "10", "--low", "1",
              "--high", "1000", "--seed", "3", "--out", str(inst)]
         )
         out = tmp_path / "report.json"
-        start = time.perf_counter()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, err = bounded_main(
+                ["approximate", "--algorithm", algorithm, "--instance", str(inst),
+                 "--epsilon", eps, "--out", str(out)],
+                seconds=1.0,
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: grid of about ")
+        assert err[0].endswith("weights exceeds the limit of 1000000")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["1/50", "1/100"])
+    def test_cells_csv_blow_up_exits_2_at_export_plot(self, tmp_path, capsys, eps):
+        # The cell map would print about 2.8e8 digits at 1/50 and 2.5e9 at
+        # 1/100, but the report holds only its corner table: approximate
+        # --cells writes it, and export-plot refuses it before any file.
+        inst = tmp_path / "inst.json"
+        main(
+            ["generate", "random-explicit", "--p", "2", "--n", "10", "--low", "1",
+             "--high", "1000", "--seed", "3", "--out", str(inst)]
+        )
+        out = tmp_path / "report.json"
         code = main(
             ["approximate", "--algorithm", "grid", "--instance", str(inst),
              "--epsilon", eps, "--cells", "--out", str(out)]
         )
+        assert code == 0
+        out_dir = tmp_path / "plots"
+        start = time.perf_counter()
+        code = main(["export-plot", "--from-report", str(out), "--out-dir", str(out_dir)])
         assert time.perf_counter() - start < 1
         assert code == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: cell map of about ")
-        assert not out.exists()
+        assert len(err) == 1 and err[0].startswith("error: cells.csv of ")
+        assert not out_dir.exists()
 
-    def test_cells_that_approximate_accepts_export_plot_accepts(self, tmp_path, capsys):
-        # check_cell_map estimates a corner as its numerator, "/" and its
-        # denominator, as export-plot bounds cells.csv by its longest corner
-        # string; with numerator digits only, every eps from 1/42 to 1/50
-        # passed approximate here while export-plot refused the report.
+    def test_cells_flag_only_adds_the_corner_table(self, tmp_path, capsys):
+        # cells.csv is sized by export-plot alone: --cells refuses nothing
+        # that approximate accepts, and adds nothing but the "cells" block.
         inst = tmp_path / "inst.json"
         explicit = gen_random_explicit(2, 200, 100, 1000, 1951000)
         inst.write_text(canonical_dumps(instance_to_json(explicit)))
-        refused = []
+        plain, cells = tmp_path / "plain.json", tmp_path / "cells.json"
+        argv = ["approximate", "--algorithm", "grid", "--instance", str(inst)]
         for d in range(16, 61):
-            out = tmp_path / f"report-{d}.json"
-            code = main(
-                ["approximate", "--algorithm", "grid", "--instance", str(inst),
-                 "--epsilon", f"1/{d}", "--cells", "--out", str(out)]
-            )
-            if code == 2:
-                assert capsys.readouterr().err.startswith("error: cell map of about ")
-                assert not out.exists()
-                refused.append(d)
-            else:
-                assert code == 0
-                cli._cell_table(read_json(out))  # export-plot's checks, which pass
-                out.unlink()
-        assert refused and refused == list(range(refused[0], 61)) and refused[0] <= 42
+            assert main(argv + ["--epsilon", f"1/{d}", "--out", str(plain)]) == 0
+            assert main(argv + ["--epsilon", f"1/{d}", "--cells", "--out", str(cells)]) == 0
+            assert capsys.readouterr().err == ""
+            report = read_json(cells)
+            del report["cells"]
+            assert report == read_json(plain)
 
     def test_max_instance_exits_4(self, tmp_path):
         max_file = tmp_path / "max.json"
@@ -1290,14 +1317,15 @@ class TestExportPlot:
         ]
         assert not out_dir.exists()
 
-    def test_schema_4_cell_list_exits_3_asking_for_a_rerun(self, tmp_path, capsys):
+    def test_cell_list_exits_3(self, tmp_path, capsys):
+        # Reports of schema 4 and earlier held a list of cells: not a corner table.
         cell = {"weight_index": 0, "level": 0, "id": "a", "lower": ["1", "1"], "upper": ["2", "2"]}
         report = tmp_path / "report.json"
         report.write_text(plot_report(cells=[cell]))
         out_dir = tmp_path / "plots"
         assert main(["export-plot", "--from-report", str(report), "--out-dir", str(out_dir)]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].endswith("re-run approximate --cells")
+        assert len(err) == 1 and err[0].startswith("error: report 'cells' must be")
         assert not out_dir.exists()
 
     @given(
@@ -1326,11 +1354,6 @@ class TestExportPlot:
         streamed = "".join(cli._cells_csv(cli._cell_table(report)))
         rows = [CELLS_HEADER] + cell_rows_by_diagonal(report)
         assert streamed == csv_text_by_writerows(rows)
-
-    @given(st.lists(st.lists(CSV_TEXT, min_size=2, max_size=7), max_size=6))
-    @settings(max_examples=100, deadline=None)
-    def test_csv_text_matches_writerows(self, rows):
-        assert cli._csv_text(rows) == csv_text_by_writerows(rows)
 
     def test_rejects_p3_reports(self, tmp_path):
         inst = tmp_path / "p3.json"
