@@ -33,7 +33,6 @@ from wsapprox import (
     verify_max_impossibility,
 )
 from wsapprox.cli import main as cli_main
-from wsapprox.instances import dump_instance
 
 F = Fraction
 
@@ -67,7 +66,10 @@ def main() -> int:
 
     print("\n== tightness construction (p = 2, M = 4, eps = 1/2) ==")
     tight = gen_tightness_min(2, 4)
-    dump_instance(tight, os.path.join(args.out_dir, "tightness.json"))
+    code = cli_main(
+        ["generate", "tightness-min", "--p", "2", "--M", "4",
+         "--out", os.path.join(args.out_dir, "tightness.json")]
+    )
     supported = supported_set(tight)
     print(f"pareto front: {sorted(pareto_front(tight))}")
     print(f"supported:    {sorted(supported)}")
@@ -82,14 +84,17 @@ def main() -> int:
 
     print("\n== maximization counterexample (p = 2, M = 100) ==")
     max_inst = gen_max_counterexample(2, 100)
-    dump_instance(max_inst, os.path.join(args.out_dir, "max_counterexample.json"))
+    code |= cli_main(
+        ["generate", "max-counterexample", "--p", "2", "--M", "100",
+         "--out", os.path.join(args.out_dir, "max_counterexample.json")]
+    )
     print(f"supported: {sorted(supported_set(max_inst))}")
     print(f"unsupported center defeats factor M-1 everywhere off-peak: "
           f"{verify_max_impossibility(max_inst)}")
 
     print("\n== plot export for the tightness grid run ==")
     report_path = os.path.join(args.out_dir, "tightness_grid_report.json")
-    code = cli_main(
+    code |= cli_main(
         [
             "approximate",
             "--algorithm",

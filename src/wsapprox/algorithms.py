@@ -46,7 +46,7 @@ from .core import (
 )
 from .solvers import SolveAnswer, Solution, SolverHandle
 
-# Largest grid plan_grid builds; a larger one is refused before any entry is.
+# Largest grid, or bisection ladder, in weights that _grid_step admits.
 MAX_GRID_CALLS = 10**6
 
 
@@ -136,11 +136,13 @@ def expected_grid_calls(u: tuple[int, ...]) -> int:
 
 def _grid_step(
     bounds: Bounds, epsilon: RationalLike, sigma: RationalLike
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Checked (epsilon, sigma, step) of a grid, step = 1 + epsilon/(sigma*p)
-    with p = bounds.p.  From float estimates of the caps, before any power
-    of the step is built, it refuses a report past the interpreter's digit
-    limit and then a grid that is sure to exceed MAX_GRID_CALLS weights.
+) -> tuple[Fraction, Fraction, Fraction, tuple[int, ...]]:
+    """Checked (epsilon, sigma, step, u) of a grid, step = 1 + epsilon/(sigma*p)
+    with p = bounds.p and u its exponent caps.  From float estimates of the
+    caps, before any power of the step is built, it refuses a report past the
+    interpreter's digit limit and then a grid that is sure to exceed
+    MAX_GRID_CALLS weights; it then settles u exactly and refuses a grid of
+    more than MAX_GRID_CALLS weights.
 
     The grid calls it at its solver's sigma; the bisection walks the same
     ladder at sigma = 1 and p = 2, step 1 + epsilon/2, whose u1 + u2 + 1
@@ -155,35 +157,34 @@ def _grid_step(
     caps = [_cap_estimate(hi / lo, step) for lo, hi in zip(bounds.lower, bounds.upper)]
     _check_report_digits(bounds, step, max(caps))
     # floor(estimate) - 1 never exceeds the exact cap, so this refuses no grid
-    # that plan_grid admits.  Without a digit limit it is what keeps
-    # exponent_cap from building step**u at an astronomic u, or counting u
-    # up one at a time at an infinite estimate.
+    # that the exact check below admits.  Without a digit limit it is what
+    # keeps exponent_cap from building step**u at an astronomic u, or counting
+    # u up one at a time at an infinite estimate.
     if math.inf in caps:
-        calls = math.inf
+        estimate = math.inf
     else:
-        calls = expected_grid_calls(tuple(max(0, math.floor(c) - 1) for c in caps))
-    if calls > MAX_GRID_CALLS:
+        estimate = expected_grid_calls(tuple(max(0, math.floor(c) - 1) for c in caps))
+    if estimate > MAX_GRID_CALLS:
         raise ContractViolation(
-            f"grid of about 10^{math.log10(calls):.3g} weights exceeds the limit of "
+            f"grid of about 10^{math.log10(estimate):.3g} weights exceeds the limit of "
             f"{MAX_GRID_CALLS}"
         )
-    return epsilon, sigma, step
-
-
-def plan_grid(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> GridPlan:
-    """Enumerate the weight grid of the p = bounds.p objectives; deterministic
-    order (k ascending, then mixed-radix over the remaining exponents).  A
-    grid of more than MAX_GRID_CALLS weights, or one whose report values
-    would pass the interpreter's digit limit, raises ContractViolation
-    before any weight is built."""
-    epsilon, sigma, step = _grid_step(bounds, epsilon, sigma)
-    p = bounds.p
     u = tuple(exponent_cap(lo, hi, step) for lo, hi in zip(bounds.lower, bounds.upper))
     calls = expected_grid_calls(u)
     if calls > MAX_GRID_CALLS:
         raise ContractViolation(
             f"grid of {calls} weights exceeds the limit of {MAX_GRID_CALLS}"
         )
+    return epsilon, sigma, step, u
+
+
+def plan_grid(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> GridPlan:
+    """Enumerate the weight grid of the p = bounds.p objectives; deterministic
+    order (k ascending, then mixed-radix over the remaining exponents).  A
+    grid that ``_grid_step`` refuses raises ContractViolation before any
+    weight is built."""
+    epsilon, sigma, step, u = _grid_step(bounds, epsilon, sigma)
+    p = bounds.p
     corners = tuple(
         tuple(itertools.accumulate(itertools.repeat(step, cap + 1), operator.mul, initial=low))
         for low, cap in zip(bounds.lower, u)
@@ -199,7 +200,6 @@ def plan_grid(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> Gri
         for combo in itertools.product(*ranges):
             weight = WeightVector(tuple(column[k_j] for column, k_j in zip(inverses, combo)))
             entries.append(GridWeight(tuple(combo), weight))
-    assert len(entries) == calls
     return GridPlan(epsilon, sigma, step - 1, u, corners, tuple(entries))
 
 
@@ -315,7 +315,8 @@ def approximate_biobjective(
     midpoint index.  A range is queued only with a rung strictly inside
     it, and the interiors of queued ranges are disjoint, so no index is
     solved twice: ws_calls is 2 + tree_nodes (1 on a one-rung ladder),
-    never above u1 + u2 + 1.
+    never above u1 + u2 + 1.  ``_grid_step`` refuses a ladder of more than
+    MAX_GRID_CALLS rungs, as it does a grid, before any solve.
 
     The two extreme solutions are always part of the output (deduplicated
     by id); exploration of the interior stops early when one extreme
@@ -328,9 +329,7 @@ def approximate_biobjective(
         raise ContractViolation("the bisection requires an exact (sigma = 1) solver")
     if solver.p != 2 or bounds.p != 2:
         raise ContractViolation("the bisection is biobjective only")
-    epsilon, _, step = _grid_step(bounds, epsilon, 1)
-    u1 = exponent_cap(bounds.lower[0], bounds.upper[0], step)
-    u2 = exponent_cap(bounds.lower[1], bounds.upper[1], step)
+    epsilon, _, step, (u1, u2) = _grid_step(bounds, epsilon, 1)
     count = u1 + u2 + 1
     ratio = bounds.lower[1] / bounds.lower[0]
     factor_right = FactorVector.of(1, 2 + epsilon)
@@ -361,32 +360,25 @@ def approximate_biobjective(
     if count > 2 and not (approx(first, last, factor_right) or approx(last, first, factor_left)):
         queue.append((1, first, count, last, 1))
 
-    tree_nodes = 0
-    two_child_nodes = 0
-    tree_height = 0
+    tree_nodes = two_child_nodes = tree_height = 0
     while queue:
         left, x_left, right, x_right, depth = queue.popleft()
         tree_nodes += 1
-        tree_height = max(tree_height, depth)
+        tree_height = depth  # breadth first, so depths never decrease
         t = (left + right) // 2
         probe = solve_index(t)
         left_covers = approx(x_left, probe, factor_right)
         right_covers = approx(x_right, probe, factor_left)
-        if not left_covers or not right_covers:
-            picked[probe.solution_id] = probe
-            children = 0
-            if t >= left + 2 and not left_covers and not approx(probe, x_left, factor_left):
-                queue.append((left, x_left, t, probe, depth + 1))
-                children += 1
-            if (
-                t <= right - 2
-                and not approx(probe, x_right, factor_right)
-                and not right_covers
-            ):
-                queue.append((t, probe, right, x_right, depth + 1))
-                children += 1
-            if children == 2:
-                two_child_nodes += 1
+        if left_covers and right_covers:
+            continue
+        picked[probe.solution_id] = probe
+        go_left = t >= left + 2 and not left_covers and not approx(probe, x_left, factor_left)
+        go_right = t <= right - 2 and not approx(probe, x_right, factor_right) and not right_covers
+        if go_left:
+            queue.append((left, x_left, t, probe, depth + 1))
+        if go_right:
+            queue.append((t, probe, right, x_right, depth + 1))
+        two_child_nodes += go_left and go_right
 
     return BiobjectiveRun(
         epsilon,

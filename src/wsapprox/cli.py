@@ -10,29 +10,17 @@ failed export leaves no partial file.
 its ``cells`` block, and ``export-plot`` writes the cell map from that
 table, ``u`` and the weights' exponents and answer ids as ``cells.csv``.
 
-Exit codes are a stable contract: 0 success (and "verified"), 1 guarantee
-violated, 2 invalid flags or preconditions (an ``--out`` in a missing
-directory, or naming a directory, and an ``export-plot --out-dir`` that is
-empty or names a file, are refused before any work; a grid of more than
-``algorithms.MAX_GRID_CALLS`` weights before any weight is built, and a
-grid or bisection ladder whose float cap estimates alone pass that limit
-before any power of the grid step is built, even with the digit limit off
-(``PYTHONINTMAXSTRDIGITS=0``); an ``approximate`` run whose report would
-print an int of more digits than ``sys.get_int_max_str_digits()`` before
-any power of the grid step is built or any solve is made; an
-``export-plot`` report whose ``cells.csv`` could print more than
-``MAX_CELL_DIGITS`` characters before any file is written; a flag that the
-chosen algorithm or family would ignore, such as ``--tau`` outside ptas,
-``--sigma`` under ptas, or a ``--sigma`` other than 1 under ``verify
---family disjunctive`` or ``--family uniform --sum-bound``, before any
-solve or graph enumeration), 3 unreadable or
-malformed input files (instances, solution lists and reports, including a
-``cells`` block that is not a corner table that fits ``u`` and the
-weights' exponents, such as the list of cells that reports of schema 4
-and earlier held, or whose weights' diagonals do not hold exactly
-prod (u_j + 1) cells), 4 maximization instance passed to an algorithm, 5
-graph enumeration guard exceeded, 6 internal error (any other exception;
-one ``error:`` line, no traceback).
+Exit codes are a stable contract; README's exit-code table lists every
+refusal under its code:
+
+- 0: success, and "verified";
+- 1: guarantee violated, and nothing else;
+- 2: invalid flags or preconditions, refused before the work they guard;
+- 3: unreadable or malformed input file (instance, solution list, report);
+- 4: maximization instance passed to an algorithm;
+- 5: graph enumeration guard exceeded;
+- 6: internal error (any other exception; one ``error:`` line, no traceback).
+
 All rationals cross this boundary as strings.
 """
 
@@ -561,9 +549,17 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
         raise InstanceFormatError("report file lacks an embedded instance")
     if data.get("p") != 2:
         raise ContractViolation("plot export is biobjective only")
-    output_ids = set(_report_solution_ids(data.get("solutions", [])))
+    solution_ids = _report_solution_ids(data.get("solutions", []))
     table = _cell_table(data)
-    inst = _as_explicit(instance_from_json(data["instance"]), args.limit)
+    embedded = instance_from_json(data["instance"])
+    if embedded.p != 2:
+        raise InstanceFormatError(f"report has p = 2 but its instance has p = {embedded.p}")
+    inst = _as_explicit(embedded, args.limit)
+    known = set(inst.ids())
+    for sid in solution_ids + (table[2] if table else []):
+        if sid not in known:
+            raise InstanceFormatError(f"report id {sid!r} is not an id of its instance")
+    output_ids = set(solution_ids)
     pareto = pareto_front(inst)
     supported_ids = frozenset(support_certificates(inst))
     os.makedirs(args.out_dir, exist_ok=True)

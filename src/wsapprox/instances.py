@@ -368,8 +368,3 @@ def read_json(path: str, what: str) -> Any:
 
 def load_instance(path: str) -> Instance:
     return instance_from_json(read_json(path, "instance"))
-
-
-def dump_instance(inst: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_dumps(instance_to_json(inst)))

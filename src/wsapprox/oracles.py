@@ -43,6 +43,7 @@ from .core import (
     WeightVector,
     factor_vector,
 )
+from .instances import gen_max_counterexample
 from .solvers import ExplicitInstance
 
 
@@ -401,37 +402,26 @@ def verify_approximation(
 def verify_max_impossibility(inst: ExplicitInstance) -> bool:
     """Check the maximization counterexample property on a generated instance.
 
-    The instance must consist of p axis points (peak M > 1, off-value 1/p)
-    and one constant center point at M/p; any other shape raises
-    ContractViolation.  Returns True iff ``support_certificates`` certifies
-    every axis point and not the center.
+    The instance must hold exactly one constant-image solution, the center,
+    and, as a multiset, the images of ``gen_max_counterexample(p, M)`` with
+    M = p times the center's value; ids and order are free.  Any other
+    instance raises ContractViolation, and so does an M <= 1, which the
+    generator refuses.  Returns True iff ``support_certificates`` certifies
+    every other point, the axis points, and not the center.
 
-    The factor half of the claim needs no check: the shape fixes it.  An
-    axis point misses the center by (M/p) / (1/p) = M in each of its p-1
+    The factor half of the claim needs no check: the construction fixes it.
+    An axis point misses the center by (M/p) / (1/p) = M in each of its p-1
     off-peak coordinates, so once the axis points are the only supported
     solutions, none achieves a factor below M in p-1 objectives at once.
     """
     if inst.direction is not Direction.MAX:
         raise ContractViolation("expected a maximization instance")
-    p = inst.p
-    if len(inst.solutions) != p + 1:
-        raise ContractViolation("expected p axis points plus one center point")
     centers = [s for s in inst.solutions if len(set(s.image.values)) == 1]
     if len(centers) != 1:
         raise ContractViolation("expected exactly one constant-image solution")
     center = centers[0]
-    axis = [s for s in inst.solutions if s.id != center.id]
-    off = Fraction(1, p)
-    big_m = p * center.image[0]
-    peaks: set[int] = set()
-    for s in axis:
-        peak_coords = [j for j in range(p) if s.image[j] == big_m]
-        if len(peak_coords) != 1 or any(
-            s.image[j] != off for j in range(p) if j != peak_coords[0]
-        ):
-            raise ContractViolation("axis point does not match the construction")
-        peaks.add(peak_coords[0])
-    if peaks != set(range(p)) or big_m <= 1:
-        raise ContractViolation("axis peaks do not cover all coordinates")
-    certified = support_certificates(inst)
-    return center.id not in certified and all(s.id in certified for s in axis)
+    big_m = inst.p * center.image[0]
+    expected = gen_max_counterexample(inst.p, big_m).solutions
+    if sorted(s.image.values for s in inst.solutions) != sorted(s.image.values for s in expected):
+        raise ContractViolation(f"images are not those of the construction at M = {big_m}")
+    return support_certificates(inst).keys() == {s.id for s in inst.solutions} - {center.id}

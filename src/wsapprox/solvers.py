@@ -50,7 +50,6 @@ sums carry no guarantee there.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 import math
@@ -58,7 +57,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import (
     MAXIMIZATION_REJECTION,
@@ -260,36 +259,28 @@ def enumerate_graph_solutions(
             out.setdefault(arc.tail, []).append((idx, arc.head, rows[idx]))
 
         # One frame per non-target node of the current path: an iterator over
-        # its out-arcs and the column totals of the path up to the node.
-        steps = 0
+        # its out-arcs and the column totals of the path up to the node.  The
+        # source is the first visit, and each arc to a node off the path one more.
+        steps = 1
         on_path = {inst.source}
         taken: list[int] = []
-        frames: list[tuple[Iterator[tuple[int, int, tuple[int, ...]]], tuple[int, ...]]] = []
-
-        def enter(node: int, total: tuple[int, ...]) -> bool:
-            """Visit ``node``: record the path at the target, else open its frame
-            and return True."""
-            nonlocal steps
-            steps += 1
-            if steps > work_limit:
-                raise EnumerationLimit("path enumeration work limit exceeded")
-            if node == inst.target:
-                emit(path_id(tuple(taken)), total, "paths")
-                return False
-            frames.append((iter(out.get(node, ())), total))
-            return True
-
-        enter(inst.source, (0,) * inst.p)
+        frames = [(iter(out.get(inst.source, ())), (0,) * inst.p)]
         while frames:
             arcs_out, total = frames[-1]
             for idx, head, row in arcs_out:
                 if head in on_path:
                     continue
+                steps += 1
+                if steps > work_limit:
+                    raise EnumerationLimit("path enumeration work limit exceeded")
+                sums = tuple(map(operator.add, total, row))
+                if head == inst.target:
+                    emit(path_id((*taken, idx)), sums, "paths")
+                    continue
                 taken.append(idx)
-                if enter(head, tuple(map(operator.add, total, row))):
-                    on_path.add(head)
-                    break
-                taken.pop()
+                on_path.add(head)
+                frames.append((iter(out.get(head, ())), sums))
+                break
             else:
                 frames.pop()
                 if taken:
@@ -334,19 +325,12 @@ class _IntegerForm:
     """
 
     def __init__(self, p: int, vectors: Sequence[ObjectiveVector]) -> None:
-        self.scales = tuple(
-            math.lcm(*(v[j].denominator for v in vectors)) for j in range(p)
-        )
+        rows = [v.values for v in vectors]
+        self.scales = tuple(math.lcm(*[row[j].denominator for row in rows]) for j in range(p))
         self.columns = tuple(
-            tuple(v[j].numerator * (scale // v[j].denominator) for v in vectors)
+            tuple([row[j].numerator * (scale // row[j].denominator) for row in rows])
             for j, scale in enumerate(self.scales)
         )
-
-    def reordered(self, order: Sequence[int]) -> "_IntegerForm":
-        """The form of the same vectors taken in ``order``."""
-        form = copy.copy(self)
-        form.columns = tuple(tuple(column[i] for i in order) for column in self.columns)
-        return form
 
     def factors(self, weights: WeightVector) -> tuple[list[int], int]:
         """The int weights W_j and the denominator D."""
@@ -386,13 +370,14 @@ Kernel = Callable[[WeightVector], SolveAnswer]
 
 def _sorted_form(inst: ExplicitInstance) -> tuple[tuple[Solution, ...], _IntegerForm]:
     """Solutions ordered by (image, id), so that the first index holding the
-    chosen value is the tie-break winner, with their integer form.  Column j
-    is objective j times L_j > 0, so the form's int rows sort like images."""
-    form = _IntegerForm(inst.p, [s.image for s in inst.solutions])
-    rows = list(zip(*form.columns))
+    chosen value is the tie-break winner, with the integer form of their
+    images in that order.  Column j is objective j times L_j > 0, so the
+    form's int rows sort like images."""
     solutions = inst.solutions
+    rows = list(zip(*_IntegerForm(inst.p, [s.image for s in solutions]).columns))
     order = sorted(range(len(solutions)), key=lambda i: (rows[i], solutions[i].id))
-    return tuple(solutions[i] for i in order), form.reordered(order)
+    ordered = tuple(solutions[i] for i in order)
+    return ordered, _IntegerForm(inst.p, [s.image for s in ordered])
 
 
 def _explicit_kernel(inst: ExplicitInstance, sigma: Fraction) -> Kernel:
@@ -479,23 +464,22 @@ def _shortest_path_kernel(inst: GraphInstance) -> Kernel:
 
     def solve(weights: WeightVector) -> SolveAnswer:
         costs, denom = form.values(weights)
-        dist: list[Optional[int]] = [None] * len(out)
+        dist: list[float] = [math.inf] * len(out)
         dist[0] = 0
         pred = [0] * len(out)
-        done = [False] * len(out)
         counter = itertools.count()
         heap: list[tuple[int, int, int]] = [(0, next(counter), 0)]
         while heap:
             d, _, node = heapq.heappop(heap)
-            if done[node]:
+            # Costs are positive, so a node is pushed again only at a strictly
+            # smaller distance: the one entry at dist[node] settles it.
+            if d > dist[node]:
                 continue
-            done[node] = True
             if node == target:
                 break
             for idx, head in out[node]:
                 nd = d + costs[idx]
-                old = dist[head]
-                if old is None or nd < old:
+                if dist[head] > nd:
                     dist[head] = nd
                     pred[head] = idx
                     heapq.heappush(heap, (nd, next(counter), head))
@@ -585,7 +569,7 @@ def _spanning_tree_kernel(inst: GraphInstance) -> Kernel:
     form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
     dropped = _never_chosen(inst, list(zip(*form.columns)))
     kept = [idx for idx in range(len(inst.arcs)) if idx not in dropped]
-    kept_form = form.reordered(kept)
+    kept_form = _IntegerForm(inst.p, [inst.arcs[idx].cost for idx in kept])
     ends = [(inst.arcs[idx].tail, inst.arcs[idx].head) for idx in kept]
     answers: dict[tuple[int, ...], tuple[str, ObjectiveVector]] = {}
 

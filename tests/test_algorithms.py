@@ -192,6 +192,19 @@ class TestGridWeights:
         with pytest.raises(ContractViolation):
             plan_grid(bounds, 2, 1)
 
+    def test_bisection_ladder_meets_the_exact_limit(self, three_points, monkeypatch):
+        # Step 3/2 on [1, (3/2)^5]: the float cap estimates read 4.999..., so
+        # the estimate admits the ladder, but the exact caps are (5, 5), whose
+        # u1 + u2 + 1 = 11 rungs are the p = 2 grid's 11 weights.
+        monkeypatch.setattr(algorithms, "MAX_GRID_CALLS", 10)
+        bounds = Bounds.of((1, 1), (F(3, 2) ** 5, F(3, 2) ** 5))
+        solver = exact_solver(three_points)
+        with pytest.raises(ContractViolation, match="grid of 11 weights exceeds the limit of 10"):
+            approximate_biobjective(solver, bounds, 1)
+        assert solver.calls == 0
+        monkeypatch.setattr(algorithms, "MAX_GRID_CALLS", 11)
+        assert approximate_biobjective(solver, bounds, 1).gamma_count == 11
+
 class TestApproximateGrid:
     def test_worked_example(self, three_points):
         run = approximate_grid(exact_solver(three_points), compute_bounds(three_points), 2)

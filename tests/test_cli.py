@@ -1355,6 +1355,59 @@ class TestExportPlot:
         rows = [CELLS_HEADER] + cell_rows_by_diagonal(report)
         assert streamed == csv_text_by_writerows(rows)
 
+    @staticmethod
+    def grid_report(tmp_path, *generator):
+        """The ``approximate --cells`` grid report, at epsilon 1, of the
+        instance that ``generate`` writes from ``generator``."""
+        inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+        assert main(["generate", *generator, "--out", str(inst)]) == 0
+        argv = ["--instance", str(inst), "--epsilon", "1", "--cells", "--out", str(report)]
+        assert main(["approximate", "--algorithm", "grid", *argv]) == 0
+        return read_json(report)
+
+    def export(self, tmp_path, report):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(report))
+        return main(["export-plot", "--from-report", str(path), "--out-dir", str(tmp_path / "plots")])
+
+    def test_instance_of_another_p_exits_3(self, tmp_path, capsys):
+        random_explicit = ["random-explicit", "--n", "6", "--low", "1", "--high", "9", "--seed", "1"]
+        report = self.grid_report(tmp_path, *random_explicit, "--p", "2")
+        three = tmp_path / "p3.json"
+        assert main(["generate", *random_explicit, "--p", "3", "--out", str(three)]) == 0
+        report["instance"] = read_json(three)
+        assert self.export(tmp_path, report) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: report has p = 2 but its instance has p = 3"]
+        assert not (tmp_path / "plots").exists()
+
+    @pytest.mark.parametrize("field", ["solutions", "answer"])
+    def test_id_not_in_the_explicit_instance_exits_3(self, tmp_path, capsys, field):
+        report = self.grid_report(
+            tmp_path, "random-explicit", "--p", "2", "--n", "6", "--low", "1", "--high", "9",
+            "--seed", "1",
+        )
+        if field == "solutions":
+            report["solutions"].append({"id": "nope"})
+        else:
+            report["weights"][0]["answer"]["id"] = "ghost"
+        assert self.export(tmp_path, report) == 3
+        unknown = "nope" if field == "solutions" else "ghost"
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: report id {unknown!r} is not an id of its instance"]
+        assert not (tmp_path / "plots").exists()
+
+    def test_id_not_in_the_graph_enumeration_exits_3(self, tmp_path, capsys):
+        report = self.grid_report(
+            tmp_path, "random-graph", "--nodes", "4", "--arcs", "6", "--p", "2", "--low", "1",
+            "--high", "5", "--seed", "3", "--kind", "shortest-path",
+        )
+        assert self.export(tmp_path, report) == 0
+        report["weights"][-1]["answer"]["id"] = "path:99"
+        assert self.export(tmp_path, report) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: report id 'path:99' is not an id of its instance"]
+
     def test_rejects_p3_reports(self, tmp_path):
         inst = tmp_path / "p3.json"
         main(["generate", "tightness-min", "--p", "3", "--M", "4", "--out", str(inst)])

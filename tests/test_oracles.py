@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -581,7 +582,7 @@ class TestMaxImpossibility:
         [
             ((("a", (2, 2)), ("b", (1, 1)), ("c", (3, F(1, 2)))), "exactly one constant-image"),
             ((("a", (2, F(1, 2))), ("b", (F(1, 2), 3)), ("c", (3, F(1, 2)))), "exactly one constant-image"),
-            ((("c", (1, 1)), ("x1", (2, F(1, 2))), ("x2", (F(1, 3), 2))), "axis point does not match"),
+            ((("c", (1, 1)), ("x1", (2, F(1, 2))), ("x2", (F(1, 3), 2))), "not those of the construction at M = 2"),
             (
                 (
                     ("c", (1, 1, 1)),
@@ -589,16 +590,31 @@ class TestMaxImpossibility:
                     ("x2", (F(1, 3), 3, F(1, 3))),
                     ("x3", (F(1, 3), F(1, 3), 3)),
                 ),
-                "axis point does not match",
+                "not those of the construction at M = 3",
             ),
-            ((("c", (1, 1)), ("x1", (2, F(1, 2))), ("x2", (2, F(1, 2)))), "peaks do not cover"),
-            ((("c", (F(1, 2), F(1, 2))), ("x1", (1, F(1, 2))), ("x2", (F(1, 2), 1))), "peaks do not cover"),
+            ((("c", (1, 1)), ("x1", (2, F(1, 2))), ("x2", (2, F(1, 2)))), "not those of the construction"),
+            ((("c", (F(1, 2), F(1, 2))), ("x1", (1, F(1, 2))), ("x2", (F(1, 2), 1))), "need p >= 2 and M > 1"),
         ],
         ids=["two-constant", "no-constant", "wrong-off-value", "two-peaks", "repeated-peak", "m-is-1"],
     )
     def test_shape_refusals(self, pairs, message):
         with pytest.raises(ContractViolation, match=message):
             verify_max_impossibility(explicit(MAX, *pairs))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_ids_and_order_are_free(self, p):
+        built = gen_max_counterexample(p, 5)
+        shuffled = list(built.solutions)
+        random.Random(p).shuffle(shuffled)
+        renamed = [Solution(f"z{k}", s.image) for k, s in enumerate(shuffled)]
+        assert verify_max_impossibility(ExplicitInstance(MAX, p, tuple(renamed))) is True
+
+    @pytest.mark.parametrize("extra", [(1, 1), (5, F(1, 2))])
+    def test_construction_plus_one_point_refused(self, extra):
+        built = gen_max_counterexample(2, 5)
+        inst = ExplicitInstance(MAX, 2, built.solutions + (Solution("extra", ov(*extra)),))
+        with pytest.raises(ContractViolation):
+            verify_max_impossibility(inst)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_supported_center_is_not_a_counterexample(self, p, monkeypatch):
