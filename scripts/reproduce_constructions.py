@@ -28,7 +28,7 @@ from wsapprox import (
     gen_max_counterexample,
     gen_tightness_min,
     pareto_front,
-    supported_set,
+    support_certificates,
     verify_approximation,
     verify_max_impossibility,
 )
@@ -70,7 +70,7 @@ def main() -> int:
         ["generate", "tightness-min", "--p", "2", "--M", "4",
          "--out", os.path.join(args.out_dir, "tightness.json")]
     )
-    supported = supported_set(tight)
+    supported = support_certificates(tight)
     print(f"pareto front: {sorted(pareto_front(tight))}")
     print(f"supported:    {sorted(supported)}")
     deficit = GuaranteeFamily.multi_factor_raw(1, F(3, 2), 2)
@@ -88,7 +88,7 @@ def main() -> int:
         ["generate", "max-counterexample", "--p", "2", "--M", "100",
          "--out", os.path.join(args.out_dir, "max_counterexample.json")]
     )
-    print(f"supported: {sorted(supported_set(max_inst))}")
+    print(f"supported: {sorted(support_certificates(max_inst))}")
     print(f"unsupported center defeats factor M-1 everywhere off-peak: "
           f"{verify_max_impossibility(max_inst)}")
 

@@ -17,7 +17,6 @@ from .core import (
     WeightVector,
     approximates,
     as_rational,
-    dominates,
     factor_vector,
     format_rational,
     parse_rational,
@@ -59,7 +58,6 @@ from .oracles import (
     VerificationReport,
     pareto_front,
     support_certificates,
-    supported_set,
     verify_approximation,
     verify_max_impossibility,
 )

@@ -103,10 +103,12 @@ def _rational_flag(text: str) -> Fraction:
 
 
 def _check_out(out: Optional[str]) -> None:
-    """Refuse, before any work, an ``--out`` that names a directory or lies
-    in a missing one."""
-    if not out:
+    """Refuse, before any work, an ``--out`` that is empty, names a
+    directory or lies in a missing one."""
+    if out is None:
         return
+    if not out:
+        raise ContractViolation("--out is empty; omit it to write to stdout")
     if os.path.isdir(out):
         raise ContractViolation(f"--out {out} is a directory")
     directory = os.path.dirname(out)
@@ -232,8 +234,6 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     if inst.direction is Direction.MAX:
         raise MaximizationUnsupported(MAXIMIZATION_REJECTION)
-    if args.solver == "adversarial" and not isinstance(inst, ExplicitInstance):
-        raise ContractViolation("the adversarial solver needs an explicit instance")
     if args.tau is not None and args.algorithm != "ptas":
         raise ContractViolation("--tau is a ptas flag")
     bounds = compute_bounds(inst)
@@ -287,8 +287,9 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_solution_ids(solutions: Any) -> list[str]:
+def _report_solution_ids(data: Any) -> list[str]:
     """Ids of a report's ``solutions``: a list of objects with string ids."""
+    solutions = data.get("solutions") if isinstance(data, dict) else None
     if not isinstance(solutions, list) or not all(
         isinstance(entry, dict) and isinstance(entry.get("id"), str) for entry in solutions
     ):
@@ -307,7 +308,7 @@ def _solution_ids(args: argparse.Namespace) -> list[str]:
             raise InstanceFormatError("solutions file must be a list of ids or {'ids': [...]}")
     else:
         data = read_json(args.from_report, "report file")
-        ids = _report_solution_ids(data.get("solutions") if isinstance(data, dict) else None)
+        ids = _report_solution_ids(data)
     if not all(isinstance(i, str) for i in ids):
         raise InstanceFormatError("solution ids must be strings")
     return ids
@@ -317,6 +318,14 @@ def _as_explicit(inst, limit: int) -> ExplicitInstance:
     if isinstance(inst, ExplicitInstance):
         return inst
     return enumerate_graph_solutions(inst, limit=limit)
+
+
+def _check_ids(ids: list[str], explicit: ExplicitInstance) -> None:
+    """Refuse the first id that ``explicit`` (for a graph, its enumeration) lacks."""
+    known = set(explicit.ids())
+    for sid in ids:
+        if sid not in known:
+            raise InstanceFormatError(f"solution id {sid!r} is not an id of the instance")
 
 
 def _family_from_args(args: argparse.Namespace, p: int) -> GuaranteeFamily:
@@ -352,7 +361,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     family = _family_from_args(args, inst.p)  # flags refused before enumeration
     ids = _solution_ids(args)
-    report = verify_approximation(ids, _as_explicit(inst, args.limit), family)
+    explicit = _as_explicit(inst, args.limit)
+    _check_ids(ids, explicit)
+    report = verify_approximation(ids, explicit, family)
     _write_output(report_to_json(report), args.out)
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
@@ -549,19 +560,16 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
         raise InstanceFormatError("report file lacks an embedded instance")
     if data.get("p") != 2:
         raise ContractViolation("plot export is biobjective only")
-    solution_ids = _report_solution_ids(data.get("solutions", []))
+    solution_ids = _report_solution_ids(data)
     table = _cell_table(data)
     embedded = instance_from_json(data["instance"])
     if embedded.p != 2:
         raise InstanceFormatError(f"report has p = 2 but its instance has p = {embedded.p}")
     inst = _as_explicit(embedded, args.limit)
-    known = set(inst.ids())
-    for sid in solution_ids + (table[2] if table else []):
-        if sid not in known:
-            raise InstanceFormatError(f"report id {sid!r} is not an id of its instance")
+    _check_ids(solution_ids + (table[2] if table else []), inst)
     output_ids = set(solution_ids)
     pareto = pareto_front(inst)
-    supported_ids = frozenset(support_certificates(inst))
+    supported = support_certificates(inst)
     os.makedirs(args.out_dir, exist_ok=True)
     points_rows = [["id", "f1", "f2", "pareto", "supported", "output"]] + [
         [
@@ -569,7 +577,7 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
             format_rational(s.image[0]),
             format_rational(s.image[1]),
             int(s.id in pareto),
-            int(s.id in supported_ids),
+            int(s.id in supported),
             int(s.id in output_ids),
         ]
         for s in inst.solutions

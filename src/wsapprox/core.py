@@ -174,10 +174,6 @@ class Bounds:
             if not 0 < lo <= hi:
                 raise ContractViolation("bounds require 0 < lower <= upper")
 
-    @classmethod
-    def of(cls, lower: Iterable[RationalLike], upper: Iterable[RationalLike]) -> "Bounds":
-        return cls(tuple(lower), tuple(upper))
-
     @property
     def p(self) -> int:
         return len(self.lower)
@@ -282,17 +278,6 @@ class GuaranteeFamily:
     @classmethod
     def uniform_raw(cls, bound: RationalLike, p: int) -> "GuaranteeFamily":
         return cls(FamilyKind.UNIFORM, p, Fraction(1), as_rational(bound))
-
-
-def dominates(a: ObjectiveVector, b: ObjectiveVector, direction: Direction) -> bool:
-    """True iff ``a`` dominates ``b``: distinct and at least as good everywhere."""
-    if len(a) != len(b):
-        raise ContractViolation("dimension mismatch")
-    if a.values == b.values:
-        return False
-    if direction is Direction.MIN:
-        return all(x <= y for x, y in zip(a, b))
-    return all(x >= y for x, y in zip(a, b))
 
 
 def factor_vector(

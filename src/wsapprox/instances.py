@@ -38,6 +38,11 @@ SCHEMA_VERSION = 5
 
 DEFAULT_LATTICE_DENOMINATOR = 1000
 
+# Most rationals a generator builds: n * p, arcs * p or p * (p + 1).  At it,
+# random-explicit --p 2 --n 150000, the costliest per value, took 4.7 s and
+# 259 MB of peak RSS (2 vCPUs, Python 3.11); both grow linearly past it.
+MAX_GENERATED_VALUES = 3 * 10**5
+
 
 class InstanceFormatError(ValueError):
     """Instance JSON that does not match the schema."""
@@ -48,6 +53,12 @@ def is_utf8_text(text: str) -> bool:
     return text.isascii() or not any("\ud800" <= ch <= "\udfff" for ch in text)
 
 
+def _check_generated_values(values: int) -> None:
+    """Refuse, before any draw, more than ``MAX_GENERATED_VALUES`` rationals."""
+    if values > MAX_GENERATED_VALUES:
+        raise ContractViolation(f"{values} values are over the ceiling of {MAX_GENERATED_VALUES}")
+
+
 def _axis_instance(
     direction: Direction, prefix: str, p: int, big_m: RationalLike, shift: int
 ) -> ExplicitInstance:
@@ -56,6 +67,7 @@ def _axis_instance(
     big_m = as_rational(big_m)
     if p < 2 or big_m <= 1:
         raise ContractViolation("need p >= 2 and M > 1")
+    _check_generated_values(p * (p + 1))
     off = Fraction(1, p)
     axes = (ObjectiveVector(tuple(big_m if i == j else off for i in range(p))) for j in range(p))
     solutions = [Solution(f"{prefix}{j + 1}", image) for j, image in enumerate(axes)]
@@ -109,6 +121,7 @@ def gen_random_explicit(
     high = as_rational(value_high)
     if n < 1 or not 0 < low <= high:
         raise ContractViolation("need n >= 1 and 0 < value_low <= value_high")
+    _check_generated_values(n * p)
     rng = random.Random(seed)
     solutions = tuple(
         Solution(f"s{i + 1}", _lattice_vector(rng, p, low, high, denominator)) for i in range(n)
@@ -135,10 +148,11 @@ def gen_random_graph(
     """
     low = as_rational(cost_low)
     high = as_rational(cost_high)
-    if node_count < 2 or arc_count < node_count - 1:
-        raise ContractViolation("need node_count >= 2 and arc_count >= node_count - 1")
+    if p < 2 or node_count < 2 or arc_count < node_count - 1:
+        raise ContractViolation("need p >= 2, node_count >= 2 and arc_count >= node_count - 1")
     if not 0 < low <= high:
         raise ContractViolation("need 0 < cost_low <= cost_high")
+    _check_generated_values(arc_count * p)
     rng = random.Random(seed)
     pairs: list[tuple[int, int]] = []
     if kind is GraphKind.SHORTEST_PATH:

@@ -248,11 +248,6 @@ def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate
     return {s.id: cert for s in inst.solutions if (cert := by_key.get(keys[s.id])) is not None}
 
 
-def supported_set(inst: ExplicitInstance) -> frozenset[str]:
-    """Ids of all solutions optimal for some strictly positive weight vector."""
-    return frozenset(support_certificates(inst))
-
-
 # ---------------------------------------------------------------------------
 # Approximation verification
 # ---------------------------------------------------------------------------

@@ -108,12 +108,6 @@ class ExplicitInstance:
         if len(set(ids)) != len(ids):
             raise ContractViolation("solution ids must be unique")
 
-    def image_of(self, solution_id: str) -> ObjectiveVector:
-        for s in self.solutions:
-            if s.id == solution_id:
-                return s.image
-        raise ContractViolation(f"unknown solution id {solution_id!r}")
-
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.solutions)
 

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from wsapprox import Direction, ExplicitInstance, ObjectiveVector, Solution, WeightVector
 
-from reference import pairwise_front
+from reference import image_of, pairwise_front
 
 LATTICE = 12  # small denominator keeps downstream exact arithmetic cheap
 
@@ -108,7 +108,7 @@ def with_front_midpoint(draw, instances):
     rare in the plain strategies, become common.
     """
     inst = draw(instances)
-    front = sorted({inst.image_of(i).values for i in pairwise_front(inst)})
+    front = sorted({image_of(inst, i).values for i in pairwise_front(inst)})
     if len(front) < 2 or not draw(st.booleans()):
         return inst
     a, b = draw(st.sampled_from(list(itertools.combinations(front, 2))))

@@ -15,6 +15,10 @@ in ``Fraction`` and without the package's shortcuts:
 - ``enumerate_graph_solutions_by_combinations`` walks every (n - 1)-arc
   subset for spanning trees, testing each with a fresh ``_UnionFind``, and
   sums every path and tree image in ``Fraction`` with ``_vector_sum``;
+- ``image_of`` finds a solution's image by a linear scan, where the
+  verifier looks images up by dict;
+- ``dominates`` decides dominance over ``Fraction`` images, where the
+  package compares cleared-denominator ints in ``oracles._front``;
 - the front and certificate references compare every solution with every
   other one;
 - ``exponent_cap_by_walk`` multiplies by the step one power at a time;
@@ -79,7 +83,6 @@ from wsapprox import (
     VerificationReport,
     WeightVector,
     as_rational,
-    dominates,
     factor_vector,
 )
 from wsapprox.algorithms import CellAssignment, GridRun
@@ -507,6 +510,25 @@ def csv_text_by_writerows(rows) -> str:
 # ---------------------------------------------------------------------------
 
 
+def image_of(inst: ExplicitInstance, solution_id: str) -> ObjectiveVector:
+    """The image of the solution ``solution_id`` of ``inst``."""
+    for s in inst.solutions:
+        if s.id == solution_id:
+            return s.image
+    raise ContractViolation(f"unknown solution id {solution_id!r}")
+
+
+def dominates(a: ObjectiveVector, b: ObjectiveVector, direction: Direction) -> bool:
+    """True iff ``a`` dominates ``b``: distinct and at least as good everywhere."""
+    if len(a) != len(b):
+        raise ContractViolation("dimension mismatch")
+    if a.values == b.values:
+        return False
+    if direction is Direction.MIN:
+        return all(x <= y for x, y in zip(a, b))
+    return all(x >= y for x, y in zip(a, b))
+
+
 def pairwise_front(inst: ExplicitInstance) -> frozenset:
     """Reference Pareto front: every solution against every other one."""
     return frozenset(
@@ -747,7 +769,7 @@ def verify_by_fractions(
         raise ContractViolation(f"solution ids not in instance: {unknown}")
     if family.p != inst.p:
         raise ContractViolation("family dimension differs from instance")
-    candidates = [(i, inst.image_of(i)) for i in ids]
+    candidates = [(i, image_of(inst, i)) for i in ids]
     witnesses: list[Witness] = []
     violations: list[Violation] = []
     for target in inst.solutions:

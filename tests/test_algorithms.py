@@ -117,7 +117,7 @@ class TestGridWeights:
         ]
 
     def test_degenerate_bounds_single_weight(self):
-        bounds = Bounds.of((2, 3), (2, 3))
+        bounds = Bounds((2, 3), (2, 3))
         weights = [entry.weight for entry in plan_grid(bounds, 1, 1).entries]
         assert len(weights) == 1
         assert weights[0].values == (F(1, 2), F(1, 3))
@@ -129,7 +129,7 @@ class TestGridWeights:
     )
     @settings(max_examples=60, deadline=None)
     def test_p2_count_is_ladder_length(self, span1, span2, epsilon):
-        bounds = Bounds.of((1, 1), (1 + F(span1, 5), 1 + F(span2, 5)))
+        bounds = Bounds((1, 1), (1 + F(span1, 5), 1 + F(span2, 5)))
         plan = plan_grid(bounds, epsilon, 1)
         assert len(plan.entries) == plan.u[0] + plan.u[1] + 1
 
@@ -140,7 +140,7 @@ class TestGridWeights:
     )
     @settings(max_examples=60, deadline=None)
     def test_weights_invert_their_corners(self, spans, epsilon, sigma):
-        bounds = Bounds.of([F(1, 3)] * len(spans), [F(1, 3) + F(s, 7) for s in spans])
+        bounds = Bounds([F(1, 3)] * len(spans), [F(1, 3) + F(s, 7) for s in spans])
         plan = plan_grid(bounds, epsilon, sigma)
         for entry in plan.entries:
             assert entry.weight.values == tuple(
@@ -153,7 +153,7 @@ class TestGridWeights:
         assert len(plan.entries) == expected_grid_calls(plan.u)
 
     def test_parameter_validation(self):
-        bounds = Bounds.of((1, 1), (2, 2))
+        bounds = Bounds((1, 1), (2, 2))
         with pytest.raises(ContractViolation):
             plan_grid(bounds, 0, 1)
         with pytest.raises(ContractViolation):
@@ -164,7 +164,7 @@ class TestGridWeights:
 
     def test_oversized_grid_refused(self):
         # p = 4 on [1, 1000] at eps = 1/3: u_j = 86, about 2.6e6 weights.
-        bounds = Bounds.of((1, 1, 1, 1), (1000, 1000, 1000, 1000))
+        bounds = Bounds((1, 1, 1, 1), (1000, 1000, 1000, 1000))
         with pytest.raises(ContractViolation, match="exceeds the limit"):
             plan_grid(bounds, F(1, 3), 1)
 
@@ -174,7 +174,7 @@ class TestGridWeights:
             raise AssertionError("exponent_cap reached")
 
         monkeypatch.setattr(algorithms, "exponent_cap", no_cap)
-        bounds = Bounds.of((1, 1), (1000, 1000))
+        bounds = Bounds((1, 1), (1000, 1000))
         with pytest.raises(ContractViolation, match="digits"):
             plan_grid(bounds, F(1, 300), 1)
         with pytest.raises(ContractViolation, match="digits"):
@@ -197,7 +197,7 @@ class TestGridWeights:
         # the estimate admits the ladder, but the exact caps are (5, 5), whose
         # u1 + u2 + 1 = 11 rungs are the p = 2 grid's 11 weights.
         monkeypatch.setattr(algorithms, "MAX_GRID_CALLS", 10)
-        bounds = Bounds.of((1, 1), (F(3, 2) ** 5, F(3, 2) ** 5))
+        bounds = Bounds((1, 1), (F(3, 2) ** 5, F(3, 2) ** 5))
         solver = exact_solver(three_points)
         with pytest.raises(ContractViolation, match="grid of 11 weights exceeds the limit of 10"):
             approximate_biobjective(solver, bounds, 1)

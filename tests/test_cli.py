@@ -28,6 +28,7 @@ from wsapprox import (
 from wsapprox.cli import main
 from wsapprox.core import format_rational
 from wsapprox.instances import (
+    MAX_GENERATED_VALUES,
     canonical_dumps,
     gen_random_explicit,
     instance_to_json,
@@ -434,7 +435,7 @@ class TestRefusedFlagsAndInputs:
                 ["approximate", "--instance", "{graph}", "--epsilon", "1", "--algorithm",
                  "grid", "--solver", "adversarial", "--sigma", "3/2"],
                 2,
-                "the adversarial solver needs an explicit instance",
+                "adversarial backend requires an explicit instance",
             ),
             (APPROXIMATE_ARGV + ["bisect", "--solver", "adversarial"], 2, "bisect requires"),
             (APPROXIMATE_ARGV + ["bisect", "--cells"], 2, "--cells is a grid report feature"),
@@ -466,6 +467,17 @@ class TestRefusedFlagsAndInputs:
                 VERIFY_ARGV + ["{int_ids}", "--family", "multifactor", "--epsilon", "1"],
                 3,
                 "solution ids must be strings",
+            ),
+            (
+                VERIFY_ARGV + ["{foreign_ids}", "--family", "multifactor", "--epsilon", "1"],
+                3,
+                "solution id 'nope' is not an id of the instance",
+            ),
+            (
+                ["verify", "--instance", "{inst}", "--from-report", "{foreign_report}",
+                 "--family", "multifactor", "--epsilon", "1"],
+                3,
+                "solution id 'nope' is not an id of the instance",
             ),
             (
                 VERIFY_ARGV + ["{ids}", "--family", "disjunctive", "--sum-bound", "3"],
@@ -513,6 +525,22 @@ class TestRefusedFlagsAndInputs:
                 3,
                 "report file lacks an embedded instance",
             ),
+            (
+                ["export-plot", "--from-report", "{no_solutions}", "--out-dir", "{plots}"],
+                3,
+                "report 'solutions' must be a list of objects with string ids",
+            ),
+            (
+                ["generate", "random-explicit", "--p", "2", "--n", "2", "--low", "1", "--high",
+                 "9", "--seed", "1", "--out", ""],
+                2,
+                "--out is empty",
+            ),
+            (
+                ["generate", "tightness-min", "--p", "548", "--M", "4"],
+                2,
+                "300852 values are over the ceiling of 300000",
+            ),
         ],
         ids=[
             "adversarial-on-graph",
@@ -527,6 +555,8 @@ class TestRefusedFlagsAndInputs:
             "bisect-tau",
             "solutions-object-without-ids",
             "non-string-ids",
+            "verify-foreign-solutions-id",
+            "verify-foreign-report-id",
             "disjunctive-without-epsilon",
             "disjunctive-sigma-3/2",
             "disjunctive-sigma-100",
@@ -536,6 +566,9 @@ class TestRefusedFlagsAndInputs:
             "uniform-sum-bound-sigma-100",
             "max-impossibility-on-graph",
             "export-plot-without-instance",
+            "export-plot-without-solutions",
+            "empty-out",
+            "generate-over-the-ceiling",
         ],
     )
     def test_refusal(self, tmp_path, three_points_file, capsys, argv, code, message):
@@ -546,6 +579,9 @@ class TestRefusedFlagsAndInputs:
             "no_ids": tmp_path / "no-ids.json",
             "int_ids": tmp_path / "int-ids.json",
             "no_instance": tmp_path / "no-instance.json",
+            "foreign_ids": tmp_path / "foreign-ids.json",
+            "foreign_report": tmp_path / "foreign-report.json",
+            "no_solutions": tmp_path / "no-solutions.json",
             "plots": tmp_path / "plots",
         }
         main(["generate", "random-graph", "--nodes", "5", "--arcs", "8", "--p", "2", "--low",
@@ -555,14 +591,21 @@ class TestRefusedFlagsAndInputs:
         files["no_ids"].write_text('{"solutions": ["a"]}')
         files["int_ids"].write_text("[1, 2]")
         files["no_instance"].write_text(json.dumps({"p": 2, "solutions": REPORT["solutions"]}))
+        files["foreign_ids"].write_text('["a", "nope"]')
+        files["foreign_report"].write_text(json.dumps({"solutions": [{"id": "a"}, {"id": "nope"}]}))
+        files["no_solutions"].write_text(
+            json.dumps({k: v for k, v in REPORT.items() if k != "solutions"})
+        )
         out = tmp_path / "out.json"
         argv = [arg.format(**files) for arg in argv]
-        if argv[0] != "export-plot":
+        if argv[0] != "export-plot" and "--out" not in argv:
             argv += ["--out", str(out)]
         capsys.readouterr()
         assert main(argv) == code
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert captured.out == ""
         assert not out.exists() and not files["plots"].exists()
 
     @pytest.mark.parametrize("limit", ["0", "-5"])
@@ -1394,7 +1437,7 @@ class TestExportPlot:
         assert self.export(tmp_path, report) == 3
         unknown = "nope" if field == "solutions" else "ghost"
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: report id {unknown!r} is not an id of its instance"]
+        assert err == [f"error: solution id {unknown!r} is not an id of the instance"]
         assert not (tmp_path / "plots").exists()
 
     def test_id_not_in_the_graph_enumeration_exits_3(self, tmp_path, capsys):
@@ -1406,7 +1449,7 @@ class TestExportPlot:
         report["weights"][-1]["answer"]["id"] = "path:99"
         assert self.export(tmp_path, report) == 3
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: report id 'path:99' is not an id of its instance"]
+        assert err == ["error: solution id 'path:99' is not an id of the instance"]
 
     def test_rejects_p3_reports(self, tmp_path):
         inst = tmp_path / "p3.json"
@@ -1558,6 +1601,8 @@ class TestReadme:
 # a lone surrogate, which JSON can hold and UTF-8 cannot.
 FUZZ_LEAVES = [0, -1, 1.5, "1/0", "1e400", 10**400, 2**63, True, False, "", "\ud800", [], {}]
 FUZZ_FLAGS = [json.dumps(v) if not isinstance(v, str) else v for v in FUZZ_LEAVES]
+# Generator sizes: each is small, or past the ceiling on generated values.
+FUZZ_SIZES = ["-1", "0", "1", "2", "3", str(MAX_GENERATED_VALUES + 1)]
 SHORT_PATHS = {
     "kind": "shortest-path",
     "direction": "min",
@@ -1621,18 +1666,22 @@ def mutated(draw, payload):
 def fuzz_cases(draw, valid):
     """(files, argv, outputs, command): a command with valid flags, or with
     one flag drawn from the fuzz values, whose input files are valid but the
-    one of them drawn to be mutated."""
+    one of them drawn to be mutated; ``generate`` reads no file and draws
+    its sizes from ``FUZZ_SIZES``."""
     values = {
         "--epsilon": draw(st.sampled_from(["1", "1/2"])),
         "--sigma": draw(st.sampled_from(["1", "3/2"])),
         "--tau": "1/2",
         "--limit": "10000",
+        "--high": "9",
     }
     fuzzed = draw(st.sampled_from([None, *values]))
     if fuzzed:
         values[fuzzed] = draw(st.sampled_from(FUZZ_FLAGS))
     instance = draw(st.sampled_from(["inst.json", "graph.json"]))
-    command = draw(st.sampled_from(["approximate", "verify", "oracle", "export-plot"]))
+    command = draw(
+        st.sampled_from(["approximate", "verify", "oracle", "export-plot", "generate"])
+    )
     if command == "approximate":
         algorithm = draw(st.sampled_from(["grid", "bisect", "ptas"]))
         solver = draw(st.sampled_from(["exact", "adversarial"]))
@@ -1651,20 +1700,37 @@ def fuzz_cases(draw, valid):
     elif command == "oracle":
         what = draw(st.sampled_from(["pareto", "supported", "max-impossibility"]))
         argv = ["oracle", "--instance", instance, "--what", what, "--limit", values["--limit"]]
-    else:
+    elif command == "export-plot":
         argv = ["export-plot", "--from-report", "report.json", "--limit", values["--limit"]]
+    else:
+        sizes = st.sampled_from(FUZZ_SIZES)
+        generator = draw(st.sampled_from(["tightness-min", "max-counterexample",
+                                          "random-explicit", "random-graph"]))
+        argv = ["generate", generator, "--p", draw(sizes)]
+        if generator in ("tightness-min", "max-counterexample"):
+            argv += ["--M", values["--high"]]
+        else:
+            argv += ["--low", "1", "--high", values["--high"], "--seed", "1"]
+        if generator == "random-explicit":
+            argv += ["--n", draw(sizes)]
+        elif generator == "random-graph":
+            argv += ["--nodes", draw(sizes), "--arcs", draw(sizes),
+                     "--kind", draw(st.sampled_from(["shortest-path", "spanning-tree"]))]
     files = dict(valid)
-    target = draw(st.sampled_from([a for a in argv if a in files]))
-    files[target] = draw(mutated(files[target]))
+    inputs = [a for a in argv if a in files]
+    if inputs:
+        target = draw(st.sampled_from(inputs))
+        files[target] = draw(mutated(files[target]))
     if command == "export-plot":
         return files, argv + ["--out-dir", "plots"], ["plots"], command
     return files, argv + ["--out", "out.json"], ["out.json"], command
 
 
 class TestExitCodeFuzz:
-    """Mutated instance, solution-list and report files under drawn flags
-    keep the exit-code contract: a code in 0-5, exactly one ``error:`` line
-    on failure, exit 1 only from ``verify``, and no output on a refusal."""
+    """Mutated instance, solution-list and report files under drawn flags,
+    and ``generate`` under drawn sizes, keep the exit-code contract: a code
+    in 0-5, exactly one ``error:`` line on failure, exit 1 only from
+    ``verify``, and no output on a refusal."""
 
     @pytest.fixture(scope="class")
     def valid(self, tmp_path_factory):

@@ -20,7 +20,6 @@ from wsapprox import (
     WeightVector,
     approximates,
     as_rational,
-    dominates,
     factor_vector,
     format_rational,
     parse_rational,
@@ -31,6 +30,7 @@ from conftest import biobjective_instances, objective_vectors, rationals, with_f
 from reference import (
     covers,
     covers_disjunctive,
+    dominates,
     factor_le,
     family_contains,
     multi_factor_witness,
@@ -390,10 +390,10 @@ class TestVectorCoercion:
 REFUSALS = [
     pytest.param(lambda: as_rational([1]), ContractViolation, "cannot interpret", id="non-rational"),
     pytest.param(
-        lambda: Bounds.of((1, 1), (2,)), ContractViolation, "differ in dimension", id="bounds-dims"
+        lambda: Bounds((1, 1), (2,)), ContractViolation, "differ in dimension", id="bounds-dims"
     ),
     pytest.param(
-        lambda: Bounds.of((2, 1), (1, 1)), ContractViolation, "0 < lower <= upper", id="bounds-order"
+        lambda: Bounds((2, 1), (1, 1)), ContractViolation, "0 < lower <= upper", id="bounds-order"
     ),
     pytest.param(
         lambda: ov(1),

@@ -24,7 +24,7 @@ from wsapprox import (
 )
 from wsapprox.instances import canonical_dumps
 
-from reference import canonical_dumps_by_json
+from reference import canonical_dumps_by_json, image_of
 
 
 class TestTightnessMin:
@@ -40,16 +40,16 @@ class TestTightnessMin:
 
     def test_p3_m10(self):
         inst = gen_tightness_min(3, 10)
-        assert inst.image_of("y1").values == (Fraction(10), Fraction(1, 3), Fraction(1, 3))
-        assert inst.image_of("ytilde").values == (Fraction(11, 3),) * 3
+        assert image_of(inst, "y1").values == (Fraction(10), Fraction(1, 3), Fraction(1, 3))
+        assert image_of(inst, "ytilde").values == (Fraction(11, 3),) * 3
 
     def test_peak_ratio_exceeds_deficit_bound(self):
         # p * M / (M+1) > p - eps exactly when M > p/eps - 1
         for p, eps in ((2, Fraction(1, 2)), (3, Fraction(1))):
             m = Fraction(p, eps) - 1 + Fraction(1, 7)
             inst = gen_tightness_min(p, m)
-            peak = inst.image_of("y1")[0]
-            center = inst.image_of("ytilde")[0]
+            peak = image_of(inst, "y1")[0]
+            center = image_of(inst, "ytilde")[0]
             assert peak / center > p - eps
 
     def test_parameter_validation(self):
@@ -63,8 +63,8 @@ class TestMaxCounterexample:
     def test_p2_shape(self):
         inst = gen_max_counterexample(2, 100)
         assert inst.direction is Direction.MAX
-        assert inst.image_of("x1").values == (Fraction(100), Fraction(1, 2))
-        assert inst.image_of("xtilde").values == (Fraction(50), Fraction(50))
+        assert image_of(inst, "x1").values == (Fraction(100), Fraction(1, 2))
+        assert image_of(inst, "xtilde").values == (Fraction(50), Fraction(50))
 
     def test_p2_m2_instantiation(self):
         inst = gen_max_counterexample(2, 2)
@@ -77,9 +77,9 @@ class TestMaxCounterexample:
     @pytest.mark.parametrize("p,m", [(2, 5), (3, 9), (4, 100)])
     def test_component_ratio_is_exactly_m(self, p, m):
         inst = gen_max_counterexample(p, m)
-        center = inst.image_of("xtilde")
+        center = image_of(inst, "xtilde")
         for ell in range(p):
-            axis = inst.image_of(f"x{ell + 1}")
+            axis = image_of(inst, f"x{ell + 1}")
             for j in range(p):
                 if j != ell:
                     assert center[j] / axis[j] == m

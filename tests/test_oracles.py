@@ -22,7 +22,6 @@ from wsapprox import (
     gen_tightness_min,
     pareto_front,
     support_certificates,
-    supported_set,
     verify_approximation,
     verify_max_impossibility,
 )
@@ -39,6 +38,7 @@ from conftest import (
 )
 from reference import (
     front_certificates_by_fractions,
+    image_of,
     on_front,
     pairwise_front,
     simplex_max_by_fractions,
@@ -250,16 +250,16 @@ class TestParetoFront:
 
 class TestSupportedSet:
     def test_three_points_all_supported(self, three_points):
-        assert supported_set(three_points) == {"a", "b", "c"}
+        assert set(support_certificates(three_points)) == {"a", "b", "c"}
 
     def test_tightness_center_unsupported(self):
-        assert supported_set(gen_tightness_min(2, 4)) == {"y1", "y2"}
-        assert supported_set(gen_tightness_min(3, 6)) == {"y1", "y2", "y3"}
+        assert set(support_certificates(gen_tightness_min(2, 4))) == {"y1", "y2"}
+        assert set(support_certificates(gen_tightness_min(3, 6))) == {"y1", "y2", "y3"}
 
     def test_max_counterexample_axis_points_supported(self):
         for m in (2, 100):
-            assert supported_set(gen_max_counterexample(2, m)) == {"x1", "x2"}
-        assert supported_set(gen_max_counterexample(3, 9)) == {"x1", "x2", "x3"}
+            assert set(support_certificates(gen_max_counterexample(2, m))) == {"x1", "x2"}
+        assert set(support_certificates(gen_max_counterexample(3, 9))) == {"x1", "x2", "x3"}
 
     def test_weakly_supported_midpoint_flagged(self):
         inst = explicit(MIN, ("a", (1, 3)), ("b", (2, 2)), ("c", (3, 1)))
@@ -282,7 +282,7 @@ class TestSupportedSet:
 
     def test_duplicate_images_share_support(self):
         inst = explicit(MIN, ("a", (1, 2)), ("b", (1, 2)), ("c", (4, 4)))
-        assert supported_set(inst) == {"a", "b"}
+        assert set(support_certificates(inst)) == {"a", "b"}
 
     def test_witness_weights_at_least_one(self):
         for cert in support_certificates(gen_tightness_min(3, 6)).values():
@@ -343,7 +343,7 @@ class TestSupportedSet:
     @settings(max_examples=60, deadline=None)
     def test_supported_subset_of_pareto(self, inst, direction):
         inst = ExplicitInstance(direction, inst.p, inst.solutions)
-        assert supported_set(inst) <= pareto_front(inst)
+        assert set(support_certificates(inst)) <= pareto_front(inst)
 
     @given(with_front_midpoint(any_instances))
     @settings(max_examples=150, deadline=None)
@@ -412,7 +412,7 @@ class TestSupportedSet:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracles, "_support_certificate_lp", record)
             support_certificates(inst)
-        front = {inst.image_of(i).values for i in pairwise_front(inst)}
+        front = {image_of(inst, i).values for i in pairwise_front(inst)}
         assert sorted(image for image, _ in calls) == sorted(front)
         for image, competitors in calls:
             assert sorted(competitors) == sorted(front - {image})
@@ -421,7 +421,7 @@ class TestSupportedSet:
     @settings(max_examples=150, deadline=None)
     def test_witness_weight_reproduces_optimum(self, inst):
         for sid, cert in support_certificates(inst).items():
-            image = inst.image_of(sid)
+            image = image_of(inst, sid)
             value = cert.weight.scalarize(image)
             assert all(w >= 1 for w in cert.weight)
             assert solve_explicit_exact(inst, cert.weight).scalar == value
@@ -437,11 +437,11 @@ class TestSupportedSet:
         for sid, cert in certs.items():
             if cert.weak:
                 continue
-            value = cert.weight.scalarize(inst.image_of(sid))
+            value = cert.weight.scalarize(image_of(inst, sid))
             others = [
                 cert.weight.scalarize(s.image)
                 for s in inst.solutions
-                if s.image.values != inst.image_of(sid).values
+                if s.image.values != image_of(inst, sid).values
             ]
             assert all(value < o for o in others)
 
@@ -450,7 +450,7 @@ class TestVerifyApproximation:
     def test_supported_set_fails_deficit_bound(self):
         inst = gen_tightness_min(2, 4)
         family = GuaranteeFamily.multi_factor_raw(1, F(3, 2), 2)
-        report = verify_approximation(supported_set(inst), inst, family)
+        report = verify_approximation(support_certificates(inst), inst, family)
         assert not report.ok
         assert [v.target_id for v in report.violations] == ["ytilde"]
         violation = report.violations[0]
@@ -552,7 +552,7 @@ class TestVerifyApproximation:
         m = F(p, 1) / eps  # m > p/eps - 1
         inst = gen_tightness_min(p, m)
         report = verify_approximation(
-            supported_set(inst), inst, GuaranteeFamily.uniform_raw(p - eps, p)
+            support_certificates(inst), inst, GuaranteeFamily.uniform_raw(p - eps, p)
         )
         assert not report.ok
 
@@ -567,7 +567,7 @@ class TestMaxImpossibility:
         from wsapprox import factor_vector
 
         inst = gen_max_counterexample(2, 100)
-        beta = factor_vector(inst.image_of("x1"), inst.image_of("xtilde"), MAX)
+        beta = factor_vector(image_of(inst, "x1"), image_of(inst, "xtilde"), MAX)
         assert F(100) in beta.values
 
     def test_malformed_instances_rejected(self, three_points):

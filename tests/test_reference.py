@@ -1,8 +1,9 @@
 """The references in ``tests/reference.py`` stay out of the package.
 
-Each name below once shipped in ``wsapprox`` although only tests called it.
-The package keeps one implementation of each job; a second, slow one
-belongs next to the tests that compare against it.
+Each name below once shipped in ``wsapprox`` although no package code
+called it.  The package keeps one implementation of each job: a second,
+slow one belongs next to the tests that compare against it, and a wrapper
+whose callers can call what it wraps is deleted.
 """
 
 import pytest
@@ -19,12 +20,16 @@ MOVED = [
     (solvers, "_vector_sum"),
     (core, "multi_factor_witness"),
     (core, "covers"),
+    (core, "dominates"),
     (core.GuaranteeFamily, "contains"),
     (core.GuaranteeFamily, "disjunctive_biobjective"),
     (core.FactorVector, "le"),
     (core.Bounds, "contains"),
+    (core.Bounds, "of"),
+    (solvers.ExplicitInstance, "image_of"),
     (algorithms, "ptas_family"),
     (oracles, "_support_certificate_biobjective"),
+    (oracles, "supported_set"),
 ]
 
 

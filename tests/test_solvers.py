@@ -26,7 +26,6 @@ from wsapprox import (
     adversarial_solver,
     approximate_grid,
     compute_bounds,
-    dominates,
     enumerate_graph_solutions,
     exact_solver,
     gen_random_explicit,
@@ -38,6 +37,7 @@ from conftest import explicit_instances, objective_vectors, rationals, weight_ve
 from reference import (
     _UnionFind,
     bounds_contain,
+    dominates,
     enumerate_graph_solutions_by_combinations,
     never_chosen_by_union_find,
     reference_solver,
@@ -855,12 +855,6 @@ REFUSALS = [
         ContractViolation,
         "image dimension differs",
         id="explicit-image-dims",
-    ),
-    pytest.param(
-        lambda: explicit(MIN, ("a", (1, 2))).image_of("b"),
-        ContractViolation,
-        "unknown solution id 'b'",
-        id="unknown-id",
     ),
     pytest.param(
         lambda: path_graph(node_count=1, source=0, target=0),
