@@ -24,7 +24,6 @@ from .core import (
 from .solvers import (
     Arc,
     DisconnectedGraph,
-    EnumerationLimit,
     ExplicitInstance,
     GraphInstance,
     GraphKind,
@@ -34,7 +33,6 @@ from .solvers import (
     UnreachableTarget,
     adversarial_solver,
     compute_bounds,
-    enumerate_graph_solutions,
     exact_solver,
 )
 from .instances import (
@@ -54,8 +52,10 @@ from .algorithms import (
     approximate_with_ptas,
 )
 from .oracles import (
+    EnumerationLimit,
     SupportCertificate,
     VerificationReport,
+    enumerate_graph_solutions,
     pareto_front,
     support_certificates,
     verify_approximation,

@@ -69,20 +69,20 @@ from .instances import (
     read_json,
 )
 from .oracles import (
+    EnumerationLimit,
     VerificationReport,
+    enumerate_graph_solutions,
     pareto_front,
     support_certificates,
     verify_approximation,
     verify_max_impossibility,
 )
 from .solvers import (
-    EnumerationLimit,
     ExplicitInstance,
     GraphKind,
     SolveAnswer,
     adversarial_solver,
     compute_bounds,
-    enumerate_graph_solutions,
     exact_solver,
 )
 
@@ -314,10 +314,11 @@ def _solution_ids(args: argparse.Namespace) -> list[str]:
     return ids
 
 
-def _as_explicit(inst, limit: int) -> ExplicitInstance:
+def _as_explicit(inst, limit: int, named: Optional[list[str]] = None) -> ExplicitInstance:
+    """``inst``, or the graph's enumeration (``enumerate_graph_solutions``)."""
     if isinstance(inst, ExplicitInstance):
         return inst
-    return enumerate_graph_solutions(inst, limit=limit)
+    return enumerate_graph_solutions(inst, limit=limit, named=named)
 
 
 def _check_ids(ids: list[str], explicit: ExplicitInstance) -> None:
@@ -361,7 +362,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     family = _family_from_args(args, inst.p)  # flags refused before enumeration
     ids = _solution_ids(args)
-    explicit = _as_explicit(inst, args.limit)
+    explicit = _as_explicit(inst, args.limit, ids)
     _check_ids(ids, explicit)
     report = verify_approximation(ids, explicit, family)
     _write_output(report_to_json(report), args.out)
@@ -380,16 +381,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise ContractViolation("max-impossibility expects an explicit instance")
         payload["ok"] = verify_max_impossibility(inst)
     else:
-        explicit = _as_explicit(inst, args.limit)
+        explicit = _as_explicit(inst, args.limit, [])
         if args.what == "pareto":
             payload["ids"] = sorted(pareto_front(explicit))
         else:
             certs = support_certificates(explicit)
             payload["ids"] = sorted(certs)
             payload["weak"] = sorted(i for i, c in certs.items() if c.weak)
-            payload["witnesses"] = {
-                i: format_rationals(c.weight) for i, c in sorted(certs.items())
-            }
+            payload["witnesses"] = {i: format_rationals(certs[i].weight) for i in payload["ids"]}
     _write_output(payload, args.out)
     return EXIT_OK
 
@@ -401,22 +400,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         inst = gen_max_counterexample(args.p, args.M)
     elif args.generator == "random-explicit":
         inst = gen_random_explicit(
-            args.p,
-            args.n,
-            args.low,
-            args.high,
-            args.seed,
-            direction=Direction(args.direction),
+            args.p, args.n, args.low, args.high, args.seed, direction=Direction(args.direction)
         )
     else:
         inst = gen_random_graph(
-            args.nodes,
-            args.arcs,
-            args.p,
-            args.low,
-            args.high,
-            args.seed,
-            GraphKind(args.kind),
+            args.nodes, args.arcs, args.p, args.low, args.high, args.seed, GraphKind(args.kind)
         )
     _write_output(instance_to_json(inst), args.out)
     return EXIT_OK
@@ -649,32 +637,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = sub.add_parser("generate", help="write an instance file")
     gen_sub = generate.add_subparsers(dest="generator", required=True)
-    tight = gen_sub.add_parser("tightness-min")
-    tight.add_argument("--p", type=int, required=True)
-    tight.add_argument("--M", type=_rational_flag, required=True)
-    maxc = gen_sub.add_parser("max-counterexample")
-    maxc.add_argument("--p", type=int, required=True)
-    maxc.add_argument("--M", type=_rational_flag, required=True)
-    randex = gen_sub.add_parser("random-explicit")
-    randex.add_argument("--p", type=int, required=True)
-    randex.add_argument("--n", type=int, required=True)
-    randex.add_argument("--low", type=_rational_flag, required=True)
-    randex.add_argument("--high", type=_rational_flag, required=True)
-    randex.add_argument("--seed", type=int, required=True)
-    randex.add_argument("--direction", choices=["min", "max"], default="min")
-    randgr = gen_sub.add_parser("random-graph")
-    randgr.add_argument("--nodes", type=int, required=True)
-    randgr.add_argument("--arcs", type=int, required=True)
-    randgr.add_argument("--p", type=int, required=True)
-    randgr.add_argument("--low", type=_rational_flag, required=True)
-    randgr.add_argument("--high", type=_rational_flag, required=True)
-    randgr.add_argument("--seed", type=int, required=True)
-    randgr.add_argument(
-        "--kind", choices=["shortest-path", "spanning-tree"], required=True
-    )
-    for sub_parser in (tight, maxc, randex, randgr):
-        sub_parser.add_argument("--out", default=None)
-        sub_parser.set_defaults(func=cmd_generate)
+    integer, rational = {"type": int, "required": True}, {"type": _rational_flag, "required": True}
+    options = {
+        "--M": rational,
+        "--low": rational,
+        "--high": rational,
+        "--direction": {"choices": ["min", "max"], "default": "min"},
+        "--kind": {"choices": ["shortest-path", "spanning-tree"], "required": True},
+        "--out": {"default": None},
+    }
+    for generator, flags in (
+        ("tightness-min", ["--p", "--M"]),
+        ("max-counterexample", ["--p", "--M"]),
+        ("random-explicit", ["--p", "--n", "--low", "--high", "--seed", "--direction"]),
+        ("random-graph", ["--nodes", "--arcs", "--p", "--low", "--high", "--seed", "--kind"]),
+    ):
+        generator_parser = gen_sub.add_parser(generator)
+        for flag in flags + ["--out"]:
+            generator_parser.add_argument(flag, **options.get(flag, integer))
+        generator_parser.set_defaults(func=cmd_generate)
 
     plot = sub.add_parser("export-plot", help="export CSV plot data from a report")
     plot.add_argument("--from-report", dest="from_report", required=True)

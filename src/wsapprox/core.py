@@ -48,15 +48,19 @@ def check_rational_literal(text: str) -> str:
     """The stripped ``text`` if it is a literal that ``Fraction`` parses.
 
     The literal is ``"7"`` or ``"num/den"`` with a positive denominator,
-    and each digit run (sign excluded, leading zeros counted) is within
-    ``sys.get_int_max_str_digits()``, as ``int()`` requires.  Anything else
-    raises ContractViolation; no int is built.
+    its digits from any script, and each digit run (sign excluded, leading
+    zeros counted) is within ``sys.get_int_max_str_digits()``, as ``int()``
+    requires.  Anything else raises ContractViolation; no int of more than
+    one digit is built.
     """
     value = text.strip() if isinstance(text, str) else None
     if value is None or not _RATIONAL_RE.match(value):
         raise ContractViolation(f"not a rational literal: {text!r}")
     numerator, _, denominator = value.lstrip("+-").partition("/")
-    if denominator and denominator.lstrip("0") == "":
+    # ``int`` reads decimal digits of any script, so zero can be spelt in
+    # any; an ASCII digit left after the leading "0"s settles it at once.
+    rest = denominator.lstrip("0")
+    if denominator and not (rest and rest.isascii()) and not any(map(int, rest)):
         raise ContractViolation(f"zero denominator: {text!r}")
     limit = sys.get_int_max_str_digits()  # 0: no limit
     for run in (numerator, denominator):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Any
@@ -53,10 +54,14 @@ def is_utf8_text(text: str) -> bool:
     return text.isascii() or not any("\ud800" <= ch <= "\udfff" for ch in text)
 
 
-def _check_generated_values(values: int) -> None:
-    """Refuse, before any draw, more than ``MAX_GENERATED_VALUES`` rationals."""
+def _check_generated(values: int, *ints: int) -> None:
+    """Refuse, before any draw, more than ``MAX_GENERATED_VALUES`` rationals, or
+    ``ints``, the largest the instance prints, past ``sys.get_int_max_str_digits()``."""
     if values > MAX_GENERATED_VALUES:
         raise ContractViolation(f"{values} values are over the ceiling of {MAX_GENERATED_VALUES}")
+    limit = sys.get_int_max_str_digits()  # 0: no limit; 10**limit > 2**(3 * limit)
+    if limit and (big := max(map(abs, ints))).bit_length() > 3 * limit and big >= 10**limit:
+        raise ContractViolation(f"the instance would print a value of more than {limit} digits")
 
 
 def _axis_instance(
@@ -67,11 +72,12 @@ def _axis_instance(
     big_m = as_rational(big_m)
     if p < 2 or big_m <= 1:
         raise ContractViolation("need p >= 2 and M > 1")
-    _check_generated_values(p * (p + 1))
+    center = (big_m + shift) / p
+    _check_generated(p * (p + 1), *big_m.as_integer_ratio(), *center.as_integer_ratio())
     off = Fraction(1, p)
     axes = (ObjectiveVector(tuple(big_m if i == j else off for i in range(p))) for j in range(p))
     solutions = [Solution(f"{prefix}{j + 1}", image) for j, image in enumerate(axes)]
-    solutions.append(Solution(f"{prefix}tilde", ObjectiveVector(((big_m + shift) / p,) * p)))
+    solutions.append(Solution(f"{prefix}tilde", ObjectiveVector((center,) * p)))
     return ExplicitInstance(direction, p, tuple(solutions))
 
 
@@ -121,7 +127,7 @@ def gen_random_explicit(
     high = as_rational(value_high)
     if n < 1 or not 0 < low <= high:
         raise ContractViolation("need n >= 1 and 0 < value_low <= value_high")
-    _check_generated_values(n * p)
+    _check_generated(n * p, math.floor(high * denominator))
     rng = random.Random(seed)
     solutions = tuple(
         Solution(f"s{i + 1}", _lattice_vector(rng, p, low, high, denominator)) for i in range(n)
@@ -152,7 +158,7 @@ def gen_random_graph(
         raise ContractViolation("need p >= 2, node_count >= 2 and arc_count >= node_count - 1")
     if not 0 < low <= high:
         raise ContractViolation("need 0 < cost_low <= cost_high")
-    _check_generated_values(arc_count * p)
+    _check_generated(arc_count * p, math.floor(high * denominator))
     rng = random.Random(seed)
     pairs: list[tuple[int, int]] = []
     if kind is GraphKind.SHORTEST_PATH:

@@ -1,29 +1,32 @@
 """Ground-truth machinery: Pareto front, supported solutions, verifiers.
 
-Everything here is brute force on purpose.  Every image is first cleared
-of denominators, objective by objective, into Python ints in which smaller
-is better (a MAX instance from its reciprocal images, whose MIN factors are
-the MAX factors).  The Pareto front is a sort-filter scan of those ints:
-sorted ascending, every dominator of an image comes before it, so each
-image is compared only with the front found so far.  Supportedness is
-decided exactly, for every p, by a small origin-feasible LP solved by a
-one-phase simplex, and only where it can matter: a strictly dominated image
-is never optimal for a weight w > 0, and a dominated competitor's
-constraint follows from the constraint of the front point that dominates
-it, so only distinct front images are certified, each against the other
-distinct front images.  The front images are cleared once per instance by
-the lcm of all their denominators, so every LP row is a rational row times
-one positive constant, and the simplex pivots fraction-free in Python ints
-on lrs's compact dictionary.  A positive row scaling changes no sign and no
-ratio, so Bland's rule makes the same pivots as on the rational tableau and
-reaches the same vertex, read as ints, and witness weight.
-Approximation guarantees are checked target by target against the Pareto
-front, which decides the whole feasible set because every family is
-down-closed; ranking and coverage are exact int comparisons on the cleared
-images, and one Fraction factor vector is built per target, for the
-candidate that the report names.  These oracles are the independent side
-of every guarantee test, so none of them share code with the approximation
-algorithms.
+Everything here is brute force on purpose.  A graph becomes an explicit
+instance by enumerating its simple paths or spanning trees in ints, and
+``verify`` and ``oracle`` build Fraction images only for the front and the
+ids they name; the tests check it against an enumeration in Fractions.
+Every image is cleared of denominators, objective by objective, into Python
+ints in which smaller is better (a MAX instance from its reciprocal images,
+whose MIN factors are the MAX factors).  The Pareto front is a sort-filter
+scan of those ints: sorted ascending, every dominator of an image comes
+before it, so each image is compared only with the front found so far.
+Supportedness is decided exactly, for every p, by a small origin-feasible
+LP solved by a one-phase simplex, and only where it can matter: a strictly
+dominated image is never optimal for a weight w > 0, and a dominated
+competitor's constraint follows from the constraint of the front point that
+dominates it, so only distinct front images are certified, each against the
+other distinct front images.  The front images are cleared once per
+instance by the lcm of all their denominators, so every LP row is a
+rational row times one positive constant, and the simplex pivots
+fraction-free in Python ints on lrs's compact dictionary.  A positive row
+scaling changes no sign and no ratio, so Bland's rule makes the same pivots
+as on the rational tableau and reaches the same vertex, read as ints, and
+witness weight.  Approximation guarantees are checked target by target
+against the Pareto front, which decides the whole feasible set because
+every family is down-closed; ranking and coverage are exact int comparisons
+on the cleared images, and one Fraction factor vector is built per target,
+for the candidate that the report names.  These oracles are the independent
+side of every guarantee test, so none of them share code with the
+approximation algorithms.
 """
 
 from __future__ import annotations
@@ -40,11 +43,19 @@ from .core import (
     FactorVector,
     FamilyKind,
     GuaranteeFamily,
+    ObjectiveVector,
     WeightVector,
     factor_vector,
 )
 from .instances import gen_max_counterexample
-from .solvers import ExplicitInstance
+from .solvers import ExplicitInstance, GraphInstance, GraphKind, Solution
+
+
+def _cleared_columns(rows: list[list[tuple[int, int]]], p: int) -> tuple[list[int], list]:
+    """Each column's lcm of the denominators of (numerator, denominator)
+    rows, and the rows as the ints numerator * (lcm // denominator)."""
+    scale = [math.lcm(*(row[j][1] for row in rows)) for j in range(p)]
+    return scale, [tuple(n * (scale[j] // d) for j, (n, d) in enumerate(row)) for row in rows]
 
 
 def _cleared_images(inst: ExplicitInstance) -> dict[str, tuple[int, ...]]:
@@ -57,16 +68,9 @@ def _cleared_images(inst: ExplicitInstance) -> dict[str, tuple[int, ...]]:
     from its reciprocals, numerators and denominators swapped.
     """
     maximize = inst.direction is Direction.MAX
-    pairs = {
-        s.id: [(v.denominator, v.numerator) if maximize else (v.numerator, v.denominator)
-               for v in s.image]
-        for s in inst.solutions
-    }
-    scale = [math.lcm(*(pair[j][1] for pair in pairs.values())) for j in range(inst.p)]
-    return {
-        sid: tuple(n * (scale[j] // d) for j, (n, d) in enumerate(pair))
-        for sid, pair in pairs.items()
-    }
+    rows = [[(v.denominator, v.numerator) if maximize else (v.numerator, v.denominator)
+             for v in s.image] for s in inst.solutions]
+    return dict(zip(inst.ids(), _cleared_columns(rows, inst.p)[1]))
 
 
 def _front(images: dict[str, tuple[int, ...]]) -> frozenset[str]:
@@ -93,6 +97,98 @@ def _front(images: dict[str, tuple[int, ...]]) -> frozenset[str]:
 def pareto_front(inst: ExplicitInstance) -> frozenset[str]:
     """Ids of all solutions with nondominated images (duplicates retained)."""
     return _front(_cleared_images(inst))
+
+
+class EnumerationLimit(RuntimeError):
+    """Exhaustive enumeration of a graph instance exceeded the guard."""
+
+
+def enumerate_graph_solutions(
+    inst: GraphInstance, limit: int = 10000, work_limit: int = 2_000_000,
+    named: Optional[Iterable[str]] = None,
+) -> ExplicitInstance:
+    """All simple paths or spanning trees as an explicit instance; given
+    ``named``, only the Pareto-optimal ones and the ids it names.
+
+    Paths come in depth-first order, trees in lexicographic order of their
+    arc indices, each search on an explicit stack.  Arc costs are cleared
+    as in ``_cleared_images``, negated for MAX; a search level holds its
+    int totals and id prefix, the front is ``_front`` of the totals, and
+    only kept solutions get Fraction images.  Raises EnumerationLimit once
+    more than ``limit`` solutions are found, once the path search visits
+    more than ``work_limit`` nodes, or, before the tree search, if over
+    ``work_limit + 1`` sets of n - 1 arcs exist.
+    """
+    sign = -1 if inst.direction is Direction.MAX else 1
+    pairs = [[(sign * v.numerator, v.denominator) for v in arc.cost] for arc in inst.arcs]
+    scale, rows = _cleared_columns(pairs, inst.p)
+    found: list[tuple[str, tuple[int, ...]]] = []
+
+    def emit(solution_id: str, totals: tuple[int, ...], noun: str) -> None:
+        found.append((solution_id, totals))
+        if len(found) > limit:
+            raise EnumerationLimit(f"more {noun} than the enumeration limit")
+
+    if inst.kind is GraphKind.SHORTEST_PATH:
+        out: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+        for idx, arc in enumerate(inst.arcs):
+            out.setdefault(arc.tail, []).append((idx, arc.head, rows[idx]))
+        # A frame per non-target node of the path: the node, an iterator over
+        # its out-arcs, and the path's totals and id prefix up to the node.
+        steps = 1  # the source is the first visit, each arc to a node off the path one more
+        on_path = {inst.source}
+        frames = [(inst.source, iter(out.get(inst.source, ())), (0,) * inst.p, "path:")]
+        while frames:
+            node, arcs_out, total, prefix = frames[-1]
+            for idx, head, row in arcs_out:
+                if head in on_path:
+                    continue
+                steps += 1
+                if steps > work_limit:
+                    raise EnumerationLimit("path enumeration work limit exceeded")
+                sums = tuple(map(operator.add, total, row))
+                if head == inst.target:
+                    emit(f"{prefix}{idx}", sums, "paths")
+                    continue
+                on_path.add(head)
+                frames.append((head, iter(out.get(head, ())), sums, f"{prefix}{idx},"))
+                break
+            else:
+                frames.pop()
+                on_path.remove(node)
+    else:
+        need, m = inst.node_count - 1, len(inst.arcs)
+        if math.comb(m, need) > work_limit + 1:
+            raise EnumerationLimit("tree enumeration work limit exceeded")
+        arcs = [(idx, arc.tail, arc.head, rows[idx]) for idx, arc in enumerate(inst.arcs)]
+        # Arcs are taken in index order.  A level holds its arc count, id
+        # prefix, node labels (components) and totals, and an iterator over
+        # the arcs that leave enough to finish the tree.
+        stack = [(1, "tree:", list(range(need + 1)), (0,) * inst.p, iter(arcs[: m - need + 1]))]
+        while stack:
+            depth, prefix, label, total, candidates = stack[-1]
+            for idx, tail, head, row in candidates:
+                keep, drop = label[tail], label[head]
+                if keep == drop:
+                    continue
+                sums = tuple(map(operator.add, total, row))
+                if depth == need:
+                    emit(f"{prefix}{idx}", sums, "trees")
+                    continue
+                rest = iter(arcs[idx + 1 : m - need + depth + 1])
+                relabeled = [keep if v == drop else v for v in label]
+                stack.append((depth + 1, f"{prefix}{idx},", relabeled, sums, rest))
+                break
+            else:
+                stack.pop()
+    kept = None if named is None else _front(dict(found)) | set(named)
+    scale = [sign * s for s in scale]  # so that Fraction(t, s) undoes the negation
+    solutions = [
+        Solution(sid, ObjectiveVector(tuple(map(Fraction, totals, scale))))
+        for sid, totals in found
+        if kept is None or sid in kept
+    ]
+    return ExplicitInstance(inst.direction, inst.p, tuple(solutions))
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,9 @@ the weight scale multiplies every weighted sum by one positive constant.
 So every comparison of the resulting Python ints, including each tie and
 the adversarial bound, has the same outcome as the comparison of the
 ``Fraction`` sums.  Only the reported scalar is turned back into a
-``Fraction``, once per answer, and exhaustive graph enumeration sums path
-and tree images in the same integer form.  The test suite keeps direct
-``Fraction`` versions of the explicit solves, both graph kernels and the
-enumeration, and checks the package against them.
+``Fraction``, once per answer.  The test suite keeps direct ``Fraction``
+versions of the explicit solves and both graph kernels, and checks the
+package against them.
 
 Every kernel minimizes: a ``SolverHandle`` refuses a maximization instance
 with ``MaximizationUnsupported`` before it builds its kernel, since weighted
@@ -78,10 +77,6 @@ class UnreachableTarget(ContractViolation):
 
 class DisconnectedGraph(ContractViolation):
     """Spanning-tree instance whose underlying graph is not connected."""
-
-
-class EnumerationLimit(RuntimeError):
-    """Exhaustive enumeration of a graph instance exceeded the guard."""
 
 
 @dataclass(frozen=True)
@@ -223,88 +218,6 @@ def compute_bounds(inst: Instance) -> Bounds:
         upper = form.image(range(len(inst.arcs)))
     lower = form.vector([min(column) for column in form.columns])
     return Bounds(lower.values, upper.values)
-
-
-def enumerate_graph_solutions(
-    inst: GraphInstance, limit: int = 10000, work_limit: int = 2_000_000
-) -> ExplicitInstance:
-    """Materialize all simple paths or spanning trees as an explicit instance.
-
-    Paths come in depth-first order, trees in lexicographic order of their
-    arc indices.  Both searches keep an explicit stack, so the recursion
-    limit bounds neither, and sum images in the integer form of the arc
-    costs.  Guarded: raises EnumerationLimit once more than ``limit``
-    solutions are found, once the path search visits more than
-    ``work_limit`` nodes, or, before the tree search, if more than
-    ``work_limit + 1`` sets of n - 1 arcs exist.  Desk-scale use only.
-    """
-    form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
-    rows = tuple(zip(*form.columns))
-    solutions: list[Solution] = []
-
-    def emit(solution_id: str, totals: tuple[int, ...], noun: str) -> None:
-        solutions.append(Solution(solution_id, form.vector(totals)))
-        if len(solutions) > limit:
-            raise EnumerationLimit(f"more {noun} than the enumeration limit")
-
-    if inst.kind is GraphKind.SHORTEST_PATH:
-        out: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
-        for idx, arc in enumerate(inst.arcs):
-            out.setdefault(arc.tail, []).append((idx, arc.head, rows[idx]))
-
-        # One frame per non-target node of the current path: an iterator over
-        # its out-arcs and the column totals of the path up to the node.  The
-        # source is the first visit, and each arc to a node off the path one more.
-        steps = 1
-        on_path = {inst.source}
-        taken: list[int] = []
-        frames = [(iter(out.get(inst.source, ())), (0,) * inst.p)]
-        while frames:
-            arcs_out, total = frames[-1]
-            for idx, head, row in arcs_out:
-                if head in on_path:
-                    continue
-                steps += 1
-                if steps > work_limit:
-                    raise EnumerationLimit("path enumeration work limit exceeded")
-                sums = tuple(map(operator.add, total, row))
-                if head == inst.target:
-                    emit(path_id((*taken, idx)), sums, "paths")
-                    continue
-                taken.append(idx)
-                on_path.add(head)
-                frames.append((iter(out.get(head, ())), sums))
-                break
-            else:
-                frames.pop()
-                if taken:
-                    on_path.remove(inst.arcs[taken.pop()].head)
-    else:
-        need, m = inst.node_count - 1, len(inst.arcs)
-        if math.comb(m, need) > work_limit + 1:
-            raise EnumerationLimit("tree enumeration work limit exceeded")
-        arcs = [(idx, arc.tail, arc.head, rows[idx]) for idx, arc in enumerate(inst.arcs)]
-        # Depth-first search taking arcs in increasing index order.  A level
-        # holds the arcs taken, each node's component label and the column
-        # totals under them, and an iterator over the arcs that leave enough
-        # after them to finish the tree; an arc inside a component is skipped.
-        stack = [((), list(range(inst.node_count)), (0,) * inst.p, iter(arcs[: m - need + 1]))]
-        while stack:
-            chosen, label, total, candidates = stack[-1]
-            for idx, tail, head, row in candidates:
-                keep, drop = label[tail], label[head]
-                if keep == drop:
-                    continue
-                grown, sums = (*chosen, idx), tuple(map(operator.add, total, row))
-                if len(grown) == need:
-                    emit(tree_id(grown), sums, "trees")
-                    continue
-                rest = iter(arcs[idx + 1 : m - need + len(grown) + 1])
-                stack.append((grown, [keep if v == drop else v for v in label], sums, rest))
-                break
-            else:
-                stack.pop()
-    return ExplicitInstance(inst.direction, inst.p, tuple(solutions))
 
 
 class _IntegerForm:

@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies: small exact rationals and explicit instances;
-and ``time_limit``, which turns a run that never returns into a failure."""
+"""Shared hypothesis strategies: small exact rationals, explicit instances
+and enumerable graphs; and ``time_limit``, which turns a run that never
+returns into a failure."""
 
 import contextlib
 import itertools
@@ -8,7 +9,16 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from wsapprox import Direction, ExplicitInstance, ObjectiveVector, Solution, WeightVector
+from wsapprox import (
+    Arc,
+    Direction,
+    ExplicitInstance,
+    GraphInstance,
+    ObjectiveVector,
+    Solution,
+    WeightVector,
+    gen_random_graph,
+)
 
 from reference import image_of, pairwise_front
 
@@ -114,3 +124,24 @@ def with_front_midpoint(draw, instances):
     a, b = draw(st.sampled_from(list(itertools.combinations(front, 2))))
     mid = ObjectiveVector(tuple((x + y) / 2 for x, y in zip(a, b)))
     return ExplicitInstance(inst.direction, inst.p, inst.solutions + (Solution("mid", mid),))
+
+
+@st.composite
+def enumerable_graphs(draw, kind):
+    """Small random graphs of ``kind`` at p = 2 or 3, MIN or MAX, plus up to
+    three arcs that may repeat an arc's ends or be self-loops, all in
+    shuffled order.  Every arc cost comes from a pool of one to three
+    vectors, so equal images, and ties between them, are common."""
+    p = draw(st.sampled_from([2, 3]))
+    nodes = draw(st.integers(2, 6))
+    arc_count = draw(st.integers(nodes - 1, 2 * nodes))
+    base = gen_random_graph(nodes, arc_count, p, 1, 3, draw(st.integers(0, 10**6)), kind)
+    cost = st.sampled_from(draw(st.lists(objective_vectors(p, 1, 3), min_size=1, max_size=3)))
+    node = st.integers(0, nodes - 1)
+    arcs = [Arc(arc.tail, arc.head, draw(cost)) for arc in base.arcs]
+    arcs += draw(st.lists(st.builds(Arc, node, node, cost), max_size=3))
+    order = draw(st.permutations(range(len(arcs))))
+    direction = draw(st.sampled_from(list(Direction)))
+    return GraphInstance(
+        direction, p, nodes, tuple(arcs[i] for i in order), kind, base.source, base.target
+    )

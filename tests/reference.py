@@ -87,11 +87,10 @@ from wsapprox import (
 )
 from wsapprox.algorithms import CellAssignment, GridRun
 from wsapprox.core import check_rational_literal, format_rational
-from wsapprox.oracles import Violation, Witness
+from wsapprox.oracles import EnumerationLimit, Violation, Witness
 from wsapprox.solvers import (
     Arc,
     DisconnectedGraph,
-    EnumerationLimit,
     GraphKind,
     Solution,
     UnreachableTarget,

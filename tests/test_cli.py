@@ -541,6 +541,17 @@ class TestRefusedFlagsAndInputs:
                 2,
                 "300852 values are over the ceiling of 300000",
             ),
+            (
+                ["generate", "tightness-min", "--p", "3", "--M", "9" * LIMIT],
+                2,
+                f"the instance would print a value of more than {LIMIT} digits",
+            ),
+            (
+                ["generate", "random-explicit", "--p", "2", "--n", "2", "--low", "1", "--high",
+                 "9" * LIMIT, "--seed", "1"],
+                2,
+                f"the instance would print a value of more than {LIMIT} digits",
+            ),
         ],
         ids=[
             "adversarial-on-graph",
@@ -569,6 +580,8 @@ class TestRefusedFlagsAndInputs:
             "export-plot-without-solutions",
             "empty-out",
             "generate-over-the-ceiling",
+            "generate-tightness-over-the-digit-limit",
+            "generate-random-explicit-over-the-digit-limit",
         ],
     )
     def test_refusal(self, tmp_path, three_points_file, capsys, argv, code, message):
@@ -607,6 +620,24 @@ class TestRefusedFlagsAndInputs:
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert captured.out == ""
         assert not out.exists() and not files["plots"].exists()
+
+    def test_verify_refuses_an_id_the_graph_lacks_with_exit_3(self, tmp_path, capsys):
+        # The graph is enumerated for the front and the named ids only, so a
+        # named tree off the front passes and the id after it is refused.
+        graph, ids = tmp_path / "graph.json", tmp_path / "ids.json"
+        main(["generate", "random-graph", "--nodes", "5", "--arcs", "7", "--p", "2", "--low",
+              "1", "--high", "4", "--seed", "3", "--kind", "spanning-tree", "--out", str(graph)])
+        full = cli.enumerate_graph_solutions(load_instance(str(graph)))
+        dominated = [s.id for s in full.solutions if s.id not in cli.pareto_front(full)]
+        argv = ["verify", "--instance", str(graph), "--solutions", str(ids),
+                "--family", "multifactor", "--epsilon", "1", "--out", str(tmp_path / "out.json")]
+        ids.write_text(json.dumps(dominated[:1]))
+        assert main(argv) in (0, 1)
+        ids.write_text(json.dumps(dominated[:1] + ["tree:0,1,99"]))
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: solution id 'tree:0,1,99' is not an id of the instance"]
 
     @pytest.mark.parametrize("limit", ["0", "-5"])
     @pytest.mark.parametrize("command", ["verify", "oracle", "export-plot"])
@@ -649,13 +680,15 @@ class TestRefusedFlagsAndInputs:
         assert main(argv + ["--sigma", "1"]) == 0
 
     def test_zero_denominator_flag_exits_2(self, three_points_file, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["approximate", "--algorithm", "grid", "--instance", three_points_file,
-                  "--epsilon", "1/0"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --epsilon: zero denominator: '1/0'" in err
-        assert "Traceback" not in err
+        # ASCII, Arabic-Indic (U+0660) and mixed-script zeros
+        for literal in ("1/0", "1/\u0660", "1/0\u06f00"):
+            with pytest.raises(SystemExit) as exc:
+                main(["approximate", "--algorithm", "grid", "--instance", three_points_file,
+                      "--epsilon", literal])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --epsilon: zero denominator: {literal!r}" in err
+            assert "Traceback" not in err
 
     def test_adversarial_grid_matches_the_library(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -913,7 +946,12 @@ class TestOracleCommand:
             ("export-plot", plot_report([[{"x": 1}, "2"], ["1", "2"]])),
             ("export-plot", plot_report([["1", "2"], ["1", 2]])),
             ("export-plot", plot_report([["1", "2"], ["1", "1/0"]])),
+            ("export-plot", plot_report([["1", "2"], ["1", "1/\u0660"]])),
             ("export-plot", plot_report([["1", "2"], ["1", "1/" + "1" * (LIMIT + 1)]])),
+            (
+                "oracle",
+                json.dumps({**THREE_POINTS, "solutions": [{"id": "a", "f": ["1", "1/\u0660"]}]}),
+            ),
             ("verify", json.dumps({**REPORT, "solutions": ["s1"]})),
         ],
         ids=[
@@ -940,7 +978,9 @@ class TestOracleCommand:
             "plot-cell-object-in-lower",
             "plot-cell-number-in-upper",
             "plot-cell-zero-denominator",
+            "plot-cell-arabic-indic-zero-denominator",
             "plot-cell-bound-over-digit-limit",
+            "instance-arabic-indic-zero-denominator",
             "verify-report-solution-not-an-object",
         ],
     )
@@ -1122,6 +1162,23 @@ class TestGenerateCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tightness-min", "--p", "3", "--M", "9" * (LIMIT - 1)],
+            ["max-counterexample", "--p", "3", "--M", "9" * LIMIT],
+            ["random-explicit", "--p", "2", "--n", "2", "--low", "1", "--high",
+             "9" * (LIMIT - 3), "--seed", "1"],
+        ],
+        ids=["tightness-min", "max-counterexample", "random-explicit"],
+    )
+    def test_values_just_inside_the_digit_limit_generate(self, tmp_path, argv):
+        # The largest int each instance can print, (M + 1)/p, M and
+        # 1000 * high, has exactly LIMIT digits.
+        out = tmp_path / "inst.json"
+        assert main(["generate", *argv, "--out", str(out)]) == 0
+        assert load_instance(str(out)).p == int(argv[2])
 
     def test_round_trip_canonicalization(self, tmp_path):
         from wsapprox.instances import instance_from_json, instance_to_json
@@ -1597,9 +1654,12 @@ class TestReadme:
 
 
 # Leaves and flag values that break files and flags: zero, negative, float,
-# unparsable and oversized rationals, ints past int64, booleans, empties, and
-# a lone surrogate, which JSON can hold and UTF-8 cannot.
-FUZZ_LEAVES = [0, -1, 1.5, "1/0", "1e400", 10**400, 2**63, True, False, "", "\ud800", [], {}]
+# unparsable and oversized rationals, zero denominators in ASCII and in
+# Arabic-Indic digits, ints past int64, booleans, empties, and a lone
+# surrogate, which JSON can hold and UTF-8 cannot.
+FUZZ_LEAVES = [
+    0, -1, 1.5, "1/0", "1/\u0660", "1e400", 10**400, 2**63, True, False, "", "\ud800", [], {}
+]
 FUZZ_FLAGS = [json.dumps(v) if not isinstance(v, str) else v for v in FUZZ_LEAVES]
 # Generator sizes: each is small, or past the ceiling on generated values.
 FUZZ_SIZES = ["-1", "0", "1", "2", "3", str(MAX_GENERATED_VALUES + 1)]

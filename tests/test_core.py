@@ -77,6 +77,8 @@ class TestRationalParsing:
             "5/0", "5/-2", "1.5", "", "a", "1e3", "2/",
             pytest.param("9" * 5000, id="numerator-beyond-int-digit-limit"),
             pytest.param("1/" + "7" * 5000, id="denominator-beyond-int-digit-limit"),
+            pytest.param("1/\u0660", id="arabic-indic-zero-denominator"),
+            pytest.param("1/0\u06f0\uff10", id="mixed-script-zero-denominator"),
         ],
     )
     def test_rejects_malformed(self, bad):

@@ -10,12 +10,15 @@ from hypothesis import example, given, settings
 from wsapprox import (
     ContractViolation,
     Direction,
+    EnumerationLimit,
     ExplicitInstance,
+    GraphKind,
     GuaranteeFamily,
     ObjectiveVector,
     Solution,
     approximate_grid,
     compute_bounds,
+    enumerate_graph_solutions,
     exact_solver,
     gen_max_counterexample,
     gen_random_explicit,
@@ -31,6 +34,7 @@ from wsapprox.oracles import _simplex_max, _support_certificate_lp
 from conftest import (
     any_instances,
     biobjective_instances,
+    enumerable_graphs,
     explicit_instances,
     rationals,
     time_limit,
@@ -555,6 +559,56 @@ class TestVerifyApproximation:
             support_certificates(inst), inst, GuaranteeFamily.uniform_raw(p - eps, p)
         )
         assert not report.ok
+
+
+class TestRestrictedEnumeration:
+    """Graph enumeration given named ids, which ``verify`` and ``oracle``
+    use, against the full enumeration, which ``export-plot`` uses."""
+
+    @pytest.mark.parametrize("kind", list(GraphKind))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_keeps_the_front_and_the_named_ids_in_order(self, kind, data):
+        inst = data.draw(enumerable_graphs(kind))
+        full = enumerate_graph_solutions(inst)
+        named = data.draw(st.lists(st.sampled_from(full.ids() + ("nope",)), max_size=4))
+        kept = pairwise_front(full) | set(named)
+        restricted = enumerate_graph_solutions(inst, named=named)
+        assert restricted.solutions == tuple(s for s in full.solutions if s.id in kept)
+
+    @pytest.mark.parametrize("kind", list(GraphKind))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_oracles_give_the_full_enumerations_results(self, kind, data):
+        inst = data.draw(enumerable_graphs(kind))
+        full = enumerate_graph_solutions(inst)
+        named = data.draw(st.lists(st.sampled_from(full.ids()), min_size=1, max_size=4))
+        family = data.draw(families(inst.p))
+        restricted = enumerate_graph_solutions(inst, named=named)
+        front_only = enumerate_graph_solutions(inst, named=[])
+        expected = verify_approximation(named, full, family)
+        assert verify_approximation(named, restricted, family) == expected
+        assert pareto_front(restricted) == pareto_front(front_only) == pareto_front(full)
+        assert support_certificates(front_only) == support_certificates(full)
+
+    @pytest.mark.parametrize("kind", list(GraphKind))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_guards_refuse_the_same_inputs(self, kind, data):
+        inst = data.draw(enumerable_graphs(kind))
+        limits = {
+            "limit": data.draw(st.integers(0, 12)),
+            "work_limit": data.draw(st.integers(0, 60)),
+        }
+        outcomes = []
+        for named in (None, [], ["nope"]):
+            try:
+                enumerate_graph_solutions(inst, named=named, **limits)
+            except EnumerationLimit as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestMaxImpossibility:

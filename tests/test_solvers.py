@@ -33,7 +33,7 @@ from wsapprox import (
 )
 from wsapprox import solvers
 
-from conftest import explicit_instances, objective_vectors, rationals, weight_vectors
+from conftest import enumerable_graphs, explicit_instances, rationals, weight_vectors
 from reference import (
     _UnionFind,
     bounds_contain,
@@ -755,30 +755,6 @@ class TestTreeEnumeration:
         # refuses them at work_limit=1); K_12 is refused under `verify` in
         # tests/test_cli.py.
         assert len(enumerate_graph_solutions(TRIANGLE, work_limit=2).solutions) == 3
-
-
-@st.composite
-def enumerable_graphs(draw, kind):
-    """Small random graphs of ``kind`` plus up to three arcs that may repeat
-    an arc's ends or be self-loops, all in shuffled order."""
-    nodes = draw(st.integers(2, 6))
-    base = gen_random_graph(
-        nodes,
-        draw(st.integers(nodes - 1, 2 * nodes)),
-        2,
-        1,
-        3,
-        draw(st.integers(0, 10**6)),
-        kind,
-        denominator=draw(st.sampled_from([1, 6, 1000])),
-    )
-    node = st.integers(0, nodes - 1)
-    extra = draw(st.lists(st.builds(Arc, node, node, objective_vectors()), max_size=3))
-    arcs = list(base.arcs) + extra
-    order = draw(st.permutations(range(len(arcs))))
-    return GraphInstance(
-        MIN, 2, nodes, tuple(arcs[i] for i in order), kind, base.source, base.target
-    )
 
 
 PARALLEL_AND_LOOP = (
