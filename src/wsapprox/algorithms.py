@@ -31,7 +31,6 @@ import math
 import operator
 import sys
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -40,6 +39,7 @@ from .core import (
     Direction,
     FactorVector,
     RationalLike,
+    Record,
     WeightVector,
     approximates,
     as_rational,
@@ -109,24 +109,36 @@ def _check_report_digits(bounds: Bounds, step: Fraction, u: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GridWeight:
+class GridWeight(Record):
     """One issued weight: exponent tuple k and w_j = 1/(l_j * step**k_j)."""
 
-    exponents: tuple[int, ...]
-    weight: WeightVector
+    __slots__ = ("exponents", "weight")
+
+    def __init__(self, exponents: tuple[int, ...], weight: WeightVector) -> None:
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class GridPlan:
+class GridPlan(Record):
     """Weights and cells read l_j * step**k from ``corners[j][k]``, k <= u_j + 1."""
 
-    epsilon: Fraction
-    sigma: Fraction
-    eps_prime: Fraction
-    u: tuple[int, ...]
-    corners: tuple[tuple[Fraction, ...], ...]
-    entries: tuple[GridWeight, ...]
+    __slots__ = ("epsilon", "sigma", "eps_prime", "u", "corners", "entries")
+
+    def __init__(
+        self,
+        epsilon: Fraction,
+        sigma: Fraction,
+        eps_prime: Fraction,
+        u: tuple[int, ...],
+        corners: tuple[tuple[Fraction, ...], ...],
+        entries: tuple[GridWeight, ...],
+    ) -> None:
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "eps_prime", eps_prime)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "entries", entries)
 
 
 def expected_grid_calls(u: tuple[int, ...]) -> int:
@@ -203,23 +215,40 @@ def plan_grid(bounds: Bounds, epsilon: RationalLike, sigma: RationalLike) -> Gri
     return GridPlan(epsilon, sigma, step - 1, u, corners, tuple(entries))
 
 
-@dataclass(frozen=True)
-class CellAssignment:
+class CellAssignment(Record):
     """Hyperrectangle of the objective-space subdivision and its covering id."""
 
-    weight_index: int
-    solution_id: str
-    level: int
-    lower: tuple[Fraction, ...]
-    upper: tuple[Fraction, ...]
+    __slots__ = ("weight_index", "solution_id", "level", "lower", "upper")
+
+    def __init__(
+        self,
+        weight_index: int,
+        solution_id: str,
+        level: int,
+        lower: tuple[Fraction, ...],
+        upper: tuple[Fraction, ...],
+    ) -> None:
+        object.__setattr__(self, "weight_index", weight_index)
+        object.__setattr__(self, "solution_id", solution_id)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
-@dataclass(frozen=True)
-class GridRun:
-    plan: GridPlan
-    answers: tuple[SolveAnswer, ...]
-    result: tuple[Solution, ...]
-    ws_calls: int
+class GridRun(Record):
+    __slots__ = ("plan", "answers", "result", "ws_calls")
+
+    def __init__(
+        self,
+        plan: GridPlan,
+        answers: tuple[SolveAnswer, ...],
+        result: tuple[Solution, ...],
+        ws_calls: int,
+    ) -> None:
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "answers", answers)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "ws_calls", ws_calls)
 
     def result_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.result)
@@ -276,28 +305,48 @@ def approximate_grid(
     return GridRun(plan, tuple(answers), result, ws_calls)
 
 
-@dataclass(frozen=True)
-class BisectProbe:
+class BisectProbe(Record):
     """One fresh weighted-sum solve of the bisection: ladder index and gamma."""
 
-    index: int
-    gamma: Fraction
-    answer: SolveAnswer
+    __slots__ = ("index", "gamma", "answer")
+
+    def __init__(self, index: int, gamma: Fraction, answer: SolveAnswer) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "answer", answer)
 
 
-@dataclass(frozen=True)
-class BiobjectiveRun:
-    epsilon: Fraction
-    eps_prime: Fraction
-    u1: int
-    u2: int
-    gamma_count: int
-    probes: tuple[BisectProbe, ...]
-    result: tuple[Solution, ...]
-    ws_calls: int
-    tree_nodes: int
-    two_child_nodes: int
-    tree_height: int
+class BiobjectiveRun(Record):
+    __slots__ = (
+        "epsilon", "eps_prime", "u1", "u2", "gamma_count", "probes", "result",
+        "ws_calls", "tree_nodes", "two_child_nodes", "tree_height",
+    )
+
+    def __init__(
+        self,
+        epsilon: Fraction,
+        eps_prime: Fraction,
+        u1: int,
+        u2: int,
+        gamma_count: int,
+        probes: tuple[BisectProbe, ...],
+        result: tuple[Solution, ...],
+        ws_calls: int,
+        tree_nodes: int,
+        two_child_nodes: int,
+        tree_height: int,
+    ) -> None:
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "eps_prime", eps_prime)
+        object.__setattr__(self, "u1", u1)
+        object.__setattr__(self, "u2", u2)
+        object.__setattr__(self, "gamma_count", gamma_count)
+        object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "ws_calls", ws_calls)
+        object.__setattr__(self, "tree_nodes", tree_nodes)
+        object.__setattr__(self, "two_child_nodes", two_child_nodes)
+        object.__setattr__(self, "tree_height", tree_height)
 
     def result_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.result)

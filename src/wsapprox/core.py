@@ -6,14 +6,16 @@ this package is exact; floats are rejected at the boundary so that no binary
 rounding can ever leak into a guarantee check.
 
 All types are immutable values and all operations are pure functions, so
-everything here is safe to share freely between threads.
+everything here is safe to share freely between threads.  The package's
+record classes, here and in the other modules, derive from ``Record``: a
+slotted class with a hand-written ``__init__``, so importing the package
+generates no code and does not import ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, TypeVar, Union
@@ -120,21 +122,64 @@ class Direction(Enum):
     MAX = "max"
 
 
+class Record:
+    """Immutable record whose fields are the ``__slots__`` of its classes,
+    base first.  Each subclass's ``__init__`` stores them with
+    ``object.__setattr__`` and then checks them.  Records are equal when
+    their classes and field values are, hash by their field values, print
+    as ``Name(field=value, ...)`` and pickle through their constructor.
+    ``FrozenInstanceError`` is imported only to be raised, so importing the
+    package does not load ``dataclasses``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
 _V = TypeVar("_V", bound="_RationalVector")
 
 
-@dataclass(frozen=True)
-class _RationalVector:
+class _RationalVector(Record):
     """Immutable tuple of exact rationals, ``values``; each subclass adds its
     invariant.  Equality and hashing are per subclass, so a weight vector
     never equals an image with the same values."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        values = self.values
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
         if type(values) is not tuple or not all(type(v) is Fraction for v in values):
-            object.__setattr__(self, "values", _rational_tuple(values))
+            values = _rational_tuple(values)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def of(cls: type[_V], *values: RationalLike) -> _V:
@@ -153,8 +198,10 @@ class _RationalVector:
 class ObjectiveVector(_RationalVector):
     """Image f(x) of a feasible solution: p >= 2 strictly positive rationals."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        super().__init__(values)
         if len(self.values) < 2:
             raise ContractViolation("objective vectors need p >= 2 components")
         # a Fraction's denominator is positive, so its numerator carries its sign
@@ -162,16 +209,14 @@ class ObjectiveVector(_RationalVector):
             raise ContractViolation("objective values must be strictly positive")
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Per-objective rationals with 0 < lower[j] <= upper[j] sandwiching all images."""
 
-    lower: tuple[Fraction, ...]
-    upper: tuple[Fraction, ...]
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", _rational_tuple(self.lower))
-        object.__setattr__(self, "upper", _rational_tuple(self.upper))
+    def __init__(self, lower: tuple[Fraction, ...], upper: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "lower", _rational_tuple(lower))
+        object.__setattr__(self, "upper", _rational_tuple(upper))
         if len(self.lower) != len(self.upper):
             raise ContractViolation("bound tuples differ in dimension")
         for lo, hi in zip(self.lower, self.upper):
@@ -186,8 +231,10 @@ class Bounds:
 class WeightVector(_RationalVector):
     """Strictly positive weights of a weighted-sum scalarization."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        super().__init__(values)
         if not self.values:
             raise ContractViolation("empty weight vector")
         if any(w.numerator <= 0 for w in self.values):
@@ -203,8 +250,10 @@ class WeightVector(_RationalVector):
 class FactorVector(_RationalVector):
     """Componentwise approximation factors, each >= 1."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        super().__init__(values)
         if any(f.numerator < f.denominator for f in self.values):
             raise ContractViolation("approximation factors must be >= 1")
 
@@ -218,8 +267,7 @@ class FamilyKind(Enum):
     UNIFORM = "uniform"
 
 
-@dataclass(frozen=True)
-class GuaranteeFamily:
+class GuaranteeFamily(Record):
     """Parametric set of factor vectors against which coverage is decided.
 
     ``bound`` is interpreted per kind:
@@ -237,14 +285,13 @@ class GuaranteeFamily:
     excess sum.
     """
 
-    kind: FamilyKind
-    p: int
-    sigma: Fraction
-    bound: Fraction
+    __slots__ = ("kind", "p", "sigma", "bound")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", as_rational(self.sigma))
-        object.__setattr__(self, "bound", as_rational(self.bound))
+    def __init__(self, kind: FamilyKind, p: int, sigma: Fraction, bound: Fraction) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "sigma", as_rational(sigma))
+        object.__setattr__(self, "bound", as_rational(bound))
         if self.p < 2:
             raise ContractViolation("guarantee families require p >= 2")
         if self.sigma < 1:

@@ -14,7 +14,8 @@ LP solved by a one-phase simplex, and only where it can matter: a strictly
 dominated image is never optimal for a weight w > 0, and a dominated
 competitor's constraint follows from the constraint of the front point that
 dominates it, so only distinct front images are certified, each against the
-other distinct front images.  The front images are cleared once per
+other distinct front images; more than ``MAX_SUPPORT_ROWS`` LP rows in all
+are refused before any LP.  The front images are cleared once per
 instance by the lcm of all their denominators, so every LP row is a
 rational row times one positive constant, and the simplex pivots
 fraction-free in Python ints on lrs's compact dictionary.  A positive row
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -44,11 +44,18 @@ from .core import (
     FamilyKind,
     GuaranteeFamily,
     ObjectiveVector,
+    Record,
     WeightVector,
     factor_vector,
 )
 from .instances import gen_max_counterexample
 from .solvers import ExplicitInstance, GraphInstance, GraphKind, Solution
+
+# Most LP rows, F * (F - 1) for F distinct front images, that
+# support_certificates admits.  At the ceiling (F = 141) the LPs took 2.2 s
+# at p = 2, 3.2 s at p = 3 and 5.3 s at p = 4 on 2 vCPUs; the work grows
+# about as F**3.
+MAX_SUPPORT_ROWS = 20_000
 
 
 def _cleared_columns(rows: list[list[tuple[int, int]]], p: int) -> tuple[list[int], list]:
@@ -253,8 +260,7 @@ def _simplex_max(A: list[list[int]], b: list[int], c: list[int]) -> tuple[list[i
     return [basic.get(j, 0) for j in range(n)], d
 
 
-@dataclass(frozen=True)
-class SupportCertificate:
+class SupportCertificate(Record):
     """Witness weight (components >= 1) plus the weak-support flag.
 
     ``weak`` marks solutions that are weighted-sum optimal only with ties:
@@ -263,8 +269,11 @@ class SupportCertificate:
     the flag is reported rather than silently merged.
     """
 
-    weight: WeightVector
-    weak: bool
+    __slots__ = ("weight", "weak")
+
+    def __init__(self, weight: WeightVector, weak: bool) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "weak", weak)
 
 
 def _support_certificate_lp(
@@ -325,9 +334,19 @@ def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate
     meet each other in order of first appearance, which breaks Bland's ties;
     the keys clear objective by objective, which would move the witness, so
     the LP rows are cleared by the lcm of all front denominators.
+
+    Refuses (ContractViolation) more than MAX_SUPPORT_ROWS rows in all,
+    before any LP is solved.
     """
     keys = _cleared_images(inst)
     front = _front(keys)
+    distinct = len({keys[sid] for sid in front})
+    rows = distinct * (distinct - 1)
+    if rows > MAX_SUPPORT_ROWS:
+        raise ContractViolation(
+            f"supportedness needs {rows} LP rows for {distinct} distinct front images, "
+            f"over the limit of {MAX_SUPPORT_ROWS}"
+        )
     # equal keys hold equal images, and a key keeps its first place
     originals = {keys[s.id]: s.image.values for s in inst.solutions if s.id in front}
     scale = math.lcm(*(v.denominator for image in originals.values() for v in image))
@@ -349,26 +368,43 @@ def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
-    target_id: str
-    covered_by: str
-    beta: FactorVector
+class Witness(Record):
+    __slots__ = ("target_id", "covered_by", "beta")
+
+    def __init__(self, target_id: str, covered_by: str, beta: FactorVector) -> None:
+        object.__setattr__(self, "target_id", target_id)
+        object.__setattr__(self, "covered_by", covered_by)
+        object.__setattr__(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class Violation:
-    target_id: str
-    best_candidate: Optional[str]
-    best_beta: Optional[FactorVector]
+class Violation(Record):
+    __slots__ = ("target_id", "best_candidate", "best_beta")
+
+    def __init__(
+        self,
+        target_id: str,
+        best_candidate: Optional[str],
+        best_beta: Optional[FactorVector],
+    ) -> None:
+        object.__setattr__(self, "target_id", target_id)
+        object.__setattr__(self, "best_candidate", best_candidate)
+        object.__setattr__(self, "best_beta", best_beta)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    family: GuaranteeFamily
-    ok: bool
-    witnesses: tuple[Witness, ...]
-    violations: tuple[Violation, ...]
+class VerificationReport(Record):
+    __slots__ = ("family", "ok", "witnesses", "violations")
+
+    def __init__(
+        self,
+        family: GuaranteeFamily,
+        ok: bool,
+        witnesses: tuple[Witness, ...],
+        violations: tuple[Violation, ...],
+    ) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "violations", violations)
 
 
 def _covers_cleared(

@@ -53,7 +53,6 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -66,6 +65,7 @@ from .core import (
     MaximizationUnsupported,
     ObjectiveVector,
     RationalLike,
+    Record,
     WeightVector,
     as_rational,
 )
@@ -79,22 +79,23 @@ class DisconnectedGraph(ContractViolation):
     """Spanning-tree instance whose underlying graph is not connected."""
 
 
-@dataclass(frozen=True)
-class Solution:
-    id: str
-    image: ObjectiveVector
+class Solution(Record):
+    __slots__ = ("id", "image")
+
+    def __init__(self, id: str, image: ObjectiveVector) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "image", image)
 
 
-@dataclass(frozen=True)
-class ExplicitInstance:
+class ExplicitInstance(Record):
     """Feasible set given by an explicit list of (id, image) pairs."""
 
-    direction: Direction
-    p: int
-    solutions: tuple[Solution, ...]
+    __slots__ = ("direction", "p", "solutions")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "solutions", tuple(self.solutions))
+    def __init__(self, direction: Direction, p: int, solutions: Sequence[Solution]) -> None:
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "solutions", tuple(solutions))
         if not self.solutions:
             raise ContractViolation("explicit instances must be nonempty")
         if any(len(s.image) != self.p for s in self.solutions):
@@ -112,31 +113,41 @@ class GraphKind(Enum):
     SPANNING_TREE = "spanning-tree"
 
 
-@dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    cost: ObjectiveVector
+class Arc(Record):
+    __slots__ = ("tail", "head", "cost")
+
+    def __init__(self, tail: int, head: int, cost: ObjectiveVector) -> None:
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "cost", cost)
 
 
-@dataclass(frozen=True)
-class GraphInstance:
+class GraphInstance(Record):
     """Digraph (shortest path) or undirected graph (spanning tree) instance.
 
     For SPANNING_TREE the arcs are read as undirected edges and source and
     target are ignored.
     """
 
-    direction: Direction
-    p: int
-    node_count: int
-    arcs: tuple[Arc, ...]
-    kind: GraphKind
-    source: int = 0
-    target: int = 0
+    __slots__ = ("direction", "p", "node_count", "arcs", "kind", "source", "target")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(self.arcs))
+    def __init__(
+        self,
+        direction: Direction,
+        p: int,
+        node_count: int,
+        arcs: Sequence[Arc],
+        kind: GraphKind,
+        source: int = 0,
+        target: int = 0,
+    ) -> None:
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "node_count", node_count)
+        object.__setattr__(self, "arcs", tuple(arcs))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         if self.node_count < 2:
             raise ContractViolation("graph instances need at least two nodes")
         if not self.arcs:
@@ -184,14 +195,22 @@ class GraphInstance:
 Instance = Union[ExplicitInstance, GraphInstance]
 
 
-@dataclass(frozen=True)
-class SolveAnswer:
+class SolveAnswer(Record):
     """One weighted-sum answer: canonical id, image, exact scalar value."""
 
-    solution_id: str
-    image: ObjectiveVector
-    scalar: Fraction
-    arcs: Optional[tuple[int, ...]] = None
+    __slots__ = ("solution_id", "image", "scalar", "arcs")
+
+    def __init__(
+        self,
+        solution_id: str,
+        image: ObjectiveVector,
+        scalar: Fraction,
+        arcs: Optional[tuple[int, ...]] = None,
+    ) -> None:
+        object.__setattr__(self, "solution_id", solution_id)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "arcs", arcs)
 
 
 def path_id(arc_indices: tuple[int, ...]) -> str:
@@ -516,8 +535,7 @@ def _kernel(inst: Instance, sigma: Fraction) -> Kernel:
     return _spanning_tree_kernel(inst)
 
 
-@dataclass
-class SolverHandle:
+class SolverHandle(Record):
     """One weighted-sum backend bound to an instance, with a call counter.
 
     ``sigma`` is the contract bound the backend promises, not a measured
@@ -532,21 +550,39 @@ class SolverHandle:
     Every ``solve`` increments the counter by exactly one, then checks the
     weight dimension for every kernel, so a kernel only ever sees p
     weights.  A handle is used by one thread at a time: the algorithms make
-    their calls one after another, and the counter is not locked.
+    their calls one after another, and the counter is not locked.  Unlike
+    the other records, a handle is mutable, so it is not hashable, and its
+    repr leaves out the kernel.
     """
 
-    instance: Instance
-    sigma: Fraction
-    kernel: Optional[Kernel] = field(default=None, repr=False)
-    _calls: int = 0
+    __slots__ = ("instance", "sigma", "kernel", "_calls")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if self.instance.direction is not Direction.MIN:
+    def __init__(
+        self,
+        instance: Instance,
+        sigma: Fraction,
+        kernel: Optional[Kernel] = None,
+        _calls: int = 0,
+    ) -> None:
+        self.instance = instance
+        self.sigma = sigma
+        self.kernel = kernel
+        self._calls = _calls
+        if instance.direction is not Direction.MIN:
             raise MaximizationUnsupported(MAXIMIZATION_REJECTION)
-        if self.sigma < 1:
+        if sigma < 1:
             raise ContractViolation("sigma must be >= 1")
-        if self.kernel is None:
-            self.kernel = _kernel(self.instance, self.sigma)
+        if kernel is None:
+            self.kernel = _kernel(instance, sigma)
+
+    def __repr__(self) -> str:
+        return (
+            f"SolverHandle(instance={self.instance!r}, sigma={self.sigma!r}, "
+            f"_calls={self._calls!r})"
+        )
 
     @property
     def calls(self) -> int:

@@ -58,7 +58,6 @@ The references skip argument checks; the package's entry points make those.
 """
 
 import csv
-import dataclasses
 import heapq
 import io
 import itertools
@@ -796,8 +795,9 @@ def on_front(report: VerificationReport, inst: ExplicitInstance) -> Verification
     """``report`` with only the witnesses and violations whose target is in
     ``pairwise_front(inst)``, in order; ``ok`` stays that of all targets."""
     front = pairwise_front(inst)
-    return dataclasses.replace(
-        report,
-        witnesses=tuple(w for w in report.witnesses if w.target_id in front),
-        violations=tuple(v for v in report.violations if v.target_id in front),
+    return VerificationReport(
+        report.family,
+        report.ok,
+        tuple(w for w in report.witnesses if w.target_id in front),
+        tuple(v for v in report.violations if v.target_id in front),
     )

@@ -1,10 +1,13 @@
 import contextlib
 import copy
 import csv
+import importlib
 import io
 import json
 import math
+import os
 import pathlib
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -17,12 +20,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import wsapprox
 from wsapprox import (
     adversarial_solver,
     approximate_grid,
     cli,
     compute_bounds,
     exact_solver,
+    oracles,
     solvers,
 )
 from wsapprox.cli import main
@@ -916,6 +921,51 @@ class TestOracleCommand:
         )
         assert code == 5
 
+    @staticmethod
+    def collinear_file(tmp_path, n):
+        """n front images on the line f1 + f2 = n + 1, each weakly supported,
+        plus a copy of the first and a dominated point, neither of which
+        adds an LP row."""
+        solutions = [{"id": f"s{i}", "f": [str(i), str(n + 1 - i)]} for i in range(1, n + 1)]
+        solutions += [{"id": "copy", "f": ["1", str(n)]}, {"id": "worse", "f": [str(n)] * 2}]
+        path = tmp_path / f"line-{n}.json"
+        path.write_text(json.dumps({**THREE_POINTS, "solutions": solutions}))
+        return str(path)
+
+    def test_supported_at_the_lp_row_ceiling_is_certified(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_ROWS", 4 * 3)
+        out = tmp_path / "oracle.json"
+        argv = ["--instance", self.collinear_file(tmp_path, 4), "--what", "supported"]
+        assert main(["oracle", *argv, "--out", str(out)]) == 0
+        assert read_json(out)["ids"] == ["copy", "s1", "s2", "s3", "s4"]
+
+    @pytest.mark.parametrize("ceiling,n", [(4 * 3, 5), (oracles.MAX_SUPPORT_ROWS, 142)])
+    def test_supported_past_the_lp_row_ceiling_exits_2_before_any_lp(
+        self, tmp_path, monkeypatch, capsys, ceiling, n
+    ):
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_ROWS", ceiling)
+
+        def no_lp(*args):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(oracles, "_support_certificate_lp", no_lp)
+        out = tmp_path / "oracle.json"
+        argv = ["--instance", self.collinear_file(tmp_path, n), "--what", "supported"]
+        assert main(["oracle", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: supportedness needs {n * (n - 1)} LP rows for {n} distinct front "
+            f"images, over the limit of {ceiling}"
+        ]
+        assert not out.exists()
+        assert main(["oracle", *argv[:2], "--what", "pareto", "--out", str(out)]) == 0
+
+        report = tmp_path / "report.json"
+        approximate = ["approximate", "--algorithm", "grid", "--epsilon", "1", "--cells"]
+        assert main([*approximate, "--instance", argv[1], "--out", str(report)]) == 0
+        plots = tmp_path / "plots"
+        assert main(["export-plot", "--from-report", str(report), "--out-dir", str(plots)]) == 2
+        assert not plots.exists()
+
 
     @pytest.mark.parametrize(
         "command,text",
@@ -1631,6 +1681,38 @@ class TestModuleEntryPoint:
             text=True,
         )
         assert result.returncode == 2
+
+
+class TestStartup:
+    """Importing the CLI generates no code: the records are plain slotted
+    classes, so neither ``dataclasses`` nor ``inspect`` is loaded."""
+
+    def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(wsapprox.__file__)))
+        code = (
+            "import sys, wsapprox.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_no_class_is_a_dataclass(self):
+        names = [m.name for m in pkgutil.iter_modules(wsapprox.__path__) if m.name != "__main__"]
+        modules = [importlib.import_module(f"wsapprox.{name}") for name in names]
+        classes = [
+            obj
+            for module in modules
+            for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+        assert solvers.SolverHandle in classes and len(classes) > 20
+        assert [cls for cls in classes if hasattr(cls, "__dataclass_fields__")] == []
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

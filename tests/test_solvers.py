@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import operator
 import re
@@ -606,7 +605,10 @@ def tie_prone_graphs(draw, kind, p):
     if kind is GraphKind.SPANNING_TREE and draw(st.booleans()):
         node = draw(st.integers(0, nodes - 1))
         loop = Arc(node, node, draw(st.sampled_from(inst.arcs)).cost)
-        inst = dataclasses.replace(inst, arcs=(*inst.arcs, loop))
+        inst = GraphInstance(
+            inst.direction, inst.p, inst.node_count, (*inst.arcs, loop), inst.kind,
+            inst.source, inst.target,
+        )
     return inst
 
 
