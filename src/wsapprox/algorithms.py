@@ -114,31 +114,11 @@ class GridWeight(Record):
 
     __slots__ = ("exponents", "weight")
 
-    def __init__(self, exponents: tuple[int, ...], weight: WeightVector) -> None:
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "weight", weight)
-
 
 class GridPlan(Record):
     """Weights and cells read l_j * step**k from ``corners[j][k]``, k <= u_j + 1."""
 
     __slots__ = ("epsilon", "sigma", "eps_prime", "u", "corners", "entries")
-
-    def __init__(
-        self,
-        epsilon: Fraction,
-        sigma: Fraction,
-        eps_prime: Fraction,
-        u: tuple[int, ...],
-        corners: tuple[tuple[Fraction, ...], ...],
-        entries: tuple[GridWeight, ...],
-    ) -> None:
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "eps_prime", eps_prime)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "corners", corners)
-        object.__setattr__(self, "entries", entries)
 
 
 def expected_grid_calls(u: tuple[int, ...]) -> int:
@@ -220,35 +200,10 @@ class CellAssignment(Record):
 
     __slots__ = ("weight_index", "solution_id", "level", "lower", "upper")
 
-    def __init__(
-        self,
-        weight_index: int,
-        solution_id: str,
-        level: int,
-        lower: tuple[Fraction, ...],
-        upper: tuple[Fraction, ...],
-    ) -> None:
-        object.__setattr__(self, "weight_index", weight_index)
-        object.__setattr__(self, "solution_id", solution_id)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
 
 class GridRun(Record):
     __slots__ = ("plan", "answers", "result", "ws_calls")
 
-    def __init__(
-        self,
-        plan: GridPlan,
-        answers: tuple[SolveAnswer, ...],
-        result: tuple[Solution, ...],
-        ws_calls: int,
-    ) -> None:
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "answers", answers)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "ws_calls", ws_calls)
 
     def result_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.result)
@@ -310,11 +265,6 @@ class BisectProbe(Record):
 
     __slots__ = ("index", "gamma", "answer")
 
-    def __init__(self, index: int, gamma: Fraction, answer: SolveAnswer) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "answer", answer)
-
 
 class BiobjectiveRun(Record):
     __slots__ = (
@@ -322,31 +272,6 @@ class BiobjectiveRun(Record):
         "ws_calls", "tree_nodes", "two_child_nodes", "tree_height",
     )
 
-    def __init__(
-        self,
-        epsilon: Fraction,
-        eps_prime: Fraction,
-        u1: int,
-        u2: int,
-        gamma_count: int,
-        probes: tuple[BisectProbe, ...],
-        result: tuple[Solution, ...],
-        ws_calls: int,
-        tree_nodes: int,
-        two_child_nodes: int,
-        tree_height: int,
-    ) -> None:
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "eps_prime", eps_prime)
-        object.__setattr__(self, "u1", u1)
-        object.__setattr__(self, "u2", u2)
-        object.__setattr__(self, "gamma_count", gamma_count)
-        object.__setattr__(self, "probes", probes)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "ws_calls", ws_calls)
-        object.__setattr__(self, "tree_nodes", tree_nodes)
-        object.__setattr__(self, "two_child_nodes", two_child_nodes)
-        object.__setattr__(self, "tree_height", tree_height)
 
     def result_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.result)
@@ -430,17 +355,8 @@ def approximate_biobjective(
         two_child_nodes += go_left and go_right
 
     return BiobjectiveRun(
-        epsilon,
-        step - 1,
-        u1,
-        u2,
-        count,
-        tuple(probes),
-        _output_set(picked),
-        solver.calls - before,
-        tree_nodes,
-        two_child_nodes,
-        tree_height,
+        epsilon, step - 1, u1, u2, count, tuple(probes), _output_set(picked),
+        solver.calls - before, tree_nodes, two_child_nodes, tree_height,
     )
 
 

@@ -69,6 +69,7 @@ from .instances import (
     read_json,
 )
 from .oracles import (
+    ENUMERATION_LIMIT,
     EnumerationLimit,
     VerificationReport,
     enumerate_graph_solutions,
@@ -622,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--epsilon", type=_rational_flag, default=None)
     verify.add_argument("--sigma", type=_rational_flag, default=Fraction(1))
     verify.add_argument("--sum-bound", dest="sum_bound", type=_rational_flag, default=None)
-    verify.add_argument("--limit", type=int, default=10000)
+    verify.add_argument("--limit", type=int, default=ENUMERATION_LIMIT)
     verify.add_argument("--out", default=None)
     verify.set_defaults(func=cmd_verify)
 
@@ -631,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument(
         "--what", choices=["pareto", "supported", "max-impossibility"], required=True
     )
-    oracle.add_argument("--limit", type=int, default=10000)
+    oracle.add_argument("--limit", type=int, default=ENUMERATION_LIMIT)
     oracle.add_argument("--out", default=None)
     oracle.set_defaults(func=cmd_oracle)
 
@@ -660,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("export-plot", help="export CSV plot data from a report")
     plot.add_argument("--from-report", dest="from_report", required=True)
     plot.add_argument("--out-dir", dest="out_dir", required=True)
-    plot.add_argument("--limit", type=int, default=10000)
+    plot.add_argument("--limit", type=int, default=ENUMERATION_LIMIT)
     plot.set_defaults(func=cmd_export_plot)
     return parser
 

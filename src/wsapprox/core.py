@@ -8,8 +8,10 @@ rounding can ever leak into a guarantee check.
 All types are immutable values and all operations are pure functions, so
 everything here is safe to share freely between threads.  The package's
 record classes, here and in the other modules, derive from ``Record``: a
-slotted class with a hand-written ``__init__``, so importing the package
-generates no code and does not import ``dataclasses``.
+slotted class whose one constructor stores the fields it names in
+``__slots__``.  A record writes its own ``__init__`` only to coerce or check
+its fields.  Importing the package generates no code and does not import
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -124,18 +126,48 @@ class Direction(Enum):
 
 class Record:
     """Immutable record whose fields are the ``__slots__`` of its classes,
-    base first.  Each subclass's ``__init__`` stores them with
-    ``object.__setattr__`` and then checks them.  Records are equal when
-    their classes and field values are, hash by their field values, print
-    as ``Name(field=value, ...)`` and pickle through their constructor.
-    ``FrozenInstanceError`` is imported only to be raised, so importing the
-    package does not load ``dataclasses``."""
+    base first, given positionally or by name; a field left out takes its
+    value from ``_defaults``.  A subclass writes ``__init__`` only to coerce
+    or check its fields, and stores them through ``Record.__init__``.
+    Records are equal when their classes and field values are, hash by
+    their field values, print as ``Name(field=value, ...)`` and pickle
+    through their constructor.  ``FrozenInstanceError`` is imported only to
+    be raised, so importing the package does not load ``dataclasses``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()  # each field's slot ``__set__``, bound once per class
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
-        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        own = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + own
+        cls._setters = cls._setters + tuple(cls.__dict__[name].__set__ for name in own)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for store, value in zip(setters, args):
+            store(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict[str, object]) -> tuple:
+        """Each field's value from the positional values, the named ones
+        and ``_defaults``; TypeError names any fault."""
+        name, fields = cls.__qualname__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)} values")
+        given = dict(zip(fields, args))
+        values = {**cls._defaults, **given, **kwargs}
+        for fault, names in (
+            ("unknown", kwargs.keys() - set(fields)),
+            ("repeated", kwargs.keys() & given.keys()),
+            ("missing", [f for f in fields if f not in values]),
+        ):
+            if names:
+                raise TypeError(f"{name}: {fault} fields {sorted(names)}")
+        return tuple(values[f] for f in fields)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -215,8 +247,7 @@ class Bounds(Record):
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: tuple[Fraction, ...], upper: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "lower", _rational_tuple(lower))
-        object.__setattr__(self, "upper", _rational_tuple(upper))
+        super().__init__(_rational_tuple(lower), _rational_tuple(upper))
         if len(self.lower) != len(self.upper):
             raise ContractViolation("bound tuples differ in dimension")
         for lo, hi in zip(self.lower, self.upper):
@@ -288,10 +319,7 @@ class GuaranteeFamily(Record):
     __slots__ = ("kind", "p", "sigma", "bound")
 
     def __init__(self, kind: FamilyKind, p: int, sigma: Fraction, bound: Fraction) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "sigma", as_rational(sigma))
-        object.__setattr__(self, "bound", as_rational(bound))
+        super().__init__(kind, p, as_rational(sigma), as_rational(bound))
         if self.p < 2:
             raise ContractViolation("guarantee families require p >= 2")
         if self.sigma < 1:

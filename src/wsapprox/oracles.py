@@ -25,9 +25,10 @@ witness weight.  Approximation guarantees are checked target by target
 against the Pareto front, which decides the whole feasible set because
 every family is down-closed; ranking and coverage are exact int comparisons
 on the cleared images, and one Fraction factor vector is built per target,
-for the candidate that the report names.  These oracles are the independent
-side of every guarantee test, so none of them share code with the
-approximation algorithms.
+for the candidate that the report names; more than ``MAX_VERIFY_PAIRS``
+distinct target-candidate pairs are refused before any is scored.  These
+oracles are the independent side of every guarantee test, so none of them
+share code with the approximation algorithms.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from typing import Iterable, Optional
 from .core import (
     ContractViolation,
     Direction,
-    FactorVector,
     FamilyKind,
     GuaranteeFamily,
     ObjectiveVector,
@@ -56,6 +56,12 @@ from .solvers import ExplicitInstance, GraphInstance, GraphKind, Solution
 # at p = 2, 3.2 s at p = 3 and 5.3 s at p = 4 on 2 vCPUs; the work grows
 # about as F**3.
 MAX_SUPPORT_ROWS = 20_000
+
+# Most pairs of a distinct front image and a distinct candidate image that
+# verify_approximation admits.  At the ceiling the CLI's verify took
+# 2.7-3.4 s at p = 2 and 3.8-4.4 s at p = 4 on 2 vCPUs; the work grows as
+# the pairs.
+MAX_VERIFY_PAIRS = 2_000_000
 
 
 def _cleared_columns(rows: list[list[tuple[int, int]]], p: int) -> tuple[list[int], list]:
@@ -106,12 +112,16 @@ def pareto_front(inst: ExplicitInstance) -> frozenset[str]:
     return _front(_cleared_images(inst))
 
 
+# Most solutions a graph enumeration lists unless ``--limit`` says otherwise.
+ENUMERATION_LIMIT = 10_000
+
+
 class EnumerationLimit(RuntimeError):
     """Exhaustive enumeration of a graph instance exceeded the guard."""
 
 
 def enumerate_graph_solutions(
-    inst: GraphInstance, limit: int = 10000, work_limit: int = 2_000_000,
+    inst: GraphInstance, limit: int = ENUMERATION_LIMIT, work_limit: int = 2_000_000,
     named: Optional[Iterable[str]] = None,
 ) -> ExplicitInstance:
     """All simple paths or spanning trees as an explicit instance; given
@@ -271,10 +281,6 @@ class SupportCertificate(Record):
 
     __slots__ = ("weight", "weak")
 
-    def __init__(self, weight: WeightVector, weak: bool) -> None:
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "weak", weak)
-
 
 def _support_certificate_lp(
     image: tuple[int, ...],
@@ -317,7 +323,7 @@ def _support_certificate_lp(
     if S + T == 0:
         return None
     weight = WeightVector(tuple(Fraction(S + X[j], S) for j in range(p)))
-    return SupportCertificate(weight, weak=S + T == d)
+    return SupportCertificate(weight, S + T == d)
 
 
 def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate]:
@@ -371,40 +377,13 @@ def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate
 class Witness(Record):
     __slots__ = ("target_id", "covered_by", "beta")
 
-    def __init__(self, target_id: str, covered_by: str, beta: FactorVector) -> None:
-        object.__setattr__(self, "target_id", target_id)
-        object.__setattr__(self, "covered_by", covered_by)
-        object.__setattr__(self, "beta", beta)
-
 
 class Violation(Record):
     __slots__ = ("target_id", "best_candidate", "best_beta")
 
-    def __init__(
-        self,
-        target_id: str,
-        best_candidate: Optional[str],
-        best_beta: Optional[FactorVector],
-    ) -> None:
-        object.__setattr__(self, "target_id", target_id)
-        object.__setattr__(self, "best_candidate", best_candidate)
-        object.__setattr__(self, "best_beta", best_beta)
-
 
 class VerificationReport(Record):
     __slots__ = ("family", "ok", "witnesses", "violations")
-
-    def __init__(
-        self,
-        family: GuaranteeFamily,
-        ok: bool,
-        witnesses: tuple[Witness, ...],
-        violations: tuple[Violation, ...],
-    ) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "violations", violations)
 
 
 def _covers_cleared(
@@ -489,7 +468,9 @@ def verify_approximation(
     this one path.  Only the smallest id of each distinct candidate image is
     scored, since it wins every tie with the others, and each distinct
     target image is scored once.  The one Fraction ``factor_vector`` per
-    target is built for the reported candidate alone.
+    target is built for the reported candidate alone.  More than
+    MAX_VERIFY_PAIRS distinct target-candidate image pairs are refused
+    (ContractViolation) before any is scored.
     """
     ids = sorted(set(solution_ids))
     originals = {s.id: s.image for s in inst.solutions}
@@ -503,6 +484,13 @@ def verify_approximation(
     candidates: dict[tuple[int, ...], str] = {}
     for cid in ids:
         candidates.setdefault(images[cid], cid)
+    targets = len({images[sid] for sid in front})
+    pairs = targets * len(candidates)
+    if pairs > MAX_VERIFY_PAIRS:
+        raise ContractViolation(
+            f"verification needs {pairs} pairs for {targets} distinct front images and "
+            f"{len(candidates)} distinct candidates, over the limit of {MAX_VERIFY_PAIRS}"
+        )
     verdicts: dict[tuple[int, ...], tuple[Optional[str], bool]] = {}
     witnesses: list[Witness] = []
     violations: list[Violation] = []
@@ -521,9 +509,7 @@ def verify_approximation(
             witnesses.append(Witness(target.id, cid, beta))
         else:
             violations.append(Violation(target.id, cid, beta))
-    return VerificationReport(
-        family, ok=not violations, witnesses=tuple(witnesses), violations=tuple(violations)
-    )
+    return VerificationReport(family, not violations, tuple(witnesses), tuple(violations))
 
 
 def verify_max_impossibility(inst: ExplicitInstance) -> bool:

@@ -82,10 +82,6 @@ class DisconnectedGraph(ContractViolation):
 class Solution(Record):
     __slots__ = ("id", "image")
 
-    def __init__(self, id: str, image: ObjectiveVector) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "image", image)
-
 
 class ExplicitInstance(Record):
     """Feasible set given by an explicit list of (id, image) pairs."""
@@ -93,9 +89,7 @@ class ExplicitInstance(Record):
     __slots__ = ("direction", "p", "solutions")
 
     def __init__(self, direction: Direction, p: int, solutions: Sequence[Solution]) -> None:
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "solutions", tuple(solutions))
+        super().__init__(direction, p, tuple(solutions))
         if not self.solutions:
             raise ContractViolation("explicit instances must be nonempty")
         if any(len(s.image) != self.p for s in self.solutions):
@@ -116,11 +110,6 @@ class GraphKind(Enum):
 class Arc(Record):
     __slots__ = ("tail", "head", "cost")
 
-    def __init__(self, tail: int, head: int, cost: ObjectiveVector) -> None:
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "cost", cost)
-
 
 class GraphInstance(Record):
     """Digraph (shortest path) or undirected graph (spanning tree) instance.
@@ -132,22 +121,10 @@ class GraphInstance(Record):
     __slots__ = ("direction", "p", "node_count", "arcs", "kind", "source", "target")
 
     def __init__(
-        self,
-        direction: Direction,
-        p: int,
-        node_count: int,
-        arcs: Sequence[Arc],
-        kind: GraphKind,
-        source: int = 0,
-        target: int = 0,
+        self, direction: Direction, p: int, node_count: int, arcs: Sequence[Arc],
+        kind: GraphKind, source: int = 0, target: int = 0,
     ) -> None:
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "arcs", tuple(arcs))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+        super().__init__(direction, p, node_count, tuple(arcs), kind, source, target)
         if self.node_count < 2:
             raise ContractViolation("graph instances need at least two nodes")
         if not self.arcs:
@@ -199,18 +176,7 @@ class SolveAnswer(Record):
     """One weighted-sum answer: canonical id, image, exact scalar value."""
 
     __slots__ = ("solution_id", "image", "scalar", "arcs")
-
-    def __init__(
-        self,
-        solution_id: str,
-        image: ObjectiveVector,
-        scalar: Fraction,
-        arcs: Optional[tuple[int, ...]] = None,
-    ) -> None:
-        object.__setattr__(self, "solution_id", solution_id)
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "arcs", arcs)
+    _defaults = {"arcs": None}
 
 
 def path_id(arc_indices: tuple[int, ...]) -> str:
@@ -361,7 +327,7 @@ def _explicit_kernel(inst: ExplicitInstance, sigma: Fraction) -> Kernel:
         if kept[best] not in pruned_by:
             pruned_by.add(kept[best])
             forget(best)
-        return SolveAnswer(chosen.id, chosen.image, Fraction(value, denom))
+        return SolveAnswer(chosen.id, chosen.image, Fraction(value, denom), None)
 
     return solve
 

@@ -966,6 +966,46 @@ class TestOracleCommand:
         assert main(["export-plot", "--from-report", str(report), "--out-dir", str(plots)]) == 2
         assert not plots.exists()
 
+    @staticmethod
+    def verify_argv(tmp_path, n, ids):
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps(ids))
+        instance = TestOracleCommand.collinear_file(tmp_path, n)
+        family = ["--family", "multifactor", "--epsilon", "1"]
+        return ["verify", "--instance", instance, "--solutions", str(path), *family]
+
+    def test_verify_at_the_pair_ceiling_runs(self, tmp_path, monkeypatch):
+        # 4 distinct front images times 3 distinct candidates: "copy" is s1's image
+        monkeypatch.setattr(oracles, "MAX_VERIFY_PAIRS", 4 * 3)
+        out = tmp_path / "verify.json"
+        argv = self.verify_argv(tmp_path, 4, ["s1", "copy", "s2", "worse"])
+        assert main([*argv, "--out", str(out)]) == 0
+        assert read_json(out)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "ceiling,n,candidates",
+        [(4 * 3 - 1, 4, ["s1", "copy", "s2", "worse"]), (oracles.MAX_VERIFY_PAIRS, 1415, None)],
+    )
+    def test_verify_past_the_pair_ceiling_exits_2_before_any_pair(
+        self, tmp_path, monkeypatch, capsys, ceiling, n, candidates
+    ):
+        monkeypatch.setattr(oracles, "MAX_VERIFY_PAIRS", ceiling)
+
+        def no_pair(*args):
+            raise AssertionError("a pair was scored")
+
+        monkeypatch.setattr(oracles, "_best_candidate", no_pair)
+        if candidates is None:  # every id: n front images, "copy" and "worse"
+            candidates = [f"s{i}" for i in range(1, n + 1)] + ["copy", "worse"]
+        distinct = len(candidates) - 1
+        out = tmp_path / "verify.json"
+        assert main([*self.verify_argv(tmp_path, n, candidates), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: verification needs {n * distinct} pairs for {n} distinct front images "
+            f"and {distinct} distinct candidates, over the limit of {ceiling}"
+        ]
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "command,text",

@@ -1,8 +1,8 @@
 """Value semantics of the package's record classes.
 
 Every subclass of ``core.Record`` found in the package's modules is checked
-from one sample instance, so a record added later without a sample fails
-``test_every_record_has_a_sample``.
+from one sample instance and its pinned field names, so a record added
+later without both fails ``test_every_record_has_a_sample``.
 """
 
 import copy
@@ -112,27 +112,105 @@ SAMPLES = {
     VerificationReport: (FAMILY, True, (WITNESS,), ()),
 }
 
+# Each record's fields, in order, stated independently of the classes.
+FIELDS = {
+    _RationalVector: ("values",),
+    ObjectiveVector: ("values",),
+    WeightVector: ("values",),
+    FactorVector: ("values",),
+    Bounds: ("lower", "upper"),
+    GuaranteeFamily: ("kind", "p", "sigma", "bound"),
+    Solution: ("id", "image"),
+    ExplicitInstance: ("direction", "p", "solutions"),
+    Arc: ("tail", "head", "cost"),
+    GraphInstance: ("direction", "p", "node_count", "arcs", "kind", "source", "target"),
+    SolveAnswer: ("solution_id", "image", "scalar", "arcs"),
+    SolverHandle: ("instance", "sigma", "kernel", "_calls"),
+    GridWeight: ("exponents", "weight"),
+    GridPlan: ("epsilon", "sigma", "eps_prime", "u", "corners", "entries"),
+    CellAssignment: ("weight_index", "solution_id", "level", "lower", "upper"),
+    GridRun: ("plan", "answers", "result", "ws_calls"),
+    BisectProbe: ("index", "gamma", "answer"),
+    BiobjectiveRun: (
+        "epsilon", "eps_prime", "u1", "u2", "gamma_count", "probes", "result",
+        "ws_calls", "tree_nodes", "two_child_nodes", "tree_height",
+    ),
+    SupportCertificate: ("weight", "weak"),
+    Witness: ("target_id", "covered_by", "beta"),
+    Violation: ("target_id", "best_candidate", "best_beta"),
+    VerificationReport: ("family", "ok", "witnesses", "violations"),
+}
+
+# The records that coerce or check their fields, and so write their own
+# ``__init__``; every other record is built by ``Record.__init__``.
+OWN_INIT = {
+    _RationalVector,
+    ObjectiveVector,
+    WeightVector,
+    FactorVector,
+    Bounds,
+    GuaranteeFamily,
+    ExplicitInstance,
+    GraphInstance,
+    SolverHandle,
+}
+
 # A SolverHandle counts its calls and may keep kernel state, so it is
 # mutable and unhashable, and its repr leaves the kernel out.
 MUTABLE = {SolverHandle}
 HIDDEN_IN_REPR = {SolverHandle: {"kernel"}}
 
 
-def field_names(cls):
-    """The record's fields: its constructor's parameters, in order."""
-    return [name for name in inspect.signature(cls.__init__).parameters if name != "self"]
+def keywords(cls):
+    """The sample's fields by name."""
+    return dict(zip(FIELDS[cls], SAMPLES[cls]))
 
 
 def test_every_record_has_a_sample():
-    assert set(record_classes()) == set(SAMPLES)
+    assert set(record_classes()) == set(SAMPLES) == set(FIELDS)
+
+
+def test_only_records_that_coerce_or_check_write_init():
+    assert {cls for cls in record_classes() if "__init__" in vars(cls)} == OWN_INIT
+
+
+def test_a_solve_answer_without_arcs_has_none():
+    answer = SolveAnswer("a", IMAGE, Fraction(3))
+    assert answer.arcs is None
+    assert answer == SolveAnswer("a", IMAGE, Fraction(3), None)
 
 
 @pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__qualname__)
 class TestRecordSemantics:
     def test_fields_are_the_constructor_parameters(self, cls):
         record = cls(*SAMPLES[cls])
-        assert list(record._fields) == field_names(cls)
+        assert record._fields == FIELDS[cls]
         assert not hasattr(record, "__dict__")
+        if cls in OWN_INIT:
+            parameters = list(inspect.signature(cls.__init__).parameters)
+            assert parameters == ["self", *FIELDS[cls]]
+
+    def test_fields_by_name_give_the_same_record(self, cls):
+        assert cls(**keywords(cls)) == cls(*SAMPLES[cls])
+
+    def test_a_missing_field_is_refused(self, cls):
+        fields = keywords(cls)
+        del fields[FIELDS[cls][0]]
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(**fields)
+
+    def test_an_unknown_field_is_refused(self, cls):
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(*SAMPLES[cls], color=1)
+
+    def test_a_repeated_field_is_refused(self, cls):
+        first = FIELDS[cls][0]
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(*SAMPLES[cls], **{first: SAMPLES[cls][0]})
+
+    def test_a_surplus_field_is_refused(self, cls):
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(*SAMPLES[cls], None)
 
     def test_equal_fields_give_equal_records(self, cls):
         a, b = cls(*SAMPLES[cls]), cls(*SAMPLES[cls])
@@ -154,7 +232,7 @@ class TestRecordSemantics:
 
     def test_fields_are_frozen(self, cls):
         record = cls(*SAMPLES[cls])
-        for name in field_names(cls):
+        for name in FIELDS[cls]:
             value = getattr(record, name)
             if cls in MUTABLE:
                 setattr(record, name, value)
@@ -167,7 +245,7 @@ class TestRecordSemantics:
 
     def test_repr_lists_the_fields_in_order(self, cls):
         record = cls(*SAMPLES[cls])
-        shown = [n for n in field_names(cls) if n not in HIDDEN_IN_REPR.get(cls, ())]
+        shown = [n for n in FIELDS[cls] if n not in HIDDEN_IN_REPR.get(cls, ())]
         fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in shown)
         assert repr(record) == f"{cls.__qualname__}({fields})"
 
