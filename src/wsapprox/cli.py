@@ -6,6 +6,8 @@ computes ground-truth sets, ``generate`` writes instance files, and
 ``export-plot`` turns a report into CSV plot data (biobjective only),
 writing each file under a temporary name and moving it into place, so a
 failed export leaves no partial file.
+Every other command writes its JSON to stdout or over ``--out`` in place,
+cutting only a longer old tail, so that ext4 does not flush the file on close.
 ``approximate --cells`` adds the grid's corner table to a grid report as
 its ``cells`` block, and ``export-plot`` writes the cell map from that
 table, ``u`` and the weights' exponents and answer ids as ``cells.csv``.
@@ -127,12 +129,22 @@ def _check_out_dir(out_dir: Optional[str]) -> None:
         raise ContractViolation(f"--out-dir {out_dir!r} is not a directory")
 
 
+def _open_without_truncating(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_output(payload: Any, out: Optional[str]) -> None:
+    """Write ``payload`` as canonical JSON to stdout or over ``out`` in place,
+    cutting only a longer old tail: ext4 starts writeback on close of a file
+    truncated to zero and rewritten, at several times the cost of the write."""
     text = canonical_dumps(payload)
     if out:
         data = text.encode("utf-8")  # fails, if it must, before ``out`` is opened
-        with open(out, "wb") as handle:
+        with open(out, "wb", opener=_open_without_truncating) as handle:
             handle.write(data)
+            # A new file, a device or a FIFO reports size 0: ftruncate fails on devices.
+            if os.fstat(handle.fileno()).st_size > len(data):
+                handle.truncate()
     else:
         sys.stdout.write(text)
 
