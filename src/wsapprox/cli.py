@@ -6,8 +6,8 @@ computes ground-truth sets, ``generate`` writes instance files, and
 ``export-plot`` turns a report into CSV plot data (biobjective only),
 writing each file under a temporary name and moving it into place, so a
 failed export leaves no partial file.
-Every other command writes its JSON to stdout or over ``--out`` in place,
-cutting only a longer old tail, so that ext4 does not flush the file on close.
+Every other command writes its JSON to stdout or to ``--out``; an existing
+file is overwritten in place, not truncated first, so ext4 does not flush it.
 ``approximate --cells`` adds the grid's corner table to a grid report as
 its ``cells`` block, and ``export-plot`` writes the cell map from that
 table, ``u`` and the weights' exponents and answer ids as ``cells.csv``.
