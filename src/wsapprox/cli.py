@@ -36,7 +36,8 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional
+from json.encoder import encode_basestring
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .algorithms import (
     BiobjectiveRun,
@@ -59,6 +60,7 @@ from .core import (
 from .instances import (
     SCHEMA_VERSION,
     InstanceFormatError,
+    Rendered,
     canonical_dumps,
     gen_max_counterexample,
     gen_random_explicit,
@@ -149,17 +151,6 @@ def _write_output(payload: Any, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _answer_json(answer: SolveAnswer) -> dict[str, Any]:
-    data: dict[str, Any] = {
-        "id": answer.solution_id,
-        "f": format_rationals(answer.image),
-        "value": format_rational(answer.scalar),
-    }
-    if answer.arcs is not None:
-        data["arcs"] = list(answer.arcs)
-    return data
-
-
 def family_to_json(family: GuaranteeFamily) -> dict[str, Any]:
     return {
         "variant": family.kind.value,
@@ -191,6 +182,47 @@ def report_to_json(report: VerificationReport) -> dict[str, Any]:
     }
 
 
+# Newline and indent of a ``weights[]`` or ``probes[]`` entry of a report
+# (depth 2), of the entry's members (3) and of its answer's members (4).
+_ENTRY, _MEMBER, _FIELD = ("\n" + "  " * depth for depth in (2, 3, 4))
+
+
+def _list_text(items: list[str], nl: str) -> str:
+    """Canonical text of a nonempty list at ``nl`` whose items' texts are ``items``."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _answer_entries(answers: Iterable[SolveAnswer], tails: Iterable[list[str]]) -> Rendered:
+    """Canonical text of a report's ``weights`` or ``probes``, a nonempty list
+    of ``{"answer": {"arcs", "f", "id", "value"}, ...}`` entries: entry i
+    holds answers[i] and then tails[i], the pieces of text of its members
+    after "answer".
+
+    An answer's text up to its ``"value": ``, its head, is formatted and
+    escaped once per distinct id.  The pieces hold each head, and each
+    piece of a tail, by reference, so an entry adds no text but its value."""
+    heads: dict[str, str] = {}
+    pieces: list[str] = []
+    sep, between = "[" + _ENTRY, _ENTRY + "}," + _ENTRY
+    for answer, tail in zip(answers, tails):
+        head = heads.get(answer.solution_id)
+        if head is None:
+            arcs = "" if answer.arcs is None else (
+                f'"arcs": {_list_text(list(map(str, answer.arcs)), _FIELD)},{_FIELD}'
+            )
+            f = _list_text([f'"{v}"' for v in format_rationals(answer.image)], _FIELD)
+            head = heads[answer.solution_id] = (
+                f'{{{_MEMBER}"answer": {{{_FIELD}{arcs}"f": {f},'
+                f'{_FIELD}"id": {encode_basestring(answer.solution_id)},{_FIELD}"value": '
+            )
+        pieces += (sep, head, f'"{format_rational(answer.scalar)}"{_MEMBER}}},')
+        pieces += tail
+        sep = between
+    pieces.append(_ENTRY + "}\n  ]")
+    return Rendered(1, pieces)
+
+
 def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
     """The grid part of an ``approximate`` report; with ``include_cells``,
     the ``cells`` block ``{"corners": text}``.
@@ -200,20 +232,38 @@ def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
     sum (u_j + 2) strings however many cells the grid has.  The report's
     ``u``, ``weights[].exponents`` and ``weights[].answer.id`` then fix
     every cell, and ``export-plot`` writes them out.
+
+    Component j of a weight is 1/corners[j][k_j], so ``weights[].weight``
+    prints that corner's numerator and denominator swapped: each of the
+    sum (u_j + 1) corners a weight can use is formatted once.
     """
+    # [j][k]: item j of a weight's exponents and of its weight at k_j = k,
+    # led by its separator and indent.
+    exponents, inverses = [], []
+    for j, column in enumerate(run.plan.corners):
+        nl = "," + _FIELD if j else _FIELD
+        exponents.append([f"{nl}{k}" for k in range(len(column) - 1)])
+        inverses.append([
+            f'{nl}"{c.denominator}"' if c.numerator == 1
+            else f'{nl}"{c.denominator}/{c.numerator}"'
+            for c in column[:-1]
+        ])
+    opening = _MEMBER + '"exponents": ['
+    between = _MEMBER + "]," + _MEMBER + '"weight": ['
+    closing = _MEMBER + "]"
+    tails = (
+        [
+            opening, *[column[k_j] for column, k_j in zip(exponents, k)],
+            between, *[column[k_j] for column, k_j in zip(inverses, k)], closing,
+        ]
+        for k in (entry.exponents for entry in run.plan.entries)
+    )
     data: dict[str, Any] = {
         "eps_prime": format_rational(run.plan.eps_prime),
         "u": list(run.plan.u),
         "ws_calls": run.ws_calls,
         "solutions": [{"id": s.id, "f": format_rationals(s.image)} for s in run.result],
-        "weights": [
-            {
-                "weight": format_rationals(entry.weight),
-                "exponents": list(entry.exponents),
-                "answer": _answer_json(answer),
-            }
-            for entry, answer in zip(run.plan.entries, run.answers)
-        ],
+        "weights": _answer_entries(run.answers, tails),
     }
     if include_cells:
         data["cells"] = {"corners": [format_rationals(column) for column in run.plan.corners]}
@@ -221,20 +271,17 @@ def _grid_report(run: GridRun, include_cells: bool) -> dict[str, Any]:
 
 
 def _bisect_report(run: BiobjectiveRun) -> dict[str, Any]:
+    tails = (
+        [f'{_MEMBER}"gamma": "{format_rational(probe.gamma)}",{_MEMBER}"t": {probe.index}']
+        for probe in run.probes
+    )
     return {
         "eps_prime": format_rational(run.eps_prime),
         "u": [run.u1, run.u2],
         "gamma_count": run.gamma_count,
         "ws_calls": run.ws_calls,
         "solutions": [{"id": s.id, "f": format_rationals(s.image)} for s in run.result],
-        "probes": [
-            {
-                "t": probe.index,
-                "gamma": format_rational(probe.gamma),
-                "answer": _answer_json(probe.answer),
-            }
-            for probe in run.probes
-        ],
+        "probes": _answer_entries([probe.answer for probe in run.probes], tails),
         "tree": {
             "nodes": run.tree_nodes,
             "two_child_nodes": run.two_child_nodes,

@@ -22,6 +22,7 @@ from .core import (
     Direction,
     ObjectiveVector,
     RationalLike,
+    Record,
     as_rational,
     format_rationals,
     parse_rational,
@@ -190,6 +191,14 @@ class _Escapes(dict):
         return escaped
 
 
+class Rendered(Record):
+    """A value's canonical text in ``pieces``, already indented for
+    ``depth``, the nesting depth of the value in its document (a member of
+    the top-level object sits at depth 1)."""
+
+    __slots__ = ("depth", "pieces")
+
+
 def canonical_dumps(payload: Any) -> str:
     """Canonical JSON text: the bytes of ``json.dumps(payload, sort_keys=True,
     indent=2, ensure_ascii=False) + "\\n"``, written in one pass.
@@ -200,7 +209,8 @@ def canonical_dumps(payload: Any) -> str:
     join.  Ints are tested by ``type(x) is int``, so bools still go through
     ``json.dumps`` and print ``true``/``false``.
     Scalars other than str and int go through ``json.dumps``; a dict key
-    that is not a str raises TypeError.
+    that is not a str raises TypeError.  A ``Rendered`` value is written as
+    its pieces, and refused (ValueError) at any depth but its own.
     """
     escaped = _Escapes()
     out: list[str] = []
@@ -243,6 +253,10 @@ def canonical_dumps(payload: Any) -> str:
             write(nl + "]" if v else "[]")
         elif t is int:
             write(int.__repr__(v))
+        elif t is Rendered:
+            if len(nl) != 1 + 2 * v.depth:
+                raise ValueError(f"text rendered for depth {v.depth} met at depth {len(nl) // 2}")
+            out.extend(v.pieces)
         else:
             write(json.dumps(v))
 

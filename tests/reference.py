@@ -31,6 +31,10 @@ in ``Fraction`` and without the package's shortcuts:
 - ``canonical_dumps_by_json`` writes canonical JSON with ``json.dumps``,
   whose indented encoder escapes a string wherever it appears, where the
   package's writer escapes each distinct string once in one pass;
+- ``grid_weights_by_dicts`` and ``bisect_probes_by_dicts`` build a report's
+  ``weights[]`` and ``probes[]`` as one dict per entry, formatting every
+  weight and answer wherever it appears, where the CLI writes their text
+  formatting each distinct weight component and answer once;
 - ``csv_text_by_writerows`` writes CSV rows with ``csv.writer.writerows``,
   which escapes a field wherever it appears, where the CLI escapes each
   distinct field once;
@@ -84,8 +88,8 @@ from wsapprox import (
     as_rational,
     factor_vector,
 )
-from wsapprox.algorithms import CellAssignment, GridRun
-from wsapprox.core import check_rational_literal, format_rational
+from wsapprox.algorithms import BiobjectiveRun, CellAssignment, GridRun
+from wsapprox.core import check_rational_literal, format_rational, format_rationals
 from wsapprox.oracles import EnumerationLimit, Violation, Witness
 from wsapprox.solvers import (
     Arc,
@@ -494,6 +498,41 @@ def canonical_dumps_by_json(payload) -> str:
     """Canonical JSON text as ``json.dumps`` writes it: sorted keys,
     two-space indent, no ASCII escaping, trailing newline."""
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _answer_json(answer: SolveAnswer) -> dict:
+    data = {
+        "id": answer.solution_id,
+        "f": format_rationals(answer.image),
+        "value": format_rational(answer.scalar),
+    }
+    if answer.arcs is not None:
+        data["arcs"] = list(answer.arcs)
+    return data
+
+
+def grid_weights_by_dicts(run: GridRun) -> list:
+    """A grid or ptas report's ``weights[]``, one dict per weight."""
+    return [
+        {
+            "weight": format_rationals(entry.weight),
+            "exponents": list(entry.exponents),
+            "answer": _answer_json(answer),
+        }
+        for entry, answer in zip(run.plan.entries, run.answers)
+    ]
+
+
+def bisect_probes_by_dicts(run: BiobjectiveRun) -> list:
+    """A bisect report's ``probes[]``, one dict per probe."""
+    return [
+        {
+            "t": probe.index,
+            "gamma": format_rational(probe.gamma),
+            "answer": _answer_json(probe.answer),
+        }
+        for probe in run.probes
+    ]
 
 
 def csv_text_by_writerows(rows) -> str:

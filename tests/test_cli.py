@@ -22,11 +22,20 @@ from hypothesis import given, settings
 
 import wsapprox
 from wsapprox import (
+    Direction,
+    ExplicitInstance,
+    GraphInstance,
+    GraphKind,
+    ObjectiveVector,
+    Solution,
     adversarial_solver,
+    approximate_biobjective,
     approximate_grid,
+    approximate_with_ptas,
     cli,
     compute_bounds,
     exact_solver,
+    gen_tightness_min,
     oracles,
     solvers,
 )
@@ -40,13 +49,15 @@ from wsapprox.instances import (
     load_instance,
 )
 
-from conftest import explicit_instances, time_limit
+from conftest import enumerable_graphs, explicit_instances, rationals, time_limit
 from reference import (
+    bisect_probes_by_dicts,
     canonical_dumps_by_json,
     cell_map_by_products,
     cell_rows_by_diagonal,
     cells_csv_by_products,
     csv_text_by_writerows,
+    grid_weights_by_dicts,
 )
 
 THREE_POINTS = {
@@ -1409,17 +1420,108 @@ class TestOutInPlace:
         assert len(flags) == 1 and not flags[0] & os.O_TRUNC
 
 
+# Ids that JSON text must escape or that are not ASCII: a quote, a
+# backslash, control characters, U+2028 and letters beyond ASCII.
+ESCAPED_IDS = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2028", "\u00e9", "\u96ea", "s"]),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def report_instances(draw, ps=(2, 3)):
+    """Minimization instances whose ids are plain or need escapes in JSON.
+    Some values are 1/2, 1/3 or 1, so that a lower bound's numerator is 1
+    and a weight component prints as an int."""
+    p = draw(st.sampled_from(ps))
+    n = draw(st.integers(1, 6))
+    units = st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1)])
+    value = st.one_of(rationals(1, 8), units)
+    images = draw(st.lists(st.lists(value, min_size=p, max_size=p), min_size=n, max_size=n))
+    plain = [f"s{i + 1}" for i in range(n)]
+    escaped = st.lists(ESCAPED_IDS, min_size=n, max_size=n, unique=True)
+    ids = draw(st.one_of(st.just(plain), escaped))
+    solutions = (Solution(i, ObjectiveVector(tuple(v))) for i, v in zip(ids, images))
+    return ExplicitInstance(Direction.MIN, p, tuple(solutions))
+
+
+EPSILONS = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)])
+
+
+def assert_written_as_dicts(part, key, reference):
+    """A report ``part`` whose ``key`` the CLI writes from pre-rendered text
+    is written as json.dumps writes the part holding ``reference`` there."""
+    assert canonical_dumps(part) == canonical_dumps_by_json({**part, key: reference})
+
+
+class TestAnswerEntries:
+    """``weights[]`` and ``probes[]`` are written from text formatted once
+    per distinct answer and weight component; their bytes are those of the
+    one-dict-per-entry references."""
+
+    @given(report_instances(), EPSILONS, st.sampled_from(["exact", "adversarial", "ptas"]),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_explicit_grid_weights(self, inst, epsilon, solver, cells):
+        bounds = compute_bounds(inst)
+        if solver == "exact":
+            run = approximate_grid(exact_solver(inst), bounds, epsilon)
+        elif solver == "adversarial":
+            run = approximate_grid(adversarial_solver(inst, Fraction(3, 2)), bounds, epsilon)
+        else:
+            tau = epsilon / (2 * inst.p)
+            run = approximate_with_ptas(adversarial_solver(inst, 1 + tau), bounds, epsilon)
+        assert_written_as_dicts(cli._grid_report(run, cells), "weights", grid_weights_by_dicts(run))
+
+    @given(
+        st.sampled_from(list(GraphKind)).flatmap(enumerable_graphs),
+        st.sampled_from([Fraction(1), Fraction(3)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_graph_grid_weights(self, graph, epsilon):
+        graph = GraphInstance(
+            Direction.MIN, graph.p, graph.node_count, graph.arcs, graph.kind,
+            graph.source, graph.target,
+        )
+        run = approximate_grid(exact_solver(graph), compute_bounds(graph), epsilon)
+        assert_written_as_dicts(cli._grid_report(run, False), "weights", grid_weights_by_dicts(run))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_lower_bound_of_numerator_one_prints_an_int_weight(self, p):
+        inst = gen_tightness_min(p, 4)  # lower bound 1/p in every objective
+        run = approximate_grid(exact_solver(inst), compute_bounds(inst), Fraction(1))
+        weights = grid_weights_by_dicts(run)
+        assert weights[0]["weight"] == [str(p)] * p
+        assert_written_as_dicts(cli._grid_report(run, False), "weights", weights)
+
+    @given(report_instances(ps=(2,)), st.sampled_from([Fraction(1, 4), Fraction(1)]))
+    @settings(max_examples=100, deadline=None)
+    def test_bisect_probes(self, inst, epsilon):
+        run = approximate_biobjective(exact_solver(inst), compute_bounds(inst), epsilon)
+        assert_written_as_dicts(cli._bisect_report(run), "probes", bisect_probes_by_dicts(run))
+
+
 class TestCanonicalOutput:
     def test_every_output_file_is_json_dumps_text(self, tmp_path):
         def out(name):
             return str(tmp_path / name)
 
         inst, graph, grid = out("inst.json"), out("graph.json"), out("grid.json")
+        tree, escaped = out("tree.json"), out("escaped.json")
+        ids = ['say "hi"', "back\\slash", "nul\x00\ttab", "line\u2028sep", "\u00e9t\u00e9 \u96ea"]
+        images = [["1", "8"], ["2", "4"], ["4", "2"], ["8", "1"], ["3", "3"]]
+        pathlib.Path(escaped).write_text(canonical_dumps({
+            "kind": "explicit", "direction": "min", "p": 2,
+            "solutions": [{"id": i, "f": f} for i, f in zip(ids, images)],
+        }), encoding="utf-8")
         values = ["--p", "2", "--low", "1", "--high", "9", "--seed", "5"]
         commands = [
             ["generate", "random-explicit", "--n", "12", *values, "--out", inst],
             ["generate", "random-graph", "--nodes", "6", "--arcs", "12", *values,
              "--kind", "shortest-path", "--out", graph],
+            ["generate", "random-graph", "--nodes", "6", "--arcs", "12", *values,
+             "--kind", "spanning-tree", "--out", tree],
             ["approximate", "--algorithm", "grid", "--instance", inst, "--epsilon", "1/2",
              "--cells", "--out", grid],
             ["approximate", "--algorithm", "grid", "--instance", inst, "--epsilon", "1/2",
@@ -1430,6 +1532,10 @@ class TestCanonicalOutput:
              "--tau", "1/4", "--solver", "adversarial", "--out", out("ptas.json")],
             ["approximate", "--algorithm", "grid", "--instance", graph, "--epsilon", "1/2",
              "--out", out("graph-grid.json")],
+            ["approximate", "--algorithm", "grid", "--instance", tree, "--epsilon", "1/2",
+             "--out", out("tree-grid.json")],
+            ["approximate", "--algorithm", "grid", "--instance", escaped, "--epsilon", "1/2",
+             "--out", out("escaped-grid.json")],
             ["verify", "--instance", inst, "--from-report", grid, "--family", "multifactor",
              "--epsilon", "1/2", "--out", out("verify-grid.json")],
             ["verify", "--instance", inst, "--from-report", out("bisect.json"),

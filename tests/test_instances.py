@@ -22,7 +22,7 @@ from wsapprox import (
     instance_from_json,
     instance_to_json,
 )
-from wsapprox.instances import canonical_dumps
+from wsapprox.instances import Rendered, canonical_dumps
 
 from reference import canonical_dumps_by_json, image_of
 
@@ -327,6 +327,19 @@ class TestCanonicalDumps:
     def test_non_str_key_raises(self, key):
         with pytest.raises(TypeError, match="keys must be str"):
             canonical_dumps({"a": [{key: 1}]})
+
+    def test_rendered_text_is_written_at_its_own_depth(self):
+        items = Rendered(1, ["[", "\n    1,", "\n    2", "\n  ]"])
+        expected = canonical_dumps_by_json({"a": [1, 2], "b": "x"})
+        assert canonical_dumps({"a": items, "b": "x"}) == expected
+        assert canonical_dumps(Rendered(0, ["{}"])) == "{}\n"
+
+    @pytest.mark.parametrize("payload", [
+        Rendered(1, ["1"]), {"a": Rendered(2, ["1"])}, {"a": [Rendered(1, ["1"])]},
+    ], ids=["top", "member", "item"])
+    def test_rendered_text_is_refused_at_another_depth(self, payload):
+        with pytest.raises(ValueError, match="rendered for depth"):
+            canonical_dumps(payload)
 
 
 def graph_json(**changes):

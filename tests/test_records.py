@@ -35,6 +35,7 @@ from wsapprox.core import (
     WeightVector,
     _RationalVector,
 )
+from wsapprox.instances import Rendered
 from wsapprox.oracles import SupportCertificate, VerificationReport, Violation, Witness
 from wsapprox.solvers import (
     Arc,
@@ -110,6 +111,7 @@ SAMPLES = {
     Witness: ("a", "a", FACTORS),
     Violation: ("b", "a", FACTORS),
     VerificationReport: (FAMILY, True, (WITNESS,), ()),
+    Rendered: (1, ("[]",)),
 }
 
 # Each record's fields, in order, stated independently of the classes.
@@ -139,6 +141,7 @@ FIELDS = {
     Witness: ("target_id", "covered_by", "beta"),
     Violation: ("target_id", "best_candidate", "best_beta"),
     VerificationReport: ("family", "ok", "witnesses", "violations"),
+    Rendered: ("depth", "pieces"),
 }
 
 # The records that coerce or check their fields, and so write their own

@@ -9,7 +9,7 @@ whose callers can call what it wraps is deleted.
 import pytest
 
 import wsapprox
-from wsapprox import algorithms, core, oracles, solvers
+from wsapprox import algorithms, cli, core, oracles, solvers
 
 MOVED = [
     (solvers, "solve_explicit_exact"),
@@ -30,6 +30,7 @@ MOVED = [
     (algorithms, "ptas_family"),
     (oracles, "_support_certificate_biobjective"),
     (oracles, "supported_set"),
+    (cli, "_answer_json"),
 ]
 
 
