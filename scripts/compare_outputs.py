@@ -9,6 +9,14 @@ is then compared by sha256, and every command by its exit code and its
 stderr.  Each difference is printed; the exit code is 1 if there is any,
 else 0.
 
+A fixed set of hand-written instance files goes through the same
+comparison, each file through ``oracle --what supported`` and
+``approximate --algorithm grid``: values in the spellings the loader
+accepts but never writes (padded, signed, unreduced, zero-led, in
+Arabic-Indic digits) and one fault per file.  Generated files hold only
+canonical values, so without them the loader's entry-by-entry reader, and
+every refusal it words, would go unseen.
+
 Usage: python scripts/compare_outputs.py --parent-src DIR [--seeds 1 2 ...]
                                          [--size tiny|full]
 
@@ -47,12 +55,76 @@ json.dump(results, sys.stdout)
 """
 
 
-def run_tree(src: str, name: str, seed: int, size: str, workdir: str) -> list:
-    """Run one workload's commands against the package in ``src`` with its
-    files in ``workdir``: a list of [argv, exit code, stderr]."""
-    workload = workloads.build(name, seed, size, workdir)
-    argvs = [list(argv) for argv in workload.generate]
-    argvs += [list(cmd.argv) for cmd in workload.commands]
+def _explicit(change=None) -> dict:
+    """Three points a, b, c; ``change`` edits the document if callable, else
+    it replaces b's second value."""
+    doc = {"kind": "explicit", "direction": "min", "p": 2, "solutions": [
+        {"id": "a", "f": ["1", "8"]}, {"id": "b", "f": ["2", "2"]}, {"id": "c", "f": ["8", "1"]},
+    ]}
+    if callable(change):
+        change(doc)
+    elif change is not None:
+        doc["solutions"][1]["f"][1] = change
+    return doc
+
+
+HAND_WRITTEN = {
+    "canonical": _explicit(),
+    "padded": _explicit(" 2\n"),
+    "signed": _explicit("+2"),
+    "unreduced": _explicit("6/3"),
+    "leading-zero": _explicit("002"),
+    "arabic-indic": _explicit("\u0662"),
+    "json-number": _explicit(2),
+    "decimal": _explicit("2.0"),
+    "zero-denominator": _explicit("1/0"),
+    "arabic-indic-zero-denominator": _explicit("1/\u0660"),
+    "zero": _explicit("0"),
+    "negative": _explicit("-3/4"),
+    "over-digit-limit": _explicit("1" * 5000),
+    "short-vector": _explicit(lambda d: d["solutions"][1]["f"].pop()),
+    "extra-key": _explicit(lambda d: d["solutions"][1].update(note="x")),
+    "missing-key": _explicit(lambda d: d["solutions"][1].pop("id")),
+    "graph-spelled": {
+        "kind": "spanning-tree", "direction": "min", "p": 2, "nodes": 3, "arcs": [
+            {"from": 0, "to": 1, "cost": ["1", " 4/2"]},
+            {"from": 1, "to": 2, "cost": ["+3", "\u0661"]},
+            {"from": 0, "to": 2, "cost": ["02", "2"]},
+        ],
+    },
+}
+
+
+def hand_written_argvs(workdir: str) -> list:
+    """Write ``HAND_WRITTEN`` into ``workdir``: the argvs that run each file."""
+    argvs = []
+    for name, doc in HAND_WRITTEN.items():
+        inst = os.path.join(workdir, f"{name}.json")
+        with open(inst, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        argvs.append(["oracle", "--instance", inst, "--what", "supported",
+                      "--out", os.path.join(workdir, f"{name}-supported.json")])
+        argvs.append(["approximate", "--algorithm", "grid", "--instance", inst, "--epsilon", "1",
+                      "--out", os.path.join(workdir, f"{name}-grid.json")])
+    return argvs
+
+
+def workload_argvs(name: str, seed: int, size: str):
+    """The argvs of one workload's ``generate`` commands and one pass of its
+    command sequence, with every file in the workdir they are given."""
+
+    def argvs(workdir: str) -> list:
+        workload = workloads.build(name, seed, size, workdir)
+        return [list(argv) for argv in workload.generate] + [
+            list(cmd.argv) for cmd in workload.commands
+        ]
+
+    return argvs
+
+
+def run_tree(src: str, argvs: list, workdir: str) -> list:
+    """Run ``argvs`` against the package in ``src`` with ``workdir`` as the
+    working directory: a list of [argv, exit code, stderr]."""
     result = subprocess.run(
         [sys.executable, "-c", RUNNER],
         input=json.dumps(argvs),
@@ -76,11 +148,12 @@ def digests(workdir: str) -> dict:
     return found
 
 
-def compare(parent_src: str, name: str, seed: int, size: str) -> list[str]:
-    """The differences between the two trees on one workload and seed."""
+def compare(parent_src: str, label: str, build) -> list[str]:
+    """The differences between the two trees on the argvs that ``build``
+    makes for a working directory."""
     with tempfile.TemporaryDirectory() as ours, tempfile.TemporaryDirectory() as theirs:
-        mine = run_tree(os.path.join(ROOT, "src"), name, seed, size, ours)
-        other = run_tree(parent_src, name, seed, size, theirs)
+        mine = run_tree(os.path.join(ROOT, "src"), build(ours), ours)
+        other = run_tree(parent_src, build(theirs), theirs)
         # the argvs name each tree's own directory; compare them without it
         differences = [
             f"{' '.join(argv).replace(ours, '.')}: exit {code} stderr {err!r}, "
@@ -94,7 +167,7 @@ def compare(parent_src: str, name: str, seed: int, size: str) -> list[str]:
             for path in sorted(set(mine_files) | set(other_files))
             if mine_files.get(path) != other_files.get(path)
         ]
-        return [f"{name} seed {seed}: {line}" for line in differences]
+        return [f"{label}: {line}" for line in differences]
 
 
 def main() -> int:
@@ -105,14 +178,18 @@ def main() -> int:
     args = parser.parse_args()
     if not os.path.isdir(os.path.join(args.parent_src, "wsapprox")):
         parser.error(f"--parent-src {args.parent_src} holds no wsapprox package")
+    runs = [
+        (f"{name} seed {seed}", workload_argvs(name, seed, args.size))
+        for name in workloads.BUILDERS
+        for seed in args.seeds
+    ]
     failed = False
-    for name in workloads.BUILDERS:
-        for seed in args.seeds:
-            differences = compare(args.parent_src, name, seed, args.size)
-            print(f"{name} seed {seed}: {len(differences)} differences")
-            for line in differences:
-                print(line)
-            failed = failed or bool(differences)
+    for label, build in [*runs, ("hand-written", hand_written_argvs)]:
+        differences = compare(args.parent_src, label, build)
+        print(f"{label}: {len(differences)} differences")
+        for line in differences:
+            print(line)
+        failed = failed or bool(differences)
     return 1 if failed else 0
 
 

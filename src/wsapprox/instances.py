@@ -5,6 +5,16 @@ supported solutions against a single unsupported point and are the standard
 stress inputs for the tightness and impossibility checks.  Random generators
 draw values on a fixed-denominator lattice so downstream exact arithmetic
 stays small, and are fully determined by their seed.
+
+``instance_from_json`` reads a file's rationals in one pass: it collects
+the literal strings of every solution or arc, checks them together (all
+strs, one match of their joined text against a pattern of positive ASCII
+literals with no sign, padding or leading zero, the longest within
+``sys.get_int_max_str_digits()``), and hands each digit run to ``int``.
+Any anomaly, in a literal or in an entry's structure, makes it read the
+entries again one at a time with ``core.parse_rational``, so the first
+fault in the file raises the same error, with the same message, as it
+would alone.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -313,8 +324,119 @@ def _parse_index(value: Any, node_count: int, what: str) -> int:
     return value
 
 
+# The literals of a file joined by " ", each a positive rational in ASCII
+# digits with no sign, padding or leading zero: "7" or "num/den".
+_PLAIN_LITERALS = re.compile(r"[1-9][0-9]*(?:/[1-9][0-9]*)?(?: [1-9][0-9]*(?:/[1-9][0-9]*)?)*")
+_SOLUTION_KEYS = frozenset(("id", "f"))
+_ARC_KEYS = frozenset(("from", "to", "cost"))
+
+
+def _plain_vectors(literals: list, p: int) -> list[ObjectiveVector] | None:
+    """The vector of each ``p`` consecutive ``literals``, or None unless all
+    of them are strs that ``_PLAIN_LITERALS`` matches and none is longer
+    than ``sys.get_int_max_str_digits()``.  Such a literal passes every
+    check of ``check_rational_literal``, so its digit runs go straight to
+    ``int``; the pattern admits only ASCII, so no other script's digits
+    reach it."""
+    try:
+        text = " ".join(literals)
+    except TypeError:  # a literal that is not a str
+        return None
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if (
+        text.count(" ") != len(literals) - 1  # a literal holds a space
+        or not _PLAIN_LITERALS.fullmatch(text)
+        or (limit and max(map(len, literals)) > limit)
+    ):
+        return None
+    values = []
+    for literal in literals:
+        numerator, _, denominator = literal.partition("/")
+        values.append(
+            Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
+        )
+    return [ObjectiveVector(tuple(values[i : i + p])) for i in range(0, len(values), p)]
+
+
+def _solutions_in_one_pass(raw: list, p: int) -> list[Solution] | None:
+    """The solutions of ``raw``, or None if any entry is not an object of a
+    nonempty UTF-8 id and p values, or if ``_plain_vectors`` refuses them."""
+    ids, literals = [], []
+    for entry in raw:
+        if not (isinstance(entry, dict) and entry.keys() == _SOLUTION_KEYS):
+            return None
+        sid, values = entry["id"], entry["f"]
+        if not (isinstance(sid, str) and sid and isinstance(values, list) and len(values) == p):
+            return None
+        ids.append(sid)
+        literals += values
+    images = _plain_vectors(literals, p) if is_utf8_text("".join(ids)) else None
+    return None if images is None else list(map(Solution, ids, images))
+
+
+def _solutions_by_entries(raw: list, p: int) -> list[Solution]:
+    """The solutions of ``raw``, each entry checked and read in turn, so the
+    first fault in file order is the one raised."""
+    solutions = []
+    for entry in raw:
+        if not isinstance(entry, dict):
+            raise InstanceFormatError("each solution must be an object")
+        if entry.keys() != _SOLUTION_KEYS:  # one comparison; the call words the error
+            _require_keys(entry, {"id", "f"}, set(), "solution")
+        sid = entry["id"]
+        if not (isinstance(sid, str) and sid and is_utf8_text(sid)):
+            raise InstanceFormatError("solution id must be a nonempty string in UTF-8")
+        solutions.append(Solution(sid, _parse_positive_vector(entry["f"], p, "solution image")))
+    return solutions
+
+
+def _arcs_in_one_pass(raw: list, p: int, nodes: int) -> list[Arc] | None:
+    """The arcs of ``raw``, or None if any entry is not an object of two
+    node indices below ``nodes`` and p values, or if ``_plain_vectors``
+    refuses them."""
+    ends, literals = [], []
+    for entry in raw:
+        if not (isinstance(entry, dict) and entry.keys() == _ARC_KEYS):
+            return None
+        tail, head, values = entry["from"], entry["to"], entry["cost"]
+        # type() is int, not isinstance: a bool is no node index
+        if not (
+            type(tail) is int and 0 <= tail < nodes and type(head) is int and 0 <= head < nodes
+            and isinstance(values, list) and len(values) == p
+        ):
+            return None
+        ends.append((tail, head))
+        literals += values
+    costs = _plain_vectors(literals, p)
+    return None if costs is None else [Arc(*end, cost) for end, cost in zip(ends, costs)]
+
+
+def _arcs_by_entries(raw: list, p: int, nodes: int) -> list[Arc]:
+    """The arcs of ``raw``, each entry checked and read in turn, so the
+    first fault in file order is the one raised."""
+    arcs = []
+    for entry in raw:
+        if not isinstance(entry, dict):
+            raise InstanceFormatError("each arc must be an object")
+        if entry.keys() != _ARC_KEYS:
+            _require_keys(entry, {"from", "to", "cost"}, set(), "arc")
+        arcs.append(
+            Arc(
+                _parse_index(entry["from"], nodes, "arc tail"),
+                _parse_index(entry["to"], nodes, "arc head"),
+                _parse_positive_vector(entry["cost"], p, "arc cost"),
+            )
+        )
+    return arcs
+
+
 def instance_from_json(data: Any) -> Instance:
-    """Parse an instance dict; unknown fields are rejected."""
+    """Parse an instance dict; unknown fields are rejected.
+
+    The solutions or arcs are read in one pass when every entry and value
+    is plain (see ``_plain_vectors``); at the first that is not, they are
+    read again entry by entry, so a fault raises the error it would raise
+    alone."""
     if not isinstance(data, dict):
         raise InstanceFormatError("instance JSON must be an object")
     kind = data.get("kind")
@@ -346,18 +468,7 @@ def instance_from_json(data: Any) -> Instance:
             raw = data["solutions"]
             if not isinstance(raw, list) or not raw:
                 raise InstanceFormatError("solutions must be a nonempty list")
-            solutions = []
-            for entry in raw:
-                if not isinstance(entry, dict):
-                    raise InstanceFormatError("each solution must be an object")
-                if entry.keys() != {"id", "f"}:  # one comparison; the call words the error
-                    _require_keys(entry, {"id", "f"}, set(), "solution")
-                sid = entry["id"]
-                if not (isinstance(sid, str) and sid and is_utf8_text(sid)):
-                    raise InstanceFormatError("solution id must be a nonempty string in UTF-8")
-                solutions.append(
-                    Solution(sid, _parse_positive_vector(entry["f"], p, "solution image"))
-                )
+            solutions = _solutions_in_one_pass(raw, p) or _solutions_by_entries(raw, p)
             return ExplicitInstance(direction, p, tuple(solutions))
 
         nodes = data["nodes"]
@@ -366,19 +477,7 @@ def instance_from_json(data: Any) -> Instance:
         raw = data["arcs"]
         if not isinstance(raw, list) or not raw:
             raise InstanceFormatError("arcs must be a nonempty list")
-        arcs = []
-        for entry in raw:
-            if not isinstance(entry, dict):
-                raise InstanceFormatError("each arc must be an object")
-            if entry.keys() != {"from", "to", "cost"}:
-                _require_keys(entry, {"from", "to", "cost"}, set(), "arc")
-            arcs.append(
-                Arc(
-                    _parse_index(entry["from"], nodes, "arc tail"),
-                    _parse_index(entry["to"], nodes, "arc head"),
-                    _parse_positive_vector(entry["cost"], p, "arc cost"),
-                )
-            )
+        arcs = _arcs_in_one_pass(raw, p, nodes) or _arcs_by_entries(raw, p, nodes)
         graph_kind = GraphKind(kind)
         source = target = 0
         if graph_kind is GraphKind.SHORTEST_PATH:

@@ -247,6 +247,14 @@ class _IntegerForm:
         """Exact sum of the vectors at ``indices``."""
         return self.vector([sum(column[i] for i in indices) for column in self.columns])
 
+    def permuted(self, order: Sequence[int]) -> "_IntegerForm":
+        """The form of the vectors taken in ``order``: each L_j is the lcm of
+        the same denominators, so only the columns are permuted."""
+        form = object.__new__(_IntegerForm)
+        form.scales = self.scales
+        form.columns = tuple(tuple([column[i] for i in order]) for column in self.columns)
+        return form
+
 
 def _dot(factors: Sequence[int], columns: Sequence[Sequence[int]]) -> list[int]:
     """The ints sum_j factors[j] * columns[j][i], one pass per column."""
@@ -266,10 +274,10 @@ def _sorted_form(inst: ExplicitInstance) -> tuple[tuple[Solution, ...], _Integer
     images in that order.  Column j is objective j times L_j > 0, so the
     form's int rows sort like images."""
     solutions = inst.solutions
-    rows = list(zip(*_IntegerForm(inst.p, [s.image for s in solutions]).columns))
+    form = _IntegerForm(inst.p, [s.image for s in solutions])
+    rows = list(zip(*form.columns))
     order = sorted(range(len(solutions)), key=lambda i: (rows[i], solutions[i].id))
-    ordered = tuple(solutions[i] for i in order)
-    return ordered, _IntegerForm(inst.p, [s.image for s in ordered])
+    return tuple(solutions[i] for i in order), form.permuted(order)
 
 
 def _explicit_kernel(inst: ExplicitInstance, sigma: Fraction) -> Kernel:

@@ -6,6 +6,9 @@ in ``Fraction`` and without the package's shortcuts:
 - ``parse_rational_by_fraction`` reads a checked literal with
   ``Fraction(text)``, which matches it a second time, where the package
   reads its digit runs with ``int``;
+- ``instance_from_json_by_literals`` reads an instance entry by entry,
+  checking and parsing each rational literal on its own, where the package
+  checks all of a file's literals together and reads them in one pass;
 - the solvers scalarize every image instead of comparing
   cleared-denominator ints, and Kruskal joins components through a
   ``_UnionFind`` object;
@@ -90,6 +93,13 @@ from wsapprox import (
 )
 from wsapprox.algorithms import BiobjectiveRun, CellAssignment, GridRun
 from wsapprox.core import check_rational_literal, format_rational, format_rationals
+from wsapprox.instances import (
+    InstanceFormatError,
+    _parse_index,
+    _parse_positive_vector,
+    _require_keys,
+    is_utf8_text,
+)
 from wsapprox.oracles import EnumerationLimit, Violation, Witness
 from wsapprox.solvers import (
     Arc,
@@ -110,6 +120,76 @@ def parse_rational_by_fraction(text) -> Fraction:
     """The rational of a literal that ``check_rational_literal`` accepts,
     read by ``Fraction``."""
     return Fraction(check_rational_literal(text))
+
+
+def instance_from_json_by_literals(data):
+    """The instance of ``data``, each solution or arc checked and read in
+    file order, its literals one ``parse_rational`` at a time."""
+    if not isinstance(data, dict):
+        raise InstanceFormatError("instance JSON must be an object")
+    kind = data.get("kind")
+    if kind == "explicit":
+        _require_keys(
+            data, {"kind", "direction", "p", "solutions"}, {"schema_version"}, "explicit instance"
+        )
+    elif kind in (GraphKind.SHORTEST_PATH.value, GraphKind.SPANNING_TREE.value):
+        required = {"kind", "direction", "p", "nodes", "arcs"}
+        optional = {"schema_version", "source", "target"}
+        if kind == GraphKind.SHORTEST_PATH.value:
+            required |= {"source", "target"}
+            optional -= {"source", "target"}
+        _require_keys(data, required, optional, f"{kind} instance")
+    else:
+        raise InstanceFormatError(f"unknown instance kind {kind!r}")
+    if data.get("direction") not in ("min", "max"):
+        raise InstanceFormatError("direction must be 'min' or 'max'")
+    direction = Direction(data["direction"])
+    p = data.get("p")
+    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+        raise InstanceFormatError("p must be an integer >= 2")
+    try:
+        if kind == "explicit":
+            raw = data["solutions"]
+            if not isinstance(raw, list) or not raw:
+                raise InstanceFormatError("solutions must be a nonempty list")
+            solutions = []
+            for entry in raw:
+                if not isinstance(entry, dict):
+                    raise InstanceFormatError("each solution must be an object")
+                _require_keys(entry, {"id", "f"}, set(), "solution")
+                sid = entry["id"]
+                if not (isinstance(sid, str) and sid and is_utf8_text(sid)):
+                    raise InstanceFormatError("solution id must be a nonempty string in UTF-8")
+                solutions.append(
+                    Solution(sid, _parse_positive_vector(entry["f"], p, "solution image"))
+                )
+            return ExplicitInstance(direction, p, tuple(solutions))
+        nodes = data["nodes"]
+        if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 2:
+            raise InstanceFormatError("nodes must be an integer >= 2")
+        raw = data["arcs"]
+        if not isinstance(raw, list) or not raw:
+            raise InstanceFormatError("arcs must be a nonempty list")
+        arcs = []
+        for entry in raw:
+            if not isinstance(entry, dict):
+                raise InstanceFormatError("each arc must be an object")
+            _require_keys(entry, {"from", "to", "cost"}, set(), "arc")
+            arcs.append(
+                Arc(
+                    _parse_index(entry["from"], nodes, "arc tail"),
+                    _parse_index(entry["to"], nodes, "arc head"),
+                    _parse_positive_vector(entry["cost"], p, "arc cost"),
+                )
+            )
+        graph_kind = GraphKind(kind)
+        source = target = 0
+        if graph_kind is GraphKind.SHORTEST_PATH:
+            source = _parse_index(data["source"], nodes, "source")
+            target = _parse_index(data["target"], nodes, "target")
+        return GraphInstance(direction, p, nodes, tuple(arcs), graph_kind, source, target)
+    except ContractViolation as exc:
+        raise InstanceFormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

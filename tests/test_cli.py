@@ -1243,6 +1243,51 @@ class TestOracleCommand:
         assert read_json(out)["ids"] == ["path:" + ",".join(str(i) for i in range(n - 1))]
 
 
+class TestInstanceLiterals:
+    """README's exit-3 refusals of an instance file's rational literals, and
+    the spellings it accepts."""
+
+    @pytest.mark.parametrize(
+        "literal,message",
+        [
+            ("1.5", "not a rational literal: '1.5'"),
+            (7, "not a rational literal: 7"),
+            ("0", "objective values must be strictly positive"),
+            ("-3/4", "objective values must be strictly positive"),
+            (
+                "1" * (LIMIT + 1),
+                f"rational literal too long: Exceeds the limit ({LIMIT} digits) for integer "
+                f"string conversion: value has {LIMIT + 1} digits; use "
+                "sys.set_int_max_str_digits() to increase the limit",
+            ),
+        ],
+        ids=["decimal", "json-number", "zero", "negative", "over-digit-limit"],
+    )
+    def test_refused_literal_exits_3_with_one_error_line(self, tmp_path, capsys, literal, message):
+        solutions = [{"id": "a", "f": ["1", "8"]}, {"id": "b", "f": ["2", literal]}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**THREE_POINTS, "solutions": solutions}))
+        assert main(["oracle", "--instance", str(bad), "--what", "supported"]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: solution image: {message}"]
+
+    def test_accepted_spellings_give_the_canonical_report(self, tmp_path):
+        # padding, a sign, leading zeros, an unreduced fraction and
+        # Arabic-Indic digits (U+0663 is 3, U+0668 is 8)
+        spelled = {**THREE_POINTS, "solutions": [
+            {"id": "a", "f": [" 1", "+8"]},
+            {"id": "b", "f": ["002", "4/2\n"]},
+            {"id": "c", "f": ["\u0668", "\u0663/3"]},
+        ]}
+        reports = []
+        for name, doc in (("plain", THREE_POINTS), ("spelled", spelled)):
+            inst, out = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+            inst.write_text(json.dumps(doc))
+            argv = ["approximate", "--algorithm", "grid", "--instance", str(inst)]
+            assert main([*argv, "--epsilon", "1", "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestGenerateCommand:
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

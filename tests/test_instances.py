@@ -1,5 +1,6 @@
 import copy
 import re
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -24,7 +25,10 @@ from wsapprox import (
 )
 from wsapprox.instances import Rendered, canonical_dumps
 
-from reference import canonical_dumps_by_json, image_of
+from wsapprox.core import format_rationals
+
+from conftest import rationals
+from reference import canonical_dumps_by_json, image_of, instance_from_json_by_literals
 
 
 class TestTightnessMin:
@@ -265,6 +269,152 @@ class TestJsonFuzz:
             instance_from_json(doc)
         except InstanceFormatError:
             pass
+
+
+def explicit_documents():
+    """Explicit instance documents of canonical literals, p = 2 or 3."""
+    rows = st.integers(2, 3).flatmap(
+        lambda p: st.lists(st.lists(rationals(1, 9), min_size=p, max_size=p), min_size=1, max_size=4)
+    )
+    return st.builds(
+        lambda direction, rows: {
+            "kind": "explicit",
+            "direction": direction,
+            "p": len(rows[0]),
+            "solutions": [{"id": f"s{i}", "f": format_rationals(r)} for i, r in enumerate(rows)],
+        },
+        st.sampled_from(["min", "max"]),
+        rows,
+    )
+
+
+GRAPH_DOCUMENTS = st.builds(
+    lambda seed, kind: instance_to_json(gen_random_graph(4, 6, 2, 1, 4, seed, kind)),
+    st.integers(0, 30),
+    st.sampled_from(GraphKind),
+)
+
+# The literal limit the differential test lowers the int digit limit to, the
+# least Python allows.
+LOW_DIGIT_LIMIT = 640
+
+# Spellings of a value.  The per-entry reader accepts the first nine and
+# refuses the rest; of the nine, the one-pass reader reads "4/6" and the
+# 640-digit run itself and hands the others on.
+SPELLINGS = [
+    " 7", "7\n", "+7", "007", "7/004", "\u0663/4",
+    "4/6", "1" * LOW_DIGIT_LIMIT, "1" * 400 + "/" + "3" * 400,
+    "1/0", "1/\u0660", "0", "0/5", "-3/4", "1.5", "", "1 2", "1/", "1" * (LOW_DIGIT_LIMIT + 1),
+    "0" * LOW_DIGIT_LIMIT + "1", 7, 1.5, True, None, ["1"],
+]
+# Values for an entry's id, tail or head.
+FIELD_VALUES = ["", "s0", "\ud800", "n", 0, 3, 4, -1, True, None, 1.0]
+
+
+def entry(items, draw):
+    """One of the solutions or arcs that is still an object, or an empty dict."""
+    objects = [item for item in items if isinstance(item, dict)]
+    return draw(st.sampled_from(objects)) if objects else {}
+
+
+def respell_literal(doc, items, key, draw):
+    vector = entry(items, draw).get(key)
+    if isinstance(vector, list) and vector:
+        vector[draw(st.integers(0, len(vector) - 1))] = draw(st.sampled_from(SPELLINGS))
+
+
+def resize_vector(doc, items, key, draw):
+    vector = entry(items, draw).get(key)
+    if isinstance(vector, list):
+        vector.pop() if draw(st.booleans()) else vector.append("1")
+
+
+def set_field(doc, items, key, draw):
+    target = entry(items, draw)
+    fields = sorted(set(target) - {key})
+    if fields:
+        target[draw(st.sampled_from(fields))] = draw(st.sampled_from(FIELD_VALUES))
+
+
+def add_or_drop_key(doc, items, key, draw):
+    target = doc if draw(st.booleans()) else entry(items, draw)
+    if draw(st.booleans()):
+        target["note"] = 1
+    elif target:
+        del target[draw(st.sampled_from(sorted(target)))]
+
+
+def replace_entry(doc, items, key, draw):
+    items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(["s1", ["1", "2"], None]))
+
+
+def replace_vector(doc, items, key, draw):
+    entry(items, draw)[key] = draw(st.sampled_from(["1/2", {"0": "1"}, None, ("1", "2")]))
+
+
+FAULTS = [respell_literal, resize_vector, set_field, add_or_drop_key, replace_entry, replace_vector]
+
+
+def outcome(load, doc):
+    """What ``load`` makes of ``doc``: the instance, or the error's type and text."""
+    try:
+        return load(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Fresh documents that every reader reads in one pass.
+PLAIN_DOCUMENTS = {
+    "explicit": lambda: instance_to_json(gen_random_explicit(2, 3, 1, 9, seed=4)),
+    "shortest-path": lambda: graph_json(),
+}
+
+
+class TestOnePassLoader:
+    """The one-pass reader against the per-entry loader it falls back to."""
+
+    @given(st.one_of(explicit_documents(), GRAPH_DOCUMENTS), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_spellings_match_the_per_entry_loader(self, doc, data):
+        self.check(doc, data, [respell_literal] * data.draw(st.integers(1, 2)))
+
+    @given(st.one_of(explicit_documents(), GRAPH_DOCUMENTS), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_faults_match_the_per_entry_loader(self, doc, data):
+        self.check(doc, data, data.draw(st.lists(st.sampled_from(FAULTS), max_size=2)))
+
+    @pytest.mark.parametrize("spelling", SPELLINGS, ids=repr)
+    @pytest.mark.parametrize("kind", ["explicit", "shortest-path"])
+    def test_each_spelling_matches_the_per_entry_loader(self, kind, spelling):
+        doc = PLAIN_DOCUMENTS[kind]()
+        entries, key = (doc["solutions"], "f") if kind == "explicit" else (doc["arcs"], "cost")
+        entries[-1][key][-1] = spelling
+        self.check(doc, None, [])
+
+    @pytest.mark.parametrize("value", FIELD_VALUES, ids=repr)
+    @pytest.mark.parametrize("kind,field", [("explicit", "id"), ("shortest-path", "from"),
+                                            ("shortest-path", "to")])
+    def test_each_field_value_matches_the_per_entry_loader(self, kind, field, value):
+        doc = PLAIN_DOCUMENTS[kind]()
+        (doc["solutions"] if kind == "explicit" else doc["arcs"])[-1][field] = value
+        self.check(doc, None, [])
+
+    @staticmethod
+    def check(doc, data, faults):
+        """Apply ``faults`` to ``doc``; both loaders must then return the
+        same instance or raise InstanceFormatError with the same text."""
+        explicit = doc["kind"] == "explicit"
+        items, key = (doc["solutions"], "f") if explicit else (doc["arcs"], "cost")
+        for fault in faults:
+            fault(doc, items, key, data.draw)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(LOW_DIGIT_LIMIT)
+        try:
+            ours = outcome(instance_from_json, doc)
+            assert ours == outcome(instance_from_json_by_literals, doc)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert not isinstance(ours, tuple) or ours[0] is InstanceFormatError
 
 
 # Characters json must escape or may pass through: quotes, backslashes,

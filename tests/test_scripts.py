@@ -55,4 +55,4 @@ def test_compare_outputs_finds_no_difference_against_its_own_tree():
     assert lines == [
         f"{name} seed 5: 0 differences"
         for name in ("grid-p3", "oracle-p3", "p2-report", "graph-p2")
-    ]
+    ] + ["hand-written: 0 differences"]

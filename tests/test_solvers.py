@@ -333,6 +333,16 @@ class TestSortedForm:
         direct = solvers._IntegerForm(inst.p, [s.image for s in order])
         assert (form.scales, form.columns) == (direct.scales, direct.columns)
 
+    @given(repeated_mixed_instances(), st.data())
+    @settings(max_examples=100)
+    def test_permuted_form_equals_the_form_of_the_permuted_images(self, inst, data):
+        # Each L_j is the lcm of one set of denominators, whatever its order.
+        order = data.draw(st.permutations(range(len(inst.solutions))))
+        images = [s.image for s in inst.solutions]
+        permuted = solvers._IntegerForm(inst.p, images).permuted(order)
+        direct = solvers._IntegerForm(inst.p, [images[i] for i in order])
+        assert (permuted.scales, permuted.columns) == (direct.scales, direct.columns)
+
 
 def random_graph_cases():
     cases = []
