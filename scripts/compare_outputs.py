@@ -13,9 +13,11 @@ A fixed set of hand-written instance files goes through the same
 comparison, each file through ``oracle --what supported`` and
 ``approximate --algorithm grid``: values in the spellings the loader
 accepts but never writes (padded, signed, unreduced, zero-led, in
-Arabic-Indic digits) and one fault per file.  Generated files hold only
-canonical values, so without them the loader's entry-by-entry reader, and
-every refusal it words, would go unseen.
+Arabic-Indic digits), one fault per file, and a bad literal and a
+malformed entry in either order, of which the first in the file must be
+the one refused.  Generated files hold only canonical values, so without
+them the loader's literal-by-literal path, and every refusal it words,
+would go unseen.
 
 Usage: python scripts/compare_outputs.py --parent-src DIR [--seeds 1 2 ...]
                                          [--size tiny|full]
@@ -68,6 +70,17 @@ def _explicit(change=None) -> dict:
     return doc
 
 
+def _literal_and_entry(literal_first: bool) -> dict:
+    """Three points, one with the bad literal "1.5" and one with no id: the
+    literal in the first point and no id in the last if ``literal_first``,
+    else the other way round."""
+    doc = _explicit()
+    literal, entry = (0, 2) if literal_first else (2, 0)
+    doc["solutions"][literal]["f"][0] = "1.5"
+    del doc["solutions"][entry]["id"]
+    return doc
+
+
 HAND_WRITTEN = {
     "canonical": _explicit(),
     "padded": _explicit(" 2\n"),
@@ -90,6 +103,15 @@ HAND_WRITTEN = {
             {"from": 0, "to": 1, "cost": ["1", " 4/2"]},
             {"from": 1, "to": 2, "cost": ["+3", "\u0661"]},
             {"from": 0, "to": 2, "cost": ["02", "2"]},
+        ],
+    },
+    "literal-then-entry": _literal_and_entry(True),
+    "entry-then-literal": _literal_and_entry(False),
+    "graph-literal-then-bool-tail": {
+        "kind": "spanning-tree", "direction": "min", "p": 2, "nodes": 3, "arcs": [
+            {"from": 0, "to": 1, "cost": ["1", "1.5"]},
+            {"from": 1, "to": 2, "cost": ["3", "1"]},
+            {"from": True, "to": 2, "cost": ["2", "2"]},
         ],
     },
 }

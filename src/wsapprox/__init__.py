@@ -21,28 +21,28 @@ from .core import (
     format_rational,
     parse_rational,
 )
-from .solvers import (
+from .instances import (
     Arc,
     DisconnectedGraph,
     ExplicitInstance,
     GraphInstance,
     GraphKind,
-    Solution,
-    SolveAnswer,
-    SolverHandle,
-    UnreachableTarget,
-    adversarial_solver,
-    compute_bounds,
-    exact_solver,
-)
-from .instances import (
     InstanceFormatError,
+    Solution,
+    UnreachableTarget,
     gen_max_counterexample,
     gen_random_explicit,
     gen_random_graph,
     gen_tightness_min,
     instance_from_json,
     instance_to_json,
+)
+from .solvers import (
+    SolveAnswer,
+    SolverHandle,
+    adversarial_solver,
+    compute_bounds,
+    exact_solver,
 )
 from .algorithms import (
     BiobjectiveRun,

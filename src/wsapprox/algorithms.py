@@ -44,7 +44,8 @@ from .core import (
     approximates,
     as_rational,
 )
-from .solvers import SolveAnswer, Solution, SolverHandle
+from .instances import Solution
+from .solvers import SolveAnswer, SolverHandle
 
 # Largest grid, or bisection ladder, in weights that _grid_step admits.
 MAX_GRID_CALLS = 10**6

@@ -59,6 +59,8 @@ from .core import (
 )
 from .instances import (
     SCHEMA_VERSION,
+    ExplicitInstance,
+    GraphKind,
     InstanceFormatError,
     Rendered,
     canonical_dumps,
@@ -83,8 +85,6 @@ from .oracles import (
     verify_max_impossibility,
 )
 from .solvers import (
-    ExplicitInstance,
-    GraphKind,
     SolveAnswer,
     adversarial_solver,
     compute_bounds,

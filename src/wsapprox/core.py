@@ -80,14 +80,7 @@ def check_rational_literal(text: str) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse ``"7"`` or ``"num/den"``; the denominator must be positive.
     The checked literal's digit runs are read by ``int``, so the text is not
-    matched a second time, as ``Fraction(text)`` would.
-
-    An instance file's values do not come here one by one:
-    ``instances.instance_from_json`` checks all of them with one match and
-    reads their digit runs in one pass.  It calls this function for each
-    value only when a value is not a plain positive literal (padded,
-    signed, zero-led, non-ASCII, not a str, zero or too long) or an entry
-    is malformed, so that the first fault raises this function's error."""
+    matched a second time, as ``Fraction(text)`` would."""
     numerator, _, denominator = check_rational_literal(text).partition("/")
     return Fraction(int(numerator), int(denominator or 1))
 

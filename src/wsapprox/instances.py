@@ -1,4 +1,10 @@
-"""Instance generators and the strict JSON instance schema.
+"""The instance model, its generators and its strict JSON schema.
+
+An instance is an ``ExplicitInstance``, a list of (id, image) pairs, or a
+``GraphInstance``, a digraph for shortest paths or an undirected graph for
+spanning trees.  This module is the one place that defines them and the ids
+of graph solutions, so the solvers and the oracles both take the model from
+here and neither imports the other.
 
 The two hand constructions (one minimization, one maximization) pit the
 supported solutions against a single unsupported point and are the standard
@@ -6,15 +12,15 @@ stress inputs for the tightness and impossibility checks.  Random generators
 draw values on a fixed-denominator lattice so downstream exact arithmetic
 stays small, and are fully determined by their seed.
 
-``instance_from_json`` reads a file's rationals in one pass: it collects
-the literal strings of every solution or arc, checks them together (all
-strs, one match of their joined text against a pattern of positive ASCII
-literals with no sign, padding or leading zero, the longest within
-``sys.get_int_max_str_digits()``), and hands each digit run to ``int``.
-Any anomaly, in a literal or in an entry's structure, makes it read the
-entries again one at a time with ``core.parse_rational``, so the first
-fault in the file raises the same error, with the same message, as it
-would alone.
+``instance_from_json`` reads the solutions or arcs in one loop that checks
+each entry's structure in file order and collects its literal strings.
+``_vectors`` then reads all of them with one match of their joined text
+against a pattern of positive ASCII literals (no sign, padding or leading
+zero), the longest within ``sys.get_int_max_str_digits()``, and hands each
+digit run to ``int``.  When that match fails, it reads vector after vector
+with ``core.parse_rational``; when an entry is malformed, the literals of
+the entries before it are read so first.  Either way the first fault in the
+file raises the same error, with the same message, as it would alone.
 """
 
 from __future__ import annotations
@@ -24,9 +30,10 @@ import math
 import random
 import re
 import sys
+from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring
-from typing import Any
+from typing import Any, Sequence, Union
 
 from .core import (
     ContractViolation,
@@ -38,14 +45,122 @@ from .core import (
     format_rationals,
     parse_rational,
 )
-from .solvers import (
-    Arc,
-    ExplicitInstance,
-    GraphInstance,
-    GraphKind,
-    Instance,
-    Solution,
-)
+
+
+class UnreachableTarget(ContractViolation):
+    """Shortest-path instance whose target cannot be reached from the source."""
+
+
+class DisconnectedGraph(ContractViolation):
+    """Spanning-tree instance whose underlying graph is not connected."""
+
+
+class Solution(Record):
+    __slots__ = ("id", "image")
+
+
+class ExplicitInstance(Record):
+    """Feasible set given by an explicit list of (id, image) pairs."""
+
+    __slots__ = ("direction", "p", "solutions")
+
+    def __init__(self, direction: Direction, p: int, solutions: Sequence[Solution]) -> None:
+        super().__init__(direction, p, tuple(solutions))
+        if not self.solutions:
+            raise ContractViolation("explicit instances must be nonempty")
+        if any(len(s.image) != self.p for s in self.solutions):
+            raise ContractViolation("solution image dimension differs from p")
+        ids = [s.id for s in self.solutions]
+        if len(set(ids)) != len(ids):
+            raise ContractViolation("solution ids must be unique")
+
+    def ids(self) -> tuple[str, ...]:
+        return tuple(s.id for s in self.solutions)
+
+
+class GraphKind(Enum):
+    SHORTEST_PATH = "shortest-path"
+    SPANNING_TREE = "spanning-tree"
+
+
+class Arc(Record):
+    __slots__ = ("tail", "head", "cost")
+
+
+class GraphInstance(Record):
+    """Digraph (shortest path) or undirected graph (spanning tree) instance.
+
+    For SPANNING_TREE the arcs are read as undirected edges and source and
+    target are ignored.
+    """
+
+    __slots__ = ("direction", "p", "node_count", "arcs", "kind", "source", "target")
+
+    def __init__(
+        self, direction: Direction, p: int, node_count: int, arcs: Sequence[Arc],
+        kind: GraphKind, source: int = 0, target: int = 0,
+    ) -> None:
+        super().__init__(direction, p, node_count, tuple(arcs), kind, source, target)
+        if self.node_count < 2:
+            raise ContractViolation("graph instances need at least two nodes")
+        if not self.arcs:
+            raise ContractViolation("graph instances need at least one arc")
+        for arc in self.arcs:
+            if len(arc.cost) != self.p:
+                raise ContractViolation("arc cost dimension differs from p")
+            if not (0 <= arc.tail < self.node_count and 0 <= arc.head < self.node_count):
+                raise ContractViolation("arc endpoint out of range")
+        if self.kind is GraphKind.SHORTEST_PATH:
+            if not 0 <= self.source < self.node_count or not 0 <= self.target < self.node_count:
+                raise ContractViolation("source/target out of range")
+            if self.source == self.target:
+                raise ContractViolation("source and target must differ")
+            if self.target not in self._reached(self.source, undirected=False):
+                raise UnreachableTarget("target not reachable from source")
+        elif len(self.arcs) < self.node_count - 1:
+            # refused before _reached builds a list for every declared node
+            raise DisconnectedGraph(
+                f"spanning-tree instance has {len(self.arcs)} arcs, fewer than "
+                f"nodes - 1 = {self.node_count - 1}, so it is not connected"
+            )
+        elif len(self._reached(0, undirected=True)) < self.node_count:
+            raise DisconnectedGraph("spanning-tree instance is not connected")
+
+    def _reached(self, start: int, undirected: bool) -> set[int]:
+        """Nodes reachable from ``start`` along the arcs, or along the edges
+        they form if ``undirected``.  Keyed by the nodes the arcs name, so
+        the work is bounded by the arcs, not by ``node_count``."""
+        successors: dict[int, list[int]] = {}
+        for arc in self.arcs:
+            successors.setdefault(arc.tail, []).append(arc.head)
+            if undirected:
+                successors.setdefault(arc.head, []).append(arc.tail)
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for head in successors.get(frontier.pop(), ()):
+                if head not in seen:
+                    seen.add(head)
+                    frontier.append(head)
+        return seen
+
+
+Instance = Union[ExplicitInstance, GraphInstance]
+
+
+# A graph solution's id is its kind's prefix and then its arc indices joined
+# by ",": a path's in path order, a tree's in increasing order.
+PATH_ID_PREFIX = "path:"
+TREE_ID_PREFIX = "tree:"
+
+
+def path_id(arc_indices: tuple[int, ...]) -> str:
+    return PATH_ID_PREFIX + ",".join(map(str, arc_indices))
+
+
+def tree_id(arc_indices: tuple[int, ...]) -> str:
+    return TREE_ID_PREFIX + ",".join(map(str, sorted(arc_indices)))
+
 
 SCHEMA_VERSION = 5
 
@@ -331,24 +446,27 @@ _SOLUTION_KEYS = frozenset(("id", "f"))
 _ARC_KEYS = frozenset(("from", "to", "cost"))
 
 
-def _plain_vectors(literals: list, p: int) -> list[ObjectiveVector] | None:
-    """The vector of each ``p`` consecutive ``literals``, or None unless all
-    of them are strs that ``_PLAIN_LITERALS`` matches and none is longer
-    than ``sys.get_int_max_str_digits()``.  Such a literal passes every
-    check of ``check_rational_literal``, so its digit runs go straight to
+def _vectors(literals: list, p: int, what: str) -> list[ObjectiveVector]:
+    """The vector of each ``p`` consecutive ``literals``.
+
+    When all of them are strs that ``_PLAIN_LITERALS`` matches and none is
+    longer than ``sys.get_int_max_str_digits()``, each passes every check
+    of ``check_rational_literal``, so its digit runs go straight to
     ``int``; the pattern admits only ASCII, so no other script's digits
-    reach it."""
+    reach it.  Otherwise each vector is read by ``_parse_positive_vector``
+    in turn, so the first bad literal raises its error."""
     try:
         text = " ".join(literals)
     except TypeError:  # a literal that is not a str
-        return None
+        text = ""
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    if (
-        text.count(" ") != len(literals) - 1  # a literal holds a space
-        or not _PLAIN_LITERALS.fullmatch(text)
-        or (limit and max(map(len, literals)) > limit)
+    if not (
+        text.count(" ") == len(literals) - 1  # no literal holds a space
+        and _PLAIN_LITERALS.fullmatch(text)
+        and not (limit and max(map(len, literals)) > limit)
     ):
-        return None
+        return [_parse_positive_vector(literals[i : i + p], p, what)
+                for i in range(0, len(literals), p)]
     values = []
     for literal in literals:
         numerator, _, denominator = literal.partition("/")
@@ -358,85 +476,56 @@ def _plain_vectors(literals: list, p: int) -> list[ObjectiveVector] | None:
     return [ObjectiveVector(tuple(values[i : i + p])) for i in range(0, len(values), p)]
 
 
-def _solutions_in_one_pass(raw: list, p: int) -> list[Solution] | None:
-    """The solutions of ``raw``, or None if any entry is not an object of a
-    nonempty UTF-8 id and p values, or if ``_plain_vectors`` refuses them."""
+def _solutions(raw: list, p: int) -> list[Solution]:
+    """The solutions of ``raw``, each entry's structure checked in file
+    order; a malformed entry raises only after the literals before it
+    are read, so the first fault in the file is the one raised."""
     ids, literals = [], []
-    for entry in raw:
-        if not (isinstance(entry, dict) and entry.keys() == _SOLUTION_KEYS):
-            return None
-        sid, values = entry["id"], entry["f"]
-        if not (isinstance(sid, str) and sid and isinstance(values, list) and len(values) == p):
-            return None
-        ids.append(sid)
-        literals += values
-    images = _plain_vectors(literals, p) if is_utf8_text("".join(ids)) else None
-    return None if images is None else list(map(Solution, ids, images))
+    try:
+        for entry in raw:
+            if not isinstance(entry, dict):
+                raise InstanceFormatError("each solution must be an object")
+            if entry.keys() != _SOLUTION_KEYS:  # one comparison; the call words the error
+                _require_keys(entry, {"id", "f"}, set(), "solution")
+            sid, values = entry["id"], entry["f"]
+            if not (isinstance(sid, str) and sid and is_utf8_text(sid)):
+                raise InstanceFormatError("solution id must be a nonempty string in UTF-8")
+            if not (isinstance(values, list) and len(values) == p):
+                raise InstanceFormatError(f"solution image: expected a list of {p} rationals")
+            ids.append(sid)
+            literals += values
+    except InstanceFormatError:
+        _vectors(literals, p, "solution image")
+        raise
+    return list(map(Solution, ids, _vectors(literals, p, "solution image")))
 
 
-def _solutions_by_entries(raw: list, p: int) -> list[Solution]:
-    """The solutions of ``raw``, each entry checked and read in turn, so the
-    first fault in file order is the one raised."""
-    solutions = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise InstanceFormatError("each solution must be an object")
-        if entry.keys() != _SOLUTION_KEYS:  # one comparison; the call words the error
-            _require_keys(entry, {"id", "f"}, set(), "solution")
-        sid = entry["id"]
-        if not (isinstance(sid, str) and sid and is_utf8_text(sid)):
-            raise InstanceFormatError("solution id must be a nonempty string in UTF-8")
-        solutions.append(Solution(sid, _parse_positive_vector(entry["f"], p, "solution image")))
-    return solutions
-
-
-def _arcs_in_one_pass(raw: list, p: int, nodes: int) -> list[Arc] | None:
-    """The arcs of ``raw``, or None if any entry is not an object of two
-    node indices below ``nodes`` and p values, or if ``_plain_vectors``
-    refuses them."""
+def _arcs(raw: list, p: int, nodes: int) -> list[Arc]:
+    """The arcs of ``raw``, checked and read as ``_solutions`` reads
+    solutions."""
     ends, literals = [], []
-    for entry in raw:
-        if not (isinstance(entry, dict) and entry.keys() == _ARC_KEYS):
-            return None
-        tail, head, values = entry["from"], entry["to"], entry["cost"]
-        # type() is int, not isinstance: a bool is no node index
-        if not (
-            type(tail) is int and 0 <= tail < nodes and type(head) is int and 0 <= head < nodes
-            and isinstance(values, list) and len(values) == p
-        ):
-            return None
-        ends.append((tail, head))
-        literals += values
-    costs = _plain_vectors(literals, p)
-    return None if costs is None else [Arc(*end, cost) for end, cost in zip(ends, costs)]
-
-
-def _arcs_by_entries(raw: list, p: int, nodes: int) -> list[Arc]:
-    """The arcs of ``raw``, each entry checked and read in turn, so the
-    first fault in file order is the one raised."""
-    arcs = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise InstanceFormatError("each arc must be an object")
-        if entry.keys() != _ARC_KEYS:
-            _require_keys(entry, {"from", "to", "cost"}, set(), "arc")
-        arcs.append(
-            Arc(
-                _parse_index(entry["from"], nodes, "arc tail"),
-                _parse_index(entry["to"], nodes, "arc head"),
-                _parse_positive_vector(entry["cost"], p, "arc cost"),
-            )
-        )
-    return arcs
+    try:
+        for entry in raw:
+            if not isinstance(entry, dict):
+                raise InstanceFormatError("each arc must be an object")
+            if entry.keys() != _ARC_KEYS:
+                _require_keys(entry, {"from", "to", "cost"}, set(), "arc")
+            tail = _parse_index(entry["from"], nodes, "arc tail")
+            head = _parse_index(entry["to"], nodes, "arc head")
+            values = entry["cost"]
+            if not (isinstance(values, list) and len(values) == p):
+                raise InstanceFormatError(f"arc cost: expected a list of {p} rationals")
+            ends.append((tail, head))
+            literals += values
+    except InstanceFormatError:
+        _vectors(literals, p, "arc cost")
+        raise
+    return [Arc(*end, cost) for end, cost in zip(ends, _vectors(literals, p, "arc cost"))]
 
 
 def instance_from_json(data: Any) -> Instance:
-    """Parse an instance dict; unknown fields are rejected.
-
-    The solutions or arcs are read in one pass when every entry and value
-    is plain (see ``_plain_vectors``); at the first that is not, they are
-    read again entry by entry, so a fault raises the error it would raise
-    alone."""
+    """Parse an instance dict; unknown fields are rejected, and the first
+    fault in file order is the one raised."""
     if not isinstance(data, dict):
         raise InstanceFormatError("instance JSON must be an object")
     kind = data.get("kind")
@@ -468,7 +557,7 @@ def instance_from_json(data: Any) -> Instance:
             raw = data["solutions"]
             if not isinstance(raw, list) or not raw:
                 raise InstanceFormatError("solutions must be a nonempty list")
-            solutions = _solutions_in_one_pass(raw, p) or _solutions_by_entries(raw, p)
+            solutions = _solutions(raw, p)
             return ExplicitInstance(direction, p, tuple(solutions))
 
         nodes = data["nodes"]
@@ -477,7 +566,7 @@ def instance_from_json(data: Any) -> Instance:
         raw = data["arcs"]
         if not isinstance(raw, list) or not raw:
             raise InstanceFormatError("arcs must be a nonempty list")
-        arcs = _arcs_in_one_pass(raw, p, nodes) or _arcs_by_entries(raw, p, nodes)
+        arcs = _arcs(raw, p, nodes)
         graph_kind = GraphKind(kind)
         source = target = 0
         if graph_kind is GraphKind.SHORTEST_PATH:

@@ -28,7 +28,8 @@ on the cleared images, and one Fraction factor vector is built per target,
 for the candidate that the report names; more than ``MAX_VERIFY_PAIRS``
 distinct target-candidate pairs are refused before any is scored.  These
 oracles are the independent side of every guarantee test, so none of them
-share code with the approximation algorithms.
+share code with the approximation algorithms: they take the instance model
+from ``instances`` and import neither ``solvers`` nor ``algorithms``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,15 @@ from .core import (
     WeightVector,
     factor_vector,
 )
-from .instances import gen_max_counterexample
-from .solvers import ExplicitInstance, GraphInstance, GraphKind, Solution
+from .instances import (
+    PATH_ID_PREFIX,
+    TREE_ID_PREFIX,
+    ExplicitInstance,
+    GraphInstance,
+    GraphKind,
+    Solution,
+    gen_max_counterexample,
+)
 
 # Most LP rows, F * (F - 1) for F distinct front images, that
 # support_certificates admits.  At the ceiling (F = 141) the LPs took 2.2 s
@@ -130,11 +138,12 @@ def enumerate_graph_solutions(
     Paths come in depth-first order, trees in lexicographic order of their
     arc indices, each search on an explicit stack.  Arc costs are cleared
     as in ``_cleared_images``, negated for MAX; a search level holds its
-    int totals and id prefix, the front is ``_front`` of the totals, and
-    only kept solutions get Fraction images.  Raises EnumerationLimit once
-    more than ``limit`` solutions are found, once the path search visits
-    more than ``work_limit`` nodes, or, before the tree search, if over
-    ``work_limit + 1`` sets of n - 1 arcs exist.
+    int totals and its id prefix, grown from the model's ``PATH_ID_PREFIX``
+    or ``TREE_ID_PREFIX`` arc by arc, the front is ``_front`` of the
+    totals, and only kept solutions get Fraction images.  Raises
+    EnumerationLimit once more than ``limit`` solutions are found, once the
+    path search visits more than ``work_limit`` nodes, or, before the tree
+    search, if over ``work_limit + 1`` sets of n - 1 arcs exist.
     """
     sign = -1 if inst.direction is Direction.MAX else 1
     pairs = [[(sign * v.numerator, v.denominator) for v in arc.cost] for arc in inst.arcs]
@@ -154,7 +163,7 @@ def enumerate_graph_solutions(
         # its out-arcs, and the path's totals and id prefix up to the node.
         steps = 1  # the source is the first visit, each arc to a node off the path one more
         on_path = {inst.source}
-        frames = [(inst.source, iter(out.get(inst.source, ())), (0,) * inst.p, "path:")]
+        frames = [(inst.source, iter(out.get(inst.source, ())), (0,) * inst.p, PATH_ID_PREFIX)]
         while frames:
             node, arcs_out, total, prefix = frames[-1]
             for idx, head, row in arcs_out:
@@ -181,7 +190,8 @@ def enumerate_graph_solutions(
         # Arcs are taken in index order.  A level holds its arc count, id
         # prefix, node labels (components) and totals, and an iterator over
         # the arcs that leave enough to finish the tree.
-        stack = [(1, "tree:", list(range(need + 1)), (0,) * inst.p, iter(arcs[: m - need + 1]))]
+        first = iter(arcs[: m - need + 1])
+        stack = [(1, TREE_ID_PREFIX, list(range(need + 1)), (0,) * inst.p, first)]
         while stack:
             depth, prefix, label, total, candidates = stack[-1]
             for idx, tail, head, row in candidates:

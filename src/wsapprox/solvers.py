@@ -53,9 +53,8 @@ import heapq
 import itertools
 import math
 import operator
-from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .core import (
     MAXIMIZATION_REJECTION,
@@ -69,107 +68,15 @@ from .core import (
     WeightVector,
     as_rational,
 )
-
-
-class UnreachableTarget(ContractViolation):
-    """Shortest-path instance whose target cannot be reached from the source."""
-
-
-class DisconnectedGraph(ContractViolation):
-    """Spanning-tree instance whose underlying graph is not connected."""
-
-
-class Solution(Record):
-    __slots__ = ("id", "image")
-
-
-class ExplicitInstance(Record):
-    """Feasible set given by an explicit list of (id, image) pairs."""
-
-    __slots__ = ("direction", "p", "solutions")
-
-    def __init__(self, direction: Direction, p: int, solutions: Sequence[Solution]) -> None:
-        super().__init__(direction, p, tuple(solutions))
-        if not self.solutions:
-            raise ContractViolation("explicit instances must be nonempty")
-        if any(len(s.image) != self.p for s in self.solutions):
-            raise ContractViolation("solution image dimension differs from p")
-        ids = [s.id for s in self.solutions]
-        if len(set(ids)) != len(ids):
-            raise ContractViolation("solution ids must be unique")
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.solutions)
-
-
-class GraphKind(Enum):
-    SHORTEST_PATH = "shortest-path"
-    SPANNING_TREE = "spanning-tree"
-
-
-class Arc(Record):
-    __slots__ = ("tail", "head", "cost")
-
-
-class GraphInstance(Record):
-    """Digraph (shortest path) or undirected graph (spanning tree) instance.
-
-    For SPANNING_TREE the arcs are read as undirected edges and source and
-    target are ignored.
-    """
-
-    __slots__ = ("direction", "p", "node_count", "arcs", "kind", "source", "target")
-
-    def __init__(
-        self, direction: Direction, p: int, node_count: int, arcs: Sequence[Arc],
-        kind: GraphKind, source: int = 0, target: int = 0,
-    ) -> None:
-        super().__init__(direction, p, node_count, tuple(arcs), kind, source, target)
-        if self.node_count < 2:
-            raise ContractViolation("graph instances need at least two nodes")
-        if not self.arcs:
-            raise ContractViolation("graph instances need at least one arc")
-        for arc in self.arcs:
-            if len(arc.cost) != self.p:
-                raise ContractViolation("arc cost dimension differs from p")
-            if not (0 <= arc.tail < self.node_count and 0 <= arc.head < self.node_count):
-                raise ContractViolation("arc endpoint out of range")
-        if self.kind is GraphKind.SHORTEST_PATH:
-            if not 0 <= self.source < self.node_count or not 0 <= self.target < self.node_count:
-                raise ContractViolation("source/target out of range")
-            if self.source == self.target:
-                raise ContractViolation("source and target must differ")
-            if self.target not in self._reached(self.source, undirected=False):
-                raise UnreachableTarget("target not reachable from source")
-        elif len(self.arcs) < self.node_count - 1:
-            # refused before _reached builds a list for every declared node
-            raise DisconnectedGraph(
-                f"spanning-tree instance has {len(self.arcs)} arcs, fewer than "
-                f"nodes - 1 = {self.node_count - 1}, so it is not connected"
-            )
-        elif len(self._reached(0, undirected=True)) < self.node_count:
-            raise DisconnectedGraph("spanning-tree instance is not connected")
-
-    def _reached(self, start: int, undirected: bool) -> set[int]:
-        """Nodes reachable from ``start`` along the arcs, or along the edges
-        they form if ``undirected``.  Keyed by the nodes the arcs name, so
-        the work is bounded by the arcs, not by ``node_count``."""
-        successors: dict[int, list[int]] = {}
-        for arc in self.arcs:
-            successors.setdefault(arc.tail, []).append(arc.head)
-            if undirected:
-                successors.setdefault(arc.head, []).append(arc.tail)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            for head in successors.get(frontier.pop(), ()):
-                if head not in seen:
-                    seen.add(head)
-                    frontier.append(head)
-        return seen
-
-
-Instance = Union[ExplicitInstance, GraphInstance]
+from .instances import (
+    ExplicitInstance,
+    GraphInstance,
+    GraphKind,
+    Instance,
+    Solution,
+    path_id,
+    tree_id,
+)
 
 
 class SolveAnswer(Record):
@@ -177,14 +84,6 @@ class SolveAnswer(Record):
 
     __slots__ = ("solution_id", "image", "scalar", "arcs")
     _defaults = {"arcs": None}
-
-
-def path_id(arc_indices: tuple[int, ...]) -> str:
-    return "path:" + ",".join(map(str, arc_indices))
-
-
-def tree_id(arc_indices: tuple[int, ...]) -> str:
-    return "tree:" + ",".join(map(str, sorted(arc_indices)))
 
 
 def compute_bounds(inst: Instance) -> Bounds:

@@ -8,7 +8,8 @@ in ``Fraction`` and without the package's shortcuts:
   reads its digit runs with ``int``;
 - ``instance_from_json_by_literals`` reads an instance entry by entry,
   checking and parsing each rational literal on its own, where the package
-  checks all of a file's literals together and reads them in one pass;
+  checks every entry's structure in one loop and then reads all of a
+  file's literals with one match;
 - the solvers scalarize every image instead of comparing
   cleared-denominator ints, and Kruskal joins components through a
   ``_UnionFind`` object;
@@ -94,22 +95,20 @@ from wsapprox import (
 from wsapprox.algorithms import BiobjectiveRun, CellAssignment, GridRun
 from wsapprox.core import check_rational_literal, format_rational, format_rationals
 from wsapprox.instances import (
+    Arc,
+    DisconnectedGraph,
+    GraphKind,
     InstanceFormatError,
+    Solution,
+    UnreachableTarget,
     _parse_index,
     _parse_positive_vector,
     _require_keys,
     is_utf8_text,
-)
-from wsapprox.oracles import EnumerationLimit, Violation, Witness
-from wsapprox.solvers import (
-    Arc,
-    DisconnectedGraph,
-    GraphKind,
-    Solution,
-    UnreachableTarget,
     path_id,
     tree_id,
 )
+from wsapprox.oracles import EnumerationLimit, Violation, Witness
 
 # ---------------------------------------------------------------------------
 # Parsing

@@ -34,8 +34,7 @@ from wsapprox import (
 )
 from wsapprox.algorithms import expected_grid_calls, exponent_cap
 from wsapprox.cli import main as cli_main
-from wsapprox.instances import canonical_dumps, instance_to_json
-from wsapprox.solvers import GraphKind
+from wsapprox.instances import GraphKind, canonical_dumps, instance_to_json
 
 from reference import image_of, ptas_family, reference_solver, solve_explicit_exact
 

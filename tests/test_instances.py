@@ -299,8 +299,9 @@ GRAPH_DOCUMENTS = st.builds(
 LOW_DIGIT_LIMIT = 640
 
 # Spellings of a value.  The per-entry reader accepts the first nine and
-# refuses the rest; of the nine, the one-pass reader reads "4/6" and the
-# 640-digit run itself and hands the others on.
+# refuses the rest; of the nine, the package's one match of all literals
+# takes "4/6" and the 640-digit run, and the others go through
+# ``core.parse_rational`` one vector at a time.
 SPELLINGS = [
     " 7", "7\n", "+7", "007", "7/004", "\u0663/4",
     "4/6", "1" * LOW_DIGIT_LIMIT, "1" * 400 + "/" + "3" * 400,
@@ -363,15 +364,16 @@ def outcome(load, doc):
         return type(exc), str(exc)
 
 
-# Fresh documents that every reader reads in one pass.
+# Fresh documents whose literals the package reads with one match.
 PLAIN_DOCUMENTS = {
     "explicit": lambda: instance_to_json(gen_random_explicit(2, 3, 1, 9, seed=4)),
     "shortest-path": lambda: graph_json(),
 }
 
 
-class TestOnePassLoader:
-    """The one-pass reader against the per-entry loader it falls back to."""
+class TestLoaderAgainstPerEntryReference:
+    """The package's reader, one loop over the entries and one read of all
+    their literals, against the reference loader that reads entry by entry."""
 
     @given(st.one_of(explicit_documents(), GRAPH_DOCUMENTS), st.data())
     @settings(max_examples=300, deadline=None)
@@ -415,6 +417,49 @@ class TestOnePassLoader:
         finally:
             sys.set_int_max_str_digits(limit)
         assert not isinstance(ours, tuple) or ours[0] is InstanceFormatError
+
+
+# Faults in an entry's structure, by document kind, each raised by the loop
+# over the entries at the entry that holds it.
+STRUCTURAL_FAULTS = {
+    "explicit": {
+        "missing key": lambda e: e.pop("f"),
+        "empty id": lambda e: e.update(id=""),
+        "short vector": lambda e: e["f"].pop(),
+    },
+    "shortest-path": {
+        "bool tail": lambda e: e.update({"from": True}),
+        "long vector": lambda e: e["cost"].append("1"),
+        "extra key": lambda e: e.update(note=1),
+    },
+}
+
+
+class TestFaultOrder:
+    """Of a bad literal and a malformed entry, the one earlier in the file
+    raises its error, whichever the reader checks first."""
+
+    @pytest.mark.parametrize("literal_first", [True, False], ids=["literal-first", "entry-first"])
+    @pytest.mark.parametrize(
+        "kind,fault",
+        [(kind, name) for kind, faults in STRUCTURAL_FAULTS.items() for name in faults],
+    )
+    def test_first_fault_in_file_order_is_raised(self, kind, fault, literal_first):
+        def faulty(*where):
+            doc = PLAIN_DOCUMENTS[kind]()
+            entries, key = (doc["solutions"], "f") if kind == "explicit" else (doc["arcs"], "cost")
+            if "literal" in where:
+                entries[0 if literal_first else -1][key][0] = "1.5"
+            if "entry" in where:
+                STRUCTURAL_FAULTS[kind][fault](entries[-1 if literal_first else 0])
+            return doc
+
+        literal = outcome(instance_from_json, faulty("literal"))
+        structural = outcome(instance_from_json, faulty("entry"))
+        assert literal[0] is structural[0] is InstanceFormatError
+        assert "1.5" in literal[1] and literal != structural
+        both = outcome(instance_from_json, faulty("literal", "entry"))
+        assert both == (literal if literal_first else structural)
 
 
 # Characters json must escape or may pass through: quotes, backslashes,

@@ -35,17 +35,9 @@ from wsapprox.core import (
     WeightVector,
     _RationalVector,
 )
-from wsapprox.instances import Rendered
+from wsapprox.instances import Arc, ExplicitInstance, GraphInstance, GraphKind, Rendered, Solution
 from wsapprox.oracles import SupportCertificate, VerificationReport, Violation, Witness
-from wsapprox.solvers import (
-    Arc,
-    ExplicitInstance,
-    GraphInstance,
-    GraphKind,
-    Solution,
-    SolveAnswer,
-    SolverHandle,
-)
+from wsapprox.solvers import SolveAnswer, SolverHandle
 
 
 def package_modules():

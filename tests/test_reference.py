@@ -9,7 +9,7 @@ whose callers can call what it wraps is deleted.
 import pytest
 
 import wsapprox
-from wsapprox import algorithms, cli, core, oracles, solvers
+from wsapprox import algorithms, cli, core, instances, oracles, solvers
 
 MOVED = [
     (solvers, "solve_explicit_exact"),
@@ -26,7 +26,7 @@ MOVED = [
     (core.FactorVector, "le"),
     (core.Bounds, "contains"),
     (core.Bounds, "of"),
-    (solvers.ExplicitInstance, "image_of"),
+    (instances.ExplicitInstance, "image_of"),
     (algorithms, "ptas_family"),
     (oracles, "_support_certificate_biobjective"),
     (oracles, "supported_set"),
