@@ -254,11 +254,9 @@ def approximate_grid(
     if bounds.p != solver.p:
         raise ContractViolation("bounds dimension differs from p")
     plan = plan_grid(bounds, epsilon, solver.sigma)
-    before = solver.calls
     answers = [solver.solve(entry.weight) for entry in plan.entries]
-    ws_calls = solver.calls - before
     result = _output_set({a.solution_id: a for a in answers})
-    return GridRun(plan, tuple(answers), result, ws_calls)
+    return GridRun(plan, tuple(answers), result, len(answers))
 
 
 class BisectProbe(Record):
@@ -310,7 +308,6 @@ def approximate_biobjective(
     factor_right = FactorVector.of(1, 2 + epsilon)
     factor_left = FactorVector.of(2 + epsilon, 1)
 
-    before = solver.calls
     probes: list[BisectProbe] = []
 
     def solve_index(t: int) -> SolveAnswer:
@@ -357,7 +354,7 @@ def approximate_biobjective(
 
     return BiobjectiveRun(
         epsilon, step - 1, u1, u2, count, tuple(probes), _output_set(picked),
-        solver.calls - before, tree_nodes, two_child_nodes, tree_height,
+        len(probes), tree_nodes, two_child_nodes, tree_height,
     )
 
 

@@ -126,9 +126,9 @@ class Direction(Enum):
 
 class Record:
     """Immutable record whose fields are the ``__slots__`` of its classes,
-    base first, given positionally or by name; a field left out takes its
-    value from ``_defaults``.  A subclass writes ``__init__`` only to coerce
-    or check its fields, and stores them through ``Record.__init__``.
+    base first, each given positionally or by name.  A subclass writes
+    ``__init__`` only to coerce or check its fields, and stores them
+    through ``Record.__init__``.
     Records are equal when their classes and field values are, hash by
     their field values, print as ``Name(field=value, ...)`` and pickle
     through their constructor.  ``FrozenInstanceError`` is imported only to
@@ -137,7 +137,6 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _setters: tuple = ()  # each field's slot ``__set__``, bound once per class
-    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         own = cls.__dict__.get("__slots__", ())
@@ -153,13 +152,13 @@ class Record:
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict[str, object]) -> tuple:
-        """Each field's value from the positional values, the named ones
-        and ``_defaults``; TypeError names any fault."""
+        """Each field's value from the positional and the named ones;
+        TypeError names any fault."""
         name, fields = cls.__qualname__, cls._fields
         if len(args) > len(fields):
             raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)} values")
         given = dict(zip(fields, args))
-        values = {**cls._defaults, **given, **kwargs}
+        values = {**given, **kwargs}
         for fault, names in (
             ("unknown", kwargs.keys() - set(fields)),
             ("repeated", kwargs.keys() & given.keys()),

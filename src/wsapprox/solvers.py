@@ -1,4 +1,4 @@
-"""Weighted-sum solver backends and the call-counting solver handle.
+"""Weighted-sum solver backends and the handle that binds one to an instance.
 
 Three kernels realize the sigma-approximate weighted-sum contract: one over
 an explicit list of solutions, which returns the worst solution still
@@ -44,7 +44,8 @@ package against them.
 
 Every kernel minimizes: a ``SolverHandle`` refuses a maximization instance
 with ``MaximizationUnsupported`` before it builds its kernel, since weighted
-sums carry no guarantee there.
+sums carry no guarantee there.  It refuses a sigma that is not an exact
+rational >= 1 before that build too.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class SolveAnswer(Record):
     """One weighted-sum answer: canonical id, image, exact scalar value."""
 
     __slots__ = ("solution_id", "image", "scalar", "arcs")
-    _defaults = {"arcs": None}
 
 
 def compute_bounds(inst: Instance) -> Bounds:
@@ -409,64 +409,43 @@ def _kernel(inst: Instance, sigma: Fraction) -> Kernel:
 
 
 class SolverHandle(Record):
-    """One weighted-sum backend bound to an instance, with a call counter.
+    """One weighted-sum backend bound to an instance: a frozen record.
 
     ``sigma`` is the contract bound the backend promises, not a measured
-    quality.  ``kernel`` answers one weighted-sum problem; it may keep
-    private state between calls (the explicit kernel forgets what its
-    optima rule out, the graph kernels keep each distinct answer), but each
-    answer depends on the weight alone.  Left
-    out, it is built from the instance and sigma.  The handle refuses a
-    maximization instance (``MaximizationUnsupported``), then a sigma below
-    1, before any kernel is built, so every kernel and every algorithm
-    downstream minimizes.
-    Every ``solve`` increments the counter by exactly one, then checks the
-    weight dimension for every kernel, so a kernel only ever sees p
-    weights.  A handle is used by one thread at a time: the algorithms make
-    their calls one after another, and the counter is not locked.  Unlike
-    the other records, a handle is mutable, so it is not hashable, and its
-    repr leaves out the kernel.
+    quality; a rational string such as ``"3/2"`` is read as a ``Fraction``.
+    ``kernel`` answers one weighted-sum problem; it may keep private state
+    between calls (the explicit kernel forgets what its optima rule out,
+    the graph kernels keep each distinct answer), but each answer depends
+    on the weight alone.  Left out, it is built from the instance and
+    sigma.  Before any kernel is built, the handle refuses a maximization
+    instance (``MaximizationUnsupported``), so every kernel and every
+    algorithm downstream minimizes, then a sigma that is not an exact
+    rational or is below 1 (``ContractViolation``).  Every ``solve`` checks
+    the weight dimension, so a kernel only ever sees p weights.  A handle
+    is used by one thread at a time: the algorithms make their calls one
+    after another, and the kernels' private state is not locked.  Each run
+    counts its own solves.
     """
 
-    __slots__ = ("instance", "sigma", "kernel", "_calls")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    __slots__ = ("instance", "sigma", "kernel")
 
     def __init__(
-        self,
-        instance: Instance,
-        sigma: Fraction,
-        kernel: Optional[Kernel] = None,
-        _calls: int = 0,
+        self, instance: Instance, sigma: RationalLike, kernel: Optional[Kernel] = None
     ) -> None:
-        self.instance = instance
-        self.sigma = sigma
-        self.kernel = kernel
-        self._calls = _calls
         if instance.direction is not Direction.MIN:
             raise MaximizationUnsupported(MAXIMIZATION_REJECTION)
+        sigma = as_rational(sigma)
         if sigma < 1:
             raise ContractViolation("sigma must be >= 1")
         if kernel is None:
-            self.kernel = _kernel(instance, sigma)
-
-    def __repr__(self) -> str:
-        return (
-            f"SolverHandle(instance={self.instance!r}, sigma={self.sigma!r}, "
-            f"_calls={self._calls!r})"
-        )
-
-    @property
-    def calls(self) -> int:
-        return self._calls
+            kernel = _kernel(instance, sigma)
+        super().__init__(instance, sigma, kernel)
 
     @property
     def p(self) -> int:
         return self.instance.p
 
     def solve(self, weights: WeightVector) -> SolveAnswer:
-        self._calls += 1
         if len(weights) != self.instance.p:
             raise ContractViolation("weight vector dimension differs from p")
         return self.kernel(weights)
@@ -483,4 +462,4 @@ def adversarial_solver(inst: ExplicitInstance, sigma: RationalLike) -> SolverHan
     returns the worst solution within sigma of the optimum."""
     if not isinstance(inst, ExplicitInstance):
         raise ContractViolation("adversarial backend requires an explicit instance")
-    return SolverHandle(inst, as_rational(sigma))
+    return SolverHandle(inst, sigma)

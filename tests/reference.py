@@ -231,7 +231,7 @@ def solve_explicit_exact(inst: ExplicitInstance, weights: WeightVector) -> Solve
         return (sign * weights.scalarize(s.image), s.image.values, s.id)
 
     best = min(inst.solutions, key=key)
-    return SolveAnswer(best.id, best.image, weights.scalarize(best.image))
+    return SolveAnswer(best.id, best.image, weights.scalarize(best.image), None)
 
 
 def solve_explicit_adversarial(
@@ -244,7 +244,7 @@ def solve_explicit_adversarial(
     opt = min(v for v, _ in values)
     admissible = [(v, s) for v, s in values if v <= sigma * opt]
     worst, best_sol = min(admissible, key=lambda vs: (-vs[0], vs[1].image.values, vs[1].id))
-    return SolveAnswer(best_sol.id, best_sol.image, worst)
+    return SolveAnswer(best_sol.id, best_sol.image, worst, None)
 
 
 def solve_shortest_path(inst: GraphInstance, weights: WeightVector) -> SolveAnswer:

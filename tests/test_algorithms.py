@@ -30,7 +30,7 @@ from wsapprox import (
     support_certificates,
     verify_approximation,
 )
-from wsapprox import algorithms
+from wsapprox import algorithms, solvers
 from wsapprox.algorithms import exponent_cap, expected_grid_calls, plan_grid
 
 from conftest import any_instances, explicit_instances, with_front_midpoint
@@ -59,6 +59,19 @@ def explicit(direction, *pairs):
 @pytest.fixture
 def three_points():
     return explicit(MIN, ("a", (1, 8)), ("b", (2, 2)), ("c", (8, 1)))
+
+
+def counted(inst, sigma=F(1)):
+    """A handle on the package's own kernel for ``inst`` at ``sigma``, and
+    the list of weights that kernel received, counted apart from any run."""
+    kernel = solvers._kernel(inst, sigma)
+    received = []
+
+    def counting(weights):
+        received.append(weights)
+        return kernel(weights)
+
+    return SolverHandle(inst, sigma, counting), received
 
 
 class TestExponentCap:
@@ -198,12 +211,14 @@ class TestGridWeights:
         # u1 + u2 + 1 = 11 rungs are the p = 2 grid's 11 weights.
         monkeypatch.setattr(algorithms, "MAX_GRID_CALLS", 10)
         bounds = Bounds((1, 1), (F(3, 2) ** 5, F(3, 2) ** 5))
-        solver = exact_solver(three_points)
+        solver, received = counted(three_points)
         with pytest.raises(ContractViolation, match="grid of 11 weights exceeds the limit of 10"):
             approximate_biobjective(solver, bounds, 1)
-        assert solver.calls == 0
+        assert received == []
         monkeypatch.setattr(algorithms, "MAX_GRID_CALLS", 11)
-        assert approximate_biobjective(solver, bounds, 1).gamma_count == 11
+        run = approximate_biobjective(solver, bounds, 1)
+        assert run.gamma_count == 11
+        assert len(received) == run.ws_calls
 
 class TestApproximateGrid:
     def test_worked_example(self, three_points):
@@ -233,13 +248,10 @@ class TestApproximateGrid:
     @pytest.mark.parametrize("p,sigma", [(2, F(1)), (2, F(2)), (3, F(3, 2))])
     def test_call_count_formula(self, p, sigma):
         inst = gen_random_explicit(p, 12, 1, 6, seed=17 * p)
-        solver = (
-            exact_solver(inst) if sigma == 1 else adversarial_solver(inst, sigma)
-        )
+        solver, received = counted(inst, sigma)
         run = approximate_grid(solver, compute_bounds(inst), F(3, 4))
         assert run.ws_calls == expected_grid_calls(run.plan.u)
-        assert run.ws_calls == len(run.plan.entries)
-        assert solver.calls == run.ws_calls
+        assert run.ws_calls == len(run.plan.entries) == len(received)
 
     def test_result_sorted_by_id(self):
         inst = gen_random_explicit(2, 9, 1, 9, seed=3)
@@ -423,7 +435,9 @@ class TestBiobjectiveBisection:
         ]
         for epsilon, high in cases:
             inst = gen_random_explicit(2, 12, 1, high, seed=300 + seed)
-            run = approximate_biobjective(exact_solver(inst), compute_bounds(inst), epsilon)
+            solver, received = counted(inst)
+            run = approximate_biobjective(solver, compute_bounds(inst), epsilon)
+            assert received == [WeightVector.of(probe.gamma, 1) for probe in run.probes]
             indices = [probe.index for probe in run.probes]
             assert len(set(indices)) == len(indices) == run.ws_calls  # no rung solved twice
             assert run.ws_calls <= run.gamma_count
@@ -441,7 +455,9 @@ class TestPtasWrapper:
     def test_inner_run_parameters(self):
         inst = gen_random_explicit(2, 8, 1, 6, seed=21)
         bounds = compute_bounds(inst)
-        run = approximate_with_ptas(adversarial_solver(inst, 1 + F(1, 4)), bounds, 1)
+        solver, received = counted(inst, 1 + F(1, 4))
+        run = approximate_with_ptas(solver, bounds, 1)
+        assert run.ws_calls == len(run.plan.entries) == len(received)
         assert run.plan.sigma == F(5, 4)
         assert run.plan.epsilon == F(1, 2)
         assert run.plan.eps_prime == F(1, 2) / (F(5, 4) * 2)

@@ -383,13 +383,6 @@ class TestGraphAgainstEnumeration:
 
 
 class TestSolverHandle:
-    def test_counts_every_call(self, three_points):
-        handle = exact_solver(three_points)
-        assert handle.calls == 0
-        handle.solve(wv(1, 1))
-        handle.solve(wv(1, 2))
-        assert handle.calls == 2
-
     def test_adversarial_requires_explicit(self, diamond_graph):
         with pytest.raises(ContractViolation):
             adversarial_solver(diamond_graph, 2)
@@ -421,13 +414,25 @@ class TestSolverHandle:
             with pytest.raises(MaximizationUnsupported, match="maximization instance rejected"):
                 build()
 
-    def test_sigma_below_one_refused_before_any_kernel_is_built(self, three_points, no_kernels):
-        for build in (
-            lambda: adversarial_solver(three_points, "1/2"),
-            lambda: SolverHandle(three_points, Fraction(1, 2)),
-        ):
-            with pytest.raises(ContractViolation, match="sigma must be >= 1"):
-                build()
+    def test_sigma_below_one_refused_before_any_kernel_is_built(
+        self, three_points, diamond_graph, no_kernels
+    ):
+        with pytest.raises(ContractViolation, match="sigma must be >= 1"):
+            adversarial_solver(three_points, "1/2")
+        for inst in (three_points, diamond_graph):
+            for sigma, message in (
+                (Fraction(1, 2), "sigma must be >= 1"),
+                ("1/2", "sigma must be >= 1"),
+                (1.5, "exact rational required"),
+                (True, "exact rational required"),
+                ("1.5", "not a rational literal"),
+                (None, "cannot interpret"),
+            ):
+                with pytest.raises(ContractViolation, match=message):
+                    SolverHandle(inst, sigma)
+            # A rational string is read exactly; the kernel is given, so none is built.
+            handle = SolverHandle(inst, "3/2", lambda w: None)
+            assert type(handle.sigma) is Fraction and handle.sigma == Fraction(3, 2)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ContractViolation):
