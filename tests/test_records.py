@@ -164,6 +164,12 @@ def test_only_records_that_coerce_or_check_write_init():
     assert {cls for cls in record_classes() if "__init__" in vars(cls)} == OWN_INIT
 
 
+def test_a_solve_answer_needs_its_arcs():
+    with pytest.raises(TypeError, match=r"SolveAnswer: missing fields \['arcs'\]"):
+        SolveAnswer("a", IMAGE, Fraction(3))
+    assert SolveAnswer("a", IMAGE, Fraction(3), None).arcs is None
+
+
 @pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__qualname__)
 class TestRecordSemantics:
     def test_fields_are_the_constructor_parameters(self, cls):

@@ -434,6 +434,19 @@ class TestSolverHandle:
             handle = SolverHandle(inst, "3/2", lambda w: None)
             assert type(handle.sigma) is Fraction and handle.sigma == Fraction(3, 2)
 
+    def test_a_rational_string_sigma_builds_the_kernel_at_that_fraction(
+        self, three_points, monkeypatch
+    ):
+        built, kernel = [], solvers._kernel
+        monkeypatch.setattr(
+            solvers, "_kernel", lambda inst, sigma: built.append(sigma) or kernel(inst, sigma)
+        )
+        handle = adversarial_solver(three_points, "3/2")
+        assert built == [Fraction(3, 2)] and type(built[0]) is Fraction
+        for weights in (wv(1, 1), wv(1, 2), wv(3, 1), wv(7, 1)):
+            expected = solve_explicit_adversarial(three_points, weights, Fraction(3, 2))
+            assert handle.solve(weights) == expected
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ContractViolation):
             explicit(MIN, ("a", (1, 2)), ("a", (2, 1)))
