@@ -17,7 +17,9 @@ Arabic-Indic digits), one fault per file, and a bad literal and a
 malformed entry in either order, of which the first in the file must be
 the one refused.  Generated files hold only canonical values, so without
 them the loader's literal-by-literal path, and every refusal it words,
-would go unseen.
+would go unseen.  Two files are well formed for the instance writer: one
+whose ids need JSON escapes and a shortest-path graph, whose reports embed
+its ``source`` and ``target``.
 
 Usage: python scripts/compare_outputs.py --parent-src DIR [--seeds 1 2 ...]
                                          [--size tiny|full]
@@ -107,6 +109,22 @@ HAND_WRITTEN = {
     },
     "literal-then-entry": _literal_and_entry(True),
     "entry-then-literal": _literal_and_entry(False),
+    # ids holding a quote, a backslash, a tab, an "é" and a non-BMP character
+    "escaped-ids": {"kind": "explicit", "direction": "min", "p": 2, "solutions": [
+        {"id": 'a"', "f": ["1", "8"]},
+        {"id": "b\\\t\u00e9", "f": ["2", "2"]},
+        {"id": "c\U0001f600", "f": ["8", "1"]},
+    ]},
+    "shortest-path": {
+        "kind": "shortest-path", "direction": "min", "p": 2, "nodes": 4, "source": 0,
+        "target": 3, "arcs": [
+            {"from": 0, "to": 1, "cost": ["1", "5/2"]},
+            {"from": 1, "to": 3, "cost": ["2", "1/3"]},
+            {"from": 0, "to": 2, "cost": ["3", "1"]},
+            {"from": 2, "to": 3, "cost": ["7/4", "1"]},
+            {"from": 1, "to": 2, "cost": ["1", "1"]},
+        ],
+    },
     "graph-literal-then-bool-tail": {
         "kind": "spanning-tree", "direction": "min", "p": 2, "nodes": 3, "arcs": [
             {"from": 0, "to": 1, "cost": ["1", "1.5"]},

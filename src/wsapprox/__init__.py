@@ -35,7 +35,6 @@ from .instances import (
     gen_random_graph,
     gen_tightness_min,
     instance_from_json,
-    instance_to_json,
 )
 from .solvers import (
     SolveAnswer,

@@ -69,7 +69,7 @@ from .instances import (
     gen_random_graph,
     gen_tightness_min,
     instance_from_json,
-    instance_to_json,
+    instance_text,
     is_utf8_text,
     load_instance,
     read_json,
@@ -305,7 +305,7 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         "p": inst.p,
         "epsilon": format_rational(args.epsilon),
         "solver": args.solver,
-        "instance": instance_to_json(inst),
+        "instance": instance_text(inst, 1),
         "bounds": {
             "lower": format_rationals(bounds.lower),
             "upper": format_rationals(bounds.upper),
@@ -315,6 +315,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         if args.solver == "adversarial":
             solver = adversarial_solver(inst, args.sigma)
         else:
+            if args.sigma < 1:  # the handle's own refusal, before the one for sigma > 1
+                raise ContractViolation("sigma must be >= 1")
             if args.sigma != 1:
                 raise ContractViolation("--sigma above 1 needs --solver adversarial")
             solver = exact_solver(inst)
@@ -466,7 +468,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         inst = gen_random_graph(
             args.nodes, args.arcs, args.p, args.low, args.high, args.seed, GraphKind(args.kind)
         )
-    _write_output(instance_to_json(inst), args.out)
+    _write_output(instance_text(inst, 0), args.out)
     return EXIT_OK
 
 

@@ -12,6 +12,11 @@ stress inputs for the tightness and impossibility checks.  Random generators
 draw values on a fixed-denominator lattice so downstream exact arithmetic
 stays small, and are fully determined by their seed.
 
+``instance_text`` is the one writer of an instance's canonical text, for
+the file ``generate`` writes and for the ``instance`` every ``approximate``
+report embeds.  It writes the text in one pass, each solution or arc by one
+f-string, each value formatted once, and ``canonical_dumps`` copies it in.
+
 ``instance_from_json`` reads the solutions or arcs in one loop that checks
 each entry's structure in file order and collects its literal strings.
 ``_vectors`` then reads all of them with one match of their joined text
@@ -20,7 +25,9 @@ zero), the longest within ``sys.get_int_max_str_digits()``, and hands each
 digit run to ``int``.  When that match fails, it reads vector after vector
 with ``core.parse_rational``; when an entry is malformed, the literals of
 the entries before it are read so first.  Either way the first fault in the
-file raises the same error, with the same message, as it would alone.
+file raises the same error, with the same message, as it would alone.  The
+vectors the match reads are stored without ``ObjectiveVector.__init__``,
+whose checks the match and the loop have made.
 """
 
 from __future__ import annotations
@@ -30,8 +37,10 @@ import math
 import random
 import re
 import sys
+from collections import deque
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring
 from typing import Any, Sequence, Union
 
@@ -42,7 +51,6 @@ from .core import (
     RationalLike,
     Record,
     as_rational,
-    format_rationals,
     parse_rational,
 )
 
@@ -68,7 +76,7 @@ class ExplicitInstance(Record):
         super().__init__(direction, p, tuple(solutions))
         if not self.solutions:
             raise ContractViolation("explicit instances must be nonempty")
-        if any(len(s.image) != self.p for s in self.solutions):
+        if any(len(s.image.values) != self.p for s in self.solutions):
             raise ContractViolation("solution image dimension differs from p")
         ids = [s.id for s in self.solutions]
         if len(set(ids)) != len(ids):
@@ -106,7 +114,7 @@ class GraphInstance(Record):
         if not self.arcs:
             raise ContractViolation("graph instances need at least one arc")
         for arc in self.arcs:
-            if len(arc.cost) != self.p:
+            if len(arc.cost.values) != self.p:
                 raise ContractViolation("arc cost dimension differs from p")
             if not (0 <= arc.tail < self.node_count and 0 <= arc.head < self.node_count):
                 raise ContractViolation("arc endpoint out of range")
@@ -391,27 +399,51 @@ def canonical_dumps(payload: Any) -> str:
     return "".join(out)
 
 
-def instance_to_json(inst: Instance) -> dict[str, Any]:
+def instance_text(inst: Instance, depth: int) -> Rendered:
+    """The canonical text of ``inst``'s document at ``depth``, written in
+    one pass: the members ``schema_version``, ``kind``, ``direction``,
+    ``p`` and ``solutions`` (``{"id", "f"}`` each) of an explicit instance,
+    or ``nodes`` and ``arcs`` (``{"from", "to", "cost"}`` each) of a graph,
+    and ``source`` and ``target`` of a shortest-path instance.
+
+    Each solution or arc is one f-string, and each of its values is
+    formatted once, by ``str``, which writes a Fraction as
+    ``format_rational`` does."""
+    nl = "\n" + "  " * depth
+    member, entry, field, item = (nl + "  " * k for k in range(1, 5))
+    join_values = f'",{item}"'.join  # a vector's values, quoted, one an item
     explicit = isinstance(inst, ExplicitInstance)
-    payload: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "explicit" if explicit else inst.kind.value,
-        "direction": inst.direction.value,
-        "p": inst.p,
-    }
+    # the members between "arcs" and "solutions" in sorted order, "nodes" aside
+    direction_kind = f'"direction": "{inst.direction.value}",{member}"kind": ' + (
+        '"explicit"' if explicit else f'"{inst.kind.value}"'
+    )
+    p_version = f'"p": {inst.p},{member}"schema_version": {SCHEMA_VERSION}'
     if explicit:
-        payload["solutions"] = [
-            {"id": s.id, "f": format_rationals(s.image)} for s in inst.solutions
-        ]
-        return payload
-    payload["nodes"] = inst.node_count
-    payload["arcs"] = [
-        {"from": a.tail, "to": a.head, "cost": format_rationals(a.cost)} for a in inst.arcs
-    ]
-    if inst.kind is GraphKind.SHORTEST_PATH:
-        payload["source"] = inst.source
-        payload["target"] = inst.target
-    return payload
+        solutions = f",{entry}".join([
+            f'{{{field}"f": [{item}"{join_values(map(str, s.image.values))}"{field}],'
+            f'{field}"id": {encode_basestring(s.id)}{entry}}}'
+            for s in inst.solutions
+        ])
+        return Rendered(depth, [
+            f'{{{member}{direction_kind},{member}{p_version},{member}"solutions": [{entry}',
+            solutions,
+            f"{member}]{nl}}}",
+        ])
+    arcs = f",{entry}".join([
+        f'{{{field}"cost": [{item}"{join_values(map(str, a.cost.values))}"{field}],'
+        f'{field}"from": {a.tail},{field}"to": {a.head}{entry}}}'
+        for a in inst.arcs
+    ])
+    ends = (
+        f',{member}"source": {inst.source},{member}"target": {inst.target}'
+        if inst.kind is GraphKind.SHORTEST_PATH else ""
+    )
+    return Rendered(depth, [
+        f'{{{member}"arcs": [{entry}',
+        arcs,
+        f'{member}],{member}{direction_kind},{member}"nodes": {inst.node_count},'
+        f'{member}{p_version}{ends}{nl}}}',
+    ])
 
 
 def _require_keys(data: dict, required: set[str], optional: set[str], what: str) -> None:
@@ -444,6 +476,7 @@ def _parse_index(value: Any, node_count: int, what: str) -> int:
 _PLAIN_LITERALS = re.compile(r"[1-9][0-9]*(?:/[1-9][0-9]*)?(?: [1-9][0-9]*(?:/[1-9][0-9]*)?)*")
 _SOLUTION_KEYS = frozenset(("id", "f"))
 _ARC_KEYS = frozenset(("from", "to", "cost"))
+_store_values = ObjectiveVector._setters[0]  # the ``values`` slot's ``__set__``
 
 
 def _vectors(literals: list, p: int, what: str) -> list[ObjectiveVector]:
@@ -453,8 +486,9 @@ def _vectors(literals: list, p: int, what: str) -> list[ObjectiveVector]:
     longer than ``sys.get_int_max_str_digits()``, each passes every check
     of ``check_rational_literal``, so its digit runs go straight to
     ``int``; the pattern admits only ASCII, so no other script's digits
-    reach it.  Otherwise each vector is read by ``_parse_positive_vector``
-    in turn, so the first bad literal raises its error."""
+    reach it, and each vector is stored without ``ObjectiveVector.__init__``.
+    Otherwise each vector is read by ``_parse_positive_vector`` in turn, so
+    the first bad literal raises its error."""
     try:
         text = " ".join(literals)
     except TypeError:  # a literal that is not a str
@@ -473,7 +507,12 @@ def _vectors(literals: list, p: int, what: str) -> list[ObjectiveVector]:
         values.append(
             Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
         )
-    return [ObjectiveVector(tuple(values[i : i + p])) for i in range(0, len(values), p)]
+    # Every value is a positive Fraction and the entry loop gave each vector
+    # p >= 2 of them: ``__init__`` would check both again.
+    images = list(zip(*[iter(values)] * p))
+    vectors = list(map(object.__new__, repeat(ObjectiveVector, len(images))))
+    deque(map(_store_values, vectors, images), maxlen=0)
+    return vectors
 
 
 def _solutions(raw: list, p: int) -> list[Solution]:

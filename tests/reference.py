@@ -35,6 +35,9 @@ in ``Fraction`` and without the package's shortcuts:
 - ``canonical_dumps_by_json`` writes canonical JSON with ``json.dumps``,
   whose indented encoder escapes a string wherever it appears, where the
   package's writer escapes each distinct string once in one pass;
+- ``instance_to_json`` builds an instance's document as a dict, which
+  ``canonical_dumps_by_json`` writes, where ``instances.instance_text``
+  writes its text in one pass;
 - ``grid_weights_by_dicts`` and ``bisect_probes_by_dicts`` build a report's
   ``weights[]`` and ``probes[]`` as one dict per entry, formatting every
   weight and answer wherever it appears, where the CLI writes their text
@@ -95,6 +98,7 @@ from wsapprox import (
 from wsapprox.algorithms import BiobjectiveRun, CellAssignment, GridRun
 from wsapprox.core import check_rational_literal, format_rational, format_rationals
 from wsapprox.instances import (
+    SCHEMA_VERSION,
     Arc,
     DisconnectedGraph,
     GraphKind,
@@ -577,6 +581,31 @@ def canonical_dumps_by_json(payload) -> str:
     """Canonical JSON text as ``json.dumps`` writes it: sorted keys,
     two-space indent, no ASCII escaping, trailing newline."""
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def instance_to_json(inst) -> dict:
+    """The document of ``inst`` as a dict, each value formatted by
+    ``format_rationals``; its canonical text is what the package writes."""
+    explicit = isinstance(inst, ExplicitInstance)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "explicit" if explicit else inst.kind.value,
+        "direction": inst.direction.value,
+        "p": inst.p,
+    }
+    if explicit:
+        payload["solutions"] = [
+            {"id": s.id, "f": format_rationals(s.image)} for s in inst.solutions
+        ]
+        return payload
+    payload["nodes"] = inst.node_count
+    payload["arcs"] = [
+        {"from": a.tail, "to": a.head, "cost": format_rationals(a.cost)} for a in inst.arcs
+    ]
+    if inst.kind is GraphKind.SHORTEST_PATH:
+        payload["source"] = inst.source
+        payload["target"] = inst.target
+    return payload
 
 
 def _answer_json(answer: SolveAnswer) -> dict:

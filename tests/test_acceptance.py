@@ -34,7 +34,7 @@ from wsapprox import (
 )
 from wsapprox.algorithms import expected_grid_calls, exponent_cap
 from wsapprox.cli import main as cli_main
-from wsapprox.instances import GraphKind, canonical_dumps, instance_to_json
+from wsapprox.instances import GraphKind, canonical_dumps, instance_text
 
 from reference import image_of, ptas_family, reference_solver, solve_explicit_exact
 
@@ -175,7 +175,7 @@ def test_criterion_6_tightness(tmp_path):
             cases += 1
     # The same failure is observable through the CLI as exit code 1.
     inst_file = tmp_path / "tight.json"
-    inst_file.write_text(canonical_dumps(instance_to_json(gen_tightness_min(2, 4))))
+    inst_file.write_text(canonical_dumps(instance_text(gen_tightness_min(2, 4), 0)))
     ids_file = tmp_path / "ids.json"
     ids_file.write_text(json.dumps(sorted(support_certificates(gen_tightness_min(2, 4)))))
     code = cli_main(
@@ -206,7 +206,7 @@ def test_criterion_7_maximization_impossibility(tmp_path):
             assert verify_max_impossibility(gen_max_counterexample(p, big_m)) is True
             checked += 1
     inst_file = tmp_path / "max.json"
-    inst_file.write_text(canonical_dumps(instance_to_json(gen_max_counterexample(2, 100))))
+    inst_file.write_text(canonical_dumps(instance_text(gen_max_counterexample(2, 100), 0)))
     for algorithm in ("grid", "bisect", "ptas"):
         code = cli_main(
             [

@@ -45,7 +45,7 @@ from wsapprox.instances import (
     MAX_GENERATED_VALUES,
     canonical_dumps,
     gen_random_explicit,
-    instance_to_json,
+    instance_text,
     load_instance,
 )
 
@@ -211,6 +211,20 @@ class TestApproximateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("sigma,solver,message", [
+        ("1/2", "exact", "sigma must be >= 1"),
+        ("1/2", "adversarial", "sigma must be >= 1"),
+        ("3/2", "exact", "--sigma above 1 needs --solver adversarial"),
+    ])
+    def test_grid_sigma_refusal_names_its_side_of_1(
+        self, three_points_file, capsys, sigma, solver, message
+    ):
+        argv = ["approximate", "--algorithm", "grid", "--instance", three_points_file,
+                "--epsilon", "1", "--sigma", sigma, "--solver", solver]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_oversized_grid_exits_2_before_writing(self, tmp_path, capsys):
         # p = 4 spanning [1, 1000] at eps = 1/3 would plan about 2.6e6 weights.
         wide = {
@@ -329,7 +343,7 @@ class TestApproximateCommand:
         # that approximate accepts, and adds nothing but the "cells" block.
         inst = tmp_path / "inst.json"
         explicit = gen_random_explicit(2, 200, 100, 1000, 1951000)
-        inst.write_text(canonical_dumps(instance_to_json(explicit)))
+        inst.write_text(canonical_dumps(instance_text(explicit, 0)))
         plain, cells = tmp_path / "plain.json", tmp_path / "cells.json"
         argv = ["approximate", "--algorithm", "grid", "--instance", str(inst)]
         for d in range(16, 61):
@@ -1327,12 +1341,12 @@ class TestGenerateCommand:
         assert load_instance(str(out)).p == int(argv[2])
 
     def test_round_trip_canonicalization(self, tmp_path):
-        from wsapprox.instances import instance_from_json, instance_to_json
+        from wsapprox.instances import instance_from_json
 
         path = tmp_path / "inst.json"
         main(["generate", "tightness-min", "--p", "3", "--M", "7/2", "--out", str(path)])
         original = path.read_text()
-        reparsed = canonical_dumps(instance_to_json(instance_from_json(json.loads(original))))
+        reparsed = canonical_dumps(instance_text(instance_from_json(json.loads(original)), 0))
         assert reparsed == original
 
 
@@ -1751,7 +1765,7 @@ class TestExportPlot:
         run = approximate_grid(adversarial_solver(inst, sigma), bounds, epsilon)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp)
-            (path / "inst.json").write_text(canonical_dumps(instance_to_json(inst)))
+            (path / "inst.json").write_text(canonical_dumps(instance_text(inst, 0)))
             flags = ["--epsilon", str(epsilon), "--solver", "adversarial", "--sigma", str(sigma)]
             assert main(["approximate", "--algorithm", "grid", "--instance", str(path / "inst.json"),
                          *flags, "--cells", "--out", str(path / "report.json")]) == 0

@@ -1,7 +1,9 @@
 import copy
 import re
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -14,6 +16,8 @@ from wsapprox import (
     GraphInstance,
     GraphKind,
     InstanceFormatError,
+    ObjectiveVector,
+    Solution,
     compute_bounds,
     enumerate_graph_solutions,
     gen_max_counterexample,
@@ -21,14 +25,18 @@ from wsapprox import (
     gen_random_graph,
     gen_tightness_min,
     instance_from_json,
+)
+from wsapprox import instances
+from wsapprox.core import format_rationals, parse_rational
+from wsapprox.instances import Rendered, canonical_dumps, instance_text
+
+from conftest import enumerable_graphs, explicit_instances, rationals
+from reference import (
+    canonical_dumps_by_json,
+    image_of,
+    instance_from_json_by_literals,
     instance_to_json,
 )
-from wsapprox.instances import Rendered, canonical_dumps
-
-from wsapprox.core import format_rationals
-
-from conftest import rationals
-from reference import canonical_dumps_by_json, image_of, instance_from_json_by_literals
 
 
 class TestTightnessMin:
@@ -93,7 +101,7 @@ class TestRandomGenerators:
     def test_explicit_deterministic(self):
         a = gen_random_explicit(3, 10, 1, 10, seed=42)
         b = gen_random_explicit(3, 10, 1, 10, seed=42)
-        assert canonical_dumps(instance_to_json(a)) == canonical_dumps(instance_to_json(b))
+        assert canonical_dumps(instance_text(a, 0)) == canonical_dumps(instance_text(b, 0))
         c = gen_random_explicit(3, 10, 1, 10, seed=43)
         assert instance_to_json(a) != instance_to_json(c)
 
@@ -144,9 +152,9 @@ class TestRandomGenerators:
 class TestJsonSchema:
     def test_round_trip_explicit_is_byte_identical(self):
         inst = gen_tightness_min(2, 4)
-        text = canonical_dumps(instance_to_json(inst))
+        text = canonical_dumps(instance_text(inst, 0))
         parsed = instance_from_json(instance_to_json(inst))
-        assert canonical_dumps(instance_to_json(parsed)) == text
+        assert canonical_dumps(instance_text(parsed, 0)) == text
 
     def test_round_trip_graph(self):
         for kind in GraphKind:
@@ -419,6 +427,29 @@ class TestLoaderAgainstPerEntryReference:
         assert not isinstance(ours, tuple) or ours[0] is InstanceFormatError
 
 
+class TestOneMatchVectors:
+    """The vectors the one match of a document's literals builds without
+    ``ObjectiveVector.__init__`` are the vectors that ``__init__`` builds."""
+
+    @given(st.one_of(explicit_documents(), GRAPH_DOCUMENTS))
+    @settings(max_examples=150, deadline=None)
+    def test_each_vector_is_the_checked_vector_of_its_values(self, doc):
+        explicit = doc["kind"] == "explicit"
+        # the per-vector reader refuses: only the one match can read the file
+        with mock.patch.object(instances, "_parse_positive_vector", side_effect=AssertionError):
+            inst = instance_from_json(doc)
+        entries = doc["solutions"] if explicit else doc["arcs"]
+        vectors = [s.image for s in inst.solutions] if explicit else [a.cost for a in inst.arcs]
+        assert len(vectors) == len(entries)
+        for vector, entry in zip(vectors, entries):
+            checked = ObjectiveVector(tuple(map(parse_rational, entry["f" if explicit else "cost"])))
+            assert type(vector) is ObjectiveVector and type(vector.values) is tuple
+            assert vector == checked and vector.values == checked.values
+            assert hash(vector) == hash(checked) and repr(vector) == repr(checked)
+            with pytest.raises(FrozenInstanceError):
+                vector.values = checked.values
+
+
 # Faults in an entry's structure, by document kind, each raised by the loop
 # over the entries at the entry that holds it.
 STRUCTURAL_FAULTS = {
@@ -535,6 +566,43 @@ class TestCanonicalDumps:
     def test_rendered_text_is_refused_at_another_depth(self, payload):
         with pytest.raises(ValueError, match="rendered for depth"):
             canonical_dumps(payload)
+
+
+@st.composite
+def escaped_instances(draw):
+    """Explicit instances at p = 2 or 3 whose ids are ``JSON_TEXT``, with
+    quotes, backslashes, control and non-ASCII characters, and values of
+    up to 30 digits."""
+    p = draw(st.integers(2, 3))
+    ids = draw(st.lists(JSON_TEXT.filter(bool), min_size=1, max_size=4, unique=True))
+    value = st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**6))
+    images = st.lists(value, min_size=p, max_size=p).map(lambda v: ObjectiveVector(tuple(v)))
+    solutions = map(Solution, ids, draw(st.lists(images, min_size=len(ids), max_size=len(ids))))
+    return ExplicitInstance(draw(st.sampled_from(Direction)), p, tuple(solutions))
+
+
+class TestInstanceText:
+    """The one-pass writer against the canonical text of the reference
+    document, alone and as a member at depth 1 and 2."""
+
+    @given(st.one_of(
+        escaped_instances(),
+        explicit_instances(p=3),
+        enumerable_graphs(GraphKind.SHORTEST_PATH),
+        enumerable_graphs(GraphKind.SPANNING_TREE),
+    ))
+    @settings(max_examples=200, deadline=None)
+    @example(ExplicitInstance(Direction.MIN, 2, (
+        Solution('"q\\t\té\U0001f600', ObjectiveVector.of(1, "7/3")),
+        Solution("s2", ObjectiveVector.of("10/7", 2)),
+    )))
+    def test_matches_the_reference_document(self, inst):
+        doc = instance_to_json(inst)
+        assert canonical_dumps(instance_text(inst, 0)) == canonical_dumps_by_json(doc)
+        nested = {"instance": instance_text(inst, 1), "p": inst.p}
+        assert canonical_dumps(nested) == canonical_dumps_by_json({"instance": doc, "p": inst.p})
+        deeper = {"a": {"instance": instance_text(inst, 2)}}
+        assert canonical_dumps(deeper) == canonical_dumps_by_json({"a": {"instance": doc}})
 
 
 def graph_json(**changes):

@@ -1,9 +1,10 @@
 """The references in ``tests/reference.py`` stay out of the package.
 
 Each name below once shipped in ``wsapprox`` although no package code
-called it.  The package keeps one implementation of each job: a second,
-slow one belongs next to the tests that compare against it, and a wrapper
-whose callers can call what it wraps is deleted.
+called it, or was a second way to do a job the package does.  The package
+keeps one implementation of each job: a second, slow one belongs next to
+the tests that compare against it, and a wrapper whose callers can call
+what it wraps is deleted.
 """
 
 import pytest
@@ -27,6 +28,7 @@ MOVED = [
     (core.Bounds, "contains"),
     (core.Bounds, "of"),
     (instances.ExplicitInstance, "image_of"),
+    (instances, "instance_to_json"),
     (algorithms, "ptas_family"),
     (oracles, "_support_certificate_biobjective"),
     (oracles, "supported_set"),
