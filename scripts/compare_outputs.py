@@ -19,7 +19,8 @@ the one refused.  Generated files hold only canonical values, so without
 them the loader's literal-by-literal path, and every refusal it words,
 would go unseen.  Two files are well formed for the instance writer: one
 whose ids need JSON escapes and a shortest-path graph, whose reports embed
-its ``source`` and ``target``.
+its ``source`` and ``target``.  One is a maximization, so that the
+supported set's witnesses are compared on MAX as well as MIN.
 
 Usage: python scripts/compare_outputs.py --parent-src DIR [--seeds 1 2 ...]
                                          [--size tiny|full]
@@ -125,6 +126,17 @@ HAND_WRITTEN = {
             {"from": 1, "to": 2, "cost": ["1", "1"]},
         ],
     },
+    # a maximization with halves, thirds and quarters, a duplicate image
+    # ("b" and "b2"), a dominated point ("d") and an unsupported front point
+    # ("e"), so that the supported set's MAX witnesses are compared
+    "max-mixed": {"kind": "explicit", "direction": "max", "p": 2, "solutions": [
+        {"id": "a", "f": ["9/2", "1/3"]},
+        {"id": "b", "f": ["7/3", "5/2"]},
+        {"id": "b2", "f": ["7/3", "5/2"]},
+        {"id": "c", "f": ["3/4", "11/3"]},
+        {"id": "d", "f": ["2", "2"]},
+        {"id": "e", "f": ["3", "7/4"]},
+    ]},
     "graph-literal-then-bool-tail": {
         "kind": "spanning-tree", "direction": "min", "p": 2, "nodes": 3, "arcs": [
             {"from": 0, "to": 1, "cost": ["1", "1.5"]},

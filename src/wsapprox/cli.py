@@ -340,6 +340,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
             raise ContractViolation("ptas sets sigma to 1 + tau; drop --sigma")
         if args.cells:
             raise ContractViolation("--cells is a grid report feature")
+        if not 0 < args.tau < args.epsilon / inst.p:  # before the handle refuses its sigma
+            raise ContractViolation("tau must satisfy 0 < tau < epsilon / p")
         run = approximate_with_ptas(adversarial_solver(inst, 1 + args.tau), bounds, args.epsilon)
         report["sigma"] = format_rational(run.plan.sigma)
         report["tau"] = format_rational(args.tau)

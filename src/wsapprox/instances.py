@@ -15,7 +15,9 @@ stays small, and are fully determined by their seed.
 ``instance_text`` is the one writer of an instance's canonical text, for
 the file ``generate`` writes and for the ``instance`` every ``approximate``
 report embeds.  It writes the text in one pass, each solution or arc by one
-f-string, each value formatted once, and ``canonical_dumps`` copies it in.
+f-string, each value formatted once.  ``canonical_dumps`` writes every
+output document by one plain walk and copies such pre-rendered text in by
+its pieces.
 
 ``instance_from_json`` reads the solutions or arcs in one loop that checks
 each entry's structure in file order and collects its literal strings.
@@ -317,14 +319,6 @@ def gen_random_graph(
     )
 
 
-class _Escapes(dict):
-    """JSON string literal of each str looked up, escaped on first lookup."""
-
-    def __missing__(self, text: str) -> str:
-        escaped = self[text] = encode_basestring(text)
-        return escaped
-
-
 class Rendered(Record):
     """A value's canonical text in ``pieces``, already indented for
     ``depth``, the nesting depth of the value in its document (a member of
@@ -335,58 +329,43 @@ class Rendered(Record):
 
 def canonical_dumps(payload: Any) -> str:
     """Canonical JSON text: the bytes of ``json.dumps(payload, sort_keys=True,
-    indent=2, ensure_ascii=False) + "\\n"``, written in one pass.
+    indent=2, ensure_ascii=False) + "\\n"``, written by one plain walk.
 
-    With an indent, json runs its pure-Python encoder; this writer escapes
-    each distinct string once per call, writes a str or int member of a dict
-    in one piece with its key, and a list of only strs or only ints by one
-    join.  Ints are tested by ``type(x) is int``, so bools still go through
-    ``json.dumps`` and print ``true``/``false``.
-    Scalars other than str and int go through ``json.dumps``; a dict key
-    that is not a str raises TypeError.  A ``Rendered`` value is written as
-    its pieces, and refused (ValueError) at any depth but its own.
+    A str is escaped by ``encode_basestring`` and an int written by
+    ``int.__repr__``; ints are tested by ``type(x) is int``, so bools go
+    through ``json.dumps`` and print ``true``/``false``, as every other
+    scalar does.  A dict is walked in sorted key order, and a key that is
+    not a str raises TypeError; a list or tuple is walked item by item.  A
+    ``Rendered`` value is copied in by its pieces, and refused (ValueError)
+    at any depth but its own.
     """
-    escaped = _Escapes()
     out: list[str] = []
     write = out.append
 
     def value(v: Any, nl: str) -> None:
         t = type(v)
         if t is str:
-            write(escaped[v])
+            write(encode_basestring(v))
+        elif t is int:
+            write(int.__repr__(v))
         elif isinstance(v, dict):
             inner = nl + "  "
             sep = "{" + inner
             for key in sorted(v):
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
-                x = v[key]
-                if type(x) is str:  # most members of a report: one piece with the key
-                    write(f"{sep}{escaped[key]}: {escaped[x]}")
-                elif type(x) is int:  # not bool, which prints true/false
-                    write(f"{sep}{escaped[key]}: {int.__repr__(x)}")
-                else:
-                    write(f"{sep}{escaped[key]}: ")
-                    value(x, inner)
+                write(f"{sep}{encode_basestring(key)}: ")
+                value(v[key], inner)
                 sep = "," + inner
             write(nl + "}" if v else "{}")
         elif isinstance(v, (list, tuple)):
             inner = nl + "  "
-            types = set(map(type, v))
-            if types == {str}:
-                write("[" + inner + ("," + inner).join([escaped[x] for x in v]) + nl + "]")
-                return
-            if types == {int}:
-                write("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
-                return
             sep = "[" + inner
             for x in v:
                 write(sep)
                 value(x, inner)
                 sep = "," + inner
             write(nl + "]" if v else "[]")
-        elif t is int:
-            write(int.__repr__(v))
         elif t is Rendered:
             if len(nl) != 1 + 2 * v.depth:
                 raise ValueError(f"text rendered for depth {v.depth} met at depth {len(nl) // 2}")

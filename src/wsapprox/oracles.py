@@ -4,32 +4,32 @@ Everything here is brute force on purpose.  A graph becomes an explicit
 instance by enumerating its simple paths or spanning trees in ints, and
 ``verify`` and ``oracle`` build Fraction images only for the front and the
 ids they name; the tests check it against an enumeration in Fractions.
-Every image is cleared of denominators, objective by objective, into Python
-ints in which smaller is better (a MAX instance from its reciprocal images,
-whose MIN factors are the MAX factors).  The Pareto front is a sort-filter
-scan of those ints: sorted ascending, every dominator of an image comes
-before it, so each image is compared only with the front found so far.
-Supportedness is decided exactly, for every p, by a small origin-feasible
-LP solved by a one-phase simplex, and only where it can matter: a strictly
-dominated image is never optimal for a weight w > 0, and a dominated
-competitor's constraint follows from the constraint of the front point that
-dominates it, so only distinct front images are certified, each against the
-other distinct front images; more than ``MAX_SUPPORT_ROWS`` LP rows in all
-are refused before any LP.  The front images are cleared once per
-instance by the lcm of all their denominators, so every LP row is a
-rational row times one positive constant, and the simplex pivots
-fraction-free in Python ints on lrs's compact dictionary.  A positive row
-scaling changes no sign and no ratio, so Bland's rule makes the same pivots
-as on the rational tableau and reaches the same vertex, read as ints, and
-witness weight.  Approximation guarantees are checked target by target
-against the Pareto front, which decides the whole feasible set because
-every family is down-closed; ranking and coverage are exact int comparisons
-on the cleared images, and one Fraction factor vector is built per target,
-for the candidate that the report names; more than ``MAX_VERIFY_PAIRS``
-distinct target-candidate pairs are refused before any is scored.  These
-oracles are the independent side of every guarantee test, so none of them
-share code with the approximation algorithms: they take the instance model
-from ``instances`` and import neither ``solvers`` nor ``algorithms``.
+Every image is cleared of denominators into Python ints in which smaller is
+better.  The Pareto front is a sort-filter scan of those ints: sorted
+ascending, every dominator of an image comes before it, so each image is
+compared only with the front found so far.  Supportedness is decided
+exactly, for every p, by a small origin-feasible LP solved by a one-phase
+simplex, and only where it can matter: a strictly dominated image is never
+optimal for a weight w > 0, and a dominated competitor's constraint follows
+from the constraint of the front point that dominates it, so only distinct
+front images are certified, each against the other distinct front images;
+more than ``MAX_SUPPORT_ROWS`` LP rows in all are refused before any LP.
+There every image is cleared once, by the lcm of all the instance's
+denominators and negated for MAX, so every LP row is a rational row times
+one positive constant, and the simplex pivots fraction-free in Python ints
+on lrs's compact dictionary.  A positive row scaling changes no sign and no
+ratio, so Bland's rule makes the same pivots as on the rational tableau and
+reaches the same vertex, read as ints, and witness weight.  Approximation
+guarantees are checked target by target against the Pareto front, which
+decides the whole feasible set because every family is down-closed; ranking
+and coverage are exact int comparisons on images cleared objective by
+objective (a MAX instance from its reciprocal images, whose MIN factors are
+the MAX factors), and one Fraction factor vector is built per target, for
+the candidate that the report names; more than ``MAX_VERIFY_PAIRS`` distinct
+target-candidate pairs are refused before any is scored.  These oracles are
+the independent side of every guarantee test, so none of them share code
+with the approximation algorithms: they take the instance model from
+``instances`` and import neither ``solvers`` nor ``algorithms``.
 """
 
 from __future__ import annotations
@@ -95,13 +95,13 @@ def _cleared_images(inst: ExplicitInstance) -> dict[str, tuple[int, ...]]:
 
 
 def _front(images: dict[str, tuple[int, ...]]) -> frozenset[str]:
-    """Ids whose cleared image (``_cleared_images``) no other image
-    dominates; ids sharing a front image are all kept.
+    """Ids whose int image no other image dominates, where smaller is better
+    in every objective, for MIN and MAX alike (``_cleared_images``, or
+    ``support_certificates``' keys); ids sharing a front image are all kept.
 
-    Smaller is better in every objective of a cleared image, for MIN and
-    MAX alike, so a dominator is lexicographically smaller: it sorts first,
-    and every image meets its dominators, or theirs, among the distinct
-    front images found so far.
+    A dominator is lexicographically smaller: it sorts first, and every
+    image meets its dominators, or theirs, among the distinct front images
+    found so far.
     """
     front_images: list[tuple[int, ...]] = []
     front: list[str] = []
@@ -293,13 +293,10 @@ class SupportCertificate(Record):
 
 
 def _support_certificate_lp(
-    image: tuple[int, ...],
-    competitors: list[tuple[int, ...]],
-    direction: Direction,
-    scale: int,
+    image: tuple[int, ...], competitors: list[tuple[int, ...]], scale: int
 ) -> Optional[SupportCertificate]:
-    """One origin-feasible LP on cleared images; competitors must be distinct
-    from ``image``.
+    """One origin-feasible LP on cleared images, in which smaller is better;
+    competitors must be distinct from ``image``.
 
     Every weight w > 0 is s*1 + x with s = min_j w_j > 0 and x >= 0, and
     t >= 0 is the margin by which ``image`` beats each competitor o:
@@ -308,24 +305,24 @@ def _support_certificate_lp(
         d_o.x + (sum_j d_o,j) s + t <= 0   for each competitor o,
         s <= 1,  t - s <= 0,  x, s, t >= 0,
 
-    with d_o = image - o (MIN) or o - image (MAX).  Every right-hand side
-    is >= 0, so the origin is feasible.  The competitor rows and t <= s are
-    a cone, so the optimum is 0 when no w > 0 works (unsupported), exactly
-    1 when s reaches 1 only with t = 0 (optimal only with ties: weak), and
-    above 1 otherwise (strictly supported).  The witness w/s = 1 + x/s has
-    every component >= 1.
+    with d_o = image - o.  Every right-hand side is >= 0, so the origin is
+    feasible.  The competitor rows and t <= s are a cone, so the optimum is
+    0 when no w > 0 works (unsupported), exactly 1 when s reaches 1 only
+    with t = 0 (optimal only with ties: weak), and above 1 otherwise
+    (strictly supported).  The witness w/s = 1 + x/s has every component
+    >= 1.
 
     The images come multiplied by one common ``scale`` > 0 that makes them
-    ints, so each competitor row is its rational row times ``scale``: the t
-    coefficient is ``scale``, not 1.  Scaling a whole row by a positive
-    constant leaves the feasible set, and so every pivot and the vertex
-    reached, unchanged, while scaling objectives (columns) separately would
-    move the witness.  With x = X / d and S, T the numerators of s and t, the
-    verdict is S + T against 0 and d, and the witness w_j = (S + X_j) / S.
+    ints, and negated for MAX, so each competitor row is its rational row
+    (with o - image for MAX) times ``scale``: the t coefficient is
+    ``scale``, not 1.  Scaling a whole row by a positive constant leaves the
+    feasible set, and so every pivot and the vertex reached, unchanged,
+    while scaling objectives (columns) separately would move the witness.
+    With x = X / d and S, T the numerators of s and t, the verdict is S + T
+    against 0 and d, and the witness w_j = (S + X_j) / S.
     """
     p = len(image)
-    sign = 1 if direction is Direction.MIN else -1
-    diffs = [[sign * (a - o) for a, o in zip(image, other)] for other in competitors]
+    diffs = [[a - o for a, o in zip(image, other)] for other in competitors]
     A = [d + [sum(d), scale] for d in diffs] + [[0] * p + [1, 0], [0] * p + [-1, 1]]
     b = [0] * len(competitors) + [1, 0]
     X, d = _simplex_max(A, b, [0] * p + [1, 1])
@@ -346,35 +343,34 @@ def support_certificates(inst: ExplicitInstance) -> dict[str, SupportCertificate
     still makes its id weighted-sum optimal over the whole instance, and a
     strict witness still makes the image the unique optimum among distinct
     images, because every dominated image scores worse than its dominator
-    under any weight w > 0.  Images are keyed by ``_cleared_images`` and
-    meet each other in order of first appearance, which breaks Bland's ties;
-    the keys clear objective by objective, which would move the witness, so
-    the LP rows are cleared by the lcm of all front denominators.
+    under any weight w > 0.  Every image is cleared once, by the lcm of all
+    the instance's denominators and negated for MAX, so that smaller is
+    better; those ints key ``_front`` and fill the LP rows, each a rational
+    row times that one positive lcm, which moves no witness.  The distinct
+    front images meet each other in order of first appearance, which breaks
+    Bland's ties.
 
     Refuses (ContractViolation) more than MAX_SUPPORT_ROWS rows in all,
     before any LP is solved.
     """
-    keys = _cleared_images(inst)
+    scale = math.lcm(*(v.denominator for s in inst.solutions for v in s.image.values))
+    sign = -1 if inst.direction is Direction.MAX else 1
+    keys = {
+        s.id: tuple([sign * v.numerator * (scale // v.denominator) for v in s.image.values])
+        for s in inst.solutions
+    }
     front = _front(keys)
-    distinct = len({keys[sid] for sid in front})
-    rows = distinct * (distinct - 1)
+    # equal images share a key, and a key keeps its first place
+    cleared = list(dict.fromkeys(keys[s.id] for s in inst.solutions if s.id in front))
+    rows = len(cleared) * (len(cleared) - 1)
     if rows > MAX_SUPPORT_ROWS:
         raise ContractViolation(
-            f"supportedness needs {rows} LP rows for {distinct} distinct front images, "
+            f"supportedness needs {rows} LP rows for {len(cleared)} distinct front images, "
             f"over the limit of {MAX_SUPPORT_ROWS}"
         )
-    # equal keys hold equal images, and a key keeps its first place
-    originals = {keys[s.id]: s.image.values for s in inst.solutions if s.id in front}
-    scale = math.lcm(*(v.denominator for image in originals.values() for v in image))
-    cleared = {
-        key: tuple(v.numerator * (scale // v.denominator) for v in image)
-        for key, image in originals.items()
-    }
     by_key = {
-        key: _support_certificate_lp(
-            image, [o for k, o in cleared.items() if k != key], inst.direction, scale
-        )
-        for key, image in cleared.items()
+        key: _support_certificate_lp(key, [o for o in cleared if o != key], scale)
+        for key in cleared
     }
     return {s.id: cert for s in inst.solutions if (cert := by_key.get(keys[s.id])) is not None}
 

@@ -108,8 +108,9 @@ class _IntegerForm:
     """Vectors with the denominators of each objective cleared once.
 
     Column j holds the ints F_ij = f_ij * L_j, where L_j is the LCM of the
-    denominators of objective j.  For weights w, let D be the LCM of the
-    denominators of w_j / L_j and W_j = (w_j / L_j) * D.  Then the int
+    denominators of objective j (for a ``permuted`` form, of the vectors it
+    was taken from).  For weights w, let D be the LCM of the denominators
+    of w_j / L_j and W_j = (w_j / L_j) * D.  Then the int
     V_i = sum_j W_j * F_ij equals D * (w . f_i) exactly, and D > 0 is
     shared by every i, so comparing the V_i compares the weighted sums.
     The form is never mutated after construction.
@@ -147,8 +148,9 @@ class _IntegerForm:
         return self.vector([sum(column[i] for i in indices) for column in self.columns])
 
     def permuted(self, order: Sequence[int]) -> "_IntegerForm":
-        """The form of the vectors taken in ``order``: each L_j is the lcm of
-        the same denominators, so only the columns are permuted."""
+        """The form of the vectors at the indices ``order``, a permutation
+        or a subset: each L_j clears any of the vectors, so the scales stay
+        and only the columns are picked."""
         form = object.__new__(_IntegerForm)
         form.scales = self.scales
         form.columns = tuple(tuple([column[i] for i in order]) for column in self.columns)
@@ -368,7 +370,7 @@ def _spanning_tree_kernel(inst: GraphInstance) -> Kernel:
     form = _IntegerForm(inst.p, [arc.cost for arc in inst.arcs])
     dropped = _never_chosen(inst, list(zip(*form.columns)))
     kept = [idx for idx in range(len(inst.arcs)) if idx not in dropped]
-    kept_form = _IntegerForm(inst.p, [inst.arcs[idx].cost for idx in kept])
+    kept_form = form.permuted(kept)
     ends = [(inst.arcs[idx].tail, inst.arcs[idx].head) for idx in kept]
     answers: dict[tuple[int, ...], tuple[str, ObjectiveVector]] = {}
 

@@ -32,9 +32,9 @@ in ``Fraction`` and without the package's shortcuts:
 - ``cells_csv_by_products`` writes ``export-plot``'s ``cells.csv`` from
   those cells, formatting every corner once for every cell that prints it,
   instead of once for each distinct corner of a report's corner table;
-- ``canonical_dumps_by_json`` writes canonical JSON with ``json.dumps``,
-  whose indented encoder escapes a string wherever it appears, where the
-  package's writer escapes each distinct string once in one pass;
+- ``canonical_dumps_by_json`` writes canonical JSON with ``json.dumps``'s
+  indented encoder, where the package's writer walks the payload by itself
+  and copies pre-rendered text in;
 - ``instance_to_json`` builds an instance's document as a dict, which
   ``canonical_dumps_by_json`` writes, where ``instances.instance_text``
   writes its text in one pass;

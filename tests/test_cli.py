@@ -171,6 +171,19 @@ class TestApproximateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tau", ["-1/2", "0", "1/2"])
+    def test_ptas_tau_out_of_range_names_tau(self, three_points_file, tmp_path, capsys, tau):
+        # at epsilon 1 and p = 2, tau must lie in (0, 1/2); a tau at or below
+        # 0 would otherwise reach the handle's refusal of sigma = 1 + tau
+        out = tmp_path / "report.json"
+        argv = ["approximate", "--algorithm", "ptas", "--instance", three_points_file,
+                "--epsilon", "1", f"--tau={tau}", "--solver", "adversarial", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        message = "error: tau must satisfy 0 < tau < epsilon / p\n"
+        assert (captured.out, captured.err) == ("", message)
+        assert not out.exists()
+
     def test_ptas_report(self, three_points_file, tmp_path):
         out = tmp_path / "report.json"
         code = main(

@@ -133,13 +133,15 @@ def simplex_in_fractions(A, b, c):
 
 
 def cleared_lp(image, competitors, direction):
-    """``_support_certificate_lp`` on images cleared by their common lcm."""
+    """``_support_certificate_lp`` on images cleared by their common lcm,
+    negated for MAX."""
     scale = math.lcm(*(v.denominator for o in competitors + [image] for v in o))
+    sign = -1 if direction is MAX else 1
 
     def clear(o):
-        return tuple(int(v * scale) for v in o)
+        return tuple(sign * int(v * scale) for v in o)
 
-    return _support_certificate_lp(clear(image), [clear(o) for o in competitors], direction, scale)
+    return _support_certificate_lp(clear(image), [clear(o) for o in competitors], scale)
 
 
 SMALL_RATIONALS = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
@@ -406,9 +408,11 @@ class TestSupportedSet:
     def test_only_front_images_are_solved_against_front_images(self, inst):
         calls = []
 
-        def record(image, competitors, direction, scale):
+        sign = -1 if inst.direction is MAX else 1
+
+        def record(image, competitors, scale):
             def restore(cleared):
-                return tuple(F(v, scale) for v in cleared)
+                return tuple(F(sign * v, scale) for v in cleared)
 
             calls.append((restore(image), [restore(c) for c in competitors]))
             return None
