@@ -30,7 +30,6 @@ from wsapprox import (
     pareto_front,
     support_certificates,
     verify_approximation,
-    verify_max_impossibility,
 )
 from wsapprox.cli import main as cli_main
 
@@ -88,9 +87,12 @@ def main() -> int:
         ["generate", "max-counterexample", "--p", "2", "--M", "100",
          "--out", os.path.join(args.out_dir, "max_counterexample.json")]
     )
-    print(f"supported: {sorted(support_certificates(max_inst))}")
-    print(f"unsupported center defeats factor M-1 everywhere off-peak: "
-          f"{verify_max_impossibility(max_inst)}")
+    supported = support_certificates(max_inst)
+    print(f"supported: {sorted(supported)}")
+    below_m = GuaranteeFamily.uniform_raw(99, 2)
+    [violation] = verify_approximation(supported, max_inst, below_m).violations
+    print(f"supported vs uniform bound M-1: violated at {violation.target_id}, "
+          f"best beta {[str(b) for b in violation.best_beta]}")
 
     print("\n== plot export for the tightness grid run ==")
     report_path = os.path.join(args.out_dir, "tightness_grid_report.json")

@@ -58,7 +58,6 @@ from .oracles import (
     pareto_front,
     support_certificates,
     verify_approximation,
-    verify_max_impossibility,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -82,7 +82,6 @@ from .oracles import (
     pareto_front,
     support_certificates,
     verify_approximation,
-    verify_max_impossibility,
 )
 from .solvers import (
     SolveAnswer,
@@ -340,6 +339,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
             raise ContractViolation("ptas sets sigma to 1 + tau; drop --sigma")
         if args.cells:
             raise ContractViolation("--cells is a grid report feature")
+        if args.epsilon <= 0:  # before the tau range, which epsilon also bounds
+            raise ContractViolation("epsilon must be positive")
         if not 0 < args.tau < args.epsilon / inst.p:  # before the handle refuses its sigma
             raise ContractViolation("tau must satisfy 0 < tau < epsilon / p")
         run = approximate_with_ptas(adversarial_solver(inst, 1 + args.tau), bounds, args.epsilon)
@@ -440,19 +441,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "command": "oracle",
         "what": args.what,
     }
-    if args.what == "max-impossibility":
-        if not isinstance(inst, ExplicitInstance):
-            raise ContractViolation("max-impossibility expects an explicit instance")
-        payload["ok"] = verify_max_impossibility(inst)
+    explicit = _as_explicit(inst, args.limit, [])
+    if args.what == "pareto":
+        payload["ids"] = sorted(pareto_front(explicit))
     else:
-        explicit = _as_explicit(inst, args.limit, [])
-        if args.what == "pareto":
-            payload["ids"] = sorted(pareto_front(explicit))
-        else:
-            certs = support_certificates(explicit)
-            payload["ids"] = sorted(certs)
-            payload["weak"] = sorted(i for i, c in certs.items() if c.weak)
-            payload["witnesses"] = {i: format_rationals(certs[i].weight) for i in payload["ids"]}
+        certs = support_certificates(explicit)
+        payload["ids"] = sorted(certs)
+        payload["weak"] = sorted(i for i, c in certs.items() if c.weak)
+        payload["witnesses"] = {i: format_rationals(certs[i].weight) for i in payload["ids"]}
     _write_output(payload, args.out)
     return EXIT_OK
 
@@ -692,9 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="compute ground-truth sets")
     oracle.add_argument("--instance", required=True)
-    oracle.add_argument(
-        "--what", choices=["pareto", "supported", "max-impossibility"], required=True
-    )
+    oracle.add_argument("--what", choices=["pareto", "supported"], required=True)
     oracle.add_argument("--limit", type=int, default=ENUMERATION_LIMIT)
     oracle.add_argument("--out", default=None)
     oracle.set_defaults(func=cmd_oracle)

@@ -56,7 +56,6 @@ from .instances import (
     GraphInstance,
     GraphKind,
     Solution,
-    gen_max_counterexample,
 )
 
 # Most LP rows, F * (F - 1) for F distinct front images, that
@@ -516,31 +515,3 @@ def verify_approximation(
         else:
             violations.append(Violation(target.id, cid, beta))
     return VerificationReport(family, not violations, tuple(witnesses), tuple(violations))
-
-
-def verify_max_impossibility(inst: ExplicitInstance) -> bool:
-    """Check the maximization counterexample property on a generated instance.
-
-    The instance must hold exactly one constant-image solution, the center,
-    and, as a multiset, the images of ``gen_max_counterexample(p, M)`` with
-    M = p times the center's value; ids and order are free.  Any other
-    instance raises ContractViolation, and so does an M <= 1, which the
-    generator refuses.  Returns True iff ``support_certificates`` certifies
-    every other point, the axis points, and not the center.
-
-    The factor half of the claim needs no check: the construction fixes it.
-    An axis point misses the center by (M/p) / (1/p) = M in each of its p-1
-    off-peak coordinates, so once the axis points are the only supported
-    solutions, none achieves a factor below M in p-1 objectives at once.
-    """
-    if inst.direction is not Direction.MAX:
-        raise ContractViolation("expected a maximization instance")
-    centers = [s for s in inst.solutions if len(set(s.image.values)) == 1]
-    if len(centers) != 1:
-        raise ContractViolation("expected exactly one constant-image solution")
-    center = centers[0]
-    big_m = inst.p * center.image[0]
-    expected = gen_max_counterexample(inst.p, big_m).solutions
-    if sorted(s.image.values for s in inst.solutions) != sorted(s.image.values for s in expected):
-        raise ContractViolation(f"images are not those of the construction at M = {big_m}")
-    return support_certificates(inst).keys() == {s.id for s in inst.solutions} - {center.id}

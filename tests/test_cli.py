@@ -184,6 +184,19 @@ class TestApproximateCommand:
         assert (captured.out, captured.err) == ("", message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilon", ["0", "-1"])
+    def test_ptas_non_positive_epsilon_names_epsilon(
+        self, three_points_file, tmp_path, capsys, epsilon
+    ):
+        out = tmp_path / "report.json"
+        argv = ["approximate", "--algorithm", "ptas", "--instance", three_points_file,
+                f"--epsilon={epsilon}", "--tau", "1/8", "--solver", "adversarial",
+                "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: epsilon must be positive\n")
+        assert not out.exists()
+
     def test_ptas_report(self, three_points_file, tmp_path):
         out = tmp_path / "report.json"
         code = main(
@@ -559,11 +572,6 @@ class TestRefusedFlagsAndInputs:
                 "--family uniform --sum-bound fixes sigma at 1",
             ),
             (
-                ["oracle", "--instance", "{graph}", "--what", "max-impossibility"],
-                2,
-                "max-impossibility expects an explicit instance",
-            ),
-            (
                 ["export-plot", "--from-report", "{no_instance}", "--out-dir", "{plots}"],
                 3,
                 "report file lacks an embedded instance",
@@ -618,7 +626,6 @@ class TestRefusedFlagsAndInputs:
             "disjunctive-sum-bound",
             "uniform-sum-bound-sigma-3/2",
             "uniform-sum-bound-sigma-100",
-            "max-impossibility-on-graph",
             "export-plot-without-instance",
             "export-plot-without-solutions",
             "empty-out",
@@ -920,15 +927,26 @@ class TestOracleCommand:
         assert main(["oracle", "--instance", str(inst), "--what", "pareto", "--out", str(out)]) == 0
         assert read_json(out)["ids"] == ["good"]
 
-    def test_max_impossibility(self, tmp_path):
+    def test_supported_max_construction_reaches_exactly_m(self, tmp_path):
         inst = tmp_path / "max.json"
-        main(["generate", "max-counterexample", "--p", "2", "--M", "100", "--out", str(inst)])
-        out = tmp_path / "oracle.json"
-        code = main(
-            ["oracle", "--instance", str(inst), "--what", "max-impossibility", "--out", str(out)]
-        )
-        assert code == 0
-        assert read_json(out)["ok"] is True
+        main(["generate", "max-counterexample", "--p", "3", "--M", "100", "--out", str(inst)])
+        ids = tmp_path / "ids.json"
+        assert main(["oracle", "--instance", str(inst), "--what", "supported",
+                     "--out", str(ids)]) == 0
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--instance", str(inst), "--solutions", str(ids),
+                "--family", "uniform", "--out", str(out), "--sum-bound"]
+        assert main(argv + ["99"]) == 1
+        [violation] = read_json(out)["violations"]
+        assert violation["target"] == "xtilde"
+        assert sorted(violation["best_beta"], key=int) == ["1", "100", "100"]
+        assert main(argv + ["100"]) == 0
+
+    def test_max_impossibility_is_refused_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--instance", "max.json", "--what", "max-impossibility"])
+        assert exc.value.code == 2
+        assert "argument --what: invalid choice: 'max-impossibility'" in capsys.readouterr().err
 
     def test_enumeration_guard_exits_5(self, tmp_path):
         graph = tmp_path / "graph.json"
@@ -2129,7 +2147,7 @@ def fuzz_cases(draw, valid):
         argv = ["verify", "--instance", instance, *source, "--family", family,
                 *[f for name in ("--epsilon", "--sigma", "--limit") for f in (name, values[name])]]
     elif command == "oracle":
-        what = draw(st.sampled_from(["pareto", "supported", "max-impossibility"]))
+        what = draw(st.sampled_from(["pareto", "supported"]))
         argv = ["oracle", "--instance", instance, "--what", what, "--limit", values["--limit"]]
     elif command == "export-plot":
         argv = ["export-plot", "--from-report", "report.json", "--limit", values["--limit"]]

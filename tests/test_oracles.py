@@ -20,13 +20,13 @@ from wsapprox import (
     compute_bounds,
     enumerate_graph_solutions,
     exact_solver,
+    factor_vector,
     gen_max_counterexample,
     gen_random_explicit,
     gen_tightness_min,
     pareto_front,
     support_certificates,
     verify_approximation,
-    verify_max_impossibility,
 )
 from wsapprox import oracles
 from wsapprox.oracles import _simplex_max, _support_certificate_lp
@@ -615,80 +615,74 @@ class TestRestrictedEnumeration:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-class TestMaxImpossibility:
+class TestMaxConstruction:
+    """The general oracles on the maximization construction and on its
+    relabelled or extended copies."""
+
+    @staticmethod
+    def _below(big_m, p):
+        return GuaranteeFamily.uniform_raw(big_m - F(1, 10**9), p)
+
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("m", [2, 100, 10**6])
-    def test_construction_defeats_every_supported_point(self, p, m):
-        assert verify_max_impossibility(gen_max_counterexample(p, m)) is True
+    def test_each_axis_point_has_a_strict_witness(self, p, m):
+        inst = gen_max_counterexample(p, m)
+        certs = support_certificates(inst)
+        assert certs.keys() == {f"x{k}" for k in range(1, p + 1)}
+        for sid, cert in certs.items():
+            assert not cert.weak
+            score = {s.id: sum(w * v for w, v in zip(cert.weight, s.image)) for s in inst.solutions}
+            assert all(score[sid] > score[other] for other in score if other != sid)
 
-    def test_axis_factor_contains_exactly_m(self):
-        from wsapprox import factor_vector
-
-        inst = gen_max_counterexample(2, 100)
-        beta = factor_vector(image_of(inst, "x1"), image_of(inst, "xtilde"), MAX)
-        assert F(100) in beta.values
-
-    def test_malformed_instances_rejected(self, three_points):
-        with pytest.raises(ContractViolation):
-            verify_max_impossibility(three_points)  # not a max instance
-        inst = explicit(MAX, ("a", (2, 1)), ("b", (1, 2)), ("c", (3, 3)), ("d", (1, 1)))
-        with pytest.raises(ContractViolation):
-            verify_max_impossibility(inst)
-
-    @pytest.mark.parametrize(
-        "pairs,message",
-        [
-            ((("a", (2, 2)), ("b", (1, 1)), ("c", (3, F(1, 2)))), "exactly one constant-image"),
-            ((("a", (2, F(1, 2))), ("b", (F(1, 2), 3)), ("c", (3, F(1, 2)))), "exactly one constant-image"),
-            ((("c", (1, 1)), ("x1", (2, F(1, 2))), ("x2", (F(1, 3), 2))), "not those of the construction at M = 2"),
-            (
-                (
-                    ("c", (1, 1, 1)),
-                    ("x1", (3, 3, F(1, 3))),
-                    ("x2", (F(1, 3), 3, F(1, 3))),
-                    ("x3", (F(1, 3), F(1, 3), 3)),
-                ),
-                "not those of the construction at M = 3",
-            ),
-            ((("c", (1, 1)), ("x1", (2, F(1, 2))), ("x2", (2, F(1, 2)))), "not those of the construction"),
-            ((("c", (F(1, 2), F(1, 2))), ("x1", (1, F(1, 2))), ("x2", (F(1, 2), 1))), "need p >= 2 and M > 1"),
-        ],
-        ids=["two-constant", "no-constant", "wrong-off-value", "two-peaks", "repeated-peak", "m-is-1"],
-    )
-    def test_shape_refusals(self, pairs, message):
-        with pytest.raises(ContractViolation, match=message):
-            verify_max_impossibility(explicit(MAX, *pairs))
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 100, 10**6])
+    def test_pareto_front_keeps_the_center_and_covers_exactly(self, p, m):
+        inst = gen_max_counterexample(p, m)
+        front = pareto_front(inst)
+        assert front == {s.id for s in inst.solutions}
+        assert verify_approximation(front, inst, GuaranteeFamily.uniform_raw(1, p)).ok
+        assert not verify_approximation(front - {"xtilde"}, inst, self._below(m, p)).ok
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_ids_and_order_are_free(self, p):
         built = gen_max_counterexample(p, 5)
         shuffled = list(built.solutions)
         random.Random(p).shuffle(shuffled)
-        renamed = [Solution(f"z{k}", s.image) for k, s in enumerate(shuffled)]
-        assert verify_max_impossibility(ExplicitInstance(MAX, p, tuple(renamed))) is True
+        names = {s.id: f"z{k}" for k, s in enumerate(shuffled)}
+        inst = ExplicitInstance(MAX, p, tuple(Solution(names[s.id], s.image) for s in shuffled))
+        supported = support_certificates(inst)
+        assert supported.keys() == {names[f"x{k}"] for k in range(1, p + 1)}
+        assert verify_approximation(supported, inst, GuaranteeFamily.uniform_raw(5, p)).ok
+        report = verify_approximation(supported, inst, self._below(5, p))
+        assert [v.target_id for v in report.violations] == [names["xtilde"]]
+        assert sorted(report.violations[0].best_beta.values) == [F(1)] + [F(5)] * (p - 1)
 
-    @pytest.mark.parametrize("extra", [(1, 1), (5, F(1, 2))])
-    def test_construction_plus_one_point_refused(self, extra):
+    @pytest.mark.parametrize(
+        "extra,supported",
+        [((1, 1), {"x1", "x2"}), ((5, F(1, 2)), {"x1", "x2", "extra"})],
+        ids=["dominated", "copy-of-x1"],
+    )
+    def test_one_more_unhelpful_point_keeps_the_bound(self, extra, supported):
         built = gen_max_counterexample(2, 5)
         inst = ExplicitInstance(MAX, 2, built.solutions + (Solution("extra", ov(*extra)),))
-        with pytest.raises(ContractViolation):
-            verify_max_impossibility(inst)
+        certs = support_certificates(inst)
+        assert certs.keys() == supported
+        assert verify_approximation(certs, inst, GuaranteeFamily.uniform_raw(5, 2)).ok
+        report = verify_approximation(certs, inst, self._below(5, 2))
+        assert [v.target_id for v in report.violations] == ["xtilde"]
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_supported_center_is_not_a_counterexample(self, p, monkeypatch):
-        inst = gen_max_counterexample(p, 100)
-        real = oracles.support_certificates(inst)
-        assert "xtilde" not in real and len(real) == p
-        cert = next(iter(real.values()))
-        monkeypatch.setattr(
-            oracles, "support_certificates", lambda i: {s.id: cert for s in i.solutions}
-        )
-        assert verify_max_impossibility(inst) is False
+    def test_a_supported_point_above_the_center_closes_the_gap(self):
+        built = gen_max_counterexample(2, 5)
+        inst = ExplicitInstance(MAX, 2, built.solutions + (Solution("extra", ov(3, 3)),))
+        certs = support_certificates(inst)
+        assert certs.keys() == {"x1", "x2", "extra"}
+        assert verify_approximation(certs, inst, GuaranteeFamily.uniform_raw(1, 2)).ok
 
-    def test_unsupported_axis_point_is_not_a_counterexample(self, monkeypatch):
-        inst = gen_max_counterexample(2, 100)
-        monkeypatch.setattr(oracles, "support_certificates", lambda i: {})
-        assert verify_max_impossibility(inst) is False
+
+def test_axis_factor_contains_exactly_m():
+    inst = gen_max_counterexample(3, 100)
+    beta = factor_vector(image_of(inst, "x1"), image_of(inst, "xtilde"), MAX)
+    assert sorted(beta.values) == [F(1), F(100), F(100)]
 
 
 # Validation refusals: input, exception type, message fragment.

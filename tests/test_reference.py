@@ -1,10 +1,11 @@
-"""The references in ``tests/reference.py`` stay out of the package.
+"""Names that left the package stay out of it.
 
 Each name below once shipped in ``wsapprox`` although no package code
 called it, or was a second way to do a job the package does.  The package
 keeps one implementation of each job: a second, slow one belongs next to
-the tests that compare against it, and a wrapper whose callers can call
-what it wraps is deleted.
+the tests that compare against it in ``tests/reference.py``, and a wrapper
+whose callers can call what it wraps, or a narrower check of what a general
+one decides, is deleted outright.
 """
 
 import pytest
@@ -32,6 +33,7 @@ MOVED = [
     (algorithms, "ptas_family"),
     (oracles, "_support_certificate_biobjective"),
     (oracles, "supported_set"),
+    (oracles, "verify_max_impossibility"),
     (cli, "_answer_json"),
 ]
 

@@ -37,6 +37,7 @@ def test_reproduce_constructions(tmp_path):
     u = json.loads((tmp_path / "tightness_grid_report.json").read_text())["u"]
     printed = re.search(r"cells\.csv \((\d+) cells\)", result.stdout)
     assert printed and int(printed.group(1)) == math.prod(u_j + 1 for u_j in u)
+    assert "supported vs uniform bound M-1: violated at xtilde," in result.stdout
 
 
 def test_run_guarantee_sweep(tmp_path):
