@@ -240,6 +240,21 @@ def _output_set(picked: dict[str, SolveAnswer]) -> tuple[Solution, ...]:
     return tuple(Solution(sid, picked[sid].image) for sid in sorted(picked))
 
 
+def _ladder_order(u1: int, u2: int) -> list[int]:
+    """The p = 2 grid's plan indices in call order.  By ascending w1/w2 the
+    entries are (u1..1, 0), then (0, 0..u2): this ladder's two ends come
+    first, then the midpoints of the gaps between rungs called, breadth first."""
+    ladder = [*range(u2 + u1, u2, -1), *range(u2 + 1)]
+    order = [0, len(ladder) - 1][: len(ladder)]
+    gaps = deque([(0, len(ladder) - 1)])
+    while gaps:
+        left, right = gaps.popleft()
+        if right - left > 1:
+            order.append((left + right) // 2)
+            gaps.extend([(left, order[-1]), (order[-1], right)])
+    return [ladder[t] for t in order]
+
+
 def approximate_grid(
     solver: SolverHandle,
     bounds: Bounds,
@@ -247,16 +262,22 @@ def approximate_grid(
 ) -> GridRun:
     """Run the weight grid through the solver; P is deduplicated by id.
 
-    The solver is called once per plan entry, one call after another in
-    plan order; ``answers[i]`` is the answer to ``plan.entries[i]`` and the
-    result set is sorted by id.
+    The solver is called once per plan entry, one call after another: at
+    p = 2 in ``_ladder_order``, so that a graph kernel's ladder memo answers
+    the rungs between two equal answers without a search, at p >= 3 in plan
+    order.  An answer depends on its weight alone; ``answers[i]`` is that of
+    ``plan.entries[i]``, ``ws_calls`` counts one handle call per weight and
+    the result set is sorted by id.
     """
     if bounds.p != solver.p:
         raise ContractViolation("bounds dimension differs from p")
     plan = plan_grid(bounds, epsilon, solver.sigma)
-    answers = [solver.solve(entry.weight) for entry in plan.entries]
+    entries = plan.entries
+    order = _ladder_order(*plan.u) if bounds.p == 2 else range(len(entries))
+    solved = {i: solver.solve(entries[i].weight) for i in order}
+    answers = tuple(solved[i] for i in range(len(entries)))
     result = _output_set({a.solution_id: a for a in answers})
-    return GridRun(plan, tuple(answers), result, len(answers))
+    return GridRun(plan, answers, result, len(answers))
 
 
 class BisectProbe(Record):
@@ -367,6 +388,8 @@ def approximate_with_ptas(
     (1 + tau)*p + (eps - tau*p) = p + eps, with some coordinate <= 1 + tau.
     """
     epsilon = as_rational(epsilon)
+    if epsilon <= 0:
+        raise ContractViolation("epsilon must be positive")
     tau = solver.sigma - 1
     p = bounds.p
     if not 0 < tau < epsilon / p:

@@ -273,17 +273,25 @@ class TestApproximateGrid:
         assert pair.ok
 
     def test_weights_issued_match_grid_weights(self, three_points):
+        # Each planned weight is issued exactly once.  At p = 2 the weights
+        # come by the ladder of gamma = w1/w2: its two ends, then the
+        # midpoints of the gaps between the rungs issued so far, breadth
+        # first; at p >= 3 they come in plan order.
         bounds = compute_bounds(three_points)
-        received = []
-
-        def recording_kernel(w):
-            received.append(w)
-            return solve_explicit_exact(three_points, w)
-
-        run = approximate_grid(SolverHandle(three_points, F(1), recording_kernel), bounds, 2)
+        handle, received = counted(three_points)
+        run = approximate_grid(handle, bounds, 2)
         planned = [entry.weight for entry in plan_grid(bounds, 2, 1).entries]
-        assert received == planned
         assert [entry.weight for entry in run.plan.entries] == planned
+        assert sorted(received, key=planned.index) == planned
+        gammas = [w.values[0] / w.values[1] for w in received]
+        assert gammas == [F(1, 8), F(8), F(1), F(1, 4), F(2), F(1, 2), F(4)]
+        assert run.answers == tuple(solve_explicit_exact(three_points, w) for w in planned)
+
+        inst = gen_random_explicit(3, 8, 1, 9, seed=3)
+        bounds = compute_bounds(inst)
+        handle, received = counted(inst)
+        approximate_grid(handle, bounds, 2)
+        assert received == [entry.weight for entry in plan_grid(bounds, 2, 1).entries]
 
 
 class TestWeightShiftEquivalence:
@@ -468,6 +476,13 @@ class TestPtasWrapper:
         for tau in (F(1, 2), F(0), F(2, 3)):
             with pytest.raises(ContractViolation):
                 approximate_with_ptas(adversarial_solver(inst, 1 + tau), bounds, 1)
+
+    @pytest.mark.parametrize("epsilon", [0, -1])
+    def test_non_positive_epsilon_is_refused_before_tau(self, epsilon):
+        inst = gen_tightness_min(2, 4)
+        solver = adversarial_solver(inst, "9/8")
+        with pytest.raises(ContractViolation, match="^epsilon must be positive$"):
+            approximate_with_ptas(solver, compute_bounds(inst), epsilon)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_adversarial_runs_stay_covered(self, seed):

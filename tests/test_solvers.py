@@ -1,4 +1,5 @@
 import inspect
+import math
 import operator
 import re
 from fractions import Fraction
@@ -31,6 +32,7 @@ from wsapprox import (
     gen_random_graph,
 )
 from wsapprox import solvers
+from wsapprox.algorithms import _ladder_order, plan_grid
 
 from conftest import enumerable_graphs, explicit_instances, rationals, weight_vectors
 from reference import (
@@ -723,6 +725,148 @@ class TestForgettingTreeKernel:
         for repeat, first in zip(answers[3:], answers):
             assert repeat.solution_id is first.solution_id
             assert repeat.image is first.image
+
+
+def ladder_state(handle):
+    """The distinct answers and ladder memo of a graph kernel."""
+    return inspect.getclosurevars(handle.kernel).nonlocals["answers"]
+
+
+@st.composite
+def ladder_graphs(draw, kind):
+    """p = 2 graphs with int costs in [1, 3], so that ties and twin paths
+    are common, and the plan of a grid over them."""
+    nodes = draw(st.integers(2, 8))
+    inst = gen_random_graph(
+        nodes, draw(st.integers(nodes - 1, 4 * nodes)), 2, 1, 3,
+        draw(st.integers(0, 10**6)), kind, denominator=1,
+    )
+    epsilon = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)]))
+    return inst, plan_grid(compute_bounds(inst), epsilon, 1)
+
+
+def twin_path_graph():
+    """Paths 0-1-3 and 0-2-3 share the image (4, 4); at w = (gamma, 1) they
+    are the shortest for 3/5 < gamma < 5/3, the second below gamma = 1 and
+    the first from it on, while the direct arcs (9, 1) and (1, 9) are the
+    only shortest paths below and above that range."""
+    arcs = ((0, 1, (1, 3)), (1, 3, (3, 1)), (0, 2, (3, 1)), (2, 3, (1, 3)),
+            (0, 3, (9, 1)), (0, 3, (1, 9)))
+    return GraphInstance(
+        MIN, 2, 4, tuple(Arc(t, h, ov(*c)) for t, h, c in arcs), GraphKind.SHORTEST_PATH,
+        source=0, target=3,
+    )
+
+
+class TestLadderMemo:
+    """At p = 2 a graph kernel answers a weight strictly between two
+    certified answers that agree without a search.  Whatever the order of
+    the weights, each answer must be that of a fresh handle and of the
+    Fraction reference."""
+
+    REFERENCE = {
+        GraphKind.SHORTEST_PATH: solve_shortest_path,
+        GraphKind.SPANNING_TREE: solve_spanning_tree,
+    }
+
+    @pytest.mark.parametrize("kind", [GraphKind.SHORTEST_PATH, GraphKind.SPANNING_TREE])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_order_matches_fresh_handles_and_the_reference(self, kind, data):
+        inst, plan = data.draw(ladder_graphs(kind))
+        weights = [entry.weight for entry in plan.entries]
+        # Answers compare by (id, image, scalar, arcs).
+        expected = [self.REFERENCE[kind](inst, w) for w in weights]
+        assert [exact_solver(inst).solve(w) for w in weights] == expected
+        indices = list(range(len(weights)))
+        shuffled = data.draw(st.permutations(indices))
+        for order in (indices, indices[::-1], shuffled, _ladder_order(*plan.u)):
+            handle = exact_solver(inst)
+            assert [handle.solve(weights[i]) for i in order] == [expected[i] for i in order]
+
+    @pytest.mark.parametrize("kind", [GraphKind.SHORTEST_PATH, GraphKind.SPANNING_TREE])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_grid_in_ladder_order_matches_the_reference(self, kind, data):
+        inst, plan = data.draw(ladder_graphs(kind))
+        run = approximate_grid(exact_solver(inst), compute_bounds(inst), plan.epsilon)
+        weights = [entry.weight for entry in plan.entries]
+        assert run.answers == tuple(self.REFERENCE[kind](inst, w) for w in weights)
+        assert run.ws_calls == len(weights)
+
+    def test_twin_paths_are_never_kept(self):
+        inst = twin_path_graph()
+        gammas = [Fraction(k, 10) for k in range(1, 31)]
+        for order in (gammas, gammas[::-1], gammas[::3] + gammas[1::3] + gammas[2::3]):
+            handle = exact_solver(inst)
+            for gamma in order:
+                assert handle.solve(wv(gamma, 1)) == solve_shortest_path(inst, wv(gamma, 1))
+            kept = {arcs for _, _, arcs, _ in ladder_state(handle).rungs}
+            assert kept == {(4,), (5,)}
+        handle = exact_solver(inst)
+        assert handle.solve(wv(Fraction(4, 5), 1)).arcs == (2, 3)
+        assert handle.solve(wv(Fraction(6, 5), 1)).arcs == (0, 1)
+        assert handle.solve(wv(1, 1)).arcs == (0, 1)
+        assert ladder_state(handle).rungs == []
+
+    @pytest.mark.parametrize("kind", [GraphKind.SHORTEST_PATH, GraphKind.SPANNING_TREE])
+    def test_a_hit_makes_no_search_and_adds_no_rung(self, kind, monkeypatch):
+        # On a path graph every weight has one answer: after both ends of
+        # the ladder, every other rung is a hit.
+        inst = GraphInstance(
+            MIN, 2, 4, (Arc(0, 1, ov(1, 3)), Arc(1, 2, ov(2, 2)), Arc(2, 3, ov(3, 1))), kind,
+            source=0, target=3,
+        )
+        searches = []
+        dot = solvers._dot
+        monkeypatch.setattr(solvers, "_dot", lambda *args: searches.append(1) or dot(*args))
+        handle = exact_solver(inst)
+        run = approximate_grid(handle, compute_bounds(inst), Fraction(1, 4))
+        assert len(searches) == 2 < run.ws_calls
+        assert len(ladder_state(handle).rungs) == 2
+        weights = [entry.weight for entry in run.plan.entries]
+        assert run.answers == tuple(self.REFERENCE[kind](inst, w) for w in weights)
+
+    @pytest.mark.parametrize("kind", [GraphKind.SHORTEST_PATH, GraphKind.SPANNING_TREE])
+    def test_ratios_closer_than_float_rounding_are_ordered_exactly(self, kind):
+        # The answer changes at gamma = 1: every gamma below is 1 as a float.
+        inst = GraphInstance(
+            MIN, 2, 2, (Arc(0, 1, ov(1, 2)), Arc(0, 1, ov(2, 1))), kind, source=0, target=1,
+        )
+        delta = Fraction(1, 10**30)
+        gammas = [1 + k * delta for k in (-4, 4, -2, 2, -1, 1, -3, 3, 0)]
+        handle = exact_solver(inst)
+        for gamma in gammas:
+            weights = wv(gamma, 1)
+            assert handle.solve(weights) == self.REFERENCE[kind](inst, weights)
+        # int factors (gamma's numerator and denominator here) divide to 1.0
+        assert {float(gamma) for gamma in gammas} == {1.0}
+        # -3 and 3 are hits; the tie at gamma = 1 is kept only by Kruskal
+        tie = [(0,)] if kind is GraphKind.SPANNING_TREE else []
+        kept = [arcs for _, _, arcs, _ in ladder_state(handle).rungs]
+        assert kept == [(1,)] * 3 + tie + [(0,)] * 3
+
+    @pytest.mark.parametrize("kind", [GraphKind.SHORTEST_PATH, GraphKind.SPANNING_TREE])
+    def test_ratios_past_float_range_are_ordered_exactly(self, kind):
+        # 10^400 k overflows a float and k / 10^400 rounds to 0.0; k = 2 is a hit.
+        inst = GraphInstance(
+            MIN, 2, 2, (Arc(0, 1, ov(1, 2)), Arc(0, 1, ov(2, 1))), kind, source=0, target=1,
+        )
+        gammas = [10**400 * k for k in (1, 3, 2)] + [Fraction(k, 10**400) for k in (1, 3, 2)]
+        handle = exact_solver(inst)
+        for gamma in gammas:
+            weights = wv(gamma, 1)
+            assert handle.solve(weights) == self.REFERENCE[kind](inst, weights)
+        rungs = ladder_state(handle).rungs
+        assert [arcs for _, _, arcs, _ in rungs] == [(1,), (1,), (0,), (0,)]
+        assert ladder_state(handle).keys == [0.0, 0.0, math.inf, math.inf]
+
+    def test_no_memo_past_two_objectives(self):
+        inst = gen_random_graph(6, 12, 3, 1, 3, 5, GraphKind.SPANNING_TREE, denominator=1)
+        handle = exact_solver(inst)
+        for k in range(1, 6):
+            assert handle.solve(wv(1, k, 1)) == solve_spanning_tree(inst, wv(1, k, 1))
+        assert ladder_state(handle).rungs is None
 
 
 def recursive_path_ids(inst):
